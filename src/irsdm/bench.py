@@ -134,6 +134,25 @@ def _run_point(cfg, schemes, gai_opts, nsp_opts):
     return out
 
 
+def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes, gai_opts, nsp_opts):
+    """Run every scheme at each point config; one series entry per point."""
+    series = {s.label: [] for s in schemes}
+    iters = {s.label: [] for s in schemes}
+    for cfg_point in point_cfgs:
+        for label, sol in _run_point(cfg_point, schemes, gai_opts, nsp_opts).items():
+            series[label].append(sol.sr)
+            iters[label].append(sol.iterations)
+    return ExperimentResult(
+        experiment=experiment,
+        axis_name=axis_name,
+        axis_values=[float(v) for v in axis_values],
+        series=series,
+        iterations=iters,
+        config=cfg,
+        seed=cfg.seed,
+    )
+
+
 def sweep_sr_vs_m(
     cfg: SystemConfig,
     m_values: list[int],
@@ -142,22 +161,8 @@ def sweep_sr_vs_m(
     nsp_opts: NspOptions | None = None,
 ) -> ExperimentResult:
     """Secrecy rate versus the number of reflecting elements."""
-    series = {s.label: [] for s in schemes}
-    iters = {s.label: [] for s in schemes}
-    for m in m_values:
-        sols = _run_point(replace(cfg, M=int(m)), schemes, gai_opts, nsp_opts)
-        for label, sol in sols.items():
-            series[label].append(sol.sr)
-            iters[label].append(sol.iterations)
-    return ExperimentResult(
-        experiment="sweep_m",
-        axis_name="M",
-        axis_values=[float(m) for m in m_values],
-        series=series,
-        iterations=iters,
-        config=cfg,
-        seed=cfg.seed,
-    )
+    point_cfgs = [replace(cfg, M=int(m)) for m in m_values]
+    return _sweep(cfg, "sweep_m", "M", m_values, point_cfgs, schemes, gai_opts, nsp_opts)
 
 
 def sweep_sr_vs_position(
@@ -173,23 +178,8 @@ def sweep_sr_vs_position(
     the receiver drop, so the axis value is the Alice-surface distance.
     """
     theta_line = parallel_irs_angle(cfg)
-    series = {s.label: [] for s in schemes}
-    iters = {s.label: [] for s in schemes}
-    for d in d_ai_values:
-        cfg_d = replace(cfg, d_AI=float(d), theta_AI=theta_line)
-        sols = _run_point(cfg_d, schemes, gai_opts, nsp_opts)
-        for label, sol in sols.items():
-            series[label].append(sol.sr)
-            iters[label].append(sol.iterations)
-    return ExperimentResult(
-        experiment="sweep_position",
-        axis_name="d_AI",
-        axis_values=[float(d) for d in d_ai_values],
-        series=series,
-        iterations=iters,
-        config=cfg,
-        seed=cfg.seed,
-    )
+    point_cfgs = [replace(cfg, d_AI=float(d), theta_AI=theta_line) for d in d_ai_values]
+    return _sweep(cfg, "sweep_position", "d_AI", d_ai_values, point_cfgs, schemes, gai_opts, nsp_opts)
 
 
 def convergence_trace(
@@ -210,14 +200,9 @@ def convergence_trace(
     traces = {}
     iters = {}
     for m in m_values:
-        cfg_m = replace(cfg, M=int(m))
-        geo = build_geometry(cfg_m)
-        channels = build_channels(cfg_m, geo)
-        for scheme in schemes:
-            sol = run_scheme(scheme, cfg_m, channels, gai_opts, nsp_opts)
-            label = f"{scheme.label}_M{int(m)}"
-            traces[label] = list(sol.rs_trace)
-            iters[label] = sol.iterations
+        for label, sol in _run_point(replace(cfg, M=int(m)), schemes, gai_opts, nsp_opts).items():
+            traces[f"{label}_M{int(m)}"] = list(sol.rs_trace)
+            iters[f"{label}_M{int(m)}"] = sol.iterations
     depth = max(len(t) for t in traces.values())
     series = {}
     iterations = {}

@@ -197,32 +197,18 @@ def _require_seed_for_random(args, schemes: list[Scheme]) -> None:
         raise SystemExit("error: random_phase runs need an explicit --seed (or a seed in the config file)")
 
 
-def _cmd_converge(args) -> int:
+def _cmd_experiment(args) -> int:
     cfg = parse_config(args)
     schemes = parse_schemes(args.schemes, args.draws, args.active_stream)
     _require_seed_for_random(args, schemes)
-    run_experiment("converge", cfg, schemes, _parse_values(args.m_values), resolve_out_dir(args.out_dir))
-    return 0
-
-
-def _cmd_sweep_m(args) -> int:
-    cfg = parse_config(args)
-    schemes = parse_schemes(args.schemes, args.draws, args.active_stream)
-    _require_seed_for_random(args, schemes)
-    run_experiment("sweep_m", cfg, schemes, _parse_values(args.m_values), resolve_out_dir(args.out_dir))
-    return 0
-
-
-def _cmd_sweep_position(args) -> int:
-    cfg = parse_config(args)
-    schemes = parse_schemes(args.schemes, args.draws, args.active_stream)
-    _require_seed_for_random(args, schemes)
-    if args.d_ai_values:
+    if args.experiment != "sweep_position":
+        values = _parse_values(args.m_values)
+    elif args.d_ai_values:
         values = _parse_values(args.d_ai_values)
     else:
         count = int(math.floor((args.d_ai_max - args.d_ai_min) / args.d_ai_step + 0.5)) + 1
         values = [args.d_ai_min + i * args.d_ai_step for i in range(count)]
-    run_experiment("sweep_position", cfg, schemes, values, resolve_out_dir(args.out_dir))
+    run_experiment(args.experiment, cfg, schemes, values, resolve_out_dir(args.out_dir))
     return 0
 
 
@@ -232,9 +218,7 @@ def _cmd_single(args) -> int:
     if len(schemes) != 1:
         raise SystemExit("error: single takes exactly one scheme")
     _require_seed_for_random(args, schemes)
-    geo = build_geometry(cfg)
-    channels = build_channels(cfg, geo)
-    sol = run_scheme(schemes[0], cfg, channels)
+    sol = run_scheme(schemes[0], cfg, build_channels(cfg, build_geometry(cfg)))
     out_dir = resolve_out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -297,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="secrecy rate per outer iteration")
     common(p, "gai,nsp")
     p.add_argument("--m-values", default="10,20")
-    p.set_defaults(func=_cmd_converge)
+    p.set_defaults(func=_cmd_experiment, experiment="converge")
 
     p = sub.add_parser("sweep-m", help="secrecy rate versus surface size")
     common(p, "gai,nsp,no_irs,random_phase,single_cbs")
     p.add_argument("--m-values", default=",".join(str(m) for m in range(10, 101, 10)))
-    p.set_defaults(func=_cmd_sweep_m)
+    p.set_defaults(func=_cmd_experiment, experiment="sweep_m")
 
     p = sub.add_parser("sweep-position", help="secrecy rate versus surface placement")
     common(p, "gai,nsp")
@@ -310,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ai-min", type=float, default=5.0)
     p.add_argument("--d-ai-max", type=float, default=150.0)
     p.add_argument("--d-ai-step", type=float, default=2.5)
-    p.set_defaults(func=_cmd_sweep_position)
+    p.set_defaults(func=_cmd_experiment, experiment="sweep_position")
 
     p = sub.add_parser("single", help="run one scheme once and dump the solution")
     common(p, "gai")

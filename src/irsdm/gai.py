@@ -16,7 +16,27 @@ import numpy as np
 import scipy.linalg
 
 from .model import ChannelSet, SystemConfig
-from .rates import DerivedModel, Precoders, derived_model, eve_noise_solver, secrecy_rate
+from .rates import (
+    DerivedModel,
+    Precoders,
+    _herm,
+    composite_channels,
+    derived_model,
+    eve_noise_solver,
+    refresh_model,
+    secrecy_rate,
+    unclipped_gap,
+)
+
+
+# Phase-block line search: a step is tried at LS_ALPHA0 along the unit ascent
+# direction and shrunk by LS_SHRINK until it clears the sufficient-ascent
+# bound with constant LS_C1, at most LS_MAX_TRIALS times (last step 2^-13).
+LS_ALPHA0 = 1.0
+LS_SHRINK = 0.5
+LS_C1 = 1e-4
+LS_MAX_TRIALS = 14
+GA_TOL = 1e-6  # per-step rate gain (bits) that ends a phase block inside run_gai
 
 
 @dataclass(frozen=True)
@@ -25,23 +45,8 @@ class GaOptions:
 
     max_outer: int = 50
     max_ga_iters: int = 1000    # gradient-ascent steps per phase block
-    ga_tol: float = 1e-6        # per-step rate gain (bits) that ends a phase block
-    ls_alpha0: float = 1.0      # first trial step along the unit ascent direction
-    ls_shrink: float = 0.5      # backtracking factor, in (0, 1)
-    ls_c1: float = 1e-4         # sufficient-ascent constant, in (0, 1)
-    kappa: float = 1e-4         # line-search accuracy; ceil(log2(1/kappa)) trials
     optimize_theta: bool = True
     include_irs: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0 < self.ls_shrink < 1:
-            raise ValueError(f"ls_shrink must lie in (0, 1), got {self.ls_shrink!r}")
-        if not 0 < self.ls_c1 < 1:
-            raise ValueError(f"ls_c1 must lie in (0, 1), got {self.ls_c1!r}")
-        if not 0 < self.kappa < 1:
-            raise ValueError(f"kappa must lie in (0, 1), got {self.kappa!r}")
-        if not self.ga_tol > 0:
-            raise ValueError(f"ga_tol must be positive, got {self.ga_tol!r}")
 
 
 @dataclass
@@ -63,38 +68,37 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def update_v1(dm: DerivedModel, prec: Precoders) -> np.ndarray:
-    """Best stream-1 beamformer with (v2, theta) held fixed.
+def _update_v(dm: DerivedModel, prec: Precoders, stream: int) -> np.ndarray:
+    """Best beamformer of one stream (0 or 1) with the other stream and theta held fixed.
 
     The rate gap equals a constant plus log2 of a generalized Rayleigh
-    quotient in v1; the quotient matrices fold stream 2 into the effective
-    noise on both sides.
+    quotient in the updated beamformer; the quotient matrices fold the other
+    stream into the effective noise on both sides.
     """
+    h_b = (dm.H_B1, dm.H_B2)
+    h_e = (dm.H_E1, dm.H_E2)
+    v_other = (prec.v1, prec.v2)[1 - stream]
     n = dm.H_B1.shape[1]
     k = dm.B.shape[0]
     eye_n = np.eye(n, dtype=complex)
-    t2b = dm.H_B2 @ prec.v2
-    cov_b = np.eye(k, dtype=complex) + np.outer(t2b, t2b.conj())
-    num = eye_n + dm.H_B1.conj().T @ np.linalg.solve(cov_b, dm.H_B1)
-    t2e = dm.H_E2 @ prec.v2
+    tb = h_b[1 - stream] @ v_other
+    cov_b = np.eye(k, dtype=complex) + np.outer(tb, tb.conj())
+    num = eye_n + h_b[stream].conj().T @ np.linalg.solve(cov_b, h_b[stream])
+    te = h_e[1 - stream] @ v_other
     # B^-1 (I + C B^-1)^-1 collapses to (B + C)^-1, keeping the form Hermitian.
-    cov_e = dm.B + np.outer(t2e, t2e.conj())
-    den = eye_n + dm.H_E1.conj().T @ np.linalg.solve(cov_e, dm.H_E1)
-    return rayleigh_ritz_max(0.5 * (num + num.conj().T), 0.5 * (den + den.conj().T))
+    cov_e = dm.B + np.outer(te, te.conj())
+    den = eye_n + h_e[stream].conj().T @ np.linalg.solve(cov_e, h_e[stream])
+    return rayleigh_ritz_max(_herm(num), _herm(den))
+
+
+def update_v1(dm: DerivedModel, prec: Precoders) -> np.ndarray:
+    """Best stream-1 beamformer with (v2, theta) held fixed."""
+    return _update_v(dm, prec, 0)
 
 
 def update_v2(dm: DerivedModel, prec: Precoders) -> np.ndarray:
-    """Best stream-2 beamformer with (v1, theta) held fixed; mirror of update_v1."""
-    n = dm.H_B2.shape[1]
-    k = dm.B.shape[0]
-    eye_n = np.eye(n, dtype=complex)
-    t1b = dm.H_B1 @ prec.v1
-    cov_b = np.eye(k, dtype=complex) + np.outer(t1b, t1b.conj())
-    num = eye_n + dm.H_B2.conj().T @ np.linalg.solve(cov_b, dm.H_B2)
-    t1e = dm.H_E1 @ prec.v1
-    cov_e = dm.B + np.outer(t1e, t1e.conj())
-    den = eye_n + dm.H_E2.conj().T @ np.linalg.solve(cov_e, dm.H_E2)
-    return rayleigh_ritz_max(0.5 * (num + num.conj().T), 0.5 * (den + den.conj().T))
+    """Best stream-2 beamformer with (v1, theta) held fixed."""
+    return _update_v(dm, prec, 1)
 
 
 class PhaseProblem:
@@ -202,7 +206,6 @@ def ga_optimize_theta(
     when no backtracking step helps or the per-step rate gain drops below
     epsilon.  Returns theta0 unchanged if no first step is accepted.
     """
-    max_trials = max(1, math.ceil(math.log2(1.0 / opts.kappa)))
     theta = theta0.copy()
     f_cur = pp.ratio(theta)
     for _ in range(opts.max_ga_iters):
@@ -211,31 +214,24 @@ def ga_optimize_theta(
         if not np.isfinite(gnorm) or gnorm == 0.0:
             break
         direction = grad / gnorm
-        alpha = opts.ls_alpha0
+        alpha = LS_ALPHA0
         accepted = False
-        for _ in range(max_trials):
+        for _ in range(LS_MAX_TRIALS):
             cand = _project_phases(theta + alpha * direction, theta)
             f_cand = pp.ratio(cand)
             # 2*gnorm is the ascent slope of the ratio along the unit direction.
-            if f_cand - f_cur > opts.ls_c1 * alpha * 2.0 * gnorm:
+            if f_cand - f_cur > LS_C1 * alpha * 2.0 * gnorm:
                 theta = cand
                 gain_bits = math.log2(f_cand / f_cur)
                 f_cur = f_cand
                 accepted = True
                 break
-            alpha *= opts.ls_shrink
+            alpha *= LS_SHRINK
         if not accepted:
             break
         if gain_bits < epsilon:
             break
     return theta
-
-
-def _composite_bob(ch: ChannelSet, theta: np.ndarray, include_irs: bool) -> np.ndarray:
-    direct = np.sqrt(ch.g_AB) * ch.H_AB.conj().T
-    if not include_irs:
-        return direct
-    return np.sqrt(ch.g_AIB) * ((ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI) + direct
 
 
 def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +240,7 @@ def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) ->
     Falls back to canonical basis vectors when the channel does not expose
     two usable directions (e.g. K = 1 leaves the second singular value at 0).
     """
-    h_b = _composite_bob(ch, theta, include_irs)
+    h_b, _ = composite_channels(ch, theta, include_irs)
     n = h_b.shape[1]
     _, svals, vh = np.linalg.svd(h_b, full_matrices=True)
     v1 = vh[0].conj() if svals[0] > 0 else np.eye(n)[0].astype(complex)
@@ -261,32 +257,38 @@ def run_gai(
     opts: GaOptions | None = None,
     theta0: np.ndarray | None = None,
 ) -> GaiState:
-    """Alternate the three block updates until the secrecy-rate gain falls below epsilon."""
+    """Alternate the three block updates until the rate-gap gain falls below epsilon.
+
+    The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
+    still negative keeps climbing; rs_trace holds the clipped secrecy rate.
+    """
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if theta0 is None else np.asarray(theta0, dtype=complex).copy()
     v1, v2 = initial_beamformers(channels, theta, opts.include_irs)
     prec = Precoders(v1=v1, v2=v2, theta=theta)
     dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
     trace = [secrecy_rate(dm, prec)]
+    gap = unclipped_gap(trace[-1], dm, prec)
     converged = False
     iterations = 0
     for p in range(1, opts.max_outer + 1):
         if cfg.beta1 > 0:
             prec = replace(prec, v1=update_v1(dm, prec))
-            dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
+            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
         if cfg.beta2 > 0:
             prec = replace(prec, v2=update_v2(dm, prec))
-            dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
+            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
         if opts.optimize_theta and opts.include_irs:
             # solve the phase block well below the outer tolerance: stopping
             # the ascent at the outer epsilon meters a shallow-ridge climb out
             # over many outer passes instead of finishing it in one
             pp = PhaseProblem(dm)
-            prec = replace(prec, theta=ga_optimize_theta(pp, prec.theta, opts, opts.ga_tol))
-            dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
+            prec = replace(prec, theta=ga_optimize_theta(pp, prec.theta, opts, GA_TOL))
+            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
         trace.append(secrecy_rate(dm, prec))
+        gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
         iterations = p
-        if trace[-1] - trace[-2] <= cfg.epsilon:
+        if gap - gap_prev <= cfg.epsilon:
             converged = True
             break
     return GaiState(

@@ -13,7 +13,7 @@ x-axis array responds to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,10 +52,16 @@ class SystemConfig:
     seed: int = 0                      # RNG seed for randomized benchmarks
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            val = getattr(self, f.name)
+            # bool is an int subclass, but N=True is a mistake, not a size
+            if f.type == "int" and (isinstance(val, bool) or not isinstance(val, int)):
+                raise ValueError(f"{f.name} must be an integer, got {val!r}")
+            if f.type == "float" and not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val!r}")
         for key in ("N", "M", "K"):
-            val = getattr(self, key)
-            if not isinstance(val, int) or val < 1:
-                raise ValueError(f"{key} must be a positive integer, got {val!r}")
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be a positive integer, got {getattr(self, key)!r}")
         for key in ("d_AI", "d_AB", "d_AE", "carrier_hz", "epsilon"):
             val = getattr(self, key)
             if not val > 0:
@@ -72,8 +78,6 @@ class SystemConfig:
             raise ValueError(
                 f"beta1 + beta2 must not exceed 1, got {self.beta1 + self.beta2!r}"
             )
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def beta3(self) -> float:

@@ -13,38 +13,44 @@ parametric level combined with a majorize-minimize phase rounding).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 from .model import ChannelSet, SystemConfig
 from .rates import (
-    PINV_CUTOFF,
     Precoders,
+    _herm,
     an_projector,
     derived_model,
+    eve_covariance,
     eve_noise_solver,
+    null_projector,
+    refresh_model,
     secrecy_rate,
+    unclipped_gap,
 )
+
+
+MAX_DINKELBACH = 100
+DINKELBACH_TOL = 1e-8    # |num - nu * den| at the root
+MAX_TAYLOR = 200         # linearized ascent steps per Dinkelbach level
+MAX_POWER_ITERS = 200    # w2 ascent steps
+POWER_TOL = 1e-8         # stop when the w2 objective gain drops below this
+MAX_MM_ITERS = 500       # phase roundings per mu evaluation
+MM_TOL = 1e-9            # stop when the surrogate decrease drops below this
+PHI_TOL = 1e-6           # |phi*(mu)| accepted as the root
+WIDTH_TOL = 1e-9         # mu bisection interval width floor
+MAX_BISECT = 200
+QCQP_RIDGE = 1e-10
+QCQP_TOL = 1e-8
+QCQP_LAMBDA_MAX = 1e12
 
 
 @dataclass(frozen=True)
 class NspOptions:
     max_outer: int = 50
-    max_dinkelbach: int = 100
-    dinkelbach_tol: float = 1e-8    # |num - nu * den| at the root
-    max_taylor: int = 200           # linearized ascent steps per Dinkelbach level
-    max_power_iters: int = 200      # w2 ascent steps
-    power_tol: float = 1e-8         # stop when the w2 objective gain drops below this
-    max_mm_iters: int = 500         # phase roundings per mu evaluation
-    mm_tol: float = 1e-9            # stop when the surrogate decrease drops below this
-    phi_tol: float = 1e-6           # |phi*(mu)| accepted as the root
-    width_tol: float = 1e-9         # mu bisection interval width floor
-    max_bisect: int = 200
-    qcqp_ridge: float = 1e-10
-    qcqp_tol: float = 1e-8
-    qcqp_lambda_max: float = 1e12
 
 
 @dataclass
@@ -69,17 +75,6 @@ class NspBlocks:
     B: np.ndarray    # (K, K) Eve's AN-plus-noise covariance
 
 
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
-
-
-def _null_projector(rows: np.ndarray) -> np.ndarray:
-    n = rows.shape[1]
-    gram = rows @ rows.conj().T
-    p = np.eye(n) - rows.conj().T @ np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ rows
-    return _herm(p)
-
-
 def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """Projectors defining the two protected signal spaces.
 
@@ -88,8 +83,8 @@ def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """
     h1 = np.vstack([ch.H_AB.conj().T, ch.H_AE.conj().T])
     h2 = np.vstack([ch.H_AI, ch.H_AE.conj().T])
-    p1 = _null_projector(h1)
-    p2 = _null_projector(h2)
+    p1 = null_projector(h1)
+    p2 = null_projector(h2)
     for name, p in (("P1", p1), ("P2", p2)):
         if np.trace(p).real < 0.5:
             raise ValueError(f"{name} null space is empty; need fewer constraints than antennas")
@@ -104,34 +99,29 @@ def stream_blocks(
     theta: np.ndarray,
 ) -> NspBlocks:
     """Effective per-stream channels at the current phases."""
+    a1, a3 = _surface_streams(cfg, ch, p1, theta)
+    a2 = (np.sqrt(cfg.beta2 * cfg.ps_watts * ch.g_AB) / cfg.sigma_watts_sqrt) * (ch.H_AB.conj().T @ p2)
+    b = eve_covariance(cfg, ch, an_projector(ch.H_AI, ch.H_AB))
+    return NspBlocks(P1=p1, P2=p2, A1=a1, A2=a2, A3=a3, B=b)
+
+
+def _surface_streams(cfg: SystemConfig, ch: ChannelSet, p1: np.ndarray,
+                     theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stream 1 to Bob and to Eve (A1, A3), the only blocks that depend on theta."""
     sigma = cfg.sigma_watts_sqrt
     ps = cfg.ps_watts
     refl = (ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI
     refl_e = (ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI
     a1 = (np.sqrt(cfg.beta1 * ps * ch.g_AIB) / sigma) * (refl @ p1)
-    a2 = (np.sqrt(cfg.beta2 * ps * ch.g_AB) / sigma) * (ch.H_AB.conj().T @ p2)
     a3 = (np.sqrt(cfg.beta1 * ps * ch.g_AIE) / sigma) * (refl_e @ p1)
-    p_an = an_projector(ch.H_AI, ch.H_AB)
-    k = cfg.K
-    b = np.eye(k, dtype=complex)
-    if cfg.beta3 > 0:
-        scale = cfg.beta3 * ps * ch.g_AE / sigma ** 2
-        b = b + scale * (ch.H_AE.conj().T @ p_an @ p_an.conj().T @ ch.H_AE)
-    return NspBlocks(P1=p1, P2=p2, A1=a1, A2=a2, A3=a3, B=_herm(b))
+    return a1, a3
 
 
 def _quad(a: np.ndarray, w: np.ndarray) -> float:
     return float(np.real(w.conj() @ (a @ w)))
 
 
-def dual_qcqp_solve(
-    a_hat: np.ndarray,
-    bvec: np.ndarray,
-    q: np.ndarray,
-    ridge: float = 1e-10,
-    tol: float = 1e-8,
-    lambda_max: float = 1e12,
-) -> np.ndarray:
+def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Maximize 2 Re(b^H w) - w^H A w subject to w^H Q w <= 1.
 
     A must be Hermitian PSD and Q a Hermitian projector.  The KKT system
@@ -142,21 +132,21 @@ def dual_qcqp_solve(
     eye = np.eye(n, dtype=complex)
 
     def w_of(lam: float) -> np.ndarray:
-        return np.linalg.solve(a_hat + lam * q + ridge * eye, bvec)
+        return np.linalg.solve(a_hat + lam * q + QCQP_RIDGE * eye, bvec)
 
     w = w_of(0.0)
-    if _quad(q, w) <= 1.0 + tol:
+    if _quad(q, w) <= 1.0 + QCQP_TOL:
         return w
     lo, hi = 0.0, 1.0
     while _quad(q, w_of(hi)) > 1.0:
         hi *= 2.0
-        if hi > lambda_max:
+        if hi > QCQP_LAMBDA_MAX:
             raise RuntimeError("constraint multiplier exceeded the bracketing cap")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         w = w_of(mid)
         c = _quad(q, w)
-        if abs(c - 1.0) < tol:
+        if abs(c - 1.0) < QCQP_TOL:
             return w
         if c > 1.0:
             lo = mid
@@ -203,7 +193,6 @@ def update_w1(
     blocks: NspBlocks,
     w1: np.ndarray,
     w2: np.ndarray,
-    opts: NspOptions,
 ) -> tuple[np.ndarray, float]:
     """Dinkelbach ascent on the w1 quotient; returns (w1, achieved level nu).
 
@@ -218,26 +207,22 @@ def update_w1(
     if num < 1e-300:
         return _feasible_basis_vector(blocks.P1), 0.0
     nu = num / den
-    for _ in range(opts.max_dinkelbach):
+    for _ in range(MAX_DINKELBACH):
         cur = w
         level = _quad(a_til, cur) - nu * _quad(b_til, cur)
-        for _ in range(opts.max_taylor):
-            cand = dual_qcqp_solve(
-                nu * b_til, a_til @ cur, pp,
-                ridge=opts.qcqp_ridge, tol=opts.qcqp_tol,
-                lambda_max=opts.qcqp_lambda_max,
-            )
+        for _ in range(MAX_TAYLOR):
+            cand = dual_qcqp_solve(nu * b_til, a_til @ cur, pp)
             cand_level = _quad(a_til, cand) - nu * _quad(b_til, cand)
             if not cand_level > level:
                 break
             gain = cand_level - level
             cur, level = cand, cand_level
-            if gain < opts.dinkelbach_tol:
+            if gain < DINKELBACH_TOL:
                 break
         w = cur
         num, den = _quad(a_til, w), _quad(b_til, w)
         resid = num - nu * den
-        if abs(resid) < opts.dinkelbach_tol:
+        if abs(resid) < DINKELBACH_TOL:
             break
         nu = num / den
     w = w / math.sqrt(_quad(pp, w))
@@ -248,26 +233,21 @@ def update_w2(
     blocks: NspBlocks,
     w1: np.ndarray,
     w2: np.ndarray,
-    opts: NspOptions,
 ) -> np.ndarray:
     """Ascent on the stream-2 quadratic over the projected unit shell."""
     a_til = quadratic_block_w2(blocks, w1)
     pp = _herm(blocks.P2.conj().T @ blocks.P2)
     w = w2 / math.sqrt(max(_quad(pp, w2), np.finfo(float).tiny))
     obj = _quad(a_til, w)
-    for _ in range(opts.max_power_iters):
-        cand = dual_qcqp_solve(
-            np.zeros_like(a_til), a_til @ w, pp,
-            ridge=opts.qcqp_ridge, tol=opts.qcqp_tol,
-            lambda_max=opts.qcqp_lambda_max,
-        )
+    for _ in range(MAX_POWER_ITERS):
+        cand = dual_qcqp_solve(np.zeros_like(a_til), a_til @ w, pp)
         cand_obj = _quad(a_til, cand)
         if cand_obj > obj:
             w, gain = cand, cand_obj - obj
             obj = cand_obj
         else:
             break
-        if gain < opts.power_tol:
+        if gain < POWER_TOL:
             break
     return w / math.sqrt(_quad(pp, w))
 
@@ -306,7 +286,6 @@ def theta_star_of_mu(
     bt_e: np.ndarray,
     mu: float,
     theta_prev: np.ndarray,
-    opts: NspOptions | None = None,
 ) -> np.ndarray:
     """Unit-modulus minimizer of theta^H (BtE - mu TtB) theta via phase rounding.
 
@@ -314,7 +293,6 @@ def theta_star_of_mu(
     the phases of (lam_max I - Psi) theta; entries with a vanishing drive
     keep their previous phase.  The quadratic value never increases.
     """
-    opts = opts or NspOptions()
     psi = _herm(bt_e - mu * tt_b)
     evals = scipy.linalg.eigvalsh(psi)
     if evals[-1] - evals[0] < 1e-12:
@@ -322,12 +300,12 @@ def theta_star_of_mu(
     lam = evals[-1]
     theta = theta_prev.copy()
     obj = _quad(psi, theta)
-    for _ in range(opts.max_mm_iters):
+    for _ in range(MAX_MM_ITERS):
         drive = lam * theta - psi @ theta
         mag = np.abs(drive)
         cand = np.where(mag > 0, drive / np.where(mag > 0, mag, 1.0), theta)
         cand_obj = _quad(psi, cand)
-        if obj - cand_obj < opts.mm_tol:
+        if obj - cand_obj < MM_TOL:
             if cand_obj < obj:
                 theta, obj = cand, cand_obj
             break
@@ -340,11 +318,9 @@ def phi_star(
     bt_e: np.ndarray,
     mu: float,
     theta_prev: np.ndarray,
-    opts: NspOptions | None = None,
 ) -> float:
     """Value of the parametric subproblem min theta^H (BtE - mu TtB) theta."""
-    opts = opts or NspOptions()
-    theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev, opts)
+    theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev)
     psi = _herm(bt_e - mu * tt_b)
     return _quad(psi, theta)
 
@@ -353,7 +329,6 @@ def update_theta_nsp(
     tt_b: np.ndarray,
     bt_e: np.ndarray,
     theta_prev: np.ndarray,
-    opts: NspOptions,
 ) -> np.ndarray:
     """Minimize the Eve/Bob phase quotient by bisection on its level mu.
 
@@ -370,7 +345,7 @@ def update_theta_nsp(
 
     def evaluate(mu: float) -> float:
         nonlocal best_theta, best_q
-        theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev, opts)
+        theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev)
         q = quotient(theta)
         if q < best_q:
             best_theta, best_q = theta, q
@@ -382,12 +357,12 @@ def update_theta_nsp(
     lo, hi = 0.0, mu_hi
     if evaluate(mu_hi) > 0:
         return best_theta.copy()
-    for _ in range(opts.max_bisect):
-        if hi - lo < opts.width_tol:
+    for _ in range(MAX_BISECT):
+        if hi - lo < WIDTH_TOL:
             break
         mid = 0.5 * (lo + hi)
         val = evaluate(mid)
-        if abs(val) < opts.phi_tol:
+        if abs(val) < PHI_TOL:
             break
         if val > 0:
             lo = mid
@@ -401,20 +376,24 @@ def run_nsp(
     channels: ChannelSet,
     opts: NspOptions | None = None,
 ) -> NspState:
-    """Alternate the w1, w2 and theta blocks until the secrecy-rate gain stalls."""
+    """Alternate the w1, w2 and theta blocks until the rate-gap gain stalls.
+
+    As in run_gai, the stop test uses the unclipped gap R_B - R_E and
+    rs_trace holds the clipped secrecy rate.
+    """
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
     w1 = _feasible_basis_vector(p1)
     w2 = _feasible_basis_vector(p2)
     theta = np.ones(cfg.M, dtype=complex)
+    blocks = stream_blocks(cfg, channels, p1, p2, theta)
     if cfg.beta1 > 0:
         # pre-align the phases to the initial beamformers: starting the w1
         # block at unaligned phases can reward silencing the surface (the
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
-        blocks0 = stream_blocks(cfg, channels, p1, p2, theta)
-        tt_b0, bt_e0 = phase_blocks(cfg, channels, blocks0, w1, w2)
-        theta = update_theta_nsp(tt_b0, bt_e0, theta, opts)
+        tt_b0, bt_e0 = phase_blocks(cfg, channels, blocks, w1, w2)
+        theta = update_theta_nsp(tt_b0, bt_e0, theta)
 
     def as_precoders(w1_, w2_, theta_):
         v1 = p1 @ w1_
@@ -428,22 +407,25 @@ def run_nsp(
     prec = as_precoders(w1, w2, theta)
     dm = derived_model(cfg, channels, prec)
     trace = [secrecy_rate(dm, prec)]
+    gap = unclipped_gap(trace[-1], dm, prec)
     converged = False
     iterations = 0
     for p in range(1, opts.max_outer + 1):
-        blocks = stream_blocks(cfg, channels, p1, p2, theta)
+        a1, a3 = _surface_streams(cfg, channels, p1, theta)
+        blocks = replace(blocks, A1=a1, A3=a3)
         if cfg.beta1 > 0:
-            w1, _ = update_w1(blocks, w1, w2, opts)
+            w1, _ = update_w1(blocks, w1, w2)
         if cfg.beta2 > 0:
-            w2 = update_w2(blocks, w1, w2, opts)
+            w2 = update_w2(blocks, w1, w2)
         if cfg.beta1 > 0:
             tt_b, bt_e = phase_blocks(cfg, channels, blocks, w1, w2)
-            theta = update_theta_nsp(tt_b, bt_e, theta, opts)
+            theta = update_theta_nsp(tt_b, bt_e, theta)
         prec = as_precoders(w1, w2, theta)
-        dm = derived_model(cfg, channels, prec)
+        dm = refresh_model(cfg, channels, prec, dm)
         trace.append(secrecy_rate(dm, prec))
+        gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
         iterations = p
-        if trace[-1] - trace[-2] <= cfg.epsilon:
+        if gap - gap_prev <= cfg.epsilon:
             converged = True
             break
     return NspState(

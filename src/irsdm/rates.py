@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve, cholesky
 from .model import ChannelSet, SystemConfig
 
 LOG2E = np.log2(np.e)
-PINV_CUTOFF = 1e-10  # relative singular-value cutoff used for projector pseudo-inverses
+PINV_CUTOFF = 1e-10  # relative cutoff on squared singular values when forming projectors
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
@@ -48,6 +48,19 @@ class Precoders:
             raise ValueError(f"theta entries must have unit modulus (max error {err!r})")
 
 
+def null_projector(rows: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the directions that every row of `rows` misses.
+
+    Removes the right singular vectors whose singular values exceed
+    sqrt(PINV_CUTOFF) * s_max, an orthonormal basis of the row space, at
+    cost O(rows * N^2).
+    """
+    n = rows.shape[1]
+    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
+    basis = vh[svals > np.sqrt(PINV_CUTOFF) * svals[0]]
+    return _herm(np.eye(n) - basis.conj().T @ basis)
+
+
 def an_projector(H_AI: np.ndarray, H_AB: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto directions invisible to both the surface and Bob.
 
@@ -55,11 +68,28 @@ def an_projector(H_AI: np.ndarray, H_AB: np.ndarray) -> np.ndarray:
     the row space of the stack, so noise shaped by the projector reaches Eve
     only through her own direct channel.
     """
-    n = H_AI.shape[1]
-    h_cm = np.vstack([H_AI, H_AB.conj().T])
-    gram = h_cm @ h_cm.conj().T
-    p = np.eye(n) - h_cm.conj().T @ np.linalg.pinv(gram, rcond=PINV_CUTOFF, hermitian=True) @ h_cm
-    return _herm(p)
+    return null_projector(np.vstack([H_AI, H_AB.conj().T]))
+
+
+def eve_covariance(cfg: SystemConfig, ch: ChannelSet, p_an: np.ndarray) -> np.ndarray:
+    """Eve's AN-plus-noise covariance B, noise-normalized, for the AN projector p_an."""
+    b = np.eye(cfg.K, dtype=complex)
+    if cfg.beta3 > 0:
+        scale = cfg.beta3 * cfg.ps_watts * ch.g_AE / cfg.sigma_watts_sqrt ** 2
+        b = b + scale * (ch.H_AE.conj().T @ p_an @ p_an.conj().T @ ch.H_AE)
+    return _herm(b)
+
+
+def composite_channels(ch: ChannelSet, theta: np.ndarray,
+                       include_irs: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled (K, N) channels to Bob and to Eve: the direct path plus, with
+    include_irs, the path reflected by the surface at phases theta."""
+    h_b = np.sqrt(ch.g_AB) * ch.H_AB.conj().T
+    h_e = np.sqrt(ch.g_AE) * ch.H_AE.conj().T
+    if include_irs:
+        h_b = np.sqrt(ch.g_AIB) * ((ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI) + h_b
+        h_e = np.sqrt(ch.g_AIE) * ((ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI) + h_e
+    return h_b, h_e
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,30 +133,32 @@ def derived_model(
     With include_irs=False every reflected term is dropped, which models a
     system without the surface while keeping the rest of the pipeline intact.
     """
+    p_an = an_projector(ch.H_AI, ch.H_AB)
+    return _model(cfg, ch, prec, include_irs, p_an, eve_covariance(cfg, ch, p_an))
+
+
+def refresh_model(
+    cfg: SystemConfig,
+    ch: ChannelSet,
+    prec: Precoders,
+    dm: DerivedModel,
+    include_irs: bool = True,
+) -> DerivedModel:
+    """derived_model at new precoders, reusing the channel-only P_AN and B of
+    dm, which must come from the same cfg and ch."""
+    return _model(cfg, ch, prec, include_irs, dm.P_AN, dm.B)
+
+
+def _model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders, include_irs: bool,
+           p_an: np.ndarray, b: np.ndarray) -> DerivedModel:
     sigma = cfg.sigma_watts_sqrt
     ps = cfg.ps_watts
-    k = cfg.K
     c1 = np.sqrt(cfg.beta1 * ps) / sigma
     c2 = np.sqrt(cfg.beta2 * ps) / sigma
-
-    p_an = an_projector(ch.H_AI, ch.H_AB)
-    b = np.eye(k, dtype=complex)
-    if cfg.beta3 > 0:
-        scale = cfg.beta3 * ps * ch.g_AE / sigma ** 2
-        b = b + scale * (ch.H_AE.conj().T @ p_an @ p_an.conj().T @ ch.H_AE)
-    b = _herm(b)
+    h_b, h_e = composite_channels(ch, prec.theta, include_irs)
 
     hib_h = ch.H_IB.conj().T
     hie_h = ch.H_IE.conj().T
-    if include_irs:
-        refl_b = np.sqrt(ch.g_AIB) * ((hib_h * prec.theta[None, :]) @ ch.H_AI)
-        refl_e = np.sqrt(ch.g_AIE) * ((hie_h * prec.theta[None, :]) @ ch.H_AI)
-    else:
-        refl_b = np.zeros((k, cfg.N), dtype=complex)
-        refl_e = np.zeros((k, cfg.N), dtype=complex)
-    h_b = refl_b + np.sqrt(ch.g_AB) * ch.H_AB.conj().T
-    h_e = refl_e + np.sqrt(ch.g_AE) * ch.H_AE.conj().T
-
     g1 = ch.H_AI @ prec.v1
     g2 = ch.H_AI @ prec.v2
     if include_irs:
@@ -135,7 +167,7 @@ def derived_model(
         t_e1 = c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :])
         t_e2 = c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :])
     else:
-        t_b1 = t_b2 = t_e1 = t_e2 = np.zeros((k, cfg.M), dtype=complex)
+        t_b1 = t_b2 = t_e1 = t_e2 = np.zeros((cfg.K, cfg.M), dtype=complex)
 
     return DerivedModel(
         P_AN=p_an, B=b, H_B=h_b, H_E=h_e,
@@ -177,6 +209,11 @@ def rate_gap(dm: DerivedModel, prec: Precoders) -> float:
 def secrecy_rate(dm: DerivedModel, prec: Precoders) -> float:
     """Clipped rate advantage max(0, R_B - R_E) in bits/s/Hz."""
     return max(0.0, rate_gap(dm, prec))
+
+
+def unclipped_gap(sr: float, dm: DerivedModel, prec: Precoders) -> float:
+    """R_B - R_E from the secrecy rate sr at the same point, recomputed only if clipped."""
+    return sr if sr > 0 else rate_gap(dm, prec)
 
 
 def eve_noise_solver(b: np.ndarray):

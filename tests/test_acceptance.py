@@ -17,7 +17,6 @@ from irsdm.cli import main as cli_main
 from irsdm.gai import GaOptions, PhaseProblem, run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
-    NspOptions,
     fractional_blocks_w1,
     ns_projectors,
     phi_star,
@@ -282,13 +281,16 @@ def test_criterion_04_gai_grid_oracle():
     """GAI lands within 2% of the 720^2 x 1e5 brute force on tiny instances."""
     start = time.perf_counter()
     # carrier pinned where alternating ascent is not trapped below the joint
-    # optimum (block-coordinate methods carry no global guarantee)
+    # optimum (block-coordinate methods carry no global guarantee); the last
+    # instance, at the default carrier, starts with R_B < R_E, so GAI must
+    # climb through a negative rate gap before the secrecy rate leaves zero
     instances = [
         SystemConfig(N=2, M=2, K=1, epsilon=1e-6, carrier_hz=5.0e8),
         SystemConfig(N=2, M=2, K=1, epsilon=1e-6, carrier_hz=5.0e8,
                      theta_AE=math.pi / 2.2, d_AE=70.0),
         SystemConfig(N=2, M=2, K=1, epsilon=1e-6, carrier_hz=5.0e8,
                      theta_AE=math.pi / 2.5, d_AE=40.0),
+        SystemConfig(N=2, M=2, K=1),
     ]
     failures = []
     for i, cfg in enumerate(instances):
@@ -341,7 +343,7 @@ def test_criterion_05_nsp_phase_oracle():
                     f"pair {i} mu={mu:.4f}: theta_star value {got:.6f} vs grid {target:.6f}"
                 )
 
-        upd = update_theta_nsp(tt_b, bt_e, theta_prev, NspOptions())
+        upd = update_theta_nsp(tt_b, bt_e, theta_prev)
         q_upd = _quad(bt_e, upd) / _quad(tt_b, upd)
         q_grid = float((grid_min(bt_e) / grid_min(tt_b)).min())
         if abs(q_upd - q_grid) > 1e-3:
@@ -376,7 +378,7 @@ def test_criterion_06_dinkelbach_root_residual():
         blocks = stream_blocks(cfg, ch, p1, p2, theta)
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
-        w, nu = update_w1(blocks, w1, w2, NspOptions())
+        w, nu = update_w1(blocks, w1, w2)
         a_til, b_til = fractional_blocks_w1(blocks, w2)
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))
         if not resid < 1e-8:

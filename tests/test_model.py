@@ -84,6 +84,22 @@ def test_config_validation_names_offending_key():
         SystemConfig(M=-3)
 
 
+@pytest.mark.parametrize("bad", [
+    {"ps_dbm": math.nan},
+    {"ps_dbm": math.inf},
+    {"sigma2_dbm": math.inf},
+    {"d_AB": math.inf},
+    {"carrier_hz": math.inf},
+    {"epsilon": math.inf},
+    {"N": True},
+    {"seed": False},
+])
+def test_config_rejects_non_finite_and_bool_values(bad):
+    (key,) = bad
+    with pytest.raises(ValueError, match=key):
+        SystemConfig(**bad)
+
+
 def test_geometry_reconstructed_distances():
     cfg = SystemConfig()
     geo = build_geometry(cfg)

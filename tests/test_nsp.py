@@ -9,7 +9,6 @@ import scipy.linalg
 from irsdm.model import SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
     NspBlocks,
-    NspOptions,
     dual_qcqp_solve,
     fractional_blocks_w1,
     ns_projectors,
@@ -171,13 +170,12 @@ def _default_blocks(seed=3):
 
 def test_update_w1_raises_quotient_and_meets_residual():
     cfg, ch, rng, blocks = _default_blocks()
-    opts = NspOptions()
     for _ in range(5):
         w1 = _shell_point(rng, blocks.P1)
         w2 = _shell_point(rng, blocks.P2)
         a_til, b_til = fractional_blocks_w1(blocks, w2)
         q0 = _quad(a_til, w1) / _quad(b_til, w1)
-        w, nu = update_w1(blocks, w1, w2, opts)
+        w, nu = update_w1(blocks, w1, w2)
         q1 = _quad(a_til, w) / _quad(b_til, w)
         assert q1 >= q0 - 1e-9
         assert q1 == pytest.approx(nu, abs=1e-6)
@@ -195,7 +193,7 @@ def test_update_w1_zero_eve_matches_subspace_eigenvalue():
     )
     w1 = _shell_point(rng, blocks.P1)
     w2 = _shell_point(rng, blocks.P2)
-    w, nu = update_w1(quiet, w1, w2, NspOptions())
+    w, nu = update_w1(quiet, w1, w2)
     a_til, b_til = fractional_blocks_w1(quiet, w2)
     basis = _range_basis(quiet.P1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
@@ -213,7 +211,7 @@ def test_update_w1_upper_bound_certificate_weak_coupling():
     )
     w1 = _shell_point(rng, blocks.P1)
     w2 = _shell_point(rng, blocks.P2)
-    w, nu = update_w1(quiet, w1, w2, NspOptions())
+    w, nu = update_w1(quiet, w1, w2)
     a_til, _ = fractional_blocks_w1(quiet, w2)
     basis = _range_basis(quiet.P1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
@@ -228,7 +226,7 @@ def test_update_w2_matches_subspace_eigenvalue():
         w2 = _shell_point(rng, blocks.P2)
         a_til = quadratic_block_w2(blocks, w1)
         obj0 = _quad(a_til, w2)
-        w = update_w2(blocks, w1, w2, NspOptions())
+        w = update_w2(blocks, w1, w2)
         obj1 = _quad(a_til, w)
         basis = _range_basis(blocks.P2)
         lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
@@ -293,18 +291,17 @@ def test_phi_star_signs_bracket_the_root():
 
 def test_update_theta_never_worsens_and_tracks_mu_grid():
     cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e = _phase_setup(seed=9)
-    opts = NspOptions()
 
     def quotient(t):
         return _quad(bt_e, t) / _quad(tt_b, t)
 
     q_prev = quotient(theta)
-    star = update_theta_nsp(tt_b, bt_e, theta, opts)
+    star = update_theta_nsp(tt_b, bt_e, theta)
     q_star = quotient(star)
     assert q_star <= q_prev + 1e-12
     best = q_prev
     for mu in np.linspace(0.0, q_prev, 160):
-        best = min(best, quotient(theta_star_of_mu(tt_b, bt_e, mu, theta, opts)))
+        best = min(best, quotient(theta_star_of_mu(tt_b, bt_e, mu, theta)))
     assert q_star <= best + 1e-3
 
 

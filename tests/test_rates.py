@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from irsdm import nsp, rates
+from irsdm.bench import Scheme, run_scheme
+from irsdm.gai import run_gai
 from irsdm.model import SystemConfig, build_channels, build_geometry, dbm_to_watts
+from irsdm.nsp import run_nsp
 from irsdm.rates import (
     Precoders,
     an_projector,
@@ -80,6 +84,42 @@ def test_an_projector_random_rectangles():
 def test_an_projector_zero_channels_gives_identity():
     p = an_projector(np.zeros((3, 5)), np.zeros((5, 2)))
     assert np.allclose(p, np.eye(5))
+
+
+@pytest.fixture
+def projector_calls(monkeypatch):
+    """List that gains one entry per an_projector call, wherever it is looked up."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return an_projector(*args)
+
+    monkeypatch.setattr(rates, "an_projector", counted)
+    monkeypatch.setattr(nsp, "an_projector", counted)
+    return calls
+
+
+def test_run_gai_forms_an_projector_once(projector_calls):
+    cfg, ch, _ = _setup()
+    state = run_gai(cfg, ch)
+    assert state.iterations_used > 1
+    assert len(projector_calls) == 1
+
+
+def test_random_phase_forms_an_projector_once_per_draw(projector_calls):
+    # one per draw's run, plus one for the reported solution
+    cfg, ch, _ = _setup(SystemConfig(M=8))
+    run_scheme(Scheme("random_phase", draws=3), cfg, ch)
+    assert len(projector_calls) <= 3 + 1
+
+
+def test_run_nsp_forms_an_projector_at_most_twice(projector_calls):
+    # once for the stream blocks and once for the rate model, not once per pass
+    cfg, ch, _ = _setup(SystemConfig(M=10))
+    state = run_nsp(cfg, ch)
+    assert state.iterations_used > 1
+    assert len(projector_calls) <= 2
 
 
 # ---------------------------------------------------------------- derived model
