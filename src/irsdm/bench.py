@@ -9,14 +9,14 @@ confidential power budget into one beam (single_cbs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gai import GaOptions, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import NspOptions, run_nsp
-from .rates import derived_model, secrecy_rate
+from .rates import derived_model
 
 SCHEME_KINDS = ("gai", "nsp", "no_irs", "random_phase", "single_cbs")
 AN_SHARE_SINGLE = 0.2  # noise budget kept by the single-stream scheme
@@ -65,6 +65,7 @@ class ExperimentResult:
     axis_values: list[float]
     series: dict[str, list[float]]      # scheme label -> secrecy rate per axis value
     iterations: dict[str, list[int]]
+    converged: dict[str, list[bool]]
     config: SystemConfig
     seed: int
 
@@ -138,16 +139,19 @@ def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes, gai_opt
     """Run every scheme at each point config; one series entry per point."""
     series = {s.label: [] for s in schemes}
     iters = {s.label: [] for s in schemes}
+    converged = {s.label: [] for s in schemes}
     for cfg_point in point_cfgs:
         for label, sol in _run_point(cfg_point, schemes, gai_opts, nsp_opts).items():
             series[label].append(sol.sr)
             iters[label].append(sol.iterations)
+            converged[label].append(sol.converged)
     return ExperimentResult(
         experiment=experiment,
         axis_name=axis_name,
         axis_values=[float(v) for v in axis_values],
         series=series,
         iterations=iters,
+        converged=converged,
         config=cfg,
         seed=cfg.seed,
     )
@@ -197,24 +201,24 @@ def convergence_trace(
     for scheme in schemes:
         if scheme.kind not in ("gai", "nsp"):
             raise ValueError(f"convergence trace only applies to optimizers, got {scheme.kind!r}")
-    traces = {}
-    iters = {}
+    sols = {}
     for m in m_values:
         for label, sol in _run_point(replace(cfg, M=int(m)), schemes, gai_opts, nsp_opts).items():
-            traces[f"{label}_M{int(m)}"] = list(sol.rs_trace)
-            iters[f"{label}_M{int(m)}"] = sol.iterations
-    depth = max(len(t) for t in traces.values())
-    series = {}
-    iterations = {}
-    for label, t in traces.items():
+            sols[f"{label}_M{int(m)}"] = sol
+    depth = max(len(sol.rs_trace) for sol in sols.values())
+    series, iterations, converged = {}, {}, {}
+    for label, sol in sols.items():
+        t = list(sol.rs_trace)
         series[label] = t + [t[-1]] * (depth - len(t))
-        iterations[label] = [iters[label]] * depth
+        iterations[label] = [sol.iterations] * depth
+        converged[label] = [sol.converged] * depth
     return ExperimentResult(
         experiment="converge",
         axis_name="iteration",
         axis_values=[float(i) for i in range(depth)],
         series=series,
         iterations=iterations,
+        converged=converged,
         config=cfg,
         seed=cfg.seed,
     )

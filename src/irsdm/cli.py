@@ -31,7 +31,7 @@ from .bench import (
 from .model import SystemConfig, build_channels, build_geometry
 
 OUT_DIR_ENV = "IRSDM_OUT_DIR"
-CSV_HEADER = ("axis_value", "scheme", "sr_bits", "iterations", "seed")
+CSV_HEADER = ("axis_value", "scheme", "sr_bits", "iterations", "converged", "seed")
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
 INT_FIELDS = {"N", "M", "K", "seed"}
 
@@ -47,6 +47,7 @@ class RunManifest:
     seed: int
     version: str
     outputs: dict
+    converged: dict     # scheme label -> converged flag per axis value, as in the CSV
     duration_s: float
 
     def to_json(self) -> str:
@@ -142,6 +143,7 @@ def write_result_csv(path: Path, result: ExperimentResult) -> None:
                 label,
                 _fmt(result.series[label][i]),
                 str(result.iterations[label][i]),
+                "true" if result.converged[label][i] else "false",
                 str(result.seed),
             )))
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -185,6 +187,7 @@ def run_experiment(
         seed=cfg.seed,
         version=__version__,
         outputs={"csv": str(csv_path)},
+        converged=result.converged,
         duration_s=time.perf_counter() - start,
     )
     _atomic_write(out_dir / f"{experiment}_manifest.json", manifest.to_json())

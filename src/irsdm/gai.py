@@ -2,9 +2,10 @@
 
 Each beamformer update is a generalized Rayleigh quotient problem solved
 exactly by a Hermitian-definite eigensolver; the phase vector is improved by
-projected gradient ascent on the determinant ratio f(theta) / g(theta) whose
-base-2 logarithm equals R_B - R_E at unit-modulus points.  Every block can
-only increase the rate gap, so the secrecy-rate trace is non-decreasing.
+projected gradient ascent on the determinant ratio f(theta) / g(theta) of
+`rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at unit-modulus
+points.  Every block can only increase the rate gap, so the secrecy-rate
+trace is non-decreasing.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import scipy.linalg
 from .model import ChannelSet, SystemConfig
 from .rates import (
     DerivedModel,
+    PhaseProblem,
     Precoders,
     _herm,
     composite_channels,
     derived_model,
-    eve_noise_solver,
     refresh_model,
     secrecy_rate,
     unclipped_gap,
@@ -99,91 +100,6 @@ def update_v1(dm: DerivedModel, prec: Precoders) -> np.ndarray:
 def update_v2(dm: DerivedModel, prec: Precoders) -> np.ndarray:
     """Best stream-2 beamformer with (v1, theta) held fixed."""
     return _update_v(dm, prec, 1)
-
-
-class PhaseProblem:
-    """Quadratic forms of the phase objective, precomputed for fixed beamformers.
-
-    Every received stream is affine in theta (t_i = T_i theta + h_i), so the
-    Bob factor f(theta) and Eve factor g(theta) reduce to combinations of
-    t_i^H t_j inner products.  Caching the Gram blocks T_i^H T_j, T_i^H h_j
-    and h_i^H h_j (Eve's with B^-1 inserted) makes each objective or gradient
-    evaluation O(M^2).
-    """
-
-    def __init__(self, dm: DerivedModel):
-        solve_b = eve_noise_solver(dm.B)
-        tb = (dm.T_B1, dm.T_B2)
-        hb = (dm.h_B1, dm.h_B2)
-        te = (dm.T_E1, dm.T_E2)
-        he = (dm.h_E1, dm.h_E2)
-        bte = tuple(solve_b(t) for t in te)
-        bhe = tuple(solve_b(h) for h in he)
-        self.gb = [[tb[i].conj().T @ tb[j] for j in range(2)] for i in range(2)]
-        self.ub = [[tb[i].conj().T @ hb[j] for j in range(2)] for i in range(2)]
-        self.sb = [[complex(hb[i].conj() @ hb[j]) for j in range(2)] for i in range(2)]
-        self.ge = [[te[i].conj().T @ bte[j] for j in range(2)] for i in range(2)]
-        self.ue = [[te[i].conj().T @ bhe[j] for j in range(2)] for i in range(2)]
-        self.se = [[complex(he[i].conj() @ bhe[j]) for j in range(2)] for i in range(2)]
-
-    def _inner(self, grams, crosses, consts, theta, i, j) -> complex:
-        # t_i^H W t_j with the weighting W baked into the cached blocks.
-        return complex(
-            theta.conj() @ (grams[i][j] @ theta)
-            + theta.conj() @ crosses[i][j]
-            + crosses[j][i].conj() @ theta
-            + consts[i][j]
-        )
-
-    def factors(self, theta: np.ndarray) -> tuple[float, float]:
-        """Bob and Eve determinant factors (f, g); log2(f/g) is the rate gap."""
-        b11 = self._inner(self.gb, self.ub, self.sb, theta, 0, 0).real
-        b22 = self._inner(self.gb, self.ub, self.sb, theta, 1, 1).real
-        b12 = self._inner(self.gb, self.ub, self.sb, theta, 0, 1)
-        f = (1.0 + b11) * (1.0 + b22) - abs(b12) ** 2
-        e11 = self._inner(self.ge, self.ue, self.se, theta, 0, 0).real
-        e22 = self._inner(self.ge, self.ue, self.se, theta, 1, 1).real
-        e12 = self._inner(self.ge, self.ue, self.se, theta, 0, 1)
-        g = (1.0 + e11) * (1.0 + e22) - abs(e12) ** 2
-        if not g > 0:
-            raise FloatingPointError("Eve determinant factor lost positivity")
-        return f, g
-
-    def ratio(self, theta: np.ndarray) -> float:
-        f, g = self.factors(theta)
-        return f / g
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Conjugate (Wirtinger) gradient of f/g; ascent direction for the ratio."""
-
-        def side(grams, crosses, consts):
-            lin = [[grams[i][j] @ theta + crosses[i][j] for j in range(2)] for i in range(2)]
-            inner = [[self._inner(grams, crosses, consts, theta, i, j) for j in range(2)]
-                     for i in range(2)]
-            val = (1.0 + inner[0][0].real) * (1.0 + inner[1][1].real) - abs(inner[0][1]) ** 2
-            d_prod = (1.0 + inner[1][1].real) * lin[0][0] + (1.0 + inner[0][0].real) * lin[1][1]
-            # d|t1^H t2|^2 / d conj(theta): scalar weights pair conjugately
-            # with the linear pieces.
-            d_cross = inner[0][1] * lin[1][0] + inner[1][0] * lin[0][1]
-            return val, d_prod - d_cross
-
-        f, df = side(self.gb, self.ub, self.sb)
-        g, dg = side(self.ge, self.ue, self.se)
-        if not g > 0:
-            raise FloatingPointError("Eve determinant factor lost positivity")
-        return (df * g - f * dg) / g ** 2
-
-
-def sr_objective_theta(theta: np.ndarray, dm: DerivedModel) -> tuple[float, float, float]:
-    """(f, g, f/g) of the phase objective at theta for the blocks frozen in dm."""
-    pp = PhaseProblem(dm)
-    f, g = pp.factors(theta)
-    return f, g, f / g
-
-
-def sr_gradient_theta(theta: np.ndarray, dm: DerivedModel) -> np.ndarray:
-    """Conjugate gradient of the phase objective f/g at theta."""
-    return PhaseProblem(dm).gradient(theta)
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:

@@ -20,16 +20,17 @@ import scipy.linalg
 
 from .model import ChannelSet, SystemConfig
 from .rates import (
+    DerivedModel,
     Precoders,
     _herm,
     an_projector,
     derived_model,
     eve_covariance,
-    eve_noise_solver,
     null_projector,
     refresh_model,
     secrecy_rate,
     unclipped_gap,
+    whiten,
 )
 
 
@@ -163,9 +164,8 @@ def fractional_blocks_w1(blocks: NspBlocks, w2: np.ndarray) -> tuple[np.ndarray,
     t2 = blocks.A2 @ w2
     cov = np.eye(k, dtype=complex) + np.outer(t2, t2.conj())
     a_til = pp + blocks.A1.conj().T @ np.linalg.solve(cov, blocks.A1)
-    solve_b = eve_noise_solver(blocks.B)
-    b_til = pp + blocks.A3.conj().T @ solve_b(blocks.A3)
-    return _herm(a_til), _herm(b_til)
+    a3 = whiten(blocks.B, blocks.A3)
+    return _herm(a_til), _herm(pp + a3.conj().T @ a3)
 
 
 def quadratic_block_w2(blocks: NspBlocks, w1: np.ndarray) -> np.ndarray:
@@ -252,32 +252,20 @@ def update_w2(
     return w / math.sqrt(_quad(pp, w))
 
 
-def phase_blocks(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    blocks: NspBlocks,
-    w1: np.ndarray,
-    w2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms of the phase quotient: Bob's numerator and Eve's denominator.
 
-    Both absorb the unit-modulus budget theta^H theta = M through an I/M
-    term, so theta^H T~ theta reproduces 1 + SNR exactly on the shell.
+    Read from the stream-1 maps of the rate model at the current
+    beamformers, with stream 2 folded into Bob's noise and Eve's rows
+    whitened as in `rates.PhaseProblem`.  Both absorb the unit-modulus budget
+    theta^H theta = M through an I/M term, so theta^H T~ theta reproduces
+    1 + SNR exactly on the shell.
     """
-    sigma = cfg.sigma_watts_sqrt
-    ps = cfg.ps_watts
-    m = cfg.M
-    v1 = blocks.P1 @ w1
-    v2 = blocks.P2 @ w2
-    g1 = ch.H_AI @ v1
-    t_b1 = (np.sqrt(cfg.beta1 * ps * ch.g_AIB) / sigma) * (ch.H_IB.conj().T * g1[None, :])
-    t_e1 = (np.sqrt(cfg.beta1 * ps * ch.g_AIE) / sigma) * (ch.H_IE.conj().T * g1[None, :])
-    h_b2 = (np.sqrt(cfg.beta2 * ps * ch.g_AB) / sigma) * (ch.H_AB.conj().T @ v2)
-    k = cfg.K
-    cov2 = np.eye(k, dtype=complex) + np.outer(h_b2, h_b2.conj())
-    tt_b = np.eye(m) / m + t_b1.conj().T @ np.linalg.solve(cov2, t_b1)
-    solve_b = eve_noise_solver(blocks.B)
-    bt_e = np.eye(m) / m + t_e1.conj().T @ solve_b(t_e1)
+    k, m = dm.T_B1.shape
+    cov2 = np.eye(k, dtype=complex) + np.outer(dm.h_B2, dm.h_B2.conj())
+    tt_b = np.eye(m) / m + dm.T_B1.conj().T @ np.linalg.solve(cov2, dm.T_B1)
+    t_e1 = whiten(dm.B, dm.T_E1)
+    bt_e = np.eye(m) / m + t_e1.conj().T @ t_e1
     return _herm(tt_b), _herm(bt_e)
 
 
@@ -385,15 +373,7 @@ def run_nsp(
     p1, p2 = ns_projectors(channels)
     w1 = _feasible_basis_vector(p1)
     w2 = _feasible_basis_vector(p2)
-    theta = np.ones(cfg.M, dtype=complex)
-    blocks = stream_blocks(cfg, channels, p1, p2, theta)
-    if cfg.beta1 > 0:
-        # pre-align the phases to the initial beamformers: starting the w1
-        # block at unaligned phases can reward silencing the surface (the
-        # cascade hurts Bob less than it leaks to Eve), after which the
-        # phase block sees a dead quotient and the alternation stalls
-        tt_b0, bt_e0 = phase_blocks(cfg, channels, blocks, w1, w2)
-        theta = update_theta_nsp(tt_b0, bt_e0, theta)
+    blocks = stream_blocks(cfg, channels, p1, p2, np.ones(cfg.M, dtype=complex))
 
     def as_precoders(w1_, w2_, theta_):
         v1 = p1 @ w1_
@@ -404,24 +384,32 @@ def run_nsp(
             theta=theta_,
         )
 
-    prec = as_precoders(w1, w2, theta)
+    prec = as_precoders(w1, w2, np.ones(cfg.M, dtype=complex))
     dm = derived_model(cfg, channels, prec)
+    if cfg.beta1 > 0:
+        # pre-align the phases to the initial beamformers: starting the w1
+        # block at unaligned phases can reward silencing the surface (the
+        # cascade hurts Bob less than it leaks to Eve), after which the
+        # phase block sees a dead quotient and the alternation stalls
+        prec = replace(prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta))
+        dm = refresh_model(cfg, channels, prec, dm)
     trace = [secrecy_rate(dm, prec)]
     gap = unclipped_gap(trace[-1], dm, prec)
     converged = False
     iterations = 0
     for p in range(1, opts.max_outer + 1):
-        a1, a3 = _surface_streams(cfg, channels, p1, theta)
+        a1, a3 = _surface_streams(cfg, channels, p1, prec.theta)
         blocks = replace(blocks, A1=a1, A3=a3)
         if cfg.beta1 > 0:
             w1, _ = update_w1(blocks, w1, w2)
         if cfg.beta2 > 0:
             w2 = update_w2(blocks, w1, w2)
-        if cfg.beta1 > 0:
-            tt_b, bt_e = phase_blocks(cfg, channels, blocks, w1, w2)
-            theta = update_theta_nsp(tt_b, bt_e, theta)
-        prec = as_precoders(w1, w2, theta)
+        prec = as_precoders(w1, w2, prec.theta)
         dm = refresh_model(cfg, channels, prec, dm)
+        if cfg.beta1 > 0:
+            # the phase blocks depend on the beamformers only
+            prec = replace(prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta))
+            dm = refresh_model(cfg, channels, prec, dm)
         trace.append(secrecy_rate(dm, prec))
         gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
         iterations = p

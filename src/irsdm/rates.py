@@ -4,7 +4,8 @@ Alice sends two confidential streams along unit-norm beamformers v1, v2 and
 fills the remaining power budget with artificial noise shaped so that neither
 the surface nor Bob receives any of it.  Bob's and Eve's rates are log-det
 expressions of the effective (surface + direct) channels; the secrecy rate is
-their clipped difference.
+their clipped difference.  `PhaseProblem` is the same difference as a function
+of the surface phases, the objective of both optimizers' phase steps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cholesky, solve_triangular
 
 from .model import ChannelSet, SystemConfig
 
@@ -114,8 +115,6 @@ class DerivedModel:
     T_B2: np.ndarray
     T_E1: np.ndarray
     T_E2: np.ndarray
-    g1: np.ndarray      # (M,) surface response to v1
-    g2: np.ndarray
     h_B1: np.ndarray    # (K,) direct-path part of stream 1 at Bob
     h_B2: np.ndarray
     h_E1: np.ndarray
@@ -173,7 +172,6 @@ def _model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders, include_irs: bool
         P_AN=p_an, B=b, H_B=h_b, H_E=h_e,
         H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e,
         T_B1=t_b1, T_B2=t_b2, T_E1=t_e1, T_E2=t_e2,
-        g1=g1, g2=g2,
         h_B1=c1 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v1),
         h_B2=c2 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v2),
         h_E1=c1 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v1),
@@ -216,11 +214,58 @@ def unclipped_gap(sr: float, dm: DerivedModel, prec: Precoders) -> float:
     return sr if sr > 0 else rate_gap(dm, prec)
 
 
-def eve_noise_solver(b: np.ndarray):
-    """Return a solve(x) callable applying B^-1 through a cached Cholesky factor."""
-    factor = cho_factor(_herm(b), lower=True)
+def whiten(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^-1 x for the lower Cholesky factor L of B = L L^H, so that
+    x^H B^-1 y = whiten(B, x)^H whiten(B, y)."""
+    return solve_triangular(cholesky(b, lower=True), x, lower=True)
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        return cho_solve(factor, x)
 
-    return solve
+def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """One side's factor det(I + [t1 t2]^H [t1 t2]) at t = U theta + c, and
+    the weights w whose image U^H w is the factor's conjugate gradient."""
+    r = u @ theta + c
+    k = r.size // 2
+    t1, t2 = r[:k], r[k:]
+    a11 = 1.0 + np.vdot(t1, t1).real
+    a22 = 1.0 + np.vdot(t2, t2).real
+    a12 = np.vdot(t1, t2)
+    w = np.concatenate([a22 * t1 - a12.conjugate() * t2, a11 * t2 - a12 * t1])
+    return a11 * a22 - abs(a12) ** 2, w
+
+
+class PhaseProblem:
+    """The phase objective f(theta) / g(theta) for fixed beamformers.
+
+    Every received stream is affine in theta (t_i = T_i theta + h_i), so each
+    side stacks its two streams into one map t = U theta + c with U (2K, M).
+    Eve's rows are whitened by the Cholesky factor of B, which turns both
+    factors into the same 2 x 2 determinant; log2(f / g) is the rate gap at
+    unit-modulus theta.  Each evaluation costs O(K M).
+    """
+
+    def __init__(self, dm: DerivedModel):
+        self.u_b = np.vstack([dm.T_B1, dm.T_B2])
+        self.c_b = np.concatenate([dm.h_B1, dm.h_B2])
+        eve = [whiten(dm.B, np.column_stack([t, h]))
+               for t, h in ((dm.T_E1, dm.h_E1), (dm.T_E2, dm.h_E2))]
+        self.u_e = np.vstack([e[:, :-1] for e in eve])
+        self.c_e = np.concatenate([e[:, -1] for e in eve])
+
+    def factors(self, theta: np.ndarray) -> tuple[float, float]:
+        """Bob and Eve determinant factors (f, g)."""
+        f, _ = _side(self.u_b, self.c_b, theta)
+        g, _ = _side(self.u_e, self.c_e, theta)
+        return f, g
+
+    def ratio(self, theta: np.ndarray) -> float:
+        f, g = self.factors(theta)
+        return f / g
+
+    def gradient(self, theta: np.ndarray) -> np.ndarray:
+        """Conjugate (Wirtinger) gradient of f/g; ascent direction for the ratio."""
+        f, w_b = _side(self.u_b, self.c_b, theta)
+        g, w_e = _side(self.u_e, self.c_e, theta)
+        # U^H w as conj(w^H U), which spares a conjugate copy of U
+        df = np.conj(w_b.conj() @ self.u_b)
+        dg = np.conj(w_e.conj() @ self.u_e)
+        return (df * g - f * dg) / g ** 2

@@ -14,8 +14,9 @@ from irsdm.cli import (
     parse_config,
     resolve_out_dir,
     run_experiment,
+    write_result_csv,
 )
-from irsdm.bench import Scheme
+from irsdm.bench import ExperimentResult, Scheme
 from irsdm.model import SystemConfig
 
 
@@ -70,7 +71,7 @@ def test_csv_schema_and_full_precision(tmp_path):
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + 2
     for line in lines[1:]:
-        axis, scheme, sr, iters, seed = line.split(",")
+        axis, scheme, sr, iters, converged, seed = line.split(",")
         assert scheme == "gai"
         assert float(axis) in (4.0, 6.0)
         value = float(sr)
@@ -78,9 +79,16 @@ def test_csv_schema_and_full_precision(tmp_path):
         # 17 significant digits round-trip the double exactly
         assert f"{value:.17g}" == sr
         assert int(iters) >= 1
+        assert converged == "true"
         assert int(seed) == cfg.seed
+    assert manifest.converged == {"gai": [True, True]}
     assert manifest.duration_s >= 0.0
     assert manifest.outputs["csv"].endswith("sweep_m.csv")
+    # a solve stopped at its pass cap reads false
+    capped = ExperimentResult("sweep_m", "M", [4.0], {"gai": [1.0]}, {"gai": [50]},
+                              {"gai": [False]}, cfg, cfg.seed)
+    write_result_csv(tmp_path / "capped.csv", capped)
+    assert (tmp_path / "capped.csv").read_text().split("\n")[1].split(",")[4] == "false"
 
 
 def test_manifest_contents_round_trip(tmp_path):

@@ -22,7 +22,7 @@ from irsdm.nsp import (
     update_w1,
     update_w2,
 )
-from irsdm.rates import Precoders, derived_model, eve_noise_solver, rate_bob, rate_eve
+from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve, whiten
 
 
 def _setup(cfg=None):
@@ -243,10 +243,10 @@ def _phase_setup(seed=6):
     rng = np.random.default_rng(seed)
     p1, p2 = ns_projectors(ch)
     theta = np.exp(2j * math.pi * rng.random(cfg.M))
-    blocks = stream_blocks(cfg, ch, p1, p2, theta)
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
-    tt_b, bt_e = phase_blocks(cfg, ch, blocks, w1, w2)
+    dm = derived_model(cfg, ch, Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta))
+    tt_b, bt_e = phase_blocks(dm)
     return cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e
 
 
@@ -334,9 +334,8 @@ def test_run_nsp_eve_rate_comes_from_stream_one_only():
     cfg, ch = _setup(SystemConfig(M=10))
     state = run_nsp(cfg, ch)
     dm = derived_model(cfg, ch, state.prec)
-    s1 = dm.H_E1 @ state.prec.v1
-    solve = eve_noise_solver(dm.B)
-    direct = math.log2(1.0 + np.real(s1.conj() @ solve(s1)))
+    s1 = whiten(dm.B, dm.H_E1 @ state.prec.v1)
+    direct = math.log2(1.0 + np.vdot(s1, s1).real)
     assert rate_eve(dm, state.prec) == pytest.approx(direct, abs=1e-9)
 
 

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from irsdm import nsp, rates
 from irsdm.bench import Scheme, run_scheme
 from irsdm.gai import run_gai
-from irsdm.model import SystemConfig, build_channels, build_geometry, dbm_to_watts
+from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, dbm_to_watts
 from irsdm.nsp import run_nsp
 from irsdm.rates import (
+    PhaseProblem,
     Precoders,
     an_projector,
     derived_model,
@@ -292,3 +295,69 @@ def test_no_irs_variant_drops_reflected_terms():
     other = Precoders(v1=prec.v1, v2=prec.v2, theta=-prec.theta)
     dm2 = derived_model(cfg, ch, other, include_irs=False)
     assert rate_bob(dm2, other) == pytest.approx(rate_bob(dm, prec), abs=1e-12)
+
+
+# ---------------------------------------------------------------- phase objective
+
+
+def _random_channel_model(seed, n, m, k, betas, precoders=None):
+    """Random full-rank unit-scale channels pushed through derived_model.
+
+    precoders(ch, rng) picks (v1, v2); by default two random unit vectors.
+    """
+    rng = np.random.default_rng(seed)
+
+    def cmat(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+    cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=0.0, sigma2_dbm=0.0, beta1=betas[0], beta2=betas[1])
+    # surface gains 1/M keep each reflected stream at unit scale for any M
+    ch = ChannelSet(
+        H_AI=cmat(m, n), H_AB=cmat(n, k), H_AE=cmat(n, k), H_IB=cmat(m, k), H_IE=cmat(m, k),
+        g_AB=1.0, g_AE=1.0, g_AIB=1.0 / m, g_AIE=1.0 / m,
+    )
+    v1, v2 = (cmat(n), cmat(n)) if precoders is None else precoders(ch, rng)
+    prec = Precoders(
+        v1=v1 / np.linalg.norm(v1),
+        v2=v2 / np.linalg.norm(v2),
+        theta=np.exp(2j * math.pi * rng.random(m)),
+    )
+    return derived_model(cfg, ch, prec), prec
+
+
+_BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
+       k=st.integers(1, 4), betas=_BETAS)
+def test_phase_problem_matches_rate_gap_and_finite_differences(seed, n, m, k, betas):
+    dm, prec = _random_channel_model(seed, n, m, k, betas)
+    pp = PhaseProblem(dm)
+    theta = prec.theta
+    assert math.log2(pp.ratio(theta)) == pytest.approx(rate_bob(dm, prec) - rate_eve(dm, prec), abs=1e-9)
+    grad = pp.gradient(theta)
+    h = 1e-6
+    for i in range(m):
+        for step, ana in ((h, 2.0 * grad[i].real), (1j * h, 2.0 * grad[i].imag)):
+            e = np.zeros(m, dtype=complex)
+            e[i] = step
+            fd = (pp.ratio(theta + e) - pp.ratio(theta - e)) / (2.0 * h)
+            assert fd == pytest.approx(ana, rel=1e-5, abs=1e-8)
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 24), k=st.integers(1, 4),
+       extra=st.integers(0, 2), betas=_BETAS)
+def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas):
+    # enough antennas for both protected subspaces of nsp to exist
+    n = max(m + k, 2 * k) + 1 + extra
+
+    def nsp_precoders(ch, rng):
+        p1, p2 = nsp.ns_projectors(ch)
+        return (p @ (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for p in (p1, p2))
+
+    dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
+    tt_b, bt_e = nsp.phase_blocks(dm)
+    theta = prec.theta
+    det2 = 1.0 + np.vdot(dm.h_B2, dm.h_B2).real
+    quotient = det2 * np.vdot(theta, tt_b @ theta).real / np.vdot(theta, bt_e @ theta).real
+    assert quotient == pytest.approx(PhaseProblem(dm).ratio(theta), rel=1e-9)
