@@ -21,8 +21,8 @@ from .rates import (
     rate_eve,
     secrecy_rate,
 )
-from .gai import GaOptions, GaiState, run_gai
-from .nsp import NspOptions, NspState, run_nsp
+from .gai import GaOptions, RunState, run_gai
+from .nsp import NspOptions, run_nsp
 from .bench import (
     ExperimentResult,
     Scheme,
@@ -40,11 +40,10 @@ __all__ = [
     "DerivedModel",
     "ExperimentResult",
     "GaOptions",
-    "GaiState",
     "Geometry",
     "NspOptions",
-    "NspState",
     "Precoders",
+    "RunState",
     "Scheme",
     "Solution",
     "SystemConfig",

@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gai import GaOptions, run_gai
+from .gai import GaOptions, RunState, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
-from .nsp import NspOptions, run_nsp
+from .nsp import run_nsp
+# not called here; perfbench/tracing.py wraps the name in this module
 from .rates import derived_model
 
 SCHEME_KINDS = ("gai", "nsp", "no_irs", "random_phase", "single_cbs")
@@ -38,10 +39,6 @@ class Scheme:
         if self.draws < 1:
             raise ValueError(f"draws must be positive, got {self.draws!r}")
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
 
 @dataclass
 class Solution:
@@ -63,20 +60,19 @@ class ExperimentResult:
     experiment: str
     axis_name: str
     axis_values: list[float]
-    series: dict[str, list[float]]      # scheme label -> secrecy rate per axis value
+    series: dict[str, list[float]]      # scheme kind -> secrecy rate per axis value
     iterations: dict[str, list[int]]
     converged: dict[str, list[bool]]
     config: SystemConfig
     seed: int
 
 
-def _finish(cfg: SystemConfig, channels: ChannelSet, state, per_draw=None) -> Solution:
-    dm = derived_model(cfg, channels, state.prec)
+def _finish(state: RunState, per_draw=None) -> Solution:
     return Solution(
         v1=state.prec.v1,
         v2=state.prec.v2,
         theta=state.prec.theta,
-        p_an=dm.P_AN,
+        p_an=state.p_an,
         sr=float(state.rs_trace[-1]),
         rs_trace=state.rs_trace,
         iterations=state.iterations_used,
@@ -85,25 +81,17 @@ def _finish(cfg: SystemConfig, channels: ChannelSet, state, per_draw=None) -> So
     )
 
 
-def run_scheme(
-    scheme: Scheme,
-    cfg: SystemConfig,
-    channels: ChannelSet,
-    gai_opts: GaOptions | None = None,
-    nsp_opts: NspOptions | None = None,
-) -> Solution:
+def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solution:
     """Run one benchmark scheme on a fixed channel realization."""
-    gai_opts = gai_opts or GaOptions()
     if scheme.kind == "gai":
-        return _finish(cfg, channels, run_gai(cfg, channels, gai_opts))
+        return _finish(run_gai(cfg, channels))
     if scheme.kind == "nsp":
-        return _finish(cfg, channels, run_nsp(cfg, channels, nsp_opts))
+        return _finish(run_nsp(cfg, channels))
     if scheme.kind == "no_irs":
-        opts = replace(gai_opts, include_irs=False, optimize_theta=False)
-        return _finish(cfg, channels, run_gai(cfg, channels, opts))
+        return _finish(run_gai(cfg, channels, GaOptions(include_irs=False, optimize_theta=False)))
     if scheme.kind == "random_phase":
         rng = np.random.default_rng(cfg.seed)
-        opts = replace(gai_opts, optimize_theta=False)
+        opts = GaOptions(optimize_theta=False)
         states, srs = [], []
         for _ in range(scheme.draws):
             theta = np.exp(2j * math.pi * rng.random(cfg.M))
@@ -112,7 +100,7 @@ def run_scheme(
             srs.append(float(state.rs_trace[-1]))
         per_draw = np.array(srs)
         best = states[int(np.argmax(per_draw))]
-        sol = _finish(cfg, channels, best, per_draw=per_draw)
+        sol = _finish(best, per_draw=per_draw)
         sol.sr = float(per_draw.mean())  # headline number is the mean over draws
         sol.iterations = int(round(np.mean([s.iterations_used for s in states])))
         sol.converged = all(s.converged for s in states)
@@ -123,25 +111,21 @@ def run_scheme(
         cfg_one = replace(cfg, beta1=0.0, beta2=share)
     else:
         cfg_one = replace(cfg, beta1=share, beta2=0.0)
-    return _finish(cfg_one, channels, run_gai(cfg_one, channels, gai_opts))
+    return _finish(run_gai(cfg_one, channels))
 
 
-def _run_point(cfg, schemes, gai_opts, nsp_opts):
-    geo = build_geometry(cfg)
-    channels = build_channels(cfg, geo)
-    out = {}
-    for scheme in schemes:
-        out[scheme.label] = run_scheme(scheme, cfg, channels, gai_opts, nsp_opts)
-    return out
+def _run_point(cfg, schemes):
+    channels = build_channels(cfg, build_geometry(cfg))
+    return {scheme.kind: run_scheme(scheme, cfg, channels) for scheme in schemes}
 
 
-def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes, gai_opts, nsp_opts):
+def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes):
     """Run every scheme at each point config; one series entry per point."""
-    series = {s.label: [] for s in schemes}
-    iters = {s.label: [] for s in schemes}
-    converged = {s.label: [] for s in schemes}
+    series = {s.kind: [] for s in schemes}
+    iters = {s.kind: [] for s in schemes}
+    converged = {s.kind: [] for s in schemes}
     for cfg_point in point_cfgs:
-        for label, sol in _run_point(cfg_point, schemes, gai_opts, nsp_opts).items():
+        for label, sol in _run_point(cfg_point, schemes).items():
             series[label].append(sol.sr)
             iters[label].append(sol.iterations)
             converged[label].append(sol.converged)
@@ -161,20 +145,16 @@ def sweep_sr_vs_m(
     cfg: SystemConfig,
     m_values: list[int],
     schemes: list[Scheme],
-    gai_opts: GaOptions | None = None,
-    nsp_opts: NspOptions | None = None,
 ) -> ExperimentResult:
     """Secrecy rate versus the number of reflecting elements."""
     point_cfgs = [replace(cfg, M=int(m)) for m in m_values]
-    return _sweep(cfg, "sweep_m", "M", m_values, point_cfgs, schemes, gai_opts, nsp_opts)
+    return _sweep(cfg, "sweep_m", "M", m_values, point_cfgs, schemes)
 
 
 def sweep_sr_vs_position(
     cfg: SystemConfig,
     d_ai_values: list[float],
     schemes: list[Scheme],
-    gai_opts: GaOptions | None = None,
-    nsp_opts: NspOptions | None = None,
 ) -> ExperimentResult:
     """Secrecy rate as the surface slides along the line parallel to Bob-Eve.
 
@@ -183,15 +163,13 @@ def sweep_sr_vs_position(
     """
     theta_line = parallel_irs_angle(cfg)
     point_cfgs = [replace(cfg, d_AI=float(d), theta_AI=theta_line) for d in d_ai_values]
-    return _sweep(cfg, "sweep_position", "d_AI", d_ai_values, point_cfgs, schemes, gai_opts, nsp_opts)
+    return _sweep(cfg, "sweep_position", "d_AI", d_ai_values, point_cfgs, schemes)
 
 
 def convergence_trace(
     cfg: SystemConfig,
     m_values: list[int],
     schemes: list[Scheme],
-    gai_opts: GaOptions | None = None,
-    nsp_opts: NspOptions | None = None,
 ) -> ExperimentResult:
     """Secrecy rate per outer iteration for the two optimizers.
 
@@ -203,7 +181,7 @@ def convergence_trace(
             raise ValueError(f"convergence trace only applies to optimizers, got {scheme.kind!r}")
     sols = {}
     for m in m_values:
-        for label, sol in _run_point(replace(cfg, M=int(m)), schemes, gai_opts, nsp_opts).items():
+        for label, sol in _run_point(replace(cfg, M=int(m)), schemes).items():
             sols[f"{label}_M{int(m)}"] = sol
     depth = max(len(sol.rs_trace) for sol in sols.values())
     series, iterations, converged = {}, {}, {}

@@ -5,13 +5,15 @@ exactly by a Hermitian-definite eigensolver; the phase vector is improved by
 projected gradient ascent on the determinant ratio f(theta) / g(theta) of
 `rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at unit-modulus
 points.  Every block can only increase the rate gap, so the secrecy-rate
-trace is non-decreasing.
+trace is non-decreasing.  `alternate` is the outer loop of both optimizers;
+nsp runs it with its own, null-space-constrained blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -21,7 +23,7 @@ from .rates import (
     DerivedModel,
     PhaseProblem,
     Precoders,
-    _herm,
+    beam_quotient,
     composite_channels,
     derived_model,
     refresh_model,
@@ -51,13 +53,15 @@ class GaOptions:
 
 
 @dataclass
-class GaiState:
-    """Result of a run: final precoders plus the per-iteration rate trace."""
+class RunState:
+    """Result of a run of either optimizer: the final precoders, the AN
+    projector of its rate model and the per-iteration rate trace."""
 
     prec: Precoders
-    rs_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iterations_used: int = 0
-    converged: bool = False
+    p_an: np.ndarray
+    rs_trace: np.ndarray
+    iterations_used: int
+    converged: bool
 
 
 def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
@@ -69,37 +73,14 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _update_v(dm: DerivedModel, prec: Precoders, stream: int) -> np.ndarray:
-    """Best beamformer of one stream (0 or 1) with the other stream and theta held fixed.
-
-    The rate gap equals a constant plus log2 of a generalized Rayleigh
-    quotient in the updated beamformer; the quotient matrices fold the other
-    stream into the effective noise on both sides.
-    """
-    h_b = (dm.H_B1, dm.H_B2)
-    h_e = (dm.H_E1, dm.H_E2)
-    v_other = (prec.v1, prec.v2)[1 - stream]
-    n = dm.H_B1.shape[1]
-    k = dm.B.shape[0]
-    eye_n = np.eye(n, dtype=complex)
-    tb = h_b[1 - stream] @ v_other
-    cov_b = np.eye(k, dtype=complex) + np.outer(tb, tb.conj())
-    num = eye_n + h_b[stream].conj().T @ np.linalg.solve(cov_b, h_b[stream])
-    te = h_e[1 - stream] @ v_other
-    # B^-1 (I + C B^-1)^-1 collapses to (B + C)^-1, keeping the form Hermitian.
-    cov_e = dm.B + np.outer(te, te.conj())
-    den = eye_n + h_e[stream].conj().T @ np.linalg.solve(cov_e, h_e[stream])
-    return rayleigh_ritz_max(_herm(num), _herm(den))
-
-
 def update_v1(dm: DerivedModel, prec: Precoders) -> np.ndarray:
     """Best stream-1 beamformer with (v2, theta) held fixed."""
-    return _update_v(dm, prec, 0)
+    return rayleigh_ritz_max(*beam_quotient(dm, prec, 0))
 
 
 def update_v2(dm: DerivedModel, prec: Precoders) -> np.ndarray:
     """Best stream-2 beamformer with (v1, theta) held fixed."""
-    return _update_v(dm, prec, 1)
+    return rayleigh_ritz_max(*beam_quotient(dm, prec, 1))
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -167,49 +148,67 @@ def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) ->
     return v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
 
 
-def run_gai(
+def alternate(
     cfg: SystemConfig,
     channels: ChannelSet,
-    opts: GaOptions | None = None,
-    theta0: np.ndarray | None = None,
-) -> GaiState:
-    """Alternate the three block updates until the rate-gap gain falls below epsilon.
+    dm: DerivedModel,
+    prec: Precoders,
+    steps: Sequence[Callable[[DerivedModel, Precoders], Precoders]],
+    max_outer: int,
+    include_irs: bool = True,
+) -> RunState:
+    """Run the block steps in turn, refreshing the rate model after each,
+    until one pass gains at most epsilon in the rate gap.
+
+    Each step maps the current rate model and precoders to new precoders.
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
     """
-    opts = opts or GaOptions()
-    theta = np.ones(cfg.M, dtype=complex) if theta0 is None else np.asarray(theta0, dtype=complex).copy()
-    v1, v2 = initial_beamformers(channels, theta, opts.include_irs)
-    prec = Precoders(v1=v1, v2=v2, theta=theta)
-    dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
     trace = [secrecy_rate(dm, prec)]
     gap = unclipped_gap(trace[-1], dm, prec)
     converged = False
     iterations = 0
-    for p in range(1, opts.max_outer + 1):
-        if cfg.beta1 > 0:
-            prec = replace(prec, v1=update_v1(dm, prec))
-            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
-        if cfg.beta2 > 0:
-            prec = replace(prec, v2=update_v2(dm, prec))
-            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
-        if opts.optimize_theta and opts.include_irs:
-            # solve the phase block well below the outer tolerance: stopping
-            # the ascent at the outer epsilon meters a shallow-ridge climb out
-            # over many outer passes instead of finishing it in one
-            pp = PhaseProblem(dm)
-            prec = replace(prec, theta=ga_optimize_theta(pp, prec.theta, opts, GA_TOL))
-            dm = refresh_model(cfg, channels, prec, dm, opts.include_irs)
+    for p in range(1, max_outer + 1):
+        for step in steps:
+            prec = step(dm, prec)
+            dm = refresh_model(cfg, channels, prec, dm, include_irs)
         trace.append(secrecy_rate(dm, prec))
         gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
         iterations = p
         if gap - gap_prev <= cfg.epsilon:
             converged = True
             break
-    return GaiState(
+    return RunState(
         prec=prec,
+        p_an=dm.P_AN,
         rs_trace=np.array(trace),
         iterations_used=iterations,
         converged=converged,
     )
+
+
+def run_gai(
+    cfg: SystemConfig,
+    channels: ChannelSet,
+    opts: GaOptions | None = None,
+    theta0: np.ndarray | None = None,
+) -> RunState:
+    """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon."""
+    opts = opts or GaOptions()
+    theta = np.ones(cfg.M, dtype=complex) if theta0 is None else np.asarray(theta0, dtype=complex).copy()
+    v1, v2 = initial_beamformers(channels, theta, opts.include_irs)
+    prec = Precoders(v1=v1, v2=v2, theta=theta)
+    dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
+    steps = []
+    if cfg.beta1 > 0:
+        steps.append(lambda dm, prec: replace(prec, v1=update_v1(dm, prec)))
+    if cfg.beta2 > 0:
+        steps.append(lambda dm, prec: replace(prec, v2=update_v2(dm, prec)))
+    if opts.optimize_theta and opts.include_irs:
+        # solve the phase block well below the outer tolerance: stopping
+        # the ascent at the outer epsilon meters a shallow-ridge climb out
+        # over many outer passes instead of finishing it in one
+        steps.append(lambda dm, prec: replace(
+            prec, theta=ga_optimize_theta(PhaseProblem(dm), prec.theta, opts, GA_TOL)))
+    return alternate(cfg, channels, dm, prec, steps, opts.max_outer, opts.include_irs)

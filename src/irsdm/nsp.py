@@ -1,37 +1,40 @@
 """Null-space-projection optimizer for the two-stream wiretap link.
 
-Stream 1 is forced into the null space of the direct Bob and Eve channels,
-so it reaches Bob only via the surface; stream 2 is forced into the null
-space of the surface and Eve channels, so it rides the direct path and stays
-invisible to Eve.  With the cross terms removed, the three blocks become a
-quadratic fractional program in w1 (solved by Dinkelbach's method with a
-linearized inner step), a plain quadratic maximization in w2 (power-like
-ascent), and a unit-modulus fractional program in theta (bisection over the
-parametric level combined with a majorize-minimize phase rounding).
+NSP is GAI's alternation (`gai.alternate`) with one extra constraint on each
+beamformer.  Stream 1 is confined to range(P1), the null space of the direct
+Bob and Eve channels, so it reaches Bob only via the surface; stream 2 to
+range(P2), the null space of the surface and Eve channels, so it rides the
+direct path and stays invisible to Eve.  Each beamformer block is GAI's
+quotient (`rates.beam_quotient`) restricted to range(P): a quadratic
+fractional program in v1 (solved by Dinkelbach's method with a linearized
+inner step) and, with Eve blind to stream 2, a plain quadratic maximization
+in v2 (power-like ascent).  The phases solve a unit-modulus fractional
+program (bisection over the parametric level combined with a
+majorize-minimize phase rounding).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
+from .gai import RunState, _project_phases, alternate
 from .model import ChannelSet, SystemConfig
 from .rates import (
     DerivedModel,
     Precoders,
     _herm,
-    an_projector,
+    beam_quotient,
     derived_model,
-    eve_covariance,
     null_projector,
     refresh_model,
-    secrecy_rate,
-    unclipped_gap,
     whiten,
 )
+# not called here; perfbench/tracing.py wraps both names in this module
+from .rates import an_projector, secrecy_rate
 
 
 MAX_DINKELBACH = 100
@@ -54,28 +57,6 @@ class NspOptions:
     max_outer: int = 50
 
 
-@dataclass
-class NspState:
-    w1: np.ndarray
-    w2: np.ndarray
-    prec: Precoders
-    rs_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iterations_used: int = 0
-    converged: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class NspBlocks:
-    """Per-phase working matrices: projectors and the three effective streams."""
-
-    P1: np.ndarray   # (N, N) projector annihilating Bob's and Eve's direct channels
-    P2: np.ndarray   # (N, N) projector annihilating the surface and Eve channels
-    A1: np.ndarray   # (K, N) stream 1 to Bob, via the surface only
-    A2: np.ndarray   # (K, N) stream 2 to Bob, direct only
-    A3: np.ndarray   # (K, N) stream 1 to Eve, via the surface only
-    B: np.ndarray    # (K, K) Eve's AN-plus-noise covariance
-
-
 def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     """Projectors defining the two protected signal spaces.
 
@@ -92,30 +73,15 @@ def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def stream_blocks(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    theta: np.ndarray,
-) -> NspBlocks:
-    """Effective per-stream channels at the current phases."""
-    a1, a3 = _surface_streams(cfg, ch, p1, theta)
-    a2 = (np.sqrt(cfg.beta2 * cfg.ps_watts * ch.g_AB) / cfg.sigma_watts_sqrt) * (ch.H_AB.conj().T @ p2)
-    b = eve_covariance(cfg, ch, an_projector(ch.H_AI, ch.H_AB))
-    return NspBlocks(P1=p1, P2=p2, A1=a1, A2=a2, A3=a3, B=b)
+def stream_blocks(dm: DerivedModel, prec: Precoders, p: np.ndarray,
+                  stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """GAI's beamformer quotient of one stream (0 or 1) restricted to range(p).
 
-
-def _surface_streams(cfg: SystemConfig, ch: ChannelSet, p1: np.ndarray,
-                     theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stream 1 to Bob and to Eve (A1, A3), the only blocks that depend on theta."""
-    sigma = cfg.sigma_watts_sqrt
-    ps = cfg.ps_watts
-    refl = (ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI
-    refl_e = (ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI
-    a1 = (np.sqrt(cfg.beta1 * ps * ch.g_AIB) / sigma) * (refl @ p1)
-    a3 = (np.sqrt(cfg.beta1 * ps * ch.g_AIE) / sigma) * (refl_e @ p1)
-    return a1, a3
+    Returns (p num p, p den p) for (num, den) of `rates.beam_quotient`, so
+    that at w with unit ||p w|| the quotient is that of v = p w.
+    """
+    num, den = beam_quotient(dm, prec, stream)
+    return _herm(p @ num @ p), _herm(p @ den @ p)
 
 
 def _quad(a: np.ndarray, w: np.ndarray) -> float:
@@ -156,63 +122,41 @@ def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.nd
     return w_of(hi)
 
 
-def fractional_blocks_w1(blocks: NspBlocks, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator matrices of the w1 rate-gap quotient."""
-    n = blocks.P1.shape[0]
-    k = blocks.B.shape[0]
-    pp = blocks.P1.conj().T @ blocks.P1
-    t2 = blocks.A2 @ w2
-    cov = np.eye(k, dtype=complex) + np.outer(t2, t2.conj())
-    a_til = pp + blocks.A1.conj().T @ np.linalg.solve(cov, blocks.A1)
-    a3 = whiten(blocks.B, blocks.A3)
-    return _herm(a_til), _herm(pp + a3.conj().T @ a3)
-
-
-def quadratic_block_w2(blocks: NspBlocks, w1: np.ndarray) -> np.ndarray:
-    """Quadratic form maximized by the w2 step (Eve never sees stream 2)."""
-    k = blocks.B.shape[0]
-    pp = blocks.P2.conj().T @ blocks.P2
-    t1 = blocks.A1 @ w1
-    cov = np.eye(k, dtype=complex) + np.outer(t1, t1.conj())
-    return _herm(pp + blocks.A2.conj().T @ np.linalg.solve(cov, blocks.A2))
-
-
-def _feasible_basis_vector(p: np.ndarray) -> np.ndarray:
-    """First canonical basis vector with a usable projection, rescaled to the shell."""
-    n = p.shape[0]
-    for i in range(n):
+def _feasible_beamformer(p: np.ndarray) -> np.ndarray:
+    """Unit-norm image under p of the first canonical basis vector p keeps."""
+    for i in range(p.shape[0]):
         nrm = np.linalg.norm(p[:, i])
         if nrm > 1e-8:
-            w = np.zeros(n, dtype=complex)
-            w[i] = 1.0 / nrm
-            return w
+            return p[:, i] / nrm
     raise ValueError("projector is numerically zero")
 
 
+def _unit_image(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    v = p @ w
+    return v / np.linalg.norm(v)
+
+
 def update_w1(
-    blocks: NspBlocks,
-    w1: np.ndarray,
-    w2: np.ndarray,
+    num: np.ndarray,
+    den: np.ndarray,
+    p: np.ndarray,
+    v1: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Dinkelbach ascent on the w1 quotient; returns (w1, achieved level nu).
+    """Dinkelbach ascent on the stream-1 quotient of `stream_blocks` over
+    range(p); returns the unit beamformer and the achieved level nu.
 
     The inner subproblem replaces the numerator quadratic by its tangent
     minorant at the incumbent, which turns each step into the dual-bisection
     QCQP; both loops can only raise the quotient.
     """
-    a_til, b_til = fractional_blocks_w1(blocks, w2)
-    pp = _herm(blocks.P1.conj().T @ blocks.P1)
-    w = w1 / math.sqrt(max(_quad(pp, w1), np.finfo(float).tiny))
-    num, den = _quad(a_til, w), _quad(b_til, w)
-    if num < 1e-300:
-        return _feasible_basis_vector(blocks.P1), 0.0
-    nu = num / den
+    w = v1 / math.sqrt(max(_quad(p, v1), np.finfo(float).tiny))
+    nu = _quad(num, w) / _quad(den, w)
     for _ in range(MAX_DINKELBACH):
         cur = w
-        level = _quad(a_til, cur) - nu * _quad(b_til, cur)
+        level = _quad(num, cur) - nu * _quad(den, cur)
         for _ in range(MAX_TAYLOR):
-            cand = dual_qcqp_solve(nu * b_til, a_til @ cur, pp)
-            cand_level = _quad(a_til, cand) - nu * _quad(b_til, cand)
+            cand = dual_qcqp_solve(nu * den, num @ cur, p)
+            cand_level = _quad(num, cand) - nu * _quad(den, cand)
             if not cand_level > level:
                 break
             gain = cand_level - level
@@ -220,28 +164,21 @@ def update_w1(
             if gain < DINKELBACH_TOL:
                 break
         w = cur
-        num, den = _quad(a_til, w), _quad(b_til, w)
-        resid = num - nu * den
-        if abs(resid) < DINKELBACH_TOL:
+        top, bottom = _quad(num, w), _quad(den, w)
+        if abs(top - nu * bottom) < DINKELBACH_TOL:
             break
-        nu = num / den
-    w = w / math.sqrt(_quad(pp, w))
-    return w, nu
+        nu = top / bottom
+    return _unit_image(p, w), nu
 
 
-def update_w2(
-    blocks: NspBlocks,
-    w1: np.ndarray,
-    w2: np.ndarray,
-) -> np.ndarray:
-    """Ascent on the stream-2 quadratic over the projected unit shell."""
-    a_til = quadratic_block_w2(blocks, w1)
-    pp = _herm(blocks.P2.conj().T @ blocks.P2)
-    w = w2 / math.sqrt(max(_quad(pp, w2), np.finfo(float).tiny))
-    obj = _quad(a_til, w)
+def update_w2(num: np.ndarray, p: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Ascent on the stream-2 numerator of `stream_blocks` over the unit
+    vectors of range(p); Eve never sees stream 2, so her denominator is 1."""
+    w = v2 / math.sqrt(max(_quad(p, v2), np.finfo(float).tiny))
+    obj = _quad(num, w)
     for _ in range(MAX_POWER_ITERS):
-        cand = dual_qcqp_solve(np.zeros_like(a_til), a_til @ w, pp)
-        cand_obj = _quad(a_til, cand)
+        cand = dual_qcqp_solve(np.zeros_like(num), num @ w, p)
+        cand_obj = _quad(num, cand)
         if cand_obj > obj:
             w, gain = cand, cand_obj - obj
             obj = cand_obj
@@ -249,7 +186,7 @@ def update_w2(
             break
         if gain < POWER_TOL:
             break
-    return w / math.sqrt(_quad(pp, w))
+    return _unit_image(p, w)
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +226,7 @@ def theta_star_of_mu(
     theta = theta_prev.copy()
     obj = _quad(psi, theta)
     for _ in range(MAX_MM_ITERS):
-        drive = lam * theta - psi @ theta
-        mag = np.abs(drive)
-        cand = np.where(mag > 0, drive / np.where(mag > 0, mag, 1.0), theta)
+        cand = _project_phases(lam * theta - psi @ theta, theta)
         cand_obj = _quad(psi, cand)
         if obj - cand_obj < MM_TOL:
             if cand_obj < obj:
@@ -363,62 +298,28 @@ def run_nsp(
     cfg: SystemConfig,
     channels: ChannelSet,
     opts: NspOptions | None = None,
-) -> NspState:
-    """Alternate the w1, w2 and theta blocks until the rate-gap gain stalls.
-
-    As in run_gai, the stop test uses the unclipped gap R_B - R_E and
-    rs_trace holds the clipped secrecy rate.
-    """
+) -> RunState:
+    """GAI's alternation over the null-space-constrained v1, v2 and theta blocks."""
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
-    w1 = _feasible_basis_vector(p1)
-    w2 = _feasible_basis_vector(p2)
-    blocks = stream_blocks(cfg, channels, p1, p2, np.ones(cfg.M, dtype=complex))
-
-    def as_precoders(w1_, w2_, theta_):
-        v1 = p1 @ w1_
-        v2 = p2 @ w2_
-        return Precoders(
-            v1=v1 / np.linalg.norm(v1),
-            v2=v2 / np.linalg.norm(v2),
-            theta=theta_,
-        )
-
-    prec = as_precoders(w1, w2, np.ones(cfg.M, dtype=complex))
+    prec = Precoders(v1=_feasible_beamformer(p1), v2=_feasible_beamformer(p2),
+                     theta=np.ones(cfg.M, dtype=complex))
     dm = derived_model(cfg, channels, prec)
+    steps = []
     if cfg.beta1 > 0:
-        # pre-align the phases to the initial beamformers: starting the w1
+        steps.append(lambda dm, prec: replace(
+            prec, v1=update_w1(*stream_blocks(dm, prec, p1, 0), p1, prec.v1)[0]))
+    if cfg.beta2 > 0:
+        steps.append(lambda dm, prec: replace(
+            prec, v2=update_w2(stream_blocks(dm, prec, p2, 1)[0], p2, prec.v2)))
+    if cfg.beta1 > 0:
+        # the phase blocks depend on the beamformers only
+        steps.append(lambda dm, prec: replace(
+            prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta)))
+        # pre-align the phases to the initial beamformers: starting the v1
         # block at unaligned phases can reward silencing the surface (the
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
-        prec = replace(prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta))
+        prec = steps[-1](dm, prec)
         dm = refresh_model(cfg, channels, prec, dm)
-    trace = [secrecy_rate(dm, prec)]
-    gap = unclipped_gap(trace[-1], dm, prec)
-    converged = False
-    iterations = 0
-    for p in range(1, opts.max_outer + 1):
-        a1, a3 = _surface_streams(cfg, channels, p1, prec.theta)
-        blocks = replace(blocks, A1=a1, A3=a3)
-        if cfg.beta1 > 0:
-            w1, _ = update_w1(blocks, w1, w2)
-        if cfg.beta2 > 0:
-            w2 = update_w2(blocks, w1, w2)
-        prec = as_precoders(w1, w2, prec.theta)
-        dm = refresh_model(cfg, channels, prec, dm)
-        if cfg.beta1 > 0:
-            # the phase blocks depend on the beamformers only
-            prec = replace(prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta))
-            dm = refresh_model(cfg, channels, prec, dm)
-        trace.append(secrecy_rate(dm, prec))
-        gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
-        iterations = p
-        if gap - gap_prev <= cfg.epsilon:
-            converged = True
-            break
-    return NspState(
-        w1=w1, w2=w2, prec=prec,
-        rs_trace=np.array(trace),
-        iterations_used=iterations,
-        converged=converged,
-    )
+    return alternate(cfg, channels, dm, prec, steps, opts.max_outer)

@@ -214,6 +214,29 @@ def unclipped_gap(sr: float, dm: DerivedModel, prec: Precoders) -> float:
     return sr if sr > 0 else rate_gap(dm, prec)
 
 
+def beam_quotient(dm: DerivedModel, prec: Precoders, stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of the rate gap as a function of one stream's
+    beamformer (stream 0 or 1), with the other stream and theta held fixed.
+
+    R_B - R_E equals a constant plus log2 of x^H num x / x^H den x at unit
+    norm; the other stream is folded into the effective noise on both sides.
+    """
+    h_b = (dm.H_B1, dm.H_B2)
+    h_e = (dm.H_E1, dm.H_E2)
+    v_other = (prec.v1, prec.v2)[1 - stream]
+    n = dm.H_B1.shape[1]
+    k = dm.B.shape[0]
+    eye_n = np.eye(n, dtype=complex)
+    tb = h_b[1 - stream] @ v_other
+    cov_b = np.eye(k, dtype=complex) + np.outer(tb, tb.conj())
+    num = eye_n + h_b[stream].conj().T @ np.linalg.solve(cov_b, h_b[stream])
+    te = h_e[1 - stream] @ v_other
+    # B^-1 (I + C B^-1)^-1 collapses to (B + C)^-1, keeping the form Hermitian.
+    cov_e = dm.B + np.outer(te, te.conj())
+    den = eye_n + h_e[stream].conj().T @ np.linalg.solve(cov_e, h_e[stream])
+    return _herm(num), _herm(den)
+
+
 def whiten(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L^-1 x for the lower Cholesky factor L of B = L L^H, so that
     x^H B^-1 y = whiten(B, x)^H whiten(B, y)."""

@@ -17,7 +17,6 @@ from irsdm.cli import main as cli_main
 from irsdm.gai import GaOptions, PhaseProblem, run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
-    fractional_blocks_w1,
     ns_projectors,
     phi_star,
     run_nsp,
@@ -375,11 +374,11 @@ def test_criterion_06_dinkelbach_root_residual():
         ch = _channels(cfg)
         p1, p2 = ns_projectors(ch)
         theta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, cfg.M))
-        blocks = stream_blocks(cfg, ch, p1, p2, theta)
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
-        w, nu = update_w1(blocks, w1, w2)
-        a_til, b_til = fractional_blocks_w1(blocks, w2)
+        prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
+        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), prec, p1, 0)
+        w, nu = update_w1(a_til, b_til, p1, w1)
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))
         if not resid < 1e-8:
             failures.append(f"config {i}: residual {resid:.3e} >= 1e-8")

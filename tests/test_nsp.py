@@ -8,13 +8,10 @@ import scipy.linalg
 
 from irsdm.model import SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
-    NspBlocks,
     dual_qcqp_solve,
-    fractional_blocks_w1,
     ns_projectors,
     phase_blocks,
     phi_star,
-    quadratic_block_w2,
     run_nsp,
     stream_blocks,
     theta_star_of_mu,
@@ -144,17 +141,27 @@ def test_stream_blocks_match_effective_channels():
     rng = np.random.default_rng(2)
     p1, p2 = ns_projectors(ch)
     theta = np.exp(2j * math.pi * rng.random(cfg.M))
-    blocks = stream_blocks(cfg, ch, p1, p2, theta)
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
     dm = derived_model(cfg, ch, prec)
-    assert np.linalg.norm(blocks.A1 @ w1 - dm.H_B1 @ prec.v1) < 1e-8
-    assert np.linalg.norm(blocks.A2 @ w2 - dm.H_B2 @ prec.v2) < 1e-8
-    assert np.linalg.norm(blocks.A3 @ w1 - dm.H_E1 @ prec.v1) < 1e-8
+    t1, t2, t3 = dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2, dm.H_E1 @ prec.v1
+    # stream 1 reaches both receivers via the surface only, stream 2 Bob directly only
+    assert np.linalg.norm(t1 - dm.T_B1 @ theta) < 1e-8
+    assert np.linalg.norm(t3 - dm.T_E1 @ theta) < 1e-8
+    assert np.linalg.norm(t2 - dm.h_B2) < 1e-8
     # stream 2 is invisible to Eve by construction
     assert np.linalg.norm(dm.H_E2 @ prec.v2) < 1e-8
-    assert np.linalg.norm(blocks.B - dm.B) < 1e-8
+
+    def snr(t, noise):
+        return 1.0 + _quad(np.linalg.inv(noise), t)
+
+    num1, den1 = stream_blocks(dm, prec, p1, 0)
+    num2, den2 = stream_blocks(dm, prec, p2, 1)
+    assert _quad(num1, w1) == pytest.approx(snr(t1, np.eye(cfg.K) + np.outer(t2, t2.conj())), rel=1e-9)
+    assert _quad(den1, w1) == pytest.approx(snr(t3, dm.B), rel=1e-9)
+    assert _quad(num2, w2) == pytest.approx(snr(t2, np.eye(cfg.K) + np.outer(t1, t1.conj())), rel=1e-9)
+    assert np.linalg.norm(den2 - p2) < 1e-8
 
 
 # ---------------------------------------------------------------- w1 and w2 steps
@@ -165,37 +172,40 @@ def _default_blocks(seed=3):
     rng = np.random.default_rng(seed)
     p1, p2 = ns_projectors(ch)
     theta = np.exp(2j * math.pi * rng.random(cfg.M))
-    return cfg, ch, rng, stream_blocks(cfg, ch, p1, p2, theta)
+
+    def blocks(w1, w2, stream):
+        """stream_blocks at v1 = p1 w1, v2 = p2 w2 and the fixed phases."""
+        prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
+        return stream_blocks(derived_model(cfg, ch, prec), prec, (p1, p2)[stream], stream)
+
+    return rng, p1, p2, blocks
 
 
 def test_update_w1_raises_quotient_and_meets_residual():
-    cfg, ch, rng, blocks = _default_blocks()
+    rng, p1, p2, blocks = _default_blocks()
     for _ in range(5):
-        w1 = _shell_point(rng, blocks.P1)
-        w2 = _shell_point(rng, blocks.P2)
-        a_til, b_til = fractional_blocks_w1(blocks, w2)
+        w1 = _shell_point(rng, p1)
+        w2 = _shell_point(rng, p2)
+        a_til, b_til = blocks(w1, w2, 0)
         q0 = _quad(a_til, w1) / _quad(b_til, w1)
-        w, nu = update_w1(blocks, w1, w2)
+        w, nu = update_w1(a_til, b_til, p1, w1)
         q1 = _quad(a_til, w) / _quad(b_til, w)
         assert q1 >= q0 - 1e-9
         assert q1 == pytest.approx(nu, abs=1e-6)
-        assert _quad(blocks.P1, w) == pytest.approx(1.0, abs=1e-6)
+        assert _quad(p1, w) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_update_w1_zero_eve_matches_subspace_eigenvalue():
     # with Eve's block silenced the quotient is a plain Rayleigh quotient on
     # the protected subspace; boost stream 1 so the top eigenvalue is well
     # separated from the projector's unit cluster
-    cfg, ch, rng, blocks = _default_blocks(seed=4)
-    quiet = NspBlocks(
-        P1=blocks.P1, P2=blocks.P2, A1=100.0 * blocks.A1, A2=blocks.A2,
-        A3=np.zeros_like(blocks.A3), B=blocks.B,
-    )
-    w1 = _shell_point(rng, blocks.P1)
-    w2 = _shell_point(rng, blocks.P2)
-    w, nu = update_w1(quiet, w1, w2)
-    a_til, b_til = fractional_blocks_w1(quiet, w2)
-    basis = _range_basis(quiet.P1)
+    rng, p1, p2, blocks = _default_blocks(seed=4)
+    w1 = _shell_point(rng, p1)
+    w2 = _shell_point(rng, p2)
+    num, _ = blocks(w1, w2, 0)
+    a_til = p1 + 1e4 * (num - p1)
+    w, nu = update_w1(a_til, p1, p1, w1)
+    basis = _range_basis(p1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-6)
@@ -204,31 +214,27 @@ def test_update_w1_zero_eve_matches_subspace_eigenvalue():
 def test_update_w1_upper_bound_certificate_weak_coupling():
     # even on a nearly flat spectrum the quotient never exceeds the
     # subspace eigenvalue bound
-    cfg, ch, rng, blocks = _default_blocks(seed=4)
-    quiet = NspBlocks(
-        P1=blocks.P1, P2=blocks.P2, A1=blocks.A1, A2=blocks.A2,
-        A3=np.zeros_like(blocks.A3), B=blocks.B,
-    )
-    w1 = _shell_point(rng, blocks.P1)
-    w2 = _shell_point(rng, blocks.P2)
-    w, nu = update_w1(quiet, w1, w2)
-    a_til, _ = fractional_blocks_w1(quiet, w2)
-    basis = _range_basis(quiet.P1)
+    rng, p1, p2, blocks = _default_blocks(seed=4)
+    w1 = _shell_point(rng, p1)
+    w2 = _shell_point(rng, p2)
+    a_til, _ = blocks(w1, w2, 0)
+    w, nu = update_w1(a_til, p1, p1, w1)
+    basis = _range_basis(p1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-4)
 
 
 def test_update_w2_matches_subspace_eigenvalue():
-    cfg, ch, rng, blocks = _default_blocks(seed=5)
+    rng, p1, p2, blocks = _default_blocks(seed=5)
     for _ in range(5):
-        w1 = _shell_point(rng, blocks.P1)
-        w2 = _shell_point(rng, blocks.P2)
-        a_til = quadratic_block_w2(blocks, w1)
+        w1 = _shell_point(rng, p1)
+        w2 = _shell_point(rng, p2)
+        a_til, _ = blocks(w1, w2, 1)
         obj0 = _quad(a_til, w2)
-        w = update_w2(blocks, w1, w2)
+        w = update_w2(a_til, p2, w2)
         obj1 = _quad(a_til, w)
-        basis = _range_basis(blocks.P2)
+        basis = _range_basis(p2)
         lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
         assert obj1 >= obj0 - 1e-9
         assert obj1 <= lam_star + 1e-8

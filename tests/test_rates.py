@@ -1,6 +1,7 @@
 """Rate evaluation checks against independently scripted oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from irsdm.rates import (
     derived_model,
     rate_bob,
     rate_eve,
+    rate_gap,
     secrecy_rate,
 )
 
@@ -110,19 +112,26 @@ def test_run_gai_forms_an_projector_once(projector_calls):
     assert len(projector_calls) == 1
 
 
+def test_gai_scheme_forms_an_projector_once(projector_calls):
+    # the reported solution takes P_AN from the run's own rate model
+    cfg, ch, _ = _setup()
+    sol = run_scheme(Scheme("gai"), cfg, ch)
+    assert len(projector_calls) == 1
+    assert np.array_equal(sol.p_an, an_projector(ch.H_AI, ch.H_AB))
+
+
 def test_random_phase_forms_an_projector_once_per_draw(projector_calls):
-    # one per draw's run, plus one for the reported solution
     cfg, ch, _ = _setup(SystemConfig(M=8))
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert len(projector_calls) <= 3 + 1
+    assert len(projector_calls) == 3
 
 
-def test_run_nsp_forms_an_projector_at_most_twice(projector_calls):
-    # once for the stream blocks and once for the rate model, not once per pass
+def test_run_nsp_forms_an_projector_once(projector_calls):
+    # once for the rate model, not once per pass
     cfg, ch, _ = _setup(SystemConfig(M=10))
     state = run_nsp(cfg, ch)
     assert state.iterations_used > 1
-    assert len(projector_calls) <= 2
+    assert len(projector_calls) == 1
 
 
 # ---------------------------------------------------------------- derived model
@@ -361,3 +370,35 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
     det2 = 1.0 + np.vdot(dm.h_B2, dm.h_B2).real
     quotient = det2 * np.vdot(theta, tt_b @ theta).real / np.vdot(theta, bt_e @ theta).real
     assert quotient == pytest.approx(PhaseProblem(dm).ratio(theta), rel=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
+       k=st.integers(1, 4), betas=_BETAS, stream=st.integers(0, 1), null_space=st.booleans())
+def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space):
+    # with the other stream and theta fixed, log2 of the quotient is the rate
+    # gap up to a constant: in the full space (rates.beam_quotient) and, at
+    # nsp's null-space points, restricted to range(P) (nsp.stream_blocks)
+    if null_space:
+        n += max(m + k, 2 * k)  # room for both protected subspaces
+        projectors = []
+
+        def nsp_precoders(ch, rng):
+            projectors.extend(nsp.ns_projectors(ch))
+            return (p @ (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for p in projectors)
+
+        dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
+        p = projectors[stream]
+        num, den = nsp.stream_blocks(dm, prec, p, stream)
+    else:
+        dm, prec = _random_channel_model(seed, n, m, k, betas)
+        p = np.eye(n)
+        num, den = rates.beam_quotient(dm, prec, stream)
+    rng = np.random.default_rng([seed, 1])  # a stream apart from the channels' draws
+    quotients, gaps = [], []
+    for _ in range(2):
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = p @ w
+        trial = replace(prec, **{("v1", "v2")[stream]: v / np.linalg.norm(v)})
+        quotients.append(np.vdot(w, num @ w).real / np.vdot(w, den @ w).real)
+        gaps.append(rate_gap(dm, trial))
+    assert math.log2(quotients[0] / quotients[1]) == pytest.approx(gaps[0] - gaps[1], abs=1e-9)
