@@ -81,7 +81,8 @@ def parse_config(args: argparse.Namespace) -> SystemConfig:
         if flag_val is not None:
             values[name] = flag_val
     for name in INT_FIELDS:
-        if name in values:
+        # a JSON 20.0 means 20; 20.7 and true go on to SystemConfig's checks
+        if isinstance(values.get(name), float) and values[name].is_integer():
             values[name] = int(values[name])
     try:
         return SystemConfig(**values)
@@ -112,11 +113,14 @@ def parse_schemes(names: str, draws: int, active_stream: int) -> list[Scheme]:
     return out
 
 
-def _parse_values(text: str, caster=float) -> list:
+def _parse_values(text: str, integral: bool = False) -> list[float]:
     try:
-        return [caster(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise SystemExit(f"error: bad axis value list {text!r}: {exc}") from exc
+    if integral and not all(v.is_integer() for v in values):
+        raise SystemExit(f"error: M values must be integers, got {text!r}")
+    return values
 
 
 def resolve_out_dir(flag_value: Path | None) -> Path:
@@ -205,12 +209,16 @@ def _cmd_experiment(args) -> int:
     schemes = parse_schemes(args.schemes, args.draws, args.active_stream)
     _require_seed_for_random(args, schemes)
     if args.experiment != "sweep_position":
-        values = _parse_values(args.m_values)
+        values = _parse_values(args.m_values, integral=True)
     elif args.d_ai_values:
         values = _parse_values(args.d_ai_values)
     else:
+        if not args.d_ai_step > 0:
+            raise SystemExit(f"error: --d-ai-step must be positive, got {args.d_ai_step!r}")
         count = int(math.floor((args.d_ai_max - args.d_ai_min) / args.d_ai_step + 0.5)) + 1
         values = [args.d_ai_min + i * args.d_ai_step for i in range(count)]
+    if not values:
+        raise SystemExit("error: the sweep axis is empty")
     run_experiment(args.experiment, cfg, schemes, values, resolve_out_dir(args.out_dir))
     return 0
 

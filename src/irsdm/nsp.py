@@ -8,9 +8,10 @@ direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P): a quadratic
 fractional program in v1 (solved by Dinkelbach's method with a linearized
 inner step) and, with Eve blind to stream 2, a plain quadratic maximization
-in v2 (power-like ascent).  The phases solve a unit-modulus fractional
-program (bisection over the parametric level combined with a
-majorize-minimize phase rounding).
+in v2 (power-like ascent).  The phases minimize a unit-modulus quotient of
+two forms, each I/M plus a low-rank excess: a grid search over the phase
+patterns of the excess forms' joint two-dimensional span, polished by
+majorize-minimize phase rounding at the best level found.
 """
 
 from __future__ import annotations
@@ -43,10 +44,16 @@ MAX_TAYLOR = 200         # linearized ascent steps per Dinkelbach level
 MAX_POWER_ITERS = 200    # w2 ascent steps
 POWER_TOL = 1e-8         # stop when the w2 objective gain drops below this
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
-MM_TOL = 1e-9            # stop when the surrogate decrease drops below this
-PHI_TOL = 1e-6           # |phi*(mu)| accepted as the root
-WIDTH_TOL = 1e-9         # mu bisection interval width floor
-MAX_BISECT = 200
+MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
+                         # step's polish needs its level minimizer to 1e-9 relative)
+RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT / M are I/M rounding
+GRID_PSI = 48            # phase-step grid over psi in [0, pi/2]
+GRID_CHI = 96            # and over chi in [0, 2 pi)
+REFINE_ROUNDS = 4        # patches of (2 REFINE_HALF_WIDTH + 1)^2 points around the best,
+REFINE_HALF_WIDTH = 8    # each at 1 / REFINE_SHRINK of the previous step
+REFINE_SHRINK = 4
+SCORE_CHUNK = 2 ** 12    # candidate entries (M x count) formed at once
+POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
 QCQP_LAMBDA_MAX = 1e12
@@ -248,49 +255,138 @@ def phi_star(
     return _quad(psi, theta)
 
 
+def _excess_factor(form: np.ndarray) -> np.ndarray:
+    """Factor F with F F^H = form - I/M, by Cholesky with diagonal pivoting.
+
+    Pivots at or below RANK_CUT / M are rounding noise of the I/M term and end
+    the factorization.  Each column reads one column of the form and costs
+    O(r M), so the rank-one excess of a line-of-sight link costs O(M).
+    """
+    m = form.shape[0]
+    resid = np.real(np.diag(form)) - 1.0 / m
+    cols: list[np.ndarray] = []
+    for _ in range(m):
+        i = int(np.argmax(resid))
+        if resid[i] <= RANK_CUT / m:
+            break
+        col = form[:, i].astype(complex)
+        col[i] -= 1.0 / m
+        for c in cols:
+            col -= c * c[i].conj()
+        col /= math.sqrt(resid[i])
+        cols.append(col)
+        resid = resid - np.abs(col) ** 2
+    return np.stack(cols, axis=1) if cols else np.zeros((m, 0), dtype=complex)
+
+
+def _span_basis(f_b: np.ndarray, f_e: np.ndarray) -> np.ndarray | None:
+    """Orthonormal M x 2 basis holding the joint span of both excess factors,
+    or None when the quotient is constant on the unit-modulus shell.
+
+    A direction whose squared singular value is at most RANK_CUT / M is
+    dropped, like a factor pivot.  A one-dimensional span is padded with the
+    canonical direction it weighs least.
+    """
+    m = f_b.shape[0]
+    u, s, _ = np.linalg.svd(np.hstack([f_b, f_e]), full_matrices=False)
+    dim = int(np.count_nonzero(s ** 2 > RANK_CUT / m))
+    if dim > 2:
+        raise ValueError(f"phase forms span {dim} dimensions beyond I/M; "
+                         "the phase step handles at most 2")
+    if dim == 0 or m == 1:  # a single phase is a common rotation
+        return None
+    if dim == 1:
+        w = u[:, 0]
+        k = int(np.argmin(np.abs(w)))
+        pad = -w * w[k].conj()
+        pad[k] += 1.0
+        return np.column_stack([w, pad / np.linalg.norm(pad)])
+    return u[:, :2]
+
+
+def _candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
+                fallback: np.ndarray) -> np.ndarray:
+    """Phases of W a, a = (cos psi, sin psi e^{j chi}), one column per (psi, chi)."""
+    z = np.outer(basis[:, 0], np.cos(psi)) + np.outer(basis[:, 1], np.sin(psi) * np.exp(1j * chi))
+    return _project_phases(z, fallback[:, None])
+
+
+def _best_candidate(
+    basis: np.ndarray,
+    f_b: np.ndarray,
+    f_e: np.ndarray,
+    psi: np.ndarray,
+    chi: np.ndarray,
+    fallback: np.ndarray,
+) -> tuple[float, float, float]:
+    """(quotient, psi, chi) of the lowest-quotient candidate.
+
+    On the unit-modulus shell the quotient is (1 + |F_e^H theta|^2) /
+    (1 + |F_b^H theta|^2), O(r M) per candidate; candidates are formed
+    SCORE_CHUNK entries at a time.
+    """
+    step = max(1, SCORE_CHUNK // basis.shape[0])
+    best = (math.inf, 0.0, 0.0)
+    for lo in range(0, psi.size, step):
+        ps, ch = psi[lo:lo + step], chi[lo:lo + step]
+        thetas = _candidates(basis, ps, ch, fallback)
+        num = 1.0 + np.sum(np.abs(f_e.conj().T @ thetas) ** 2, axis=0)
+        den = 1.0 + np.sum(np.abs(f_b.conj().T @ thetas) ** 2, axis=0)
+        q = num / den
+        k = int(np.argmin(q))
+        best = min(best, (float(q[k]), float(ps[k]), float(ch[k])))
+    return best
+
+
 def update_theta_nsp(
     tt_b: np.ndarray,
     bt_e: np.ndarray,
     theta_prev: np.ndarray,
 ) -> np.ndarray:
-    """Minimize the Eve/Bob phase quotient by bisection on its level mu.
+    """Minimize the Eve/Bob phase quotient theta^H BtE theta / theta^H TtB theta
+    over unit-modulus theta by a search over the span of its two forms.
 
-    phi*(mu) is positive at mu = 0 and non-positive at the incumbent quotient
-    value, so a root lies between; the best quotient among all evaluated
-    candidates is returned, which also guarantees the block never degrades.
+    Both forms are I/M plus a low-rank excess, rank one each on line-of-sight
+    channels, so the quotient depends on theta only through W^H theta, W an
+    orthonormal M x 2 basis of the joint span.  At a stationary point theta_i
+    is the phase of (W a)_i for some a in C^2, up to a sign on entries where
+    (W a)_i is small next to the excess diagonal; only the direction of a
+    matters, a = (cos psi, sin psi e^{j chi}).  The step scores a GRID_PSI x
+    GRID_CHI grid of (psi, chi) in O(M) per point, refines around the best
+    point REFINE_ROUNDS times, and polishes the better of that candidate and
+    the incumbent with at most POLISH_LEVELS `theta_star_of_mu` levels.  It
+    returns the incumbent unless a candidate beats it.  The search is global
+    when the surface resolves Bob from Eve; within one beam the sign flips
+    matter and the polish descends only locally.  Raises ValueError if the
+    excess forms span more than two dimensions.
     """
 
     def quotient(theta: np.ndarray) -> float:
         return _quad(bt_e, theta) / _quad(tt_b, theta)
 
-    mu_hi = quotient(theta_prev)
-    best_theta, best_q = theta_prev, mu_hi
+    f_b, f_e = _excess_factor(tt_b), _excess_factor(bt_e)
+    basis = _span_basis(f_b, f_e)
+    if basis is None:
+        return theta_prev.copy()
 
-    def evaluate(mu: float) -> float:
-        nonlocal best_theta, best_q
-        theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev)
-        q = quotient(theta)
-        if q < best_q:
-            best_theta, best_q = theta, q
-        return _quad(_herm(bt_e - mu * tt_b), theta)
+    h_psi, h_chi = 0.5 * math.pi / GRID_PSI, 2.0 * math.pi / GRID_CHI
+    psi, chi = np.meshgrid((np.arange(GRID_PSI) + 0.5) * h_psi, np.arange(GRID_CHI) * h_chi)
+    best = _best_candidate(basis, f_b, f_e, psi.ravel(), chi.ravel(), theta_prev)
+    offsets = np.arange(-REFINE_HALF_WIDTH, REFINE_HALF_WIDTH + 1)
+    for _ in range(REFINE_ROUNDS):
+        h_psi, h_chi = h_psi / REFINE_SHRINK, h_chi / REFINE_SHRINK
+        psi, chi = np.meshgrid(best[1] + offsets * h_psi, best[2] + offsets * h_chi)
+        best = min(best, _best_candidate(basis, f_b, f_e, psi.ravel(), chi.ravel(), theta_prev))
 
-    phi_zero = evaluate(0.0)
-    if phi_zero <= 0:
-        raise FloatingPointError("phase quotient numerator lost positivity")
-    lo, hi = 0.0, mu_hi
-    if evaluate(mu_hi) > 0:
-        return best_theta.copy()
-    for _ in range(MAX_BISECT):
-        if hi - lo < WIDTH_TOL:
+    found = _candidates(basis, np.array([best[1]]), np.array([best[2]]), theta_prev)[:, 0]
+    best_theta, best_q = min((theta_prev, quotient(theta_prev)), (found, quotient(found)),
+                             key=lambda pair: pair[1])
+    for _ in range(POLISH_LEVELS):
+        cand = theta_star_of_mu(tt_b, bt_e, best_q, best_theta)
+        q_cand = quotient(cand)
+        if not q_cand < best_q:
             break
-        mid = 0.5 * (lo + hi)
-        val = evaluate(mid)
-        if abs(val) < PHI_TOL:
-            break
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
+        best_theta, best_q = cand, q_cand
     return best_theta.copy()
 
 

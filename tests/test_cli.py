@@ -53,6 +53,17 @@ def test_config_rejects_invalid_combination():
         parse_config(_parse(["converge", "--beta1", "0.9", "--beta2", "0.3"]))
 
 
+def test_config_file_keeps_non_integral_counts_for_validation(tmp_path):
+    # neither may be truncated to M = 20, N = 1 before SystemConfig sees it
+    path = tmp_path / "scenario.json"
+    for raw, field in (({"M": 20.7}, "M"), ({"N": True}, "N")):
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit, match=f"invalid configuration: {field} must be an integer"):
+            parse_config(_parse(["converge", "--config", str(path)]))
+    path.write_text(json.dumps({"M": 20.0}))
+    assert parse_config(_parse(["converge", "--config", str(path)])).M == 20
+
+
 def test_out_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("IRSDM_OUT_DIR", raising=False)
     assert resolve_out_dir(None).name == "runs"
@@ -168,3 +179,26 @@ def test_summary_printed(tmp_path, capsys):
           "--out-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert "M" in out and "gai" in out
+
+
+def test_sweep_m_rejects_non_integral_m(tmp_path):
+    with pytest.raises(SystemExit, match="M values must be integers"):
+        main(["sweep-m", "--n", "8", "--m-values", "4,8.7", "--schemes", "gai",
+              "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "sweep_m.csv").exists()
+
+
+@pytest.mark.parametrize("step", ["-2.5", "0"])
+def test_position_sweep_rejects_non_positive_step(tmp_path, step):
+    with pytest.raises(SystemExit, match="d-ai-step must be positive"):
+        main(["sweep-position", "--n", "8", "--m", "4", "--schemes", "gai",
+              "--d-ai-step", step, "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "sweep_position.csv").exists()
+
+
+def test_position_sweep_rejects_empty_axis(tmp_path):
+    # a range running backwards leaves no placement to solve
+    with pytest.raises(SystemExit, match="axis is empty"):
+        main(["sweep-position", "--n", "8", "--m", "4", "--schemes", "gai",
+              "--d-ai-min", "30", "--d-ai-max", "20", "--out-dir", str(tmp_path)])
+    assert not (tmp_path / "sweep_position.csv").exists()

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from irsdm import nsp
+from irsdm.bench import parallel_irs_angle
 from irsdm.model import SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
     dual_qcqp_solve,
@@ -311,6 +315,70 @@ def test_update_theta_never_worsens_and_tracks_mu_grid():
     assert q_star <= best + 1e-3
 
 
+def _los_forms(m, u_s, u_b, u_e, g_b, g_e):
+    """I/M plus one rank-one term per side, as on line-of-sight links: the
+    surface's incoming steering vector times Bob's or Eve's outgoing one,
+    with an excess of g times I/M on the diagonal."""
+    idx = np.arange(m)
+    a_s = np.exp(1j * math.pi * u_s * idx)
+    t_b = a_s * np.exp(1j * math.pi * u_b * idx)
+    t_e = a_s * np.exp(1j * math.pi * u_e * idx)
+    eye = np.eye(m) / m
+    return eye + (g_b / m) * np.outer(t_b, t_b.conj()), eye + (g_e / m) * np.outer(t_e, t_e.conj())
+
+
+def _dinkelbach_descent(tt_b, bt_e, theta):
+    """Quotient reached by `theta_star_of_mu` at successive levels from theta."""
+    q = _quad(bt_e, theta) / _quad(tt_b, theta)
+    for _ in range(200):
+        cand = theta_star_of_mu(tt_b, bt_e, q, theta)
+        q_cand = _quad(bt_e, cand) / _quad(tt_b, cand)
+        if not q_cand < q:
+            break
+        theta, q = cand, q_cand
+    return q
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 60),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       log_g=st.tuples(st.floats(-3.0, 1.0), st.floats(-3.0, 1.0)))
+@example(seed=1, m=40, u=(0.3, -0.2, 0.5), log_g=(-9.0, -9.0))  # weak surface
+@example(seed=2, m=30, u=(0.1, 0.4, 0.4), log_g=(-1.0, 0.0))    # Bob and Eve aligned
+@example(seed=3, m=20, u=(0.2, -0.3, 0.6), log_g=(0.0, -12.0))  # Eve below the rank cut
+@example(seed=4, m=20, u=(0.2, -0.3, 0.6), log_g=(-12.0, 0.5))  # Bob below the rank cut
+@example(seed=5, m=20, u=(0.2, -0.3, 0.6), log_g=(-12.0, -12.0))  # no excess at all
+@example(seed=6, m=1, u=(0.2, -0.3, 0.6), log_g=(0.0, 0.0))     # one element: a common rotation
+def test_update_theta_matches_multistart_descent(seed, m, u, log_g):
+    # the step never worsens the incumbent; where the surface resolves Bob
+    # from Eve it is also as good as the best of several random-start
+    # Dinkelbach descents
+    tt_b, bt_e = _los_forms(m, *u, 10.0 ** log_g[0], 10.0 ** log_g[1])
+    rng = np.random.default_rng(seed)
+    starts = np.exp(2j * math.pi * rng.random((4, m)))
+    theta_prev = starts[0]
+    q_prev = _quad(bt_e, theta_prev) / _quad(tt_b, theta_prev)
+    star = update_theta_nsp(tt_b, bt_e, theta_prev)
+    q_star = _quad(bt_e, star) / _quad(tt_b, star)
+    assert np.allclose(np.abs(star), 1.0, atol=1e-12)
+    assert q_star <= q_prev
+    # angular distance in u = cos(angle), which the steering vectors wrap mod 2;
+    # 2 / M is the first null of the surface's beam
+    if abs((u[1] - u[2] + 1.0) % 2.0 - 1.0) >= 2.0 / m:
+        oracle = min(_dinkelbach_descent(tt_b, bt_e, t) for t in starts)
+        assert q_star <= oracle * (1.0 + 1e-9)
+
+
+def test_update_theta_rejects_a_span_above_two():
+    m = 12
+    rng = np.random.default_rng(10)
+    tt_b, bt_e = _los_forms(m, 0.2, 0.3, -0.4, 0.5, 0.5)
+    extra = np.exp(2j * math.pi * rng.random(m))
+    tt_b = tt_b + 0.1 * np.outer(extra, extra.conj())
+    with pytest.raises(ValueError, match="span 3 dimensions"):
+        update_theta_nsp(tt_b, bt_e, np.ones(m, dtype=complex))
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -367,3 +435,30 @@ def test_run_nsp_single_stream_budgets():
     state = run_nsp(cfg, ch)
     assert np.all(np.diff(state.rs_trace) >= -1e-9)
     assert state.rs_trace[-1] >= 0
+
+
+@pytest.fixture
+def theta_star_calls(monkeypatch):
+    """List that gains one entry per theta_star_of_mu call inside nsp."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_star_of_mu(*args)
+
+    monkeypatch.setattr(nsp, "theta_star_of_mu", counted)
+    return calls
+
+
+@pytest.mark.parametrize("overrides", [
+    {"d_AB": 300.0},
+    {"d_AI": 50.0, "theta_AI": parallel_irs_angle(SystemConfig())},  # on the placement line
+], ids=["d_AB=300", "d_AI=50"])
+def test_run_nsp_converges_at_m80_with_two_levels_per_phase_block(overrides, theta_star_calls):
+    # the bisection on the quotient level stopped both at the 50-pass cap,
+    # with about 20 levels per phase block
+    cfg = SystemConfig(M=80, **overrides)
+    state = run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
+    assert state.converged
+    # one phase block per pass plus the pre-alignment
+    assert len(theta_star_calls) <= 2 * (state.iterations_used + 1)
