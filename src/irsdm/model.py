@@ -62,6 +62,8 @@ class SystemConfig:
         for key in ("N", "M", "K"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be a positive integer, got {getattr(self, key)!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         for key in ("d_AI", "d_AB", "d_AE", "carrier_hz", "epsilon"):
             val = getattr(self, key)
             if not val > 0:

@@ -5,13 +5,12 @@ beamformer.  Stream 1 is confined to range(P1), the null space of the direct
 Bob and Eve channels, so it reaches Bob only via the surface; stream 2 to
 range(P2), the null space of the surface and Eve channels, so it rides the
 direct path and stays invisible to Eve.  Each beamformer block is GAI's
-quotient (`rates.beam_quotient`) restricted to range(P): a quadratic
-fractional program in v1 (solved by Dinkelbach's method with a linearized
-inner step) and, with Eve blind to stream 2, a plain quadratic maximization
-in v2 (power-like ascent).  The phases minimize a unit-modulus quotient of
-two forms, each I/M plus a low-rank excess: a grid search over the phase
-patterns of the excess forms' joint two-dimensional span, polished by
-majorize-minimize phase rounding at the best level found.
+quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
+by GAI's eigensolver on the pencil compressed to an orthonormal basis of
+range(P).  The phases minimize a unit-modulus quotient of two forms, each
+I/M plus a low-rank excess: a grid search over the phase patterns of the
+excess forms' joint two-dimensional span, polished by majorize-minimize
+phase rounding at the best level found.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .gai import RunState, _project_phases, alternate
+from .gai import RunState, _project_phases, alternate, rayleigh_ritz_max
 from .model import ChannelSet, SystemConfig
 from .rates import (
     DerivedModel,
@@ -38,11 +37,6 @@ from .rates import (
 from .rates import an_projector, secrecy_rate
 
 
-MAX_DINKELBACH = 100
-DINKELBACH_TOL = 1e-8    # |num - nu * den| at the root
-MAX_TAYLOR = 200         # linearized ascent steps per Dinkelbach level
-MAX_POWER_ITERS = 200    # w2 ascent steps
-POWER_TOL = 1e-8         # stop when the w2 objective gain drops below this
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
 MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
                          # step's polish needs its level minimizer to 1e-9 relative)
@@ -95,6 +89,7 @@ def _quad(a: np.ndarray, w: np.ndarray) -> float:
     return float(np.real(w.conj() @ (a @ w)))
 
 
+# not called here; perfbench/tracing.py wraps the name in this module
 def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Maximize 2 Re(b^H w) - w^H A w subject to w^H Q w <= 1.
 
@@ -129,18 +124,20 @@ def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.nd
     return w_of(hi)
 
 
-def _feasible_beamformer(p: np.ndarray) -> np.ndarray:
-    """Unit-norm image under p of the first canonical basis vector p keeps."""
-    for i in range(p.shape[0]):
-        nrm = np.linalg.norm(p[:, i])
-        if nrm > 1e-8:
-            return p[:, i] / nrm
-    raise ValueError("projector is numerically zero")
+def _range_basis(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of range(p): the eigenvectors of the projector p
+    with eigenvalue above 1/2."""
+    evals, evecs = np.linalg.eigh(p)
+    return evecs[:, evals > 0.5]
 
 
-def _unit_image(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    v = p @ w
-    return v / np.linalg.norm(v)
+def _subspace_max(num: np.ndarray, den: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Unit maximizer of (v^H num v) / (v^H den v) over v in range(p): GAI's
+    eigensolver on the pencil compressed to a basis Q of range(p), lifted
+    back by Q."""
+    q = _range_basis(p)
+    qh = q.conj().T
+    return q @ rayleigh_ritz_max(_herm(qh @ num @ q), _herm(qh @ den @ q))
 
 
 def update_w1(
@@ -149,51 +146,22 @@ def update_w1(
     p: np.ndarray,
     v1: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Dinkelbach ascent on the stream-1 quotient of `stream_blocks` over
-    range(p); returns the unit beamformer and the achieved level nu.
+    """Best stream-1 beamformer for the quotient of `stream_blocks` over
+    range(p), and its quotient nu.
 
-    The inner subproblem replaces the numerator quadratic by its tangent
-    minorant at the incumbent, which turns each step into the dual-bisection
-    QCQP; both loops can only raise the quotient.
+    The solve is exact, so it does not depend on the incumbent v1.
     """
-    w = v1 / math.sqrt(max(_quad(p, v1), np.finfo(float).tiny))
-    nu = _quad(num, w) / _quad(den, w)
-    for _ in range(MAX_DINKELBACH):
-        cur = w
-        level = _quad(num, cur) - nu * _quad(den, cur)
-        for _ in range(MAX_TAYLOR):
-            cand = dual_qcqp_solve(nu * den, num @ cur, p)
-            cand_level = _quad(num, cand) - nu * _quad(den, cand)
-            if not cand_level > level:
-                break
-            gain = cand_level - level
-            cur, level = cand, cand_level
-            if gain < DINKELBACH_TOL:
-                break
-        w = cur
-        top, bottom = _quad(num, w), _quad(den, w)
-        if abs(top - nu * bottom) < DINKELBACH_TOL:
-            break
-        nu = top / bottom
-    return _unit_image(p, w), nu
+    v = _subspace_max(num, den, p)
+    return v, _quad(num, v) / _quad(den, v)
 
 
-def update_w2(num: np.ndarray, p: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Ascent on the stream-2 numerator of `stream_blocks` over the unit
-    vectors of range(p); Eve never sees stream 2, so her denominator is 1."""
-    w = v2 / math.sqrt(max(_quad(p, v2), np.finfo(float).tiny))
-    obj = _quad(num, w)
-    for _ in range(MAX_POWER_ITERS):
-        cand = dual_qcqp_solve(np.zeros_like(num), num @ w, p)
-        cand_obj = _quad(num, cand)
-        if cand_obj > obj:
-            w, gain = cand, cand_obj - obj
-            obj = cand_obj
-        else:
-            break
-        if gain < POWER_TOL:
-            break
-    return _unit_image(p, w)
+def update_w2(num: np.ndarray, den: np.ndarray, p: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Best stream-2 beamformer for the quotient of `stream_blocks` over
+    range(p).
+
+    The solve is exact, so it does not depend on the incumbent v2.
+    """
+    return _subspace_max(num, den, p)
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +366,7 @@ def run_nsp(
     """GAI's alternation over the null-space-constrained v1, v2 and theta blocks."""
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
-    prec = Precoders(v1=_feasible_beamformer(p1), v2=_feasible_beamformer(p2),
+    prec = Precoders(v1=_range_basis(p1)[:, 0], v2=_range_basis(p2)[:, 0],
                      theta=np.ones(cfg.M, dtype=complex))
     dm = derived_model(cfg, channels, prec)
     steps = []
@@ -407,7 +375,7 @@ def run_nsp(
             prec, v1=update_w1(*stream_blocks(dm, prec, p1, 0), p1, prec.v1)[0]))
     if cfg.beta2 > 0:
         steps.append(lambda dm, prec: replace(
-            prec, v2=update_w2(stream_blocks(dm, prec, p2, 1)[0], p2, prec.v2)))
+            prec, v2=update_w2(*stream_blocks(dm, prec, p2, 1), p2, prec.v2)))
     if cfg.beta1 > 0:
         # the phase blocks depend on the beamformers only
         steps.append(lambda dm, prec: replace(

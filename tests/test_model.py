@@ -93,6 +93,7 @@ def test_config_validation_names_offending_key():
     {"epsilon": math.inf},
     {"N": True},
     {"seed": False},
+    {"seed": -1},
 ])
 def test_config_rejects_non_finite_and_bool_values(bad):
     (key,) = bad

@@ -1,6 +1,7 @@
 """Null-space optimizer checks: projectors, QCQP dual, block steps, full runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,15 +235,57 @@ def test_update_w2_matches_subspace_eigenvalue():
     for _ in range(5):
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
-        a_til, _ = blocks(w1, w2, 1)
+        a_til, b_til = blocks(w1, w2, 1)
         obj0 = _quad(a_til, w2)
-        w = update_w2(a_til, p2, w2)
+        w = update_w2(a_til, b_til, p2, w2)
         obj1 = _quad(a_til, w)
         basis = _range_basis(p2)
         lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
         assert obj1 >= obj0 - 1e-9
         assert obj1 <= lam_star + 1e-8
         assert obj1 == pytest.approx(lam_star, rel=1e-6)
+
+
+def _full_rank_channels(rng, cfg):
+    """Gaussian channels of the config's shapes and path gains: every
+    constraint stack of `ns_projectors` has full row rank."""
+    def gauss(*shape):
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+
+    los = build_channels(cfg, build_geometry(cfg))
+    n, m, k = cfg.N, cfg.M, cfg.K
+    return replace(los, H_AI=gauss(m, n), H_AB=gauss(n, k), H_AE=gauss(n, k),
+                   H_IB=gauss(m, k), H_IE=gauss(m, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), los=st.booleans(), m=st.integers(1, 12),
+       k=st.integers(1, 3), spare=st.integers(1, 4),
+       d_ab=st.floats(20.0, 300.0), d_ae=st.floats(20.0, 300.0))
+def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_ab, d_ae):
+    # stream 1 is constrained by 2K rows, stream 2 by M + K (2 each on
+    # line-of-sight links); N exceeds both by `spare`
+    rng = np.random.default_rng(seed)
+    n = (2 if los else max(2 * k, m + k)) + spare
+    cfg = SystemConfig(N=n, M=m, K=k, d_AB=d_ab, d_AE=d_ae)
+    ch = build_channels(cfg, build_geometry(cfg)) if los else _full_rank_channels(rng, cfg)
+    p1, p2 = ns_projectors(ch)
+    w1, w2 = _shell_point(rng, p1), _shell_point(rng, p2)
+    prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=np.exp(2j * math.pi * rng.random(m)))
+    dm = derived_model(cfg, ch, prec)
+    for stream, p, w in ((0, p1, w1), (1, p2, w2)):
+        num, den = stream_blocks(dm, prec, p, stream)
+        basis = _range_basis(p)
+        bh = basis.conj().T
+        lam_star = scipy.linalg.eigvalsh(bh @ num @ basis, bh @ den @ basis)[-1]
+        if stream == 0:
+            v, nu = update_w1(num, den, p, w)
+            assert nu == pytest.approx(lam_star, rel=1e-10)
+        else:
+            v = update_w2(num, den, p, w)
+        assert _quad(num, v) / _quad(den, v) == pytest.approx(lam_star, rel=1e-10)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(p @ v - v) < 1e-10
 
 
 # ---------------------------------------------------------------- phase step
