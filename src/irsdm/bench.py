@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gai import GaOptions, RunState, run_gai
+from .gai import GaOptions, RunState, check_count, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import run_nsp
 # not called here; perfbench/tracing.py wraps the name in this module
@@ -34,10 +34,9 @@ class Scheme:
     def __post_init__(self) -> None:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if self.active_stream not in (1, 2):
+        if isinstance(self.active_stream, bool) or self.active_stream not in (1, 2):
             raise ValueError(f"active_stream must be 1 or 2, got {self.active_stream!r}")
-        if self.draws < 1:
-            raise ValueError(f"draws must be positive, got {self.draws!r}")
+        check_count("draws", self.draws)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Alternating maximization of the secrecy rate over (v1, v2, theta).
 
 Each beamformer update is a generalized Rayleigh quotient problem solved
-exactly by a Hermitian-definite eigensolver; the phase vector is improved by
-projected gradient ascent on the determinant ratio f(theta) / g(theta) of
-`rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at unit-modulus
-points.  Every block can only increase the rate gap, so the secrecy-rate
-trace is non-decreasing.  `alternate` is the outer loop of both optimizers;
-nsp runs it with its own, null-space-constrained blocks.
+exactly by a Hermitian-definite eigensolver.  The phase block maximizes the
+determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
+logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
+the ratio depends on theta only through a two-dimensional span, and the block
+starts from a grid search over the phase patterns of that span
+(`span_search`, shared with nsp's phase step); projected gradient ascent
+then polishes.  Every block can only increase the rate gap, so the
+secrecy-rate trace is non-decreasing.  `alternate` is the outer loop of both
+optimizers; nsp runs it with its own, null-space-constrained blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +43,18 @@ LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_TRIALS = 14
 GA_TOL = 1e-6  # per-step rate gain (bits) that ends a phase block inside run_gai
+# Phase-block start: a (psi, chi, phi) grid; from each of its SEARCH_STARTS
+# best points, SEARCH_ROUNDS patches of (2 SEARCH_HALF_WIDTH + 1)^3 points
+# around the best so far, each at 1 / SEARCH_SHRINK of the previous step.
+# Span directions with singular values at or below SPAN_CUT, relative to each
+# side's Frobenius norm, are rounding noise.
+SEARCH_GRID = (24, 48, 8)
+SEARCH_STARTS = 8
+SEARCH_ROUNDS = 3
+SEARCH_HALF_WIDTH = 3
+SEARCH_SHRINK = 3
+SEARCH_CHUNK = 2 ** 14  # candidate entries (M x count) formed at once
+SPAN_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,17 @@ class GaOptions:
     max_ga_iters: int = 1000    # gradient-ascent steps per phase block
     optimize_theta: bool = True
     include_irs: bool = True
+
+    def __post_init__(self) -> None:
+        for key in ("max_outer", "max_ga_iters"):
+            check_count(key, getattr(self, key))
+
+
+def check_count(name: str, value: object) -> None:
+    """Raise ValueError unless value is a positive int (bool is an int
+    subclass, but True is a mistake, not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -84,9 +110,105 @@ def update_v2(dm: DerivedModel, prec: Precoders) -> np.ndarray:
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """z / |z| entrywise; entries where z vanishes take fallback's."""
     mag = np.abs(z)
-    out = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), fallback)
-    return out
+    out = np.array(np.broadcast_to(fallback, z.shape), dtype=complex)
+    return np.divide(z, mag, out=out, where=mag > 0)
+
+
+def span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
+                    fallback: np.ndarray) -> np.ndarray:
+    """Phases of W a, a = (cos psi, sin psi e^{j chi}), one column per (psi, chi);
+    entries where W a vanishes take the phase of fallback."""
+    z = np.outer(basis[:, 0], np.cos(psi)) + np.outer(basis[:, 1], np.sin(psi) * np.exp(1j * chi))
+    return _project_phases(z, fallback[:, None])
+
+
+def span_search(
+    score: Callable[..., np.ndarray],
+    counts: Sequence[int],
+    starts: int,
+    rounds: int,
+    half_width: int,
+    shrink: float,
+) -> tuple[float, np.ndarray]:
+    """Grid search, then refinement, over (psi, chi, ...).
+
+    psi takes counts[0] cell midpoints of [0, pi/2]; every further axis is an
+    angle with counts[i] points on [0, 2 pi).  score(*axes) scores S product
+    grids at once: axis i comes as an (S, n_i) array, and the values, lower
+    better, go back as an (S, n_0 n_1 ...) array in C order.  Each of the
+    `starts` lowest points of the full grid starts a refinement: each round
+    scores 2 half_width + 1 points per axis around every start's best point
+    so far, at 1 / shrink of the previous step.  Returns the value and the
+    coordinates of the best point seen.
+    """
+    steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
+    axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
+    axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
+    values = score(*(x[None, :] for x in axes))[0]
+    top = np.argsort(values, kind="stable")[:starts]
+    best = values[top]
+    at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, tuple(counts)))])
+    offsets = np.arange(-half_width, half_width + 1)
+    rows = np.arange(top.size)
+    for _ in range(rounds):
+        steps = steps / shrink
+        patch = at[:, :, None] + offsets * steps[:, None]
+        values = score(*patch.transpose(1, 0, 2))
+        k = np.argmin(values, axis=1)
+        idx = np.unravel_index(k, (offsets.size,) * len(counts))
+        moved = np.column_stack([patch[rows, d, i] for d, i in enumerate(idx)])
+        better = values[rows, k] < best
+        best = np.where(better, values[rows, k], best)
+        at = np.where(better[:, None], moved, at)
+    i = int(np.argmin(best))
+    return float(best[i]), at[i]
+
+
+def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
+    """The better of theta0 and the best phase pattern of the ratio's span.
+
+    t = U theta + c reads theta only through W^H theta, W an orthonormal
+    basis of the row space of [U_B; U_E], rank two on line-of-sight links.
+    The ratio's gradient lies in range(W), so its stationary points are
+    e^{j phi} exp(j arg(W a)) with a = (cos psi, sin psi e^{j chi}), up to
+    a sign on entries where W a is small.  Each (psi, chi) costs one O(M)
+    product s = W^H theta; the common rotation phi, which the direct path c
+    makes matter, then moves each side's streams along e^{j phi} (U W) s + c
+    at O(1) per value (`rates._rotated_factor`).
+
+    Returns theta0 itself when no candidate beats it or the span is not two
+    dimensional.  A silent surface has no span, and channels that are not
+    line of sight span more.  A one-dimensional span (Bob and Eve on one line
+    from the surface) leaves the ratio bounded in W^H theta, so its maximum
+    can lie inside the reachable set, away from every pattern of the family.
+    """
+    sides = [u / nrm for u in (pp.u_b, pp.u_e) if (nrm := np.linalg.norm(u)) > 0]
+    if not sides:
+        return theta0
+    basis, svals, _ = np.linalg.svd(np.vstack(sides).conj().T, full_matrices=False)
+    if np.count_nonzero(svals > SPAN_CUT) != 2:
+        return theta0
+    basis = basis[:, :2]
+    uw_b, uw_e = pp.u_b @ basis, pp.u_e @ basis
+
+    def score(psi: np.ndarray, chi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        n_grid, n_psi, n_chi = psi.shape[0], psi.shape[1], chi.shape[1]
+        psi, chi = np.repeat(psi, n_chi, axis=1).ravel(), np.tile(chi, n_psi).ravel()
+        step, wh = max(1, SEARCH_CHUNK // theta0.size), basis.conj().T
+        s = np.hstack([wh @ span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], theta0)
+                       for lo in range(0, psi.size, step)])
+        y_b = (uw_b @ s).reshape(-1, n_grid, n_psi * n_chi, 1)
+        y_e = (uw_e @ s).reshape(-1, n_grid, n_psi * n_chi, 1)
+        return -pp.ratios(y_b, y_e, np.exp(1j * phi)[:, None, :]).reshape(n_grid, -1)
+
+    _, (psi, chi, phi) = span_search(score, SEARCH_GRID, SEARCH_STARTS, SEARCH_ROUNDS,
+                                     SEARCH_HALF_WIDTH, SEARCH_SHRINK)
+    cand = np.exp(1j * phi) * span_candidates(basis, np.array([psi]), np.array([chi]), theta0)[:, 0]
+    pair = np.column_stack([theta0, cand])
+    q_inc, q_cand = pp.ratios(pp.u_b @ pair, pp.u_e @ pair)
+    return cand if q_cand > q_inc else theta0
 
 
 def ga_optimize_theta(
@@ -95,13 +217,27 @@ def ga_optimize_theta(
     opts: GaOptions,
     epsilon: float,
 ) -> np.ndarray:
+    """Best unit-modulus phase vector for f/g: a span search for the start,
+    then projected gradient ascent (`_ascend`) as a polish.
+
+    The start is the best phase pattern of the ratio's two-dimensional span
+    (`_span_start`) if it beats theta0, else theta0.  When the span is not
+    two dimensional (a silent surface, channels that are not line of sight,
+    or Bob and Eve on one line from the surface), the block is the ascent
+    from theta0 alone.
+    """
+    return _ascend(pp, _span_start(pp, theta0), opts, epsilon)
+
+
+def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: float) -> np.ndarray:
     """Projected gradient ascent on f/g over the unit-modulus phase vector.
 
     Steps follow the normalized conjugate gradient and are reprojected onto
     the unit circle before evaluation; a trial is accepted only if it clears
     the sufficient-ascent bound, so the objective strictly increases.  Stops
-    when no backtracking step helps or the per-step rate gain drops below
-    epsilon.  Returns theta0 unchanged if no first step is accepted.
+    when no backtracking step helps, the per-step rate gain drops below
+    epsilon, or after opts.max_ga_iters steps.  Returns theta0 unchanged if
+    no first step is accepted.
     """
     theta = theta0.copy()
     f_cur = pp.ratio(theta)
@@ -135,7 +271,8 @@ def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) ->
     """Top two right singular directions of Bob's composite channel at theta.
 
     Falls back to canonical basis vectors when the channel does not expose
-    two usable directions (e.g. K = 1 leaves the second singular value at 0).
+    two usable directions (e.g. K = 1 leaves the second singular value at 0),
+    and to v2 = v1 when N = 1.
     """
     h_b, _ = composite_channels(ch, theta, include_irs)
     n = h_b.shape[1]
@@ -143,8 +280,10 @@ def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) ->
     v1 = vh[0].conj() if svals[0] > 0 else np.eye(n)[0].astype(complex)
     if len(svals) > 1 and svals[1] > 1e-12 * svals[0]:
         v2 = vh[1].conj()
-    else:
+    elif n > 1:
         v2 = np.eye(n)[1].astype(complex)
+    else:  # one antenna: both streams share its only direction
+        v2 = v1
     return v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
 
 

@@ -21,7 +21,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .gai import RunState, _project_phases, alternate, rayleigh_ritz_max
+from .gai import (
+    RunState,
+    _project_phases,
+    alternate,
+    check_count,
+    rayleigh_ritz_max,
+    span_candidates,
+    span_search,
+)
 from .model import ChannelSet, SystemConfig
 from .rates import (
     DerivedModel,
@@ -56,6 +64,9 @@ QCQP_LAMBDA_MAX = 1e12
 @dataclass(frozen=True)
 class NspOptions:
     max_outer: int = 50
+
+    def __post_init__(self) -> None:
+        check_count("max_outer", self.max_outer)
 
 
 def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -272,38 +283,29 @@ def _span_basis(f_b: np.ndarray, f_e: np.ndarray) -> np.ndarray | None:
     return u[:, :2]
 
 
-def _candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
-                fallback: np.ndarray) -> np.ndarray:
-    """Phases of W a, a = (cos psi, sin psi e^{j chi}), one column per (psi, chi)."""
-    z = np.outer(basis[:, 0], np.cos(psi)) + np.outer(basis[:, 1], np.sin(psi) * np.exp(1j * chi))
-    return _project_phases(z, fallback[:, None])
-
-
-def _best_candidate(
+def _quotients(
     basis: np.ndarray,
     f_b: np.ndarray,
     f_e: np.ndarray,
     psi: np.ndarray,
     chi: np.ndarray,
     fallback: np.ndarray,
-) -> tuple[float, float, float]:
-    """(quotient, psi, chi) of the lowest-quotient candidate.
+) -> np.ndarray:
+    """Quotient of the candidate at each (psi, chi) pair, flattened in C order.
 
     On the unit-modulus shell the quotient is (1 + |F_e^H theta|^2) /
     (1 + |F_b^H theta|^2), O(r M) per candidate; candidates are formed
     SCORE_CHUNK entries at a time.
     """
+    psi, chi = psi.ravel(), chi.ravel()
     step = max(1, SCORE_CHUNK // basis.shape[0])
-    best = (math.inf, 0.0, 0.0)
+    out = []
     for lo in range(0, psi.size, step):
-        ps, ch = psi[lo:lo + step], chi[lo:lo + step]
-        thetas = _candidates(basis, ps, ch, fallback)
+        thetas = span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], fallback)
         num = 1.0 + np.sum(np.abs(f_e.conj().T @ thetas) ** 2, axis=0)
         den = 1.0 + np.sum(np.abs(f_b.conj().T @ thetas) ** 2, axis=0)
-        q = num / den
-        k = int(np.argmin(q))
-        best = min(best, (float(q[k]), float(ps[k]), float(ch[k])))
-    return best
+        out.append(num / den)
+    return np.concatenate(out)
 
 
 def update_theta_nsp(
@@ -321,8 +323,9 @@ def update_theta_nsp(
     (W a)_i is small next to the excess diagonal; only the direction of a
     matters, a = (cos psi, sin psi e^{j chi}).  The step scores a GRID_PSI x
     GRID_CHI grid of (psi, chi) in O(M) per point, refines around the best
-    point REFINE_ROUNDS times, and polishes the better of that candidate and
-    the incumbent with at most POLISH_LEVELS `theta_star_of_mu` levels.  It
+    point REFINE_ROUNDS times (`gai.span_search`), and polishes the better of
+    that candidate and the incumbent with at most POLISH_LEVELS
+    `theta_star_of_mu` levels.  It
     returns the incumbent unless a candidate beats it.  The search is global
     when the surface resolves Bob from Eve; within one beam the sign flips
     matter and the polish descends only locally.  Raises ValueError if the
@@ -332,21 +335,18 @@ def update_theta_nsp(
     def quotient(theta: np.ndarray) -> float:
         return _quad(bt_e, theta) / _quad(tt_b, theta)
 
+    def score(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        return np.array([_quotients(basis, f_b, f_e, *np.meshgrid(p, c, indexing="ij"), theta_prev)
+                         for p, c in zip(psi, chi)])
+
     f_b, f_e = _excess_factor(tt_b), _excess_factor(bt_e)
     basis = _span_basis(f_b, f_e)
     if basis is None:
         return theta_prev.copy()
 
-    h_psi, h_chi = 0.5 * math.pi / GRID_PSI, 2.0 * math.pi / GRID_CHI
-    psi, chi = np.meshgrid((np.arange(GRID_PSI) + 0.5) * h_psi, np.arange(GRID_CHI) * h_chi)
-    best = _best_candidate(basis, f_b, f_e, psi.ravel(), chi.ravel(), theta_prev)
-    offsets = np.arange(-REFINE_HALF_WIDTH, REFINE_HALF_WIDTH + 1)
-    for _ in range(REFINE_ROUNDS):
-        h_psi, h_chi = h_psi / REFINE_SHRINK, h_chi / REFINE_SHRINK
-        psi, chi = np.meshgrid(best[1] + offsets * h_psi, best[2] + offsets * h_chi)
-        best = min(best, _best_candidate(basis, f_b, f_e, psi.ravel(), chi.ravel(), theta_prev))
-
-    found = _candidates(basis, np.array([best[1]]), np.array([best[2]]), theta_prev)[:, 0]
+    _, (psi, chi) = span_search(score, (GRID_PSI, GRID_CHI), 1, REFINE_ROUNDS,
+                                REFINE_HALF_WIDTH, REFINE_SHRINK)
+    found = span_candidates(basis, np.array([psi]), np.array([chi]), theta_prev)[:, 0]
     best_theta, best_q = min((theta_prev, quotient(theta_prev)), (found, quotient(found)),
                              key=lambda pair: pair[1])
     for _ in range(POLISH_LEVELS):

@@ -256,6 +256,27 @@ def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.nd
     return a11 * a22 - abs(a12) ** 2, w
 
 
+def _rotated_factor(y: np.ndarray, c: np.ndarray, rot: np.ndarray | complex) -> np.ndarray:
+    """`_side`'s factor det(I + [t1 t2]^H [t1 t2]) at the stacked streams
+    t = rot y + c, for y = U theta of shape (2K, ...) and unit rotations rot
+    broadcast against y's trailing shape.
+
+    Each Gram entry is affine in rot and its conjugate, so the K-sums are
+    taken once per column of y and each rotation costs O(1).
+    """
+    k = y.shape[0] // 2
+    c = c.reshape((-1,) + (1,) * (y.ndim - 1))
+    y1, y2, c1, c2 = y[:k], y[k:], c[:k], c[k:]
+
+    def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.sum(a.conj() * b, axis=0)
+
+    a11 = 1.0 + (gram(y1, y1) + gram(c1, c1)).real + 2.0 * (rot * gram(c1, y1)).real
+    a22 = 1.0 + (gram(y2, y2) + gram(c2, c2)).real + 2.0 * (rot * gram(c2, y2)).real
+    a12 = gram(y1, y2) + gram(c1, c2) + rot * gram(c1, y2) + np.conj(rot) * gram(y1, c2)
+    return a11 * a22 - np.abs(a12) ** 2
+
+
 class PhaseProblem:
     """The phase objective f(theta) / g(theta) for fixed beamformers.
 
@@ -283,6 +304,12 @@ class PhaseProblem:
     def ratio(self, theta: np.ndarray) -> float:
         f, g = self.factors(theta)
         return f / g
+
+    def ratios(self, y_b: np.ndarray, y_e: np.ndarray, rot: np.ndarray | complex = 1.0) -> np.ndarray:
+        """f/g at many points at once: at rot theta for each side's y = U theta,
+        of shape (2K, ...), and unit rotations rot broadcast against y's
+        trailing shape (`_rotated_factor`)."""
+        return _rotated_factor(y_b, self.c_b, rot) / _rotated_factor(y_e, self.c_e, rot)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Conjugate (Wirtinger) gradient of f/g; ascent direction for the ratio."""

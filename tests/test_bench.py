@@ -12,6 +12,7 @@ from irsdm.bench import (
     sweep_sr_vs_position,
 )
 from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
+from irsdm.nsp import NspOptions
 
 
 def _channels(cfg):
@@ -31,6 +32,27 @@ def test_scheme_rejects_bad_knobs():
         Scheme(kind="single_cbs", active_stream=3)
     with pytest.raises(ValueError, match="draws"):
         Scheme(kind="random_phase", draws=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scheme("random_phase", draws=True),
+    lambda: Scheme("single_cbs", active_stream=True),
+    lambda: NspOptions(max_outer=0),
+], ids=["draws=True", "active_stream=True", "nsp max_outer=0"])
+def test_knobs_reject_bools_and_non_positive_counts(make):
+    with pytest.raises(ValueError, match="draws|active_stream|max_outer"):
+        make()
+
+
+@pytest.mark.parametrize("kind", ["gai", "no_irs", "random_phase", "single_cbs"])
+def test_schemes_run_with_one_antenna(kind):
+    # SystemConfig accepts N = 1; the initial beamformers used to index a
+    # second canonical direction that does not exist
+    cfg = SystemConfig(N=1, M=4, K=1)
+    sol = run_scheme(Scheme(kind, draws=3), cfg, build_channels(cfg, build_geometry(cfg)))
+    assert sol.converged
+    assert np.all(np.diff(sol.rs_trace) >= -1e-9)
+    assert sol.v1.shape == (1,)
 
 
 # ---------------------------------------------------------------- single runs

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +206,16 @@ def test_position_sweep_rejects_empty_axis(tmp_path):
         main(["sweep-position", "--n", "8", "--m", "4", "--schemes", "gai",
               "--d-ai-min", "30", "--d-ai-max", "20", "--out-dir", str(tmp_path)])
     assert not (tmp_path / "sweep_position.csv").exists()
+
+
+def test_module_entry_point_runs_without_install(tmp_path):
+    # python -m irsdm from a plain checkout, with only src/ on the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, IRSDM_OUT_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "irsdm", "single", "--scheme", "gai", "--m", "8"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads((tmp_path / "single_gai.json").read_text())
+    assert payload["scheme"] == "gai" and payload["config"]["M"] == 8
+    assert payload["converged"] is True

@@ -6,6 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from irsdm import gai
+from irsdm.bench import Scheme, run_scheme
 from irsdm.gai import (
     GaOptions,
     PhaseProblem,
@@ -16,7 +21,7 @@ from irsdm.gai import (
     update_v1,
     update_v2,
 )
-from irsdm.model import SystemConfig, build_channels, build_geometry
+from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve
 
 
@@ -299,6 +304,91 @@ def test_ga_two_element_grid_oracle():
     assert achieved >= 0.98 * best
 
 
+# how far, in bits, the phase block may end below the best of four long
+# random-start ascents on a line-of-sight problem whose surface resolves Bob
+# from Eve: the search grid can step over a narrow peak of the ratio
+SPAN_TOL_BITS = 2e-3
+
+
+def _steer(n, u):
+    return np.exp(1j * math.pi * u * np.arange(n))
+
+
+def _los_phase_problem(rng, m, k, u, log_g):
+    """Phase problem of line-of-sight links: each receiver sees the surface
+    and Alice along one steering vector each, so every stream's surface map
+    is (its K-side steering) x (the surface's incoming steering times its
+    outgoing one to that receiver), rank one per side and two in all.
+
+    u holds seven direction cosines: into the surface, surface to Bob and to
+    Eve, then at Bob from the surface and from Alice, and the same at Eve.
+    log_g holds log10 of Bob's surface and direct gains, Eve's two, and the
+    artificial noise that Eve receives along her direct path."""
+    u_s, u_sb, u_se, u_bs, u_bd, u_es, u_ed = u
+    g_bs, g_bd, g_es, g_ed, g_an = (10.0 ** x for x in log_g)
+    dm = SimpleNamespace(B=np.eye(k, dtype=complex) + g_an * np.outer(_steer(k, u_ed), _steer(k, u_ed).conj()))
+    for side, g_s, g_d, a_s, a_d, u_out in (("B", g_bs, g_bd, u_bs, u_bd, u_sb),
+                                             ("E", g_es, g_ed, u_es, u_ed, u_se)):
+        row = _steer(m, u_s) * _steer(m, u_out).conj()
+        for i, z in zip((1, 2), (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)):
+            setattr(dm, f"T_{side}{i}", math.sqrt(g_s / m) * z * np.outer(_steer(k, a_s), row))
+        for i, z in zip((1, 2), (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)):
+            setattr(dm, f"h_{side}{i}", math.sqrt(g_d) * z * _steer(k, a_d))
+    return PhaseProblem(dm)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 60), k=st.integers(1, 4),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 7),
+       log_g=st.tuples(*[st.floats(-2.0, 2.0)] * 5))
+@example(seed=1, m=80, k=4, u=(0.5, 0.2, -0.3, 0.1, 0.15, -0.6, 0.4), log_g=(1.0, 1.0, 1.5, 1.0, 0.5))
+@example(seed=2, m=30, k=2, u=(0.1, 0.4, 0.4, 0.2, 0.2, 0.5, 0.5), log_g=(0.0, 0.5, 0.0, 0.5, 0.0))  # Bob and Eve aligned
+@example(seed=3, m=20, k=4, u=(0.2, -0.3, 0.6, 0.1, 0.3, -0.2, 0.7), log_g=(-12.0, 0.0, -12.0, 0.0, 0.0))  # surface far weaker than the direct paths
+def test_phase_block_matches_multistart_ascent_on_line_of_sight_links(seed, m, k, u, log_g):
+    # the block never ends below its start; where the surface resolves Bob
+    # from Eve it also lands within SPAN_TOL_BITS of the best of four
+    # random-start ascents run to a 1e-13 bit step gain
+    rng = np.random.default_rng(seed)
+    pp = _los_phase_problem(rng, m, k, u, log_g)
+    starts = np.exp(2j * math.pi * rng.random((4, m)))
+    theta = ga_optimize_theta(pp, starts[0], GaOptions(), gai.GA_TOL)
+    assert np.allclose(np.abs(theta), 1.0, atol=1e-12)
+    assert pp.ratio(theta) >= pp.ratio(starts[0])
+    # angular distance in u = cos(angle), which the steering vectors wrap mod 2;
+    # 2 / M is the first null of the surface's beam
+    if abs((u[1] - u[2] + 1.0) % 2.0 - 1.0) >= 2.0 / m:
+        oracle = max(pp.ratio(gai._ascend(pp, t, GaOptions(max_ga_iters=1000), 1e-13)) for t in starts)
+        assert math.log2(oracle / pp.ratio(theta)) <= SPAN_TOL_BITS
+
+
+def test_phase_block_is_the_plain_ascent_above_a_rank_two_span():
+    # random full-rank streams span min(4K, M) dimensions: no search runs
+    rng = np.random.default_rng(17)
+    for m in (3, 8, 20):
+        pp = PhaseProblem(random_phase_instance(rng, 2, m))
+        theta0 = np.exp(2j * math.pi * rng.random(m))
+        ascent = gai._ascend(pp, theta0, GaOptions(), gai.GA_TOL)
+        assert np.array_equal(ga_optimize_theta(pp, theta0, GaOptions(), gai.GA_TOL), ascent)
+        assert not np.array_equal(ascent, theta0)
+
+
+@pytest.mark.parametrize("kind, overrides, max_passes", [
+    ("gai", {"d_AB": 300.0}, 10),
+    ("single_cbs", {"d_AB": 300.0}, 10),
+    ("gai", {"d_AI": 50.0, "theta_AI": parallel_irs_angle(SystemConfig())}, 40),  # on the placement line
+], ids=["d_AB=300 gai", "d_AB=300 single_cbs", "d_AI=50 placement"])
+def test_run_gai_converges_at_m80(kind, overrides, max_passes):
+    # with an ascent-only phase block both d_AB = 300 m solves stopped at the
+    # 50-pass cap, and the placement solve took 38 passes and about 19 s; it
+    # still takes 34, because the beamformer and phase blocks, each at its
+    # own optimum, creep along a ridge there
+    cfg = SystemConfig(M=80, **overrides)
+    sol = run_scheme(Scheme(kind), cfg, build_channels(cfg, build_geometry(cfg)))
+    assert sol.converged
+    assert sol.iterations <= max_passes
+    assert np.all(np.diff(sol.rs_trace) >= -1e-9)
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -392,3 +482,17 @@ def test_initial_beamformers_unit_norm_and_orthogonal():
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
     assert abs(v1.conj() @ v2) < 1e-8
+
+
+def test_initial_beamformers_single_antenna_shares_the_direction():
+    cfg, ch = _setup(SystemConfig(N=1, M=4, K=1))
+    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex), True)
+    assert v1.shape == (1,) and np.array_equal(v1, v2)
+    assert abs(v1[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("knobs", [{"max_outer": 0}, {"max_ga_iters": -3}, {"max_outer": True}],
+                         ids=["max_outer=0", "max_ga_iters=-3", "max_outer=True"])
+def test_ga_options_reject_bad_counts(knobs):
+    with pytest.raises(ValueError, match=next(iter(knobs))):
+        GaOptions(**knobs)

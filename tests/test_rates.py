@@ -344,6 +344,10 @@ def test_phase_problem_matches_rate_gap_and_finite_differences(seed, n, m, k, be
     pp = PhaseProblem(dm)
     theta = prec.theta
     assert math.log2(pp.ratio(theta)) == pytest.approx(rate_bob(dm, prec) - rate_eve(dm, prec), abs=1e-9)
+    # the batched ratio at rotated points e^{j phi} theta, from U theta alone
+    rot = np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0]))
+    batch = pp.ratios((pp.u_b @ theta)[:, None], (pp.u_e @ theta)[:, None], rot)
+    assert batch == pytest.approx([pp.ratio(r * theta) for r in rot], rel=1e-9)
     grad = pp.gradient(theta)
     h = 1e-6
     for i in range(m):
