@@ -87,7 +87,8 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
     if scheme.kind == "nsp":
         return _finish(run_nsp(cfg, channels))
     if scheme.kind == "no_irs":
-        return _finish(run_gai(cfg, channels, GaOptions(include_irs=False, optimize_theta=False)))
+        no_surface = replace(channels, g_AIB=0.0, g_AIE=0.0)
+        return _finish(run_gai(cfg, no_surface, GaOptions(optimize_theta=False)))
     if scheme.kind == "random_phase":
         rng = np.random.default_rng(cfg.seed)
         opts = GaOptions(optimize_theta=False)
@@ -178,6 +179,8 @@ def convergence_trace(
     for scheme in schemes:
         if scheme.kind not in ("gai", "nsp"):
             raise ValueError(f"convergence trace only applies to optimizers, got {scheme.kind!r}")
+    if len(set(map(int, m_values))) < len(m_values):
+        raise ValueError(f"convergence trace labels its series by M; got a repeated M in {m_values}")
     sols = {}
     for m in m_values:
         for label, sol in _run_point(replace(cfg, M=int(m)), schemes).items():

@@ -5,11 +5,13 @@ exactly by a Hermitian-definite eigensolver.  The phase block maximizes the
 determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
 logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
-starts from a grid search over the phase patterns of that span
-(`span_search`, shared with nsp's phase step); projected gradient ascent
-then polishes.  Every block can only increase the rate gap, so the
-secrecy-rate trace is non-decreasing.  `alternate` is the outer loop of both
-optimizers; nsp runs it with its own, null-space-constrained blocks.
+starts from a grid search over the phase patterns of that span; projected
+gradient ascent then polishes.  `span_basis` and `span_search` are the span
+and the pattern search of both optimizers' phase steps: each step only
+scores the patterns through their coordinates W^H theta.  Every block can
+only increase the rate gap, so the secrecy-rate trace is non-decreasing.
+`alternate` is the outer loop of both optimizers; nsp runs it with its own,
+null-space-constrained blocks.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ SEARCH_STARTS = 8
 SEARCH_ROUNDS = 3
 SEARCH_HALF_WIDTH = 3
 SEARCH_SHRINK = 3
-SEARCH_CHUNK = 2 ** 14  # candidate entries (M x count) formed at once
 SPAN_CUT = 1e-10
+# Candidate entries (M x count) formed at once: complex blocks of at most
+# 125 KB stay below malloc's 128 KB mmap threshold, so the allocator reuses
+# them instead of mapping fresh pages that fault in again for every chunk.
+SEARCH_CHUNK = 8000
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,6 @@ class GaOptions:
     max_outer: int = 50
     max_ga_iters: int = 1000    # gradient-ascent steps per phase block
     optimize_theta: bool = True
-    include_irs: bool = True
 
     def __post_init__(self) -> None:
         for key in ("max_outer", "max_ga_iters"):
@@ -116,37 +120,60 @@ def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.divide(z, mag, out=out, where=mag > 0)
 
 
-def span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
-                    fallback: np.ndarray) -> np.ndarray:
+def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
+                     fallback: np.ndarray) -> np.ndarray:
     """Phases of W a, a = (cos psi, sin psi e^{j chi}), one column per (psi, chi);
     entries where W a vanishes take the phase of fallback."""
     z = np.outer(basis[:, 0], np.cos(psi)) + np.outer(basis[:, 1], np.sin(psi) * np.exp(1j * chi))
     return _project_phases(z, fallback[:, None])
 
 
+def span_basis(cols: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal basis of the span of cols: its left singular vectors with
+    singular values above cut."""
+    u, svals, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, svals > cut]
+
+
 def span_search(
+    basis: np.ndarray,
     score: Callable[..., np.ndarray],
+    fallback: np.ndarray,
     counts: Sequence[int],
     starts: int,
     rounds: int,
     half_width: int,
     shrink: float,
-) -> tuple[float, np.ndarray]:
-    """Grid search, then refinement, over (psi, chi, ...).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid search, then refinement, over the phase patterns exp(j arg(W a))
+    of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
+    over any further angles the score takes.
 
-    psi takes counts[0] cell midpoints of [0, pi/2]; every further axis is an
-    angle with counts[i] points on [0, 2 pi).  score(*axes) scores S product
-    grids at once: axis i comes as an (S, n_i) array, and the values, lower
-    better, go back as an (S, n_0 n_1 ...) array in C order.  Each of the
-    `starts` lowest points of the full grid starts a refinement: each round
-    scores 2 half_width + 1 points per axis around every start's best point
-    so far, at 1 / shrink of the previous step.  Returns the value and the
-    coordinates of the best point seen.
+    psi takes counts[0] cell midpoints of [0, pi/2]; chi and every further
+    axis are angles with counts[i] points on [0, 2 pi).  Entries where W a
+    vanishes take the phase of fallback.  score(s, *rest) scores S product
+    grids at once: s = W^H theta of their patterns, shape (2, S, n) with the
+    n = n_psi n_chi patterns of a grid in C order, and each further axis an
+    (S, n_i) array; the values, lower better, go back as an
+    (S, n n_2 ...) array in C order.  Patterns are formed SEARCH_CHUNK
+    entries at a time.  Each of the `starts` lowest points of the full grid
+    starts a refinement: each round scores 2 half_width + 1 points per axis
+    around every start's best point so far, at 1 / shrink of the previous
+    step.  Returns the pattern and the coordinates of the best point seen.
     """
+    step, wh = max(1, SEARCH_CHUNK // basis.shape[0]), basis.conj().T
+
+    def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+        n_grid, n_psi, n_chi = psi.shape[0], psi.shape[1], chi.shape[1]
+        psi, chi = np.repeat(psi, n_chi, axis=1).ravel(), np.tile(chi, n_psi).ravel()
+        s = np.hstack([wh @ _span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], fallback)
+                       for lo in range(0, psi.size, step)])
+        return score(s.reshape(2, n_grid, n_psi * n_chi), *rest)
+
     steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
     axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
     axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
-    values = score(*(x[None, :] for x in axes))[0]
+    values = evaluate(*(x[None, :] for x in axes))[0]
     top = np.argsort(values, kind="stable")[:starts]
     best = values[top]
     at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, tuple(counts)))])
@@ -155,15 +182,15 @@ def span_search(
     for _ in range(rounds):
         steps = steps / shrink
         patch = at[:, :, None] + offsets * steps[:, None]
-        values = score(*patch.transpose(1, 0, 2))
+        values = evaluate(*patch.transpose(1, 0, 2))
         k = np.argmin(values, axis=1)
         idx = np.unravel_index(k, (offsets.size,) * len(counts))
         moved = np.column_stack([patch[rows, d, i] for d, i in enumerate(idx)])
         better = values[rows, k] < best
         best = np.where(better, values[rows, k], best)
         at = np.where(better[:, None], moved, at)
-    i = int(np.argmin(best))
-    return float(best[i]), at[i]
+    at = at[int(np.argmin(best))]
+    return _span_candidates(basis, at[:1], at[1:2], fallback)[:, 0], at
 
 
 def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
@@ -173,10 +200,10 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     basis of the row space of [U_B; U_E], rank two on line-of-sight links.
     The ratio's gradient lies in range(W), so its stationary points are
     e^{j phi} exp(j arg(W a)) with a = (cos psi, sin psi e^{j chi}), up to
-    a sign on entries where W a is small.  Each (psi, chi) costs one O(M)
-    product s = W^H theta; the common rotation phi, which the direct path c
-    makes matter, then moves each side's streams along e^{j phi} (U W) s + c
-    at O(1) per value (`rates._rotated_factor`).
+    a sign on entries where W a is small.  `span_search` hands over
+    s = W^H theta per (psi, chi); the common rotation phi, which the direct
+    path c makes matter, then moves each side's streams along
+    e^{j phi} (U W) s + c at O(1) per value (`rates._rotated_factor`).
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not
@@ -187,25 +214,19 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     sides = [u / nrm for u in (pp.u_b, pp.u_e) if (nrm := np.linalg.norm(u)) > 0]
     if not sides:
         return theta0
-    basis, svals, _ = np.linalg.svd(np.vstack(sides).conj().T, full_matrices=False)
-    if np.count_nonzero(svals > SPAN_CUT) != 2:
+    basis = span_basis(np.vstack(sides).conj().T, SPAN_CUT)
+    if basis.shape[1] != 2:
         return theta0
-    basis = basis[:, :2]
     uw_b, uw_e = pp.u_b @ basis, pp.u_e @ basis
 
-    def score(psi: np.ndarray, chi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        n_grid, n_psi, n_chi = psi.shape[0], psi.shape[1], chi.shape[1]
-        psi, chi = np.repeat(psi, n_chi, axis=1).ravel(), np.tile(chi, n_psi).ravel()
-        step, wh = max(1, SEARCH_CHUNK // theta0.size), basis.conj().T
-        s = np.hstack([wh @ span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], theta0)
-                       for lo in range(0, psi.size, step)])
-        y_b = (uw_b @ s).reshape(-1, n_grid, n_psi * n_chi, 1)
-        y_e = (uw_e @ s).reshape(-1, n_grid, n_psi * n_chi, 1)
-        return -pp.ratios(y_b, y_e, np.exp(1j * phi)[:, None, :]).reshape(n_grid, -1)
+    def score(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        y_b = (uw_b @ s.reshape(2, -1)).reshape(-1, *s.shape[1:], 1)
+        y_e = (uw_e @ s.reshape(2, -1)).reshape(-1, *s.shape[1:], 1)
+        return -pp.ratios(y_b, y_e, np.exp(1j * phi)[:, None, :]).reshape(s.shape[1], -1)
 
-    _, (psi, chi, phi) = span_search(score, SEARCH_GRID, SEARCH_STARTS, SEARCH_ROUNDS,
-                                     SEARCH_HALF_WIDTH, SEARCH_SHRINK)
-    cand = np.exp(1j * phi) * span_candidates(basis, np.array([psi]), np.array([chi]), theta0)[:, 0]
+    pattern, (_, _, phi) = span_search(basis, score, theta0, SEARCH_GRID, SEARCH_STARTS,
+                                       SEARCH_ROUNDS, SEARCH_HALF_WIDTH, SEARCH_SHRINK)
+    cand = np.exp(1j * phi) * pattern
     pair = np.column_stack([theta0, cand])
     q_inc, q_cand = pp.ratios(pp.u_b @ pair, pp.u_e @ pair)
     return cand if q_cand > q_inc else theta0
@@ -267,14 +288,14 @@ def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: floa
     return theta
 
 
-def initial_beamformers(ch: ChannelSet, theta: np.ndarray, include_irs: bool) -> tuple[np.ndarray, np.ndarray]:
+def initial_beamformers(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top two right singular directions of Bob's composite channel at theta.
 
     Falls back to canonical basis vectors when the channel does not expose
     two usable directions (e.g. K = 1 leaves the second singular value at 0),
     and to v2 = v1 when N = 1.
     """
-    h_b, _ = composite_channels(ch, theta, include_irs)
+    h_b, _ = composite_channels(ch, theta)
     n = h_b.shape[1]
     _, svals, vh = np.linalg.svd(h_b, full_matrices=True)
     v1 = vh[0].conj() if svals[0] > 0 else np.eye(n)[0].astype(complex)
@@ -294,7 +315,6 @@ def alternate(
     prec: Precoders,
     steps: Sequence[Callable[[DerivedModel, Precoders], Precoders]],
     max_outer: int,
-    include_irs: bool = True,
 ) -> RunState:
     """Run the block steps in turn, refreshing the rate model after each,
     until one pass gains at most epsilon in the rate gap.
@@ -311,7 +331,7 @@ def alternate(
     for p in range(1, max_outer + 1):
         for step in steps:
             prec = step(dm, prec)
-            dm = refresh_model(cfg, channels, prec, dm, include_irs)
+            dm = refresh_model(cfg, channels, prec, dm)
         trace.append(secrecy_rate(dm, prec))
         gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
         iterations = p
@@ -336,18 +356,18 @@ def run_gai(
     """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon."""
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if theta0 is None else np.asarray(theta0, dtype=complex).copy()
-    v1, v2 = initial_beamformers(channels, theta, opts.include_irs)
+    v1, v2 = initial_beamformers(channels, theta)
     prec = Precoders(v1=v1, v2=v2, theta=theta)
-    dm = derived_model(cfg, channels, prec, include_irs=opts.include_irs)
+    dm = derived_model(cfg, channels, prec)
     steps = []
     if cfg.beta1 > 0:
         steps.append(lambda dm, prec: replace(prec, v1=update_v1(dm, prec)))
     if cfg.beta2 > 0:
         steps.append(lambda dm, prec: replace(prec, v2=update_v2(dm, prec)))
-    if opts.optimize_theta and opts.include_irs:
+    if opts.optimize_theta:
         # solve the phase block well below the outer tolerance: stopping
         # the ascent at the outer epsilon meters a shallow-ridge climb out
         # over many outer passes instead of finishing it in one
         steps.append(lambda dm, prec: replace(
             prec, theta=ga_optimize_theta(PhaseProblem(dm), prec.theta, opts, GA_TOL)))
-    return alternate(cfg, channels, dm, prec, steps, opts.max_outer, opts.include_irs)
+    return alternate(cfg, channels, dm, prec, steps, opts.max_outer)

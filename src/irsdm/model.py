@@ -179,6 +179,8 @@ def parallel_irs_angle(cfg: SystemConfig) -> float:
         cfg.d_AB ** 2 + cfg.d_AE ** 2
         - 2.0 * cfg.d_AB * cfg.d_AE * math.cos(theta_bae)
     )
+    if d_be < 1e-9:
+        raise ValueError("no Bob-Eve line: Bob and Eve coincide")
     return cfg.theta_AB - math.asin(cfg.d_AE / d_be * math.sin(theta_bae))
 
 

@@ -8,9 +8,10 @@ direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
 by GAI's eigensolver on the pencil compressed to an orthonormal basis of
 range(P).  The phases minimize a unit-modulus quotient of two forms, each
-I/M plus a low-rank excess: a grid search over the phase patterns of the
-excess forms' joint two-dimensional span, polished by majorize-minimize
-phase rounding at the best level found.
+I/M plus a low-rank excess: GAI's pattern search (`gai.span_search`) over
+the excess forms' joint two-dimensional span, scored through the factors'
+compressions onto that span, then majorize-minimize phase rounding at the
+best level found.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .gai import (
     alternate,
     check_count,
     rayleigh_ritz_max,
-    span_candidates,
+    span_basis,
     span_search,
 )
 from .model import ChannelSet, SystemConfig
@@ -48,13 +49,13 @@ from .rates import an_projector, secrecy_rate
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
 MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
                          # step's polish needs its level minimizer to 1e-9 relative)
-RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT / M are I/M rounding
+RANK_CUT = 1e-10         # excess pivots and squared span singular values at or
+                         # below RANK_CUT / M are I/M rounding
 GRID_PSI = 48            # phase-step grid over psi in [0, pi/2]
 GRID_CHI = 96            # and over chi in [0, 2 pi)
 REFINE_ROUNDS = 4        # patches of (2 REFINE_HALF_WIDTH + 1)^2 points around the best,
 REFINE_HALF_WIDTH = 8    # each at 1 / REFINE_SHRINK of the previous step
 REFINE_SHRINK = 4
-SCORE_CHUNK = 2 ** 12    # candidate entries (M x count) formed at once
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
@@ -258,56 +259,6 @@ def _excess_factor(form: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((m, 0), dtype=complex)
 
 
-def _span_basis(f_b: np.ndarray, f_e: np.ndarray) -> np.ndarray | None:
-    """Orthonormal M x 2 basis holding the joint span of both excess factors,
-    or None when the quotient is constant on the unit-modulus shell.
-
-    A direction whose squared singular value is at most RANK_CUT / M is
-    dropped, like a factor pivot.  A one-dimensional span is padded with the
-    canonical direction it weighs least.
-    """
-    m = f_b.shape[0]
-    u, s, _ = np.linalg.svd(np.hstack([f_b, f_e]), full_matrices=False)
-    dim = int(np.count_nonzero(s ** 2 > RANK_CUT / m))
-    if dim > 2:
-        raise ValueError(f"phase forms span {dim} dimensions beyond I/M; "
-                         "the phase step handles at most 2")
-    if dim == 0 or m == 1:  # a single phase is a common rotation
-        return None
-    if dim == 1:
-        w = u[:, 0]
-        k = int(np.argmin(np.abs(w)))
-        pad = -w * w[k].conj()
-        pad[k] += 1.0
-        return np.column_stack([w, pad / np.linalg.norm(pad)])
-    return u[:, :2]
-
-
-def _quotients(
-    basis: np.ndarray,
-    f_b: np.ndarray,
-    f_e: np.ndarray,
-    psi: np.ndarray,
-    chi: np.ndarray,
-    fallback: np.ndarray,
-) -> np.ndarray:
-    """Quotient of the candidate at each (psi, chi) pair, flattened in C order.
-
-    On the unit-modulus shell the quotient is (1 + |F_e^H theta|^2) /
-    (1 + |F_b^H theta|^2), O(r M) per candidate; candidates are formed
-    SCORE_CHUNK entries at a time.
-    """
-    psi, chi = psi.ravel(), chi.ravel()
-    step = max(1, SCORE_CHUNK // basis.shape[0])
-    out = []
-    for lo in range(0, psi.size, step):
-        thetas = span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], fallback)
-        num = 1.0 + np.sum(np.abs(f_e.conj().T @ thetas) ** 2, axis=0)
-        den = 1.0 + np.sum(np.abs(f_b.conj().T @ thetas) ** 2, axis=0)
-        out.append(num / den)
-    return np.concatenate(out)
-
-
 def update_theta_nsp(
     tt_b: np.ndarray,
     bt_e: np.ndarray,
@@ -316,39 +267,45 @@ def update_theta_nsp(
     """Minimize the Eve/Bob phase quotient theta^H BtE theta / theta^H TtB theta
     over unit-modulus theta by a search over the span of its two forms.
 
-    Both forms are I/M plus a low-rank excess, rank one each on line-of-sight
-    channels, so the quotient depends on theta only through W^H theta, W an
-    orthonormal M x 2 basis of the joint span.  At a stationary point theta_i
-    is the phase of (W a)_i for some a in C^2, up to a sign on entries where
-    (W a)_i is small next to the excess diagonal; only the direction of a
-    matters, a = (cos psi, sin psi e^{j chi}).  The step scores a GRID_PSI x
-    GRID_CHI grid of (psi, chi) in O(M) per point, refines around the best
-    point REFINE_ROUNDS times (`gai.span_search`), and polishes the better of
-    that candidate and the incumbent with at most POLISH_LEVELS
-    `theta_star_of_mu` levels.  It
-    returns the incumbent unless a candidate beats it.  The search is global
-    when the surface resolves Bob from Eve; within one beam the sign flips
-    matter and the polish descends only locally.  Raises ValueError if the
-    excess forms span more than two dimensions.
+    Both forms are I/M plus a low-rank excess F F^H, rank one each on
+    line-of-sight channels, so on the unit-modulus shell the quotient is
+    (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2) in s = W^H theta, W an orthonormal
+    basis of the joint span of the excess factors and G = W^H F their 2 x r
+    compressions.  At a stationary point theta_i is the phase of (W a)_i for
+    some a in C^2, up to a sign on entries where (W a)_i is small next to the
+    excess diagonal; only the direction of a matters.  When the span is two
+    dimensional, `gai.span_search` scores a (psi, chi) grid of these patterns
+    at O(r) each and refines around its best point.  The better of that
+    pattern and the incumbent is polished with at most POLISH_LEVELS
+    `theta_star_of_mu` levels, which alone make up the step on a span of
+    lower dimension.  It returns the incumbent unless a candidate beats it.
+    The search is global when the surface resolves Bob from Eve; within one
+    beam the sign flips matter and the polish descends only locally.  Raises
+    ValueError if the excess forms span more than two dimensions.
     """
 
     def quotient(theta: np.ndarray) -> float:
         return _quad(bt_e, theta) / _quad(tt_b, theta)
 
-    def score(psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-        return np.array([_quotients(basis, f_b, f_e, *np.meshgrid(p, c, indexing="ij"), theta_prev)
-                         for p, c in zip(psi, chi)])
+    def score(s: np.ndarray) -> np.ndarray:
+        flat = s.reshape(2, -1)
+        num = 1.0 + np.sum(np.abs(g_e.conj().T @ flat) ** 2, axis=0)
+        den = 1.0 + np.sum(np.abs(g_b.conj().T @ flat) ** 2, axis=0)
+        return (num / den).reshape(s.shape[1:])
 
     f_b, f_e = _excess_factor(tt_b), _excess_factor(bt_e)
-    basis = _span_basis(f_b, f_e)
-    if basis is None:
-        return theta_prev.copy()
-
-    _, (psi, chi) = span_search(score, (GRID_PSI, GRID_CHI), 1, REFINE_ROUNDS,
-                                REFINE_HALF_WIDTH, REFINE_SHRINK)
-    found = span_candidates(basis, np.array([psi]), np.array([chi]), theta_prev)[:, 0]
-    best_theta, best_q = min((theta_prev, quotient(theta_prev)), (found, quotient(found)),
-                             key=lambda pair: pair[1])
+    basis = span_basis(np.hstack([f_b, f_e]), math.sqrt(RANK_CUT / theta_prev.size))
+    dim = basis.shape[1]
+    if dim > 2:
+        raise ValueError(f"phase forms span {dim} dimensions beyond I/M; "
+                         "the phase step handles at most 2")
+    best_theta, best_q = theta_prev, quotient(theta_prev)
+    if dim == 2:
+        g_b, g_e = basis.conj().T @ f_b, basis.conj().T @ f_e
+        found, _ = span_search(basis, score, theta_prev, (GRID_PSI, GRID_CHI), 1, REFINE_ROUNDS,
+                               REFINE_HALF_WIDTH, REFINE_SHRINK)
+        if (q_found := quotient(found)) < best_q:
+            best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):
         cand = theta_star_of_mu(tt_b, bt_e, best_q, best_theta)
         q_cand = quotient(cand)

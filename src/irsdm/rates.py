@@ -10,7 +10,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -81,16 +81,12 @@ def eve_covariance(cfg: SystemConfig, ch: ChannelSet, p_an: np.ndarray) -> np.nd
     return _herm(b)
 
 
-def composite_channels(ch: ChannelSet, theta: np.ndarray,
-                       include_irs: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled (K, N) channels to Bob and to Eve: the direct path plus, with
-    include_irs, the path reflected by the surface at phases theta."""
-    h_b = np.sqrt(ch.g_AB) * ch.H_AB.conj().T
-    h_e = np.sqrt(ch.g_AE) * ch.H_AE.conj().T
-    if include_irs:
-        h_b = np.sqrt(ch.g_AIB) * ((ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI) + h_b
-        h_e = np.sqrt(ch.g_AIE) * ((ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI) + h_e
-    return h_b, h_e
+def composite_channels(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled (K, N) channels to Bob and to Eve: the direct path plus the
+    path reflected by the surface at phases theta."""
+    h_b = np.sqrt(ch.g_AIB) * ((ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI)
+    h_e = np.sqrt(ch.g_AIE) * ((ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI)
+    return h_b + np.sqrt(ch.g_AB) * ch.H_AB.conj().T, h_e + np.sqrt(ch.g_AE) * ch.H_AE.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +125,13 @@ def derived_model(
 ) -> DerivedModel:
     """Assemble effective channels and phase-linearization blocks at (v1, v2, theta).
 
-    With include_irs=False every reflected term is dropped, which models a
-    system without the surface while keeping the rest of the pipeline intact.
+    With include_irs=False both surface path gains are zeroed, which models
+    a system without the surface while keeping the rest of the pipeline intact.
     """
+    if not include_irs:
+        ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
-    return _model(cfg, ch, prec, include_irs, p_an, eve_covariance(cfg, ch, p_an))
+    return _model(cfg, ch, prec, p_an, eve_covariance(cfg, ch, p_an))
 
 
 def refresh_model(
@@ -141,32 +139,28 @@ def refresh_model(
     ch: ChannelSet,
     prec: Precoders,
     dm: DerivedModel,
-    include_irs: bool = True,
 ) -> DerivedModel:
     """derived_model at new precoders, reusing the channel-only P_AN and B of
     dm, which must come from the same cfg and ch."""
-    return _model(cfg, ch, prec, include_irs, dm.P_AN, dm.B)
+    return _model(cfg, ch, prec, dm.P_AN, dm.B)
 
 
-def _model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders, include_irs: bool,
+def _model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
            p_an: np.ndarray, b: np.ndarray) -> DerivedModel:
     sigma = cfg.sigma_watts_sqrt
     ps = cfg.ps_watts
     c1 = np.sqrt(cfg.beta1 * ps) / sigma
     c2 = np.sqrt(cfg.beta2 * ps) / sigma
-    h_b, h_e = composite_channels(ch, prec.theta, include_irs)
+    h_b, h_e = composite_channels(ch, prec.theta)
 
     hib_h = ch.H_IB.conj().T
     hie_h = ch.H_IE.conj().T
     g1 = ch.H_AI @ prec.v1
     g2 = ch.H_AI @ prec.v2
-    if include_irs:
-        t_b1 = c1 * np.sqrt(ch.g_AIB) * (hib_h * g1[None, :])
-        t_b2 = c2 * np.sqrt(ch.g_AIB) * (hib_h * g2[None, :])
-        t_e1 = c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :])
-        t_e2 = c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :])
-    else:
-        t_b1 = t_b2 = t_e1 = t_e2 = np.zeros((cfg.K, cfg.M), dtype=complex)
+    t_b1 = c1 * np.sqrt(ch.g_AIB) * (hib_h * g1[None, :])
+    t_b2 = c2 * np.sqrt(ch.g_AIB) * (hib_h * g2[None, :])
+    t_e1 = c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :])
+    t_e2 = c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :])
 
     return DerivedModel(
         P_AN=p_an, B=b, H_B=h_b, H_E=h_e,

@@ -156,3 +156,9 @@ def test_convergence_trace_rejects_non_optimizers():
     cfg = SystemConfig()
     with pytest.raises(ValueError, match="optimizers"):
         convergence_trace(cfg, [6], [Scheme(kind="no_irs")])
+
+
+def test_convergence_trace_rejects_a_repeated_m():
+    # both runs at M = 10 would share the label gai_M10, and one used to be dropped
+    with pytest.raises(ValueError, match="repeated M"):
+        convergence_trace(SystemConfig(), [10, 10], [Scheme(kind="gai")])

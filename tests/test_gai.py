@@ -1,6 +1,7 @@
 """Alternating-optimizer checks: eigen steps, phase gradient, full runs."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -372,6 +373,34 @@ def test_phase_block_is_the_plain_ascent_above_a_rank_two_span():
         assert not np.array_equal(ascent, theta0)
 
 
+def test_span_search_is_chunk_invariant(monkeypatch):
+    # rows 1 and 4 of W are zero, so W a vanishes there for every a; the
+    # score's unique minimizer sits on the grid, rotated by phi
+    rng = np.random.default_rng(21)
+    basis = np.zeros((6, 2), dtype=complex)
+    basis[[0, 2, 3, 5]] = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
+    fallback = np.exp(2j * math.pi * rng.random(6))
+    counts = (6, 12, 8)
+    psi, chi, phi = 3.5 * (0.5 * math.pi / 6), 5 * (2 * math.pi / 12), 3 * (2 * math.pi / 8)
+    z = basis @ np.array([math.cos(psi), math.sin(psi) * np.exp(1j * chi)])
+    pattern = np.where(np.abs(z) > 0, z / np.maximum(np.abs(z), 1e-300), fallback)
+    s_star = np.exp(1j * phi) * (basis.conj().T @ pattern)
+
+    def score(s, rot):
+        diff = np.exp(1j * rot)[:, None, :] * s[..., None] - s_star[:, None, None, None]
+        return np.sum(np.abs(diff) ** 2, axis=0).reshape(s.shape[1], -1)
+
+    found = []
+    for chunk in (1, 2 ** 20):
+        monkeypatch.setattr(gai, "SEARCH_CHUNK", chunk)
+        found.append(gai.span_search(basis, score, fallback, counts, 2, 3, 2, 3.0))
+    (p_small, at_small), (p_large, at_large) = found
+    assert np.array_equal(p_small, p_large) and np.array_equal(at_small, at_large)
+    assert np.allclose(at_small, [psi, chi, phi], atol=1e-12)
+    assert np.allclose(p_small, pattern, atol=1e-12)
+    assert np.array_equal(p_small[[1, 4]], fallback[[1, 4]])
+
+
 @pytest.mark.parametrize("kind, overrides, max_passes", [
     ("gai", {"d_AB": 300.0}, 10),
     ("single_cbs", {"d_AB": 300.0}, 10),
@@ -421,7 +450,8 @@ def test_run_gai_single_stream_budgets():
 
 def test_run_gai_no_irs_mode_ignores_theta():
     cfg, ch = _setup(SystemConfig(M=12))
-    opts = GaOptions(include_irs=False, optimize_theta=False)
+    ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
+    opts = GaOptions(optimize_theta=False)
     a = run_gai(cfg, ch, opts)
     b = run_gai(cfg, ch, opts, theta0=np.exp(1j * np.linspace(0, 3, cfg.M)))
     assert a.rs_trace[-1] == pytest.approx(b.rs_trace[-1], abs=1e-9)
@@ -478,7 +508,7 @@ def test_run_gai_tiny_instance_near_brute_force():
 
 def test_initial_beamformers_unit_norm_and_orthogonal():
     cfg, ch = _setup()
-    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex), True)
+    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex))
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
     assert abs(v1.conj() @ v2) < 1e-8
@@ -486,7 +516,7 @@ def test_initial_beamformers_unit_norm_and_orthogonal():
 
 def test_initial_beamformers_single_antenna_shares_the_direction():
     cfg, ch = _setup(SystemConfig(N=1, M=4, K=1))
-    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex), True)
+    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex))
     assert v1.shape == (1,) and np.array_equal(v1, v2)
     assert abs(v1[0]) == pytest.approx(1.0, abs=1e-12)
 

@@ -171,6 +171,14 @@ def test_parallel_line_drop_matches_reported_values():
     assert d_bob == pytest.approx(99.6, abs=0.1)
 
 
+def test_parallel_line_rejects_coincident_receivers():
+    # Bob and Eve at one point leave no line to be parallel to; this used to
+    # divide by their zero distance
+    cfg = SystemConfig(d_AE=100.0, theta_AE=SystemConfig().theta_AB)
+    with pytest.raises(ValueError, match="Bob and Eve coincide"):
+        parallel_irs_angle(cfg)
+
+
 def test_parallel_line_is_parallel_to_bob_eve_segment():
     cfg = SystemConfig()
     geo = build_geometry(cfg)
