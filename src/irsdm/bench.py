@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gai import GaOptions, RunState, check_count, run_gai
+from .gai import RunState, check_count, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import run_nsp
 # not called here; perfbench/tracing.py wraps the name in this module
@@ -88,14 +88,13 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
         return _finish(run_nsp(cfg, channels))
     if scheme.kind == "no_irs":
         no_surface = replace(channels, g_AIB=0.0, g_AIE=0.0)
-        return _finish(run_gai(cfg, no_surface, GaOptions(optimize_theta=False)))
+        return _finish(run_gai(cfg, no_surface, fixed_theta=np.ones(cfg.M, dtype=complex)))
     if scheme.kind == "random_phase":
         rng = np.random.default_rng(cfg.seed)
-        opts = GaOptions(optimize_theta=False)
         states, srs = [], []
         for _ in range(scheme.draws):
             theta = np.exp(2j * math.pi * rng.random(cfg.M))
-            state = run_gai(cfg, channels, opts, theta0=theta)
+            state = run_gai(cfg, channels, fixed_theta=theta)
             states.append(state)
             srs.append(float(state.rs_trace[-1]))
         per_draw = np.array(srs)

@@ -7,9 +7,12 @@ logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
 starts from a grid search over the phase patterns of that span; projected
 gradient ascent then polishes.  `span_basis` and `span_search` are the span
-and the pattern search of both optimizers' phase steps: each step only
-scores the patterns through their coordinates W^H theta.  Every block can
-only increase the rate gap, so the secrecy-rate trace is non-decreasing.
+and the pattern search of both optimizers' phase steps, with one span rule
+and one sizing (the `SEARCH_*` constants); GAI's step adds only its
+rotation axis.  Each step scores the patterns through their coordinates
+W^H theta alone and keeps its incumbent unless its own objective improves.
+Every block can only increase the rate gap, so the secrecy-rate trace is
+non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.
 """
@@ -45,12 +48,14 @@ LS_SHRINK = 0.5
 LS_C1 = 1e-4
 LS_MAX_TRIALS = 14
 GA_TOL = 1e-6  # per-step rate gain (bits) that ends a phase block inside run_gai
-# Phase-block start: a (psi, chi, phi) grid; from each of its SEARCH_STARTS
-# best points, SEARCH_ROUNDS patches of (2 SEARCH_HALF_WIDTH + 1)^3 points
-# around the best so far, each at 1 / SEARCH_SHRINK of the previous step.
-# Span directions with singular values at or below SPAN_CUT, relative to each
-# side's Frobenius norm, are rounding noise.
-SEARCH_GRID = (24, 48, 8)
+# Phase-pattern search of both optimizers: a (psi, chi) grid, times
+# SEARCH_ROTATIONS values of phi in GAI's step; from each of its
+# SEARCH_STARTS best points, SEARCH_ROUNDS patches of 2 SEARCH_HALF_WIDTH + 1
+# points per axis around the best so far, each at 1 / SEARCH_SHRINK of the
+# previous step.  Span directions with singular values at or below SPAN_CUT,
+# relative to each part's Frobenius norm, are rounding noise.
+SEARCH_GRID = (24, 48)
+SEARCH_ROTATIONS = 8
 SEARCH_STARTS = 8
 SEARCH_ROUNDS = 3
 SEARCH_HALF_WIDTH = 3
@@ -68,7 +73,6 @@ class GaOptions:
 
     max_outer: int = 50
     max_ga_iters: int = 1000    # gradient-ascent steps per phase block
-    optimize_theta: bool = True
 
     def __post_init__(self) -> None:
         for key in ("max_outer", "max_ga_iters"):
@@ -128,39 +132,43 @@ def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
     return _project_phases(z, fallback[:, None])
 
 
-def span_basis(cols: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal basis of the span of cols: its left singular vectors with
-    singular values above cut."""
+def span_basis(*parts: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the joint column span of the M-row parts: the
+    left singular vectors, with singular values above SPAN_CUT, of the
+    non-zero parts scaled to unit Frobenius norm side by side."""
+    # the empty M x 0 block keeps the stack defined when every part is zero
+    cols = np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
     u, svals, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, svals > cut]
+    return u[:, svals > SPAN_CUT]
 
 
 def span_search(
     basis: np.ndarray,
     score: Callable[..., np.ndarray],
     fallback: np.ndarray,
-    counts: Sequence[int],
-    starts: int,
-    rounds: int,
-    half_width: int,
-    shrink: float,
+    *angles: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid search, then refinement, over the phase patterns exp(j arg(W a))
     of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
     over any further angles the score takes.
 
-    psi takes counts[0] cell midpoints of [0, pi/2]; chi and every further
-    axis are angles with counts[i] points on [0, 2 pi).  Entries where W a
-    vanishes take the phase of fallback.  score(s, *rest) scores S product
-    grids at once: s = W^H theta of their patterns, shape (2, S, n) with the
-    n = n_psi n_chi patterns of a grid in C order, and each further axis an
-    (S, n_i) array; the values, lower better, go back as an
-    (S, n n_2 ...) array in C order.  Patterns are formed SEARCH_CHUNK
-    entries at a time.  Each of the `starts` lowest points of the full grid
-    starts a refinement: each round scores 2 half_width + 1 points per axis
-    around every start's best point so far, at 1 / shrink of the previous
-    step.  Returns the pattern and the coordinates of the best point seen.
+    psi takes SEARCH_GRID[0] cell midpoints of [0, pi/2] and chi
+    SEARCH_GRID[1] points on [0, 2 pi); each further axis has angles[i]
+    points on [0, 2 pi).  Entries where W a vanishes take the phase of
+    fallback.  score(s, *rest) scores S product grids at once: s = W^H theta
+    of their patterns, shape (2, S, n) with the n = n_psi n_chi patterns of
+    a grid in C order, and each further axis an (S, n_i) array; the values,
+    lower better, go back as an (S, n n_2 ...) array in C order.  Patterns
+    are formed SEARCH_CHUNK entries at a time.  Each of the SEARCH_STARTS
+    lowest points of the full grid starts a refinement: each round scores
+    2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
+    so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
+    and the coordinates of the best point seen; when W is not M x 2, returns
+    fallback and zero coordinates without scoring.
     """
+    counts = SEARCH_GRID + angles
+    if basis.shape[1] != 2:
+        return fallback, np.zeros(len(counts))
     step, wh = max(1, SEARCH_CHUNK // basis.shape[0]), basis.conj().T
 
     def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
@@ -174,13 +182,13 @@ def span_search(
     axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
     axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
     values = evaluate(*(x[None, :] for x in axes))[0]
-    top = np.argsort(values, kind="stable")[:starts]
+    top = np.argsort(values, kind="stable")[:SEARCH_STARTS]
     best = values[top]
-    at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, tuple(counts)))])
-    offsets = np.arange(-half_width, half_width + 1)
+    at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
+    offsets = np.arange(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH + 1)
     rows = np.arange(top.size)
-    for _ in range(rounds):
-        steps = steps / shrink
+    for _ in range(SEARCH_ROUNDS):
+        steps = steps / SEARCH_SHRINK
         patch = at[:, :, None] + offsets * steps[:, None]
         values = evaluate(*patch.transpose(1, 0, 2))
         k = np.argmin(values, axis=1)
@@ -211,12 +219,7 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     from the surface) leaves the ratio bounded in W^H theta, so its maximum
     can lie inside the reachable set, away from every pattern of the family.
     """
-    sides = [u / nrm for u in (pp.u_b, pp.u_e) if (nrm := np.linalg.norm(u)) > 0]
-    if not sides:
-        return theta0
-    basis = span_basis(np.vstack(sides).conj().T, SPAN_CUT)
-    if basis.shape[1] != 2:
-        return theta0
+    basis = span_basis(pp.u_b.conj().T, pp.u_e.conj().T)
     uw_b, uw_e = pp.u_b @ basis, pp.u_e @ basis
 
     def score(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -224,8 +227,7 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
         y_e = (uw_e @ s.reshape(2, -1)).reshape(-1, *s.shape[1:], 1)
         return -pp.ratios(y_b, y_e, np.exp(1j * phi)[:, None, :]).reshape(s.shape[1], -1)
 
-    pattern, (_, _, phi) = span_search(basis, score, theta0, SEARCH_GRID, SEARCH_STARTS,
-                                       SEARCH_ROUNDS, SEARCH_HALF_WIDTH, SEARCH_SHRINK)
+    pattern, (_, _, phi) = span_search(basis, score, theta0, SEARCH_ROTATIONS)
     cand = np.exp(1j * phi) * pattern
     pair = np.column_stack([theta0, cand])
     q_inc, q_cand = pp.ratios(pp.u_b @ pair, pp.u_e @ pair)
@@ -351,11 +353,15 @@ def run_gai(
     cfg: SystemConfig,
     channels: ChannelSet,
     opts: GaOptions | None = None,
-    theta0: np.ndarray | None = None,
+    fixed_theta: np.ndarray | None = None,
 ) -> RunState:
-    """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon."""
+    """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
+
+    With fixed_theta the phases stay at it and only the beamformers move;
+    without, they start from all ones.
+    """
     opts = opts or GaOptions()
-    theta = np.ones(cfg.M, dtype=complex) if theta0 is None else np.asarray(theta0, dtype=complex).copy()
+    theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.array(fixed_theta, dtype=complex)
     v1, v2 = initial_beamformers(channels, theta)
     prec = Precoders(v1=v1, v2=v2, theta=theta)
     dm = derived_model(cfg, channels, prec)
@@ -364,7 +370,7 @@ def run_gai(
         steps.append(lambda dm, prec: replace(prec, v1=update_v1(dm, prec)))
     if cfg.beta2 > 0:
         steps.append(lambda dm, prec: replace(prec, v2=update_v2(dm, prec)))
-    if opts.optimize_theta:
+    if fixed_theta is None:
         # solve the phase block well below the outer tolerance: stopping
         # the ascent at the outer epsilon meters a shallow-ridge climb out
         # over many outer passes instead of finishing it in one

@@ -95,10 +95,6 @@ class SystemConfig:
         """Noise standard deviation (sqrt of the noise power in watts)."""
         return math.sqrt(dbm_to_watts(self.sigma2_dbm))
 
-    @property
-    def wavelength_m(self) -> float:
-        return C_LIGHT / self.carrier_hz
-
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
@@ -123,7 +119,6 @@ class Geometry:
     theta_ib: float
     d_ie: float
     theta_ie: float
-    d_v: float  # distance from Eve's line to the surface line in the parallel drop
 
 
 def _place(d: float, theta: float) -> np.ndarray:
@@ -156,7 +151,6 @@ def build_geometry(cfg: SystemConfig) -> Geometry:
         raise ValueError("degenerate geometry: surface and Bob coincide")
     if d_ie < 1e-9:
         raise ValueError("degenerate geometry: surface and Eve coincide")
-    d_v = cfg.d_AE * math.sin(cfg.theta_AE - cfg.theta_AI)
     return Geometry(
         alice=alice, irs=irs, bob=bob, eve=eve,
         d_ai=cfg.d_AI, theta_ai=cfg.theta_AI,
@@ -164,37 +158,33 @@ def build_geometry(cfg: SystemConfig) -> Geometry:
         d_ae=cfg.d_AE, theta_ae=cfg.theta_AE,
         d_ib=d_ib, theta_ib=theta_ib,
         d_ie=d_ie, theta_ie=theta_ie,
-        d_v=d_v,
     )
 
 
 def parallel_irs_angle(cfg: SystemConfig) -> float:
-    """Angle of the line through Alice parallel to the Bob-Eve line.
+    """Angle in [0, pi) of the line through Alice parallel to the Bob-Eve line.
 
     Sliding the surface along this line keeps it at a constant offset from
-    both receivers, which is the drop used by the placement sweep.
+    both receivers, which is the drop used by the placement sweep.  Raises
+    if Bob and Eve are less than 1e-9 m apart.
     """
-    theta_bae = cfg.theta_AE - cfg.theta_AB
-    d_be = math.sqrt(
-        cfg.d_AB ** 2 + cfg.d_AE ** 2
-        - 2.0 * cfg.d_AB * cfg.d_AE * math.cos(theta_bae)
-    )
-    if d_be < 1e-9:
+    seg = _place(cfg.d_AB, cfg.theta_AB) - _place(cfg.d_AE, cfg.theta_AE)
+    if math.hypot(seg[0], seg[1]) < 1e-9:
         raise ValueError("no Bob-Eve line: Bob and Eve coincide")
-    return cfg.theta_AB - math.asin(cfg.d_AE / d_be * math.sin(theta_bae))
+    angle = math.atan2(seg[1], seg[0]) % math.pi
+    return angle if angle < math.pi else 0.0  # a tiny negative angle rounds up to pi
 
 
 def irs_line_landmarks(cfg: SystemConfig, theta_ai: float) -> tuple[float, float]:
-    """Distances along the surface line of the points nearest Eve and Bob.
+    """Signed distances along the surface line of the points nearest Eve and Bob.
 
-    Returns (d_near_eve, d_near_bob): the surface sits right above Eve /
-    Bob when its distance from Alice along the line hits these values.
+    Returns (d_near_eve, d_near_bob), the projections of Eve and Bob onto
+    the line through Alice at angle theta_ai: the surface sits right above
+    Eve / Bob when its distance from Alice along the line hits these values.
+    A receiver that projects behind Alice gets a negative distance.
     """
-    dv_e = cfg.d_AE * math.sin(cfg.theta_AE - theta_ai)
-    dv_b = cfg.d_AB * math.sin(cfg.theta_AB - theta_ai)
-    d_near_eve = math.sqrt(cfg.d_AE ** 2 - dv_e ** 2)
-    d_near_bob = math.sqrt(cfg.d_AB ** 2 - dv_b ** 2)
-    return d_near_eve, d_near_bob
+    return (cfg.d_AE * math.cos(cfg.theta_AE - theta_ai),
+            cfg.d_AB * math.cos(cfg.theta_AB - theta_ai))
 
 
 def steering_vector(n: int, theta: float, spacing_over_lambda: float = 0.5) -> np.ndarray:

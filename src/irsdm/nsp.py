@@ -8,10 +8,11 @@ direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
 by GAI's eigensolver on the pencil compressed to an orthonormal basis of
 range(P).  The phases minimize a unit-modulus quotient of two forms, each
-I/M plus a low-rank excess: GAI's pattern search (`gai.span_search`) over
-the excess forms' joint two-dimensional span, scored through the factors'
-compressions onto that span, then majorize-minimize phase rounding at the
-best level found.
+I/M plus a low-rank excess: GAI's pattern search (`gai.span_search`, with
+its sizing and without its rotation axis, which the quotient ignores) over
+the excess factors' joint span (`gai.span_basis`), scored through the
+factors' compressions onto that span, then majorize-minimize phase rounding
+at the best level found.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ from .rates import an_projector, secrecy_rate
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
 MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
                          # step's polish needs its level minimizer to 1e-9 relative)
-RANK_CUT = 1e-10         # excess pivots and squared span singular values at or
-                         # below RANK_CUT / M are I/M rounding
-GRID_PSI = 48            # phase-step grid over psi in [0, pi/2]
-GRID_CHI = 96            # and over chi in [0, 2 pi)
-REFINE_ROUNDS = 4        # patches of (2 REFINE_HALF_WIDTH + 1)^2 points around the best,
-REFINE_HALF_WIDTH = 8    # each at 1 / REFINE_SHRINK of the previous step
-REFINE_SHRINK = 4
+RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT / M are I/M rounding
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
@@ -269,19 +264,20 @@ def update_theta_nsp(
 
     Both forms are I/M plus a low-rank excess F F^H, rank one each on
     line-of-sight channels, so on the unit-modulus shell the quotient is
-    (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2) in s = W^H theta, W an orthonormal
-    basis of the joint span of the excess factors and G = W^H F their 2 x r
-    compressions.  At a stationary point theta_i is the phase of (W a)_i for
-    some a in C^2, up to a sign on entries where (W a)_i is small next to the
-    excess diagonal; only the direction of a matters.  When the span is two
-    dimensional, `gai.span_search` scores a (psi, chi) grid of these patterns
-    at O(r) each and refines around its best point.  The better of that
-    pattern and the incumbent is polished with at most POLISH_LEVELS
-    `theta_star_of_mu` levels, which alone make up the step on a span of
-    lower dimension.  It returns the incumbent unless a candidate beats it.
-    The search is global when the surface resolves Bob from Eve; within one
-    beam the sign flips matter and the polish descends only locally.  Raises
-    ValueError if the excess forms span more than two dimensions.
+    (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2) in s = W^H theta, W the basis of
+    the excess factors' joint span from `gai.span_basis(F_b, F_e)` and
+    G = W^H F their 2 x r compressions.  At a stationary point theta_i is
+    the phase of (W a)_i for some a in C^2, up to a sign on entries where
+    (W a)_i is small next to the excess diagonal; only the direction of a
+    matters.  `gai.span_search` scores its (psi, chi) grid of these patterns
+    at O(r) each and refines around the best points; on a span of lower
+    dimension it returns the incumbent.  The better of its pattern and the
+    incumbent, compared on the exact quotient, is polished with at most
+    POLISH_LEVELS `theta_star_of_mu` levels.  It returns the incumbent
+    unless a candidate beats it.  The search is global when the surface
+    resolves Bob from Eve; within one beam the sign flips matter and the
+    polish descends only locally.  Raises ValueError if the excess forms
+    span more than two dimensions.
     """
 
     def quotient(theta: np.ndarray) -> float:
@@ -294,18 +290,15 @@ def update_theta_nsp(
         return (num / den).reshape(s.shape[1:])
 
     f_b, f_e = _excess_factor(tt_b), _excess_factor(bt_e)
-    basis = span_basis(np.hstack([f_b, f_e]), math.sqrt(RANK_CUT / theta_prev.size))
-    dim = basis.shape[1]
-    if dim > 2:
-        raise ValueError(f"phase forms span {dim} dimensions beyond I/M; "
+    basis = span_basis(f_b, f_e)
+    if basis.shape[1] > 2:
+        raise ValueError(f"phase forms span {basis.shape[1]} dimensions beyond I/M; "
                          "the phase step handles at most 2")
+    g_b, g_e = basis.conj().T @ f_b, basis.conj().T @ f_e
+    found, _ = span_search(basis, score, theta_prev)
     best_theta, best_q = theta_prev, quotient(theta_prev)
-    if dim == 2:
-        g_b, g_e = basis.conj().T @ f_b, basis.conj().T @ f_e
-        found, _ = span_search(basis, score, theta_prev, (GRID_PSI, GRID_CHI), 1, REFINE_ROUNDS,
-                               REFINE_HALF_WIDTH, REFINE_SHRINK)
-        if (q_found := quotient(found)) < best_q:
-            best_theta, best_q = found, q_found
+    if (q_found := quotient(found)) < best_q:
+        best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):
         cand = theta_star_of_mu(tt_b, bt_e, best_q, best_theta)
         q_cand = quotient(cand)

@@ -390,10 +390,13 @@ def test_span_search_is_chunk_invariant(monkeypatch):
         diff = np.exp(1j * rot)[:, None, :] * s[..., None] - s_star[:, None, None, None]
         return np.sum(np.abs(diff) ** 2, axis=0).reshape(s.shape[1], -1)
 
+    for name, value in (("GRID", counts[:2]), ("STARTS", 2), ("ROUNDS", 3), ("HALF_WIDTH", 2),
+                        ("SHRINK", 3.0)):
+        monkeypatch.setattr(gai, f"SEARCH_{name}", value)
     found = []
     for chunk in (1, 2 ** 20):
         monkeypatch.setattr(gai, "SEARCH_CHUNK", chunk)
-        found.append(gai.span_search(basis, score, fallback, counts, 2, 3, 2, 3.0))
+        found.append(gai.span_search(basis, score, fallback, counts[2]))
     (p_small, at_small), (p_large, at_large) = found
     assert np.array_equal(p_small, p_large) and np.array_equal(at_small, at_large)
     assert np.allclose(at_small, [psi, chi, phi], atol=1e-12)
@@ -451,16 +454,15 @@ def test_run_gai_single_stream_budgets():
 def test_run_gai_no_irs_mode_ignores_theta():
     cfg, ch = _setup(SystemConfig(M=12))
     ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
-    opts = GaOptions(optimize_theta=False)
-    a = run_gai(cfg, ch, opts)
-    b = run_gai(cfg, ch, opts, theta0=np.exp(1j * np.linspace(0, 3, cfg.M)))
+    a = run_gai(cfg, ch, fixed_theta=np.ones(cfg.M))
+    b = run_gai(cfg, ch, fixed_theta=np.exp(1j * np.linspace(0, 3, cfg.M)))
     assert a.rs_trace[-1] == pytest.approx(b.rs_trace[-1], abs=1e-9)
 
 
 def test_run_gai_fixed_theta_keeps_theta():
     cfg, ch = _setup(SystemConfig(M=6))
     theta0 = np.exp(1j * np.linspace(0.3, 2.9, cfg.M))
-    state = run_gai(cfg, ch, GaOptions(optimize_theta=False), theta0=theta0)
+    state = run_gai(cfg, ch, fixed_theta=theta0)
     assert np.allclose(state.prec.theta, theta0)
 
 

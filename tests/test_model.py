@@ -5,8 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from irsdm.model import (
+    DEFAULT_THETA_AB,
+    DEFAULT_THETA_AE,
     ChannelSet,
     SystemConfig,
     build_channels,
@@ -179,30 +183,64 @@ def test_parallel_line_rejects_coincident_receivers():
         parallel_irs_angle(cfg)
 
 
-def test_parallel_line_is_parallel_to_bob_eve_segment():
-    cfg = SystemConfig()
-    geo = build_geometry(cfg)
+def test_parallel_line_survives_near_coincident_receivers():
+    # Eve 10 um from Bob: a law-of-cosines distance loses its digits here,
+    # and an asin of the law of sines then leaves its domain
+    base = SystemConfig()
+    cfg = replace(base, d_AE=base.d_AB, theta_AE=base.theta_AB + 1e-7)
+    try:
+        theta_line = parallel_irs_angle(cfg)
+    except ValueError as err:
+        assert "Bob and Eve coincide" in str(err)
+        return
+    assert 0.0 <= theta_line < math.pi
+    replace(cfg, theta_AI=theta_line)  # a valid surface angle
+    # both receivers sit 100 m from Alice, so their segment is tangent there
+    assert abs(math.cos(theta_line - base.theta_AB)) < 1e-6
+
+
+_ANGLE = st.floats(0.01, math.pi - 0.01)
+_DIST = st.floats(5.0, 300.0)
+_DROP = dict(d_ab=_DIST, d_ae=_DIST, theta_ab=_ANGLE, theta_ae=_ANGLE)
+
+
+def _receivers(d_ab, d_ae, theta_ab, theta_ae):
+    cfg = SystemConfig(d_AB=d_ab, d_AE=d_ae, theta_AB=theta_ab, theta_AE=theta_ae)
+    bob = d_ab * np.array([math.cos(theta_ab), math.sin(theta_ab)])
+    eve = d_ae * np.array([math.cos(theta_ae), math.sin(theta_ae)])
+    return cfg, bob, eve
+
+
+@given(**_DROP)
+@example(d_ab=100.0, d_ae=50.0, theta_ab=DEFAULT_THETA_AB, theta_ae=DEFAULT_THETA_AE)  # default drop
+@example(d_ab=81.7, d_ae=252.8, theta_ab=2.672, theta_ae=1.861)  # acute-angle pick leaves [0, pi)
+@example(d_ab=100.0, d_ae=155.73641900454572, theta_ab=1.2, theta_ae=2.5)  # folds to pi in rounding
+def test_parallel_line_is_parallel_to_bob_eve_segment(d_ab, d_ae, theta_ab, theta_ae):
+    cfg, bob, eve = _receivers(d_ab, d_ae, theta_ab, theta_ae)
+    seg = bob - eve
+    if np.linalg.norm(seg) < 1e-9:
+        with pytest.raises(ValueError, match="Bob and Eve coincide"):
+            parallel_irs_angle(cfg)
+        return
     theta_line = parallel_irs_angle(cfg)
-    seg = geo.bob - geo.eve
-    seg_angle = math.atan2(seg[1], seg[0]) % math.pi
-    assert theta_line == pytest.approx(seg_angle, abs=1e-12)
+    assert 0.0 <= theta_line < math.pi
+    replace(cfg, theta_AI=theta_line)  # a valid surface angle
+    # the line's unit direction has no component across the segment
+    cross = math.cos(theta_line) * seg[1] - math.sin(theta_line) * seg[0]
+    assert abs(cross) <= 1e-12 * np.linalg.norm(seg)
 
 
-def test_landmarks_match_projection_oracle():
+@given(**_DROP)
+@example(d_ab=100.0, d_ae=50.0, theta_ab=DEFAULT_THETA_AB, theta_ae=DEFAULT_THETA_AE)  # default drop
+def test_landmarks_match_projection_oracle(d_ab, d_ae, theta_ab, theta_ae):
     # oracle: project Eve/Bob onto the surface line in Cartesian coordinates
-    cfg = SystemConfig()
-    geo = build_geometry(cfg)
+    cfg, bob, eve = _receivers(d_ab, d_ae, theta_ab, theta_ae)
+    assume(np.linalg.norm(bob - eve) >= 1e-9)
     theta_line = parallel_irs_angle(cfg)
     u = np.array([math.cos(theta_line), math.sin(theta_line)])
     d_eve, d_bob = irs_line_landmarks(cfg, theta_line)
-    assert d_eve == pytest.approx(float(geo.eve @ u), rel=1e-9)
-    assert d_bob == pytest.approx(float(geo.bob @ u), rel=1e-9)
-
-
-def test_d_v_formula():
-    cfg = SystemConfig()
-    geo = build_geometry(cfg)
-    assert geo.d_v == pytest.approx(cfg.d_AE * math.sin(cfg.theta_AE - cfg.theta_AI), rel=1e-12)
+    assert d_eve == pytest.approx(float(eve @ u), rel=1e-9, abs=1e-9 * d_ae)
+    assert d_bob == pytest.approx(float(bob @ u), rel=1e-9, abs=1e-9 * d_ab)
 
 
 def _default_channels() -> tuple[SystemConfig, ChannelSet]:
