@@ -24,7 +24,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .model import ChannelSet, SystemConfig
 from .rates import (
@@ -32,6 +31,7 @@ from .rates import (
     PhaseProblem,
     Precoders,
     beam_quotient,
+    check_finite,
     composite_channels,
     derived_model,
     refresh_model,
@@ -99,11 +99,20 @@ class RunState:
 
 
 def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
-    """Unit-norm maximizer of (x^H A x) / (x^H B x) for Hermitian A, B with B > 0."""
-    if scipy.linalg.eigvalsh(b_den)[0] < 1e-12:
+    """Unit-norm maximizer of (x^H A x) / (x^H B x) for Hermitian A, B with B > 0.
+
+    B = U diag(lam) U^H gives the whitening S = U diag(lam)^-1/2, which turns
+    the pencil into the ordinary eigenproblem of S^H A S; x is S times its
+    top eigenvector.  Raises ValueError on non-finite entries or a B with
+    an eigenvalue below 1e-12.
+    """
+    check_finite(a_num, b_den)
+    lam, u = np.linalg.eigh(b_den)
+    if lam[0] < 1e-12:
         raise ValueError("denominator matrix is numerically singular")
-    _, vecs = scipy.linalg.eigh(a_num, b_den)
-    v = vecs[:, -1]
+    s = u / np.sqrt(lam)
+    _, vecs = np.linalg.eigh(s.conj().T @ a_num @ s)
+    v = s @ vecs[:, -1]
     return v / np.linalg.norm(v)
 
 
@@ -140,6 +149,21 @@ def span_basis(*parts: np.ndarray) -> np.ndarray:
     cols = np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
     u, svals, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, svals > SPAN_CUT]
+
+
+def lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the count lowest values in ascending order, ties by index:
+    np.argsort(values, kind="stable")[:count] without sorting them all.
+
+    A partition finds the count-th lowest value v; only the entries that
+    are not above v (NaN sorts last, and nothing is above a NaN v) are then
+    sorted stably.
+    """
+    if values.size <= count:
+        return np.argsort(values, kind="stable")
+    kth = values[np.argpartition(values, count - 1)[count - 1]]
+    pool = np.flatnonzero(~(values > kth))
+    return pool[np.argsort(values[pool], kind="stable")[:count]]
 
 
 def span_search(
@@ -182,7 +206,7 @@ def span_search(
     axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
     axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
     values = evaluate(*(x[None, :] for x in axes))[0]
-    top = np.argsort(values, kind="stable")[:SEARCH_STARTS]
+    top = lowest(values, SEARCH_STARTS)
     best = values[top]
     at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
     offsets = np.arange(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH + 1)

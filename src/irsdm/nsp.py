@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .gai import (
     RunState,
@@ -50,7 +49,8 @@ from .rates import an_projector, secrecy_rate
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
 MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
                          # step's polish needs its level minimizer to 1e-9 relative)
-RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT / M are I/M rounding
+RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT times the larger of 1/M and
+                         # 1e-3 of the first pivot are rounding of I/M and of the excess
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
@@ -201,7 +201,7 @@ def theta_star_of_mu(
     keep their previous phase.  The quadratic value never increases.
     """
     psi = _herm(bt_e - mu * tt_b)
-    evals = scipy.linalg.eigvalsh(psi)
+    evals = np.linalg.eigvalsh(psi)
     if evals[-1] - evals[0] < 1e-12:
         return theta_prev.copy()
     lam = evals[-1]
@@ -233,16 +233,20 @@ def phi_star(
 def _excess_factor(form: np.ndarray) -> np.ndarray:
     """Factor F with F F^H = form - I/M, by Cholesky with diagonal pivoting.
 
-    Pivots at or below RANK_CUT / M are rounding noise of the I/M term and end
-    the factorization.  Each column reads one column of the form and costs
-    O(r M), so the rank-one excess of a line-of-sight link costs O(M).
+    Pivots at or below RANK_CUT max(1/M, 1e-3 p1), p1 the first pivot, are
+    rounding noise and end the factorization: that of the I/M term, and
+    that of the excess, which grows with it (at high transmit power the
+    first pivot reaches 1e5 and the residual after it 1e-11).  Each column
+    reads one column of the form and costs O(r M), so the rank-one excess
+    of a line-of-sight link costs O(M).
     """
     m = form.shape[0]
     resid = np.real(np.diag(form)) - 1.0 / m
+    cut = RANK_CUT * max(1.0 / m, 1e-3 * float(np.max(resid)))
     cols: list[np.ndarray] = []
     for _ in range(m):
         i = int(np.argmax(resid))
-        if resid[i] <= RANK_CUT / m:
+        if resid[i] <= cut:
             break
         col = form[:, i].astype(complex)
         col[i] -= 1.0 / m

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from .model import ChannelSet, SystemConfig
 
@@ -25,9 +24,17 @@ def _herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def check_finite(*arrays: np.ndarray) -> None:
+    """Raise ValueError if any entry of the arrays is NaN or infinite
+    (numpy's factorizations would pass such entries on or ignore them)."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("matrix has non-finite entries")
+
+
 def logdet_hermitian(a: np.ndarray) -> float:
     """log2 det of a Hermitian positive definite matrix via its Cholesky factor."""
-    ell = cholesky(a, lower=True)
+    check_finite(a)
+    ell = np.linalg.cholesky(a)
     return 2.0 * float(np.sum(np.log(np.diag(ell).real))) * LOG2E
 
 
@@ -234,7 +241,8 @@ def beam_quotient(dm: DerivedModel, prec: Precoders, stream: int) -> tuple[np.nd
 def whiten(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """L^-1 x for the lower Cholesky factor L of B = L L^H, so that
     x^H B^-1 y = whiten(B, x)^H whiten(B, y)."""
-    return solve_triangular(cholesky(b, lower=True), x, lower=True)
+    check_finite(b, x)
+    return np.linalg.solve(np.linalg.cholesky(b), x)
 
 
 def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:

@@ -219,3 +219,13 @@ def test_module_entry_point_runs_without_install(tmp_path):
     payload = json.loads((tmp_path / "single_gai.json").read_text())
     assert payload["scheme"] == "gai" and payload["config"]["M"] == 8
     assert payload["converged"] is True
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test oracle only; importing it cost about 0.3 s per run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, irsdm, irsdm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -480,6 +480,22 @@ def test_run_nsp_single_stream_budgets():
     assert state.rs_trace[-1] >= 0
 
 
+@pytest.mark.parametrize("d_ab, m, ps_dbm, rate", [
+    (50.0, 200, 60.0, 46.042),
+    (300.0, 200, 65.0, 32.876),
+    (50.0, 50, 70.0, 48.645),
+    (50.0, 10, 90.0, 56.206),
+])
+def test_run_nsp_runs_at_high_transmit_power(d_ab, m, ps_dbm, rate):
+    # with an absolute pivot cut of RANK_CUT / M the excess factorization
+    # kept rounding noise of the large first pivot, and the phase step raised
+    # "phase forms span k dimensions beyond I/M" (k = 3 to 5) on each drop
+    cfg = SystemConfig(d_AB=d_ab, M=m, ps_dbm=ps_dbm)
+    state = run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
+    assert state.converged and state.iterations_used == 2
+    assert state.rs_trace[-1] == pytest.approx(rate, abs=1e-3)
+
+
 @pytest.fixture
 def theta_star_calls(monkeypatch):
     """List that gains one entry per theta_star_of_mu call inside nsp."""

@@ -283,6 +283,34 @@ def test_secrecy_rate_non_negative():
         assert secrecy_rate(dm, prec) >= 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_factorizations_reject_non_finite_entries(value):
+    # numpy's Cholesky reads one triangle and returns NaN for NaN input, so
+    # an entry in the other triangle would be ignored and one in its own
+    # would come back as a NaN log-det
+    a = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        bad = a.copy()
+        bad[i, j] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            rates.logdet_hermitian(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            rates.whiten(bad, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        rates.whiten(a, np.full((2, 3), value))
+
+
+@pytest.mark.parametrize("field", ["B", "H_B1", "H_E2"])
+def test_a_nan_in_the_model_raises_instead_of_giving_a_nan_rate(field):
+    cfg, ch, rng = _setup()
+    prec = _random_precoders(cfg, rng)
+    dm = derived_model(cfg, ch, prec)
+    bad = getattr(dm, field).copy()
+    bad[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        secrecy_rate(replace(dm, **{field: bad}), prec)
+
+
 def test_precoders_validation():
     cfg = SystemConfig()
     good = np.ones(cfg.N) / math.sqrt(cfg.N)
