@@ -11,8 +11,8 @@ and the pattern search of both optimizers' phase steps, with one span rule
 and one sizing (the `SEARCH_*` constants); GAI's step adds only its
 rotation axis.  Each step scores the patterns through their coordinates
 W^H theta alone and keeps its incumbent unless its own objective improves.
-Every block can only increase the rate gap, so the secrecy-rate trace is
-non-decreasing.
+Every block can only increase the rate gap, and `alternate` undoes a pass
+that rounding leaves lower, so the secrecy-rate trace is non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.
 """
@@ -349,17 +349,26 @@ def alternate(
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
+    A pass that lowers the gap (each block raises it, but solves of pencils
+    with entries near 1e8 lose digits) is undone: the run keeps the previous
+    precoders and rate model, repeats the previous rate in the trace and
+    stops as converged.  The trace is therefore non-decreasing.
     """
     trace = [secrecy_rate(dm, prec)]
     gap = unclipped_gap(trace[-1], dm, prec)
     converged = False
     iterations = 0
     for p in range(1, max_outer + 1):
+        prec_prev, dm_prev = prec, dm
         for step in steps:
             prec = step(dm, prec)
             dm = refresh_model(cfg, channels, prec, dm)
-        trace.append(secrecy_rate(dm, prec))
-        gap, gap_prev = unclipped_gap(trace[-1], dm, prec), gap
+        sr = secrecy_rate(dm, prec)
+        gap_new = unclipped_gap(sr, dm, prec)
+        if gap_new < gap:
+            prec, dm, sr, gap_new = prec_prev, dm_prev, trace[-1], gap
+        trace.append(sr)
+        gap, gap_prev = gap_new, gap
         iterations = p
         if gap - gap_prev <= cfg.epsilon:
             converged = True

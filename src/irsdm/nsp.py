@@ -8,16 +8,16 @@ direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
 by GAI's eigensolver on the pencil compressed to an orthonormal basis of
 range(P).  The phases minimize a unit-modulus quotient of two forms, each
-I/M plus a low-rank excess: GAI's pattern search (`gai.span_search`, with
-its sizing and without its rotation axis, which the quotient ignores) over
-the excess factors' joint span (`gai.span_basis`), scored through the
+I/M + F F^H with F an M x K factor read from the rate model; no M x M
+matrix is formed.  The step is GAI's pattern search (`gai.span_search`,
+with its sizing and without its rotation axis, which the quotient ignores)
+over the factors' joint span (`gai.span_basis`), scored through the
 factors' compressions onto that span, then majorize-minimize phase rounding
-at the best level found.
+at the best level found, each rounding at O(K M).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,8 +49,6 @@ from .rates import an_projector, secrecy_rate
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation
 MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
                          # step's polish needs its level minimizer to 1e-9 relative)
-RANK_CUT = 1e-10         # excess pivots at or below RANK_CUT times the larger of 1/M and
-                         # 1e-3 of the first pivot are rounding of I/M and of the excess
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
@@ -172,139 +170,125 @@ def update_w2(num: np.ndarray, den: np.ndarray, p: np.ndarray, v2: np.ndarray) -
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms of the phase quotient: Bob's numerator and Eve's denominator.
+    """Factors F_b, F_e (M x K) of the phase quotient's forms I/M + F F^H:
+    Bob's numerator and Eve's denominator.
 
     Read from the stream-1 maps of the rate model at the current
-    beamformers, with stream 2 folded into Bob's noise and Eve's rows
-    whitened as in `rates.PhaseProblem`.  Both absorb the unit-modulus budget
-    theta^H theta = M through an I/M term, so theta^H T~ theta reproduces
-    1 + SNR exactly on the shell.
+    beamformers: F_b = whiten(cov2, T_B1)^H, with stream 2 folded into Bob's
+    noise cov2, and F_e = whiten(B, T_E1)^H, Eve's rows whitened as in
+    `rates.PhaseProblem`.  The I/M term absorbs the unit-modulus budget
+    theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR exactly on the shell.
     """
-    k, m = dm.T_B1.shape
+    k = dm.T_B1.shape[0]
     cov2 = np.eye(k, dtype=complex) + np.outer(dm.h_B2, dm.h_B2.conj())
-    tt_b = np.eye(m) / m + dm.T_B1.conj().T @ np.linalg.solve(cov2, dm.T_B1)
-    t_e1 = whiten(dm.B, dm.T_E1)
-    bt_e = np.eye(m) / m + t_e1.conj().T @ t_e1
-    return _herm(tt_b), _herm(bt_e)
+    return whiten(cov2, dm.T_B1).conj().T, whiten(dm.B, dm.T_E1).conj().T
+
+
+def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's and Bob's forms at unit-modulus x, (1 + |F_e^H x|^2, 1 + |F_b^H x|^2),
+    for each column of the (rows, ...) array x, over its trailing shape.
+    For factors compressed to a span and x the coordinates of unit-modulus
+    points in it, the same values at those points."""
+    flat = x.reshape(x.shape[0], -1)
+    num, den = (1.0 + np.sum(np.abs(f.conj().T @ flat) ** 2, axis=0).reshape(x.shape[1:])
+                for f in (f_e, f_b))
+    return num, den
 
 
 def theta_star_of_mu(
-    tt_b: np.ndarray,
-    bt_e: np.ndarray,
+    f_b: np.ndarray,
+    f_e: np.ndarray,
     mu: float,
     theta_prev: np.ndarray,
 ) -> np.ndarray:
-    """Unit-modulus minimizer of theta^H (BtE - mu TtB) theta via phase rounding.
+    """Unit-modulus minimizer of theta^H (BtE - mu TtB) theta via phase rounding,
+    TtB and BtE the forms I/M + F F^H of the factors f_b and f_e.
 
-    Each pass minimizes the spectral-shift majorant, which amounts to taking
-    the phases of (lam_max I - Psi) theta; entries with a vanishing drive
-    keep their previous phase.  The quadratic value never increases.
+    On the shell the objective is (1 - mu) + theta^H F D F^H theta with
+    F = [F_e, F_b] and D = diag(1, -mu).  Each pass minimizes the
+    spectral-shift majorant, which amounts to taking the phases of
+    (lam I - F D F^H) theta at O(r M) for r columns of F; entries with a
+    vanishing drive keep their previous phase.  lam, the largest eigenvalue
+    of F D F^H, comes from the r x r R D R^H of F = Q R, with 0 added when
+    range(F) misses directions of C^M.  The quadratic value never increases.
     """
-    psi = _herm(bt_e - mu * tt_b)
-    evals = np.linalg.eigvalsh(psi)
-    if evals[-1] - evals[0] < 1e-12:
+    f = np.hstack([f_e, f_b])
+    d = np.concatenate([np.ones(f_e.shape[1]), np.full(f_b.shape[1], -mu)])
+    r = np.linalg.qr(f, mode="r")
+    evals = np.linalg.eigvalsh(_herm((r * d) @ r.conj().T))
+    if r.shape[0] < f.shape[0]:
+        evals = np.append(evals, 0.0)
+    if evals.max() - evals.min() < 1e-12:
         return theta_prev.copy()
-    lam = evals[-1]
+    lam = evals.max()
     theta = theta_prev.copy()
-    obj = _quad(psi, theta)
+    y = f.conj().T @ theta
+    obj = float(d @ np.abs(y) ** 2)
     for _ in range(MAX_MM_ITERS):
-        cand = _project_phases(lam * theta - psi @ theta, theta)
-        cand_obj = _quad(psi, cand)
+        cand = _project_phases(lam * theta - f @ (d * y), theta)
+        y_cand = f.conj().T @ cand
+        cand_obj = float(d @ np.abs(y_cand) ** 2)
         if obj - cand_obj < MM_TOL:
             if cand_obj < obj:
                 theta, obj = cand, cand_obj
             break
-        theta, obj = cand, cand_obj
+        theta, obj, y = cand, cand_obj, y_cand
     return theta
 
 
 def phi_star(
-    tt_b: np.ndarray,
-    bt_e: np.ndarray,
+    f_b: np.ndarray,
+    f_e: np.ndarray,
     mu: float,
     theta_prev: np.ndarray,
 ) -> float:
-    """Value of the parametric subproblem min theta^H (BtE - mu TtB) theta."""
-    theta = theta_star_of_mu(tt_b, bt_e, mu, theta_prev)
-    psi = _herm(bt_e - mu * tt_b)
-    return _quad(psi, theta)
-
-
-def _excess_factor(form: np.ndarray) -> np.ndarray:
-    """Factor F with F F^H = form - I/M, by Cholesky with diagonal pivoting.
-
-    Pivots at or below RANK_CUT max(1/M, 1e-3 p1), p1 the first pivot, are
-    rounding noise and end the factorization: that of the I/M term, and
-    that of the excess, which grows with it (at high transmit power the
-    first pivot reaches 1e5 and the residual after it 1e-11).  Each column
-    reads one column of the form and costs O(r M), so the rank-one excess
-    of a line-of-sight link costs O(M).
-    """
-    m = form.shape[0]
-    resid = np.real(np.diag(form)) - 1.0 / m
-    cut = RANK_CUT * max(1.0 / m, 1e-3 * float(np.max(resid)))
-    cols: list[np.ndarray] = []
-    for _ in range(m):
-        i = int(np.argmax(resid))
-        if resid[i] <= cut:
-            break
-        col = form[:, i].astype(complex)
-        col[i] -= 1.0 / m
-        for c in cols:
-            col -= c * c[i].conj()
-        col /= math.sqrt(resid[i])
-        cols.append(col)
-        resid = resid - np.abs(col) ** 2
-    return np.stack(cols, axis=1) if cols else np.zeros((m, 0), dtype=complex)
+    """Value of the parametric subproblem min theta^H (BtE - mu TtB) theta
+    on the unit-modulus shell."""
+    num, den = _shell_terms(f_b, f_e, theta_star_of_mu(f_b, f_e, mu, theta_prev))
+    return float(num - mu * den)
 
 
 def update_theta_nsp(
-    tt_b: np.ndarray,
-    bt_e: np.ndarray,
+    f_b: np.ndarray,
+    f_e: np.ndarray,
     theta_prev: np.ndarray,
 ) -> np.ndarray:
     """Minimize the Eve/Bob phase quotient theta^H BtE theta / theta^H TtB theta
-    over unit-modulus theta by a search over the span of its two forms.
+    over unit-modulus theta by a search over the span of its two factors.
 
-    Both forms are I/M plus a low-rank excess F F^H, rank one each on
-    line-of-sight channels, so on the unit-modulus shell the quotient is
-    (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2) in s = W^H theta, W the basis of
-    the excess factors' joint span from `gai.span_basis(F_b, F_e)` and
-    G = W^H F their 2 x r compressions.  At a stationary point theta_i is
-    the phase of (W a)_i for some a in C^2, up to a sign on entries where
-    (W a)_i is small next to the excess diagonal; only the direction of a
-    matters.  `gai.span_search` scores its (psi, chi) grid of these patterns
-    at O(r) each and refines around the best points; on a span of lower
-    dimension it returns the incumbent.  The better of its pattern and the
-    incumbent, compared on the exact quotient, is polished with at most
-    POLISH_LEVELS `theta_star_of_mu` levels.  It returns the incumbent
-    unless a candidate beats it.  The search is global when the surface
-    resolves Bob from Eve; within one beam the sign flips matter and the
-    polish descends only locally.  Raises ValueError if the excess forms
-    span more than two dimensions.
+    Both forms are I/M + F F^H for the M x K factors f_b, f_e of
+    `phase_blocks`, rank one each on line-of-sight channels, so on the
+    unit-modulus shell the quotient is (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2)
+    in s = W^H theta, W the basis of the factors' joint span from
+    `gai.span_basis(F_b, F_e)` and G = W^H F their 2 x K compressions; one
+    evaluator (`_shell_terms`) serves both.  At a stationary point
+    theta_i is the phase of (W a)_i for some a in C^2, up to a sign on
+    entries where (W a)_i is small next to the excess diagonal; only the
+    direction of a matters.  `gai.span_search` scores its (psi, chi) grid
+    of these patterns at O(K) each and refines around the best points; on
+    a span of lower dimension it returns the incumbent.  The better of its
+    pattern and the incumbent, compared on the exact quotient, is polished
+    with at most POLISH_LEVELS `theta_star_of_mu` levels.  It returns the
+    incumbent unless a candidate beats it.  The search is global when the
+    surface resolves Bob from Eve; within one beam the sign flips matter
+    and the polish descends only locally.  Raises ValueError if the
+    factors span more than two dimensions.
     """
 
     def quotient(theta: np.ndarray) -> float:
-        return _quad(bt_e, theta) / _quad(tt_b, theta)
+        return float(np.divide(*_shell_terms(f_b, f_e, theta)))
 
-    def score(s: np.ndarray) -> np.ndarray:
-        flat = s.reshape(2, -1)
-        num = 1.0 + np.sum(np.abs(g_e.conj().T @ flat) ** 2, axis=0)
-        den = 1.0 + np.sum(np.abs(g_b.conj().T @ flat) ** 2, axis=0)
-        return (num / den).reshape(s.shape[1:])
-
-    f_b, f_e = _excess_factor(tt_b), _excess_factor(bt_e)
     basis = span_basis(f_b, f_e)
     if basis.shape[1] > 2:
         raise ValueError(f"phase forms span {basis.shape[1]} dimensions beyond I/M; "
                          "the phase step handles at most 2")
     g_b, g_e = basis.conj().T @ f_b, basis.conj().T @ f_e
-    found, _ = span_search(basis, score, theta_prev)
+    found, _ = span_search(basis, lambda s: np.divide(*_shell_terms(g_b, g_e, s)), theta_prev)
     best_theta, best_q = theta_prev, quotient(theta_prev)
     if (q_found := quotient(found)) < best_q:
         best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):
-        cand = theta_star_of_mu(tt_b, bt_e, best_q, best_theta)
+        cand = theta_star_of_mu(f_b, f_e, best_q, best_theta)
         q_cand = quotient(cand)
         if not q_cand < best_q:
             break

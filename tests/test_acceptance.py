@@ -328,6 +328,8 @@ def test_criterion_05_nsp_phase_oracle():
         e = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         tt_b = np.eye(2) / 2.0 + t.conj().T @ t / 3.0
         bt_e = np.eye(2) / 2.0 + e.conj().T @ e / 3.0
+        # the step takes the factors F of the forms I/M + F F^H
+        f_b, f_e = t.conj().T / math.sqrt(3.0), e.conj().T / math.sqrt(3.0)
         theta_prev = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
         q_prev = _quad(bt_e, theta_prev) / _quad(tt_b, theta_prev)
 
@@ -335,21 +337,21 @@ def test_criterion_05_nsp_phase_oracle():
             psi = bt_e - mu * tt_b
             psi = 0.5 * (psi + psi.conj().T)
             target = float(grid_min(psi).min())
-            star = theta_star_of_mu(tt_b, bt_e, mu, theta_prev)
+            star = theta_star_of_mu(f_b, f_e, mu, theta_prev)
             got = _quad(psi, star)
             if abs(got - target) > 1e-3:
                 failures.append(
                     f"pair {i} mu={mu:.4f}: theta_star value {got:.6f} vs grid {target:.6f}"
                 )
 
-        upd = update_theta_nsp(tt_b, bt_e, theta_prev)
+        upd = update_theta_nsp(f_b, f_e, theta_prev)
         q_upd = _quad(bt_e, upd) / _quad(tt_b, upd)
         q_grid = float((grid_min(bt_e) / grid_min(tt_b)).min())
         if abs(q_upd - q_grid) > 1e-3:
             failures.append(f"pair {i}: quotient {q_upd:.6f} vs grid {q_grid:.6f}")
 
         phis = np.array([
-            phi_star(tt_b, bt_e, mu, theta_prev)
+            phi_star(f_b, f_e, mu, theta_prev)
             for mu in np.linspace(0.0, q_prev, 50)
         ])
         if not np.all(np.diff(phis) < 0.0):

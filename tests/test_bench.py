@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsdm.bench import (
     AN_SHARE_SINGLE,
@@ -53,6 +55,56 @@ def test_schemes_run_with_one_antenna(kind):
     assert sol.converged
     assert np.all(np.diff(sol.rs_trace) >= -1e-9)
     assert sol.v1.shape == (1,)
+
+
+# ---------------------------------------------------------------- rate traces
+
+
+@pytest.mark.parametrize("kind, cfg", [
+    ("nsp", SystemConfig(N=25, M=64, K=6, ps_dbm=88.50555473837102, d_AI=144.3327520991369,
+                         d_AB=15.263560354274148, d_AE=27.955158417738353, theta_AI=3.126495624033784,
+                         theta_AB=1.1692675619785569, theta_AE=2.3079139926784635)),
+    ("gai", SystemConfig(N=32, M=80, K=8, ps_dbm=86.0)),
+    ("nsp", SystemConfig(d_AB=50.0, M=10, ps_dbm=90.0)),
+], ids=["nsp-random-drop", "gai-N32-M80-K8", "nsp-d50-M10"])
+def test_traces_never_decrease_at_high_transmit_power(kind, cfg):
+    # without the undo in `gai.alternate`, rounding in the block solves
+    # lowers these traces by 8.0e-6, 3.96e-7 and 6.9e-8 bits in one pass;
+    # the undone pass still counts and ends the run
+    sol = run_scheme(Scheme(kind), cfg, _channels(cfg))
+    assert np.all(np.diff(sol.rs_trace) >= 0)
+    assert sol.converged
+    assert len(sol.rs_trace) == sol.iterations + 1
+
+
+@st.composite
+def _drops(draw):
+    """SystemConfig over sizes, distances and ps up to 90 dBm, with three
+    distinct angles from Alice so that no two nodes coincide."""
+    first = draw(st.floats(0.05, 1.0))
+    gaps = draw(st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)))
+    angles = draw(st.permutations([first, first + gaps[0], first + gaps[0] + gaps[1]]))
+    dist = st.floats(5.0, 300.0)
+    return SystemConfig(
+        N=draw(st.integers(2, 32)), M=draw(st.integers(1, 120)), K=draw(st.integers(1, 8)),
+        ps_dbm=draw(st.floats(0.0, 90.0)), d_AI=draw(dist), d_AB=draw(dist), d_AE=draw(dist),
+        theta_AI=angles[0], theta_AB=angles[1], theta_AE=angles[2],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_drops())
+def test_every_scheme_runs_with_a_non_decreasing_trace(cfg):
+    # convergence is not asserted: some drops stop at the outer-pass cap
+    ch = _channels(cfg)
+    for kind in ("gai", "nsp", "no_irs", "single_cbs"):
+        if kind == "nsp" and cfg.N == 2:
+            # Bob's and Eve's direct channels fill both antennas' directions
+            with pytest.raises(ValueError, match="P1 null space is empty"):
+                run_scheme(Scheme(kind), cfg, ch)
+            continue
+        sol = run_scheme(Scheme(kind), cfg, ch)
+        assert np.all(np.diff(sol.rs_trace) >= 0), kind
 
 
 # ---------------------------------------------------------------- single runs

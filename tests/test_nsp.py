@@ -299,12 +299,19 @@ def _phase_setup(seed=6):
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
     dm = derived_model(cfg, ch, Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta))
-    tt_b, bt_e = phase_blocks(dm)
-    return cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e
+    f_b, f_e = phase_blocks(dm)
+    return cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e
+
+
+def _forms(f_b, f_e):
+    """The phase quotient's M x M forms I/M + F F^H of the factors, for oracles."""
+    eye = np.eye(f_b.shape[0]) / f_b.shape[0]
+    return eye + f_b @ f_b.conj().T, eye + f_e @ f_e.conj().T
 
 
 def test_phase_blocks_reproduce_rates_on_the_shell():
-    cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e = _phase_setup()
+    cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e = _phase_setup()
+    tt_b, bt_e = _forms(f_b, f_e)
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
     dm = derived_model(cfg, ch, prec)
     t2 = dm.H_B2 @ prec.v2
@@ -317,51 +324,65 @@ def test_phase_blocks_reproduce_rates_on_the_shell():
 
 
 def test_theta_star_descends_the_shifted_quadratic():
-    cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e = _phase_setup(seed=7)
+    cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e = _phase_setup(seed=7)
+    tt_b, bt_e = _forms(f_b, f_e)
     for mu in (0.0, 0.5, 1.0, 2.0):
         psi = bt_e - mu * tt_b
         psi = 0.5 * (psi + psi.conj().T)
-        star = theta_star_of_mu(tt_b, bt_e, mu, theta)
+        star = theta_star_of_mu(f_b, f_e, mu, theta)
         assert np.allclose(np.abs(star), 1.0, atol=1e-12)
         assert _quad(psi, star) <= _quad(psi, theta) + 1e-12
 
 
 def test_theta_star_flat_spectrum_returns_previous():
+    # both forms are the identity: I/M plus sqrt(1 - 1/M) I times its adjoint
     m = 6
-    tt_b = np.eye(m, dtype=complex)
-    bt_e = np.eye(m, dtype=complex)
+    f_b = math.sqrt(1.0 - 1.0 / m) * np.eye(m, dtype=complex)
+    f_e = math.sqrt(1.0 - 1.0 / m) * np.eye(m, dtype=complex)
     theta = np.exp(1j * np.linspace(0.1, 2.2, m))
-    star = theta_star_of_mu(tt_b, bt_e, 1.0, theta)
+    star = theta_star_of_mu(f_b, f_e, 1.0, theta)
     assert np.array_equal(star, theta)
 
 
 def test_phi_star_signs_bracket_the_root():
-    cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e = _phase_setup(seed=8)
+    cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e = _phase_setup(seed=8)
+    tt_b, bt_e = _forms(f_b, f_e)
     q_prev = _quad(bt_e, theta) / _quad(tt_b, theta)
-    assert phi_star(tt_b, bt_e, 0.0, theta) > 0
-    assert phi_star(tt_b, bt_e, q_prev, theta) <= 1e-12
+    assert phi_star(f_b, f_e, 0.0, theta) > 0
+    assert phi_star(f_b, f_e, q_prev, theta) <= 1e-12
 
 
 def test_update_theta_never_worsens_and_tracks_mu_grid():
-    cfg, ch, rng, p1, p2, w1, w2, theta, tt_b, bt_e = _phase_setup(seed=9)
+    cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e = _phase_setup(seed=9)
+    tt_b, bt_e = _forms(f_b, f_e)
 
     def quotient(t):
         return _quad(bt_e, t) / _quad(tt_b, t)
 
     q_prev = quotient(theta)
-    star = update_theta_nsp(tt_b, bt_e, theta)
+    star = update_theta_nsp(f_b, f_e, theta)
     q_star = quotient(star)
     assert q_star <= q_prev + 1e-12
     best = q_prev
     for mu in np.linspace(0.0, q_prev, 160):
-        best = min(best, quotient(theta_star_of_mu(tt_b, bt_e, mu, theta)))
+        best = min(best, quotient(theta_star_of_mu(f_b, f_e, mu, theta)))
     assert q_star <= best + 1e-3
 
 
+def _los_factors(m, u_s, u_b, u_e, g_b, g_e):
+    """One M x 1 factor per side, as on line-of-sight links: the surface's
+    incoming steering vector times Bob's or Eve's outgoing one, scaled so
+    that its form adds g times I/M on the diagonal."""
+    idx = np.arange(m)
+    a_s = np.exp(1j * math.pi * u_s * idx)
+    t_b = a_s * np.exp(1j * math.pi * u_b * idx)
+    t_e = a_s * np.exp(1j * math.pi * u_e * idx)
+    return math.sqrt(g_b / m) * t_b[:, None], math.sqrt(g_e / m) * t_e[:, None]
+
+
 def _los_forms(m, u_s, u_b, u_e, g_b, g_e):
-    """I/M plus one rank-one term per side, as on line-of-sight links: the
-    surface's incoming steering vector times Bob's or Eve's outgoing one,
-    with an excess of g times I/M on the diagonal."""
+    """The forms of `_los_factors`, built on their own: I/M plus one
+    rank-one term per side, with an excess of g times I/M on the diagonal."""
     idx = np.arange(m)
     a_s = np.exp(1j * math.pi * u_s * idx)
     t_b = a_s * np.exp(1j * math.pi * u_b * idx)
@@ -370,11 +391,12 @@ def _los_forms(m, u_s, u_b, u_e, g_b, g_e):
     return eye + (g_b / m) * np.outer(t_b, t_b.conj()), eye + (g_e / m) * np.outer(t_e, t_e.conj())
 
 
-def _dinkelbach_descent(tt_b, bt_e, theta):
+def _dinkelbach_descent(f_b, f_e, theta):
     """Quotient reached by `theta_star_of_mu` at successive levels from theta."""
+    tt_b, bt_e = _forms(f_b, f_e)
     q = _quad(bt_e, theta) / _quad(tt_b, theta)
     for _ in range(200):
-        cand = theta_star_of_mu(tt_b, bt_e, q, theta)
+        cand = theta_star_of_mu(f_b, f_e, q, theta)
         q_cand = _quad(bt_e, cand) / _quad(tt_b, cand)
         if not q_cand < q:
             break
@@ -388,38 +410,39 @@ def _dinkelbach_descent(tt_b, bt_e, theta):
        log_g=st.tuples(st.floats(-3.0, 1.0), st.floats(-3.0, 1.0)))
 @example(seed=1, m=40, u=(0.3, -0.2, 0.5), log_g=(-9.0, -9.0))  # weak surface
 @example(seed=2, m=30, u=(0.1, 0.4, 0.4), log_g=(-1.0, 0.0))    # Bob and Eve aligned
-@example(seed=3, m=20, u=(0.2, -0.3, 0.6), log_g=(0.0, -12.0))  # Eve below the rank cut
-@example(seed=4, m=20, u=(0.2, -0.3, 0.6), log_g=(-12.0, 0.5))  # Bob below the rank cut
+@example(seed=3, m=20, u=(0.2, -0.3, 0.6), log_g=(0.0, -12.0))  # Eve's excess at 1e-12 of I/M
+@example(seed=4, m=20, u=(0.2, -0.3, 0.6), log_g=(-12.0, 0.5))  # Bob's excess at 1e-12 of I/M
 @example(seed=5, m=20, u=(0.2, -0.3, 0.6), log_g=(-12.0, -12.0))  # no excess at all
 @example(seed=6, m=1, u=(0.2, -0.3, 0.6), log_g=(0.0, 0.0))     # one element: a common rotation
 def test_update_theta_matches_multistart_descent(seed, m, u, log_g):
     # the step never worsens the incumbent; where the surface resolves Bob
     # from Eve it is also as good as the best of several random-start
     # Dinkelbach descents
+    f_b, f_e = _los_factors(m, *u, 10.0 ** log_g[0], 10.0 ** log_g[1])
     tt_b, bt_e = _los_forms(m, *u, 10.0 ** log_g[0], 10.0 ** log_g[1])
     rng = np.random.default_rng(seed)
     starts = np.exp(2j * math.pi * rng.random((4, m)))
     theta_prev = starts[0]
     q_prev = _quad(bt_e, theta_prev) / _quad(tt_b, theta_prev)
-    star = update_theta_nsp(tt_b, bt_e, theta_prev)
+    star = update_theta_nsp(f_b, f_e, theta_prev)
     q_star = _quad(bt_e, star) / _quad(tt_b, star)
     assert np.allclose(np.abs(star), 1.0, atol=1e-12)
     assert q_star <= q_prev
     # angular distance in u = cos(angle), which the steering vectors wrap mod 2;
     # 2 / M is the first null of the surface's beam
     if abs((u[1] - u[2] + 1.0) % 2.0 - 1.0) >= 2.0 / m:
-        oracle = min(_dinkelbach_descent(tt_b, bt_e, t) for t in starts)
+        oracle = min(_dinkelbach_descent(f_b, f_e, t) for t in starts)
         assert q_star <= oracle * (1.0 + 1e-9)
 
 
 def test_update_theta_rejects_a_span_above_two():
     m = 12
     rng = np.random.default_rng(10)
-    tt_b, bt_e = _los_forms(m, 0.2, 0.3, -0.4, 0.5, 0.5)
+    f_b, f_e = _los_factors(m, 0.2, 0.3, -0.4, 0.5, 0.5)
     extra = np.exp(2j * math.pi * rng.random(m))
-    tt_b = tt_b + 0.1 * np.outer(extra, extra.conj())
+    f_b = np.hstack([f_b, math.sqrt(0.1) * extra[:, None]])
     with pytest.raises(ValueError, match="span 3 dimensions"):
-        update_theta_nsp(tt_b, bt_e, np.ones(m, dtype=complex))
+        update_theta_nsp(f_b, f_e, np.ones(m, dtype=complex))
 
 
 # ---------------------------------------------------------------- full runs
@@ -487,9 +510,10 @@ def test_run_nsp_single_stream_budgets():
     (50.0, 10, 90.0, 56.206),
 ])
 def test_run_nsp_runs_at_high_transmit_power(d_ab, m, ps_dbm, rate):
-    # with an absolute pivot cut of RANK_CUT / M the excess factorization
-    # kept rounding noise of the large first pivot, and the phase step raised
-    # "phase forms span k dimensions beyond I/M" (k = 3 to 5) on each drop
+    # Eve's excess over I/M reaches 1e5 here; a step that factors M x M
+    # forms can keep rounding noise as extra span directions and raise
+    # "phase forms span k dimensions beyond I/M", one that takes its
+    # factors from the rate model cannot
     cfg = SystemConfig(d_AB=d_ab, M=m, ps_dbm=ps_dbm)
     state = run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
     assert state.converged and state.iterations_used == 2

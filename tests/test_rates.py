@@ -397,10 +397,12 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
         return (p @ (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for p in (p1, p2))
 
     dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
-    tt_b, bt_e = nsp.phase_blocks(dm)
+    f_b, f_e = nsp.phase_blocks(dm)
     theta = prec.theta
     det2 = 1.0 + np.vdot(dm.h_B2, dm.h_B2).real
-    quotient = det2 * np.vdot(theta, tt_b @ theta).real / np.vdot(theta, bt_e @ theta).real
+    # theta^H (I/M + F F^H) theta = 1 + |F^H theta|^2 at unit modulus
+    quotient = (det2 * (1.0 + np.linalg.norm(f_b.conj().T @ theta) ** 2)
+                / (1.0 + np.linalg.norm(f_e.conj().T @ theta) ** 2))
     assert quotient == pytest.approx(PhaseProblem(dm).ratio(theta), rel=1e-9)
 
 
