@@ -34,7 +34,6 @@ from .rates import (
     check_finite,
     composite_channels,
     derived_model,
-    refresh_model,
     secrecy_rate,
     unclipped_gap,
 )
@@ -342,8 +341,9 @@ def alternate(
     steps: Sequence[Callable[[DerivedModel, Precoders], Precoders]],
     max_outer: int,
 ) -> RunState:
-    """Run the block steps in turn, refreshing the rate model after each,
-    until one pass gains at most epsilon in the rate gap.
+    """Run the block steps in turn, building each step's rate model from the
+    last (`derived_model(..., prev=dm)`), until one pass gains at most
+    epsilon in the rate gap.
 
     Each step maps the current rate model and precoders to new precoders.
 
@@ -362,7 +362,7 @@ def alternate(
         prec_prev, dm_prev = prec, dm
         for step in steps:
             prec = step(dm, prec)
-            dm = refresh_model(cfg, channels, prec, dm)
+            dm = derived_model(cfg, channels, prec, prev=dm)
         sr = secrecy_rate(dm, prec)
         gap_new = unclipped_gap(sr, dm, prec)
         if gap_new < gap:

@@ -39,7 +39,6 @@ from .rates import (
     beam_quotient,
     derived_model,
     null_projector,
-    refresh_model,
     whiten,
 )
 # not called here; perfbench/tracing.py wraps both names in this module
@@ -129,18 +128,17 @@ def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.nd
     return w_of(hi)
 
 
-def _range_basis(p: np.ndarray) -> np.ndarray:
+def range_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(p): the eigenvectors of the projector p
     with eigenvalue above 1/2."""
     evals, evecs = np.linalg.eigh(p)
     return evecs[:, evals > 0.5]
 
 
-def _subspace_max(num: np.ndarray, den: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Unit maximizer of (v^H num v) / (v^H den v) over v in range(p): GAI's
-    eigensolver on the pencil compressed to a basis Q of range(p), lifted
-    back by Q."""
-    q = _range_basis(p)
+def _subspace_max(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Unit maximizer of (v^H num v) / (v^H den v) over v in range(q), q
+    with orthonormal columns: GAI's eigensolver on the pencil compressed to
+    q, lifted back by q."""
     qh = q.conj().T
     return q @ rayleigh_ritz_max(_herm(qh @ num @ q), _herm(qh @ den @ q))
 
@@ -148,25 +146,25 @@ def _subspace_max(num: np.ndarray, den: np.ndarray, p: np.ndarray) -> np.ndarray
 def update_w1(
     num: np.ndarray,
     den: np.ndarray,
-    p: np.ndarray,
+    q: np.ndarray,
     v1: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Best stream-1 beamformer for the quotient of `stream_blocks` over
-    range(p), and its quotient nu.
+    range(P), q its orthonormal basis (`range_basis`), and its quotient nu.
 
     The solve is exact, so it does not depend on the incumbent v1.
     """
-    v = _subspace_max(num, den, p)
+    v = _subspace_max(num, den, q)
     return v, _quad(num, v) / _quad(den, v)
 
 
-def update_w2(num: np.ndarray, den: np.ndarray, p: np.ndarray, v2: np.ndarray) -> np.ndarray:
+def update_w2(num: np.ndarray, den: np.ndarray, q: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Best stream-2 beamformer for the quotient of `stream_blocks` over
-    range(p).
+    range(P), q its orthonormal basis (`range_basis`).
 
     The solve is exact, so it does not depend on the incumbent v2.
     """
-    return _subspace_max(num, den, p)
+    return _subspace_max(num, den, q)
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -304,16 +302,16 @@ def run_nsp(
     """GAI's alternation over the null-space-constrained v1, v2 and theta blocks."""
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
-    prec = Precoders(v1=_range_basis(p1)[:, 0], v2=_range_basis(p2)[:, 0],
-                     theta=np.ones(cfg.M, dtype=complex))
+    q1, q2 = range_basis(p1), range_basis(p2)
+    prec = Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=np.ones(cfg.M, dtype=complex))
     dm = derived_model(cfg, channels, prec)
     steps = []
     if cfg.beta1 > 0:
         steps.append(lambda dm, prec: replace(
-            prec, v1=update_w1(*stream_blocks(dm, prec, p1, 0), p1, prec.v1)[0]))
+            prec, v1=update_w1(*stream_blocks(dm, prec, p1, 0), q1, prec.v1)[0]))
     if cfg.beta2 > 0:
         steps.append(lambda dm, prec: replace(
-            prec, v2=update_w2(*stream_blocks(dm, prec, p2, 1), p2, prec.v2)))
+            prec, v2=update_w2(*stream_blocks(dm, prec, p2, 1), q2, prec.v2)))
     if cfg.beta1 > 0:
         # the phase blocks depend on the beamformers only
         steps.append(lambda dm, prec: replace(
@@ -323,5 +321,5 @@ def run_nsp(
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
         prec = steps[-1](dm, prec)
-        dm = refresh_model(cfg, channels, prec, dm)
+        dm = derived_model(cfg, channels, prec, prev=dm)
     return alternate(cfg, channels, dm, prec, steps, opts.max_outer)

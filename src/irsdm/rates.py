@@ -11,6 +11,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,32 +97,85 @@ def composite_channels(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, n
     return h_b + np.sqrt(ch.g_AB) * ch.H_AB.conj().T, h_e + np.sqrt(ch.g_AE) * ch.H_AE.conj().T
 
 
+def stream_scales(cfg: SystemConfig) -> tuple[float, float]:
+    """Amplitude of each stream over the noise, sqrt(beta_i ps) / sigma."""
+    sigma = cfg.sigma_watts_sqrt
+    ps = cfg.ps_watts
+    return np.sqrt(cfg.beta1 * ps) / sigma, np.sqrt(cfg.beta2 * ps) / sigma
+
+
+def phase_maps(cfg: SystemConfig, ch: ChannelSet, prec: Precoders) -> dict[str, np.ndarray]:
+    """The T/h pairs that give each received stream's affine dependence on
+    the phases, H_B1 v1 = T_B1 theta + h_B1 and likewise for the other three:
+    T (K, M) is the reflected path and h (K,) the direct one.  They depend
+    on the beamformers and the channels, not on theta."""
+    c1, c2 = stream_scales(cfg)
+    hib_h = ch.H_IB.conj().T
+    hie_h = ch.H_IE.conj().T
+    g1 = ch.H_AI @ prec.v1
+    g2 = ch.H_AI @ prec.v2
+    return dict(
+        T_B1=c1 * np.sqrt(ch.g_AIB) * (hib_h * g1[None, :]),
+        T_B2=c2 * np.sqrt(ch.g_AIB) * (hib_h * g2[None, :]),
+        T_E1=c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :]),
+        T_E2=c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :]),
+        h_B1=c1 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v1),
+        h_B2=c2 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v2),
+        h_E1=c1 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v1),
+        h_E2=c2 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v2),
+    )
+
+
+def _phase_map(name: str) -> property:
+    return property(lambda dm: dm._maps[name], doc=f"{name} of `phase_maps` at the model's beamformers.")
+
+
 @dataclass(frozen=True, eq=False)
 class DerivedModel:
-    """Per-iterate working matrices for the current precoders.
+    """The rate model at the precoders prec, in three layers, each formed
+    only when its own inputs change (`derived_model`):
 
-    H_B/H_E are the unscaled composite channels; H_B1..H_E2 fold in the
-    per-stream power and noise normalization.  The T/h pairs give the linear
-    dependence of each received stream on the phase vector:
-    H_B1 v1 = T_B1 theta + h_B1 and likewise for the other three.
+    * channel-only, once per run: the AN projector P_AN, Eve's AN-plus-noise
+      covariance B and its log2 det `logdet_B`;
+    * per theta: the unscaled composite channels H_B/H_E, and H_B1..H_E2,
+      which fold in the per-stream power and noise normalization;
+    * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
+      h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
+      fixed-phase run never forms them.
+
+    `logdet_B` and the phase maps are cached on the instance: a model made
+    by `dataclasses.replace` forms its own from its own fields, and
+    `derived_model` hands `logdet_B` on together with B.
     """
 
+    cfg: SystemConfig
+    ch: ChannelSet      # with both surface gains zeroed when built without the surface
+    prec: Precoders
     P_AN: np.ndarray
-    B: np.ndarray       # Eve's AN-plus-noise covariance, (K, K)
+    B: np.ndarray       # (K, K)
     H_B: np.ndarray     # (K, N) composite channel to Bob
     H_E: np.ndarray
     H_B1: np.ndarray
     H_B2: np.ndarray
     H_E1: np.ndarray
     H_E2: np.ndarray
-    T_B1: np.ndarray    # (K, M)
-    T_B2: np.ndarray
-    T_E1: np.ndarray
-    T_E2: np.ndarray
-    h_B1: np.ndarray    # (K,) direct-path part of stream 1 at Bob
-    h_B2: np.ndarray
-    h_E1: np.ndarray
-    h_E2: np.ndarray
+
+    @cached_property
+    def logdet_B(self) -> float:
+        return logdet_hermitian(self.B)
+
+    @cached_property
+    def _maps(self) -> dict[str, np.ndarray]:
+        return phase_maps(self.cfg, self.ch, self.prec)
+
+    T_B1 = _phase_map("T_B1")
+    T_B2 = _phase_map("T_B2")
+    T_E1 = _phase_map("T_E1")
+    T_E2 = _phase_map("T_E2")
+    h_B1 = _phase_map("h_B1")
+    h_B2 = _phase_map("h_B2")
+    h_E1 = _phase_map("h_E1")
+    h_E2 = _phase_map("h_E2")
 
 
 def derived_model(
@@ -129,55 +183,32 @@ def derived_model(
     ch: ChannelSet,
     prec: Precoders,
     include_irs: bool = True,
+    prev: DerivedModel | None = None,
 ) -> DerivedModel:
-    """Assemble effective channels and phase-linearization blocks at (v1, v2, theta).
+    """The rate model at (v1, v2, theta).
 
-    With include_irs=False both surface path gains are zeroed, which models
-    a system without the surface while keeping the rest of the pipeline intact.
+    prev, a model of the same cfg, ch and include_irs at earlier precoders,
+    lends its channel-only terms, and its per-theta terms too when prec
+    holds prev's own theta array (a beamformer step keeps the array; the
+    phases are never changed in place).  Without prev, the channel-only
+    terms are formed here.  With include_irs=False both surface path gains
+    are zeroed, which models a system without the surface while keeping
+    the rest of the pipeline intact.
     """
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
-    p_an = an_projector(ch.H_AI, ch.H_AB)
-    return _model(cfg, ch, prec, p_an, eve_covariance(cfg, ch, p_an))
-
-
-def refresh_model(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    prec: Precoders,
-    dm: DerivedModel,
-) -> DerivedModel:
-    """derived_model at new precoders, reusing the channel-only P_AN and B of
-    dm, which must come from the same cfg and ch."""
-    return _model(cfg, ch, prec, dm.P_AN, dm.B)
-
-
-def _model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
-           p_an: np.ndarray, b: np.ndarray) -> DerivedModel:
-    sigma = cfg.sigma_watts_sqrt
-    ps = cfg.ps_watts
-    c1 = np.sqrt(cfg.beta1 * ps) / sigma
-    c2 = np.sqrt(cfg.beta2 * ps) / sigma
-    h_b, h_e = composite_channels(ch, prec.theta)
-
-    hib_h = ch.H_IB.conj().T
-    hie_h = ch.H_IE.conj().T
-    g1 = ch.H_AI @ prec.v1
-    g2 = ch.H_AI @ prec.v2
-    t_b1 = c1 * np.sqrt(ch.g_AIB) * (hib_h * g1[None, :])
-    t_b2 = c2 * np.sqrt(ch.g_AIB) * (hib_h * g2[None, :])
-    t_e1 = c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :])
-    t_e2 = c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :])
-
-    return DerivedModel(
-        P_AN=p_an, B=b, H_B=h_b, H_E=h_e,
-        H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e,
-        T_B1=t_b1, T_B2=t_b2, T_E1=t_e1, T_E2=t_e2,
-        h_B1=c1 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v1),
-        h_B2=c2 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v2),
-        h_E1=c1 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v1),
-        h_E2=c2 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v2),
-    )
+    per_theta = {}
+    if prev is None or prec.theta is not prev.prec.theta:
+        h_b, h_e = composite_channels(ch, prec.theta)
+        c1, c2 = stream_scales(cfg)
+        per_theta = dict(H_B=h_b, H_E=h_e, H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e)
+    if prev is None:
+        p_an = an_projector(ch.H_AI, ch.H_AB)
+        return DerivedModel(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=eve_covariance(cfg, ch, p_an),
+                            **per_theta)
+    dm = replace(prev, prec=prec, **per_theta)
+    vars(dm)["logdet_B"] = prev.logdet_B  # channel-only like P_AN and B: carried, not re-formed
+    return dm
 
 
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
@@ -198,7 +229,7 @@ def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
     t1 = dm.H_E1 @ prec.v1
     t2 = dm.H_E2 @ prec.v2
     s = np.outer(t1, t1.conj()) + np.outer(t2, t2.conj())
-    return logdet_hermitian(_herm(dm.B + s)) - logdet_hermitian(dm.B)
+    return logdet_hermitian(_herm(dm.B + s)) - dm.logdet_B
 
 
 def rate_gap(dm: DerivedModel, prec: Precoders) -> float:

@@ -19,6 +19,7 @@ from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
     ns_projectors,
     phi_star,
+    range_basis,
     run_nsp,
     stream_blocks,
     theta_star_of_mu,
@@ -380,7 +381,7 @@ def test_criterion_06_dinkelbach_root_residual():
         w2 = _shell_point(rng, p2)
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
         a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), prec, p1, 0)
-        w, nu = update_w1(a_til, b_til, p1, w1)
+        w, nu = update_w1(a_til, b_til, range_basis(p1), w1)
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))
         if not resid < 1e-8:
             failures.append(f"config {i}: residual {resid:.3e} >= 1e-8")

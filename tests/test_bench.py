@@ -162,6 +162,20 @@ def test_single_stream_scheme_runs_both_streams():
     assert AN_SHARE_SINGLE == pytest.approx(0.2)
 
 
+def test_dual_stream_gain_rises_with_transmit_power():
+    # the abstract's high-SNR claim: the gai over single_cbs ratio at M = 50
+    # on the 50 m link grows with power (1.470 at 30 dBm, 1.772 at 90 dBm;
+    # README, criterion 9), slowly, as [log(1+x) + log(1+y)] / log(1+x+y) does
+    ratios = []
+    for ps in (30.0, 40.0, 50.0, 60.0, 70.0, 90.0):
+        cfg = SystemConfig(M=50, d_AB=50.0, ps_dbm=ps)
+        ch = _channels(cfg)
+        ratios.append(run_scheme(Scheme(kind="gai"), cfg, ch).sr
+                      / run_scheme(Scheme(kind="single_cbs"), cfg, ch).sr)
+    assert np.all(np.diff(ratios) > 0), ratios
+    assert ratios[0] > 1.0
+
+
 # ---------------------------------------------------------------- experiments
 
 

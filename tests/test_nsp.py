@@ -193,7 +193,7 @@ def test_update_w1_raises_quotient_and_meets_residual():
         w2 = _shell_point(rng, p2)
         a_til, b_til = blocks(w1, w2, 0)
         q0 = _quad(a_til, w1) / _quad(b_til, w1)
-        w, nu = update_w1(a_til, b_til, p1, w1)
+        w, nu = update_w1(a_til, b_til, _range_basis(p1), w1)
         q1 = _quad(a_til, w) / _quad(b_til, w)
         assert q1 >= q0 - 1e-9
         assert q1 == pytest.approx(nu, abs=1e-6)
@@ -209,8 +209,8 @@ def test_update_w1_zero_eve_matches_subspace_eigenvalue():
     w2 = _shell_point(rng, p2)
     num, _ = blocks(w1, w2, 0)
     a_til = p1 + 1e4 * (num - p1)
-    w, nu = update_w1(a_til, p1, p1, w1)
     basis = _range_basis(p1)
+    w, nu = update_w1(a_til, p1, basis, w1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-6)
@@ -223,8 +223,8 @@ def test_update_w1_upper_bound_certificate_weak_coupling():
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
     a_til, _ = blocks(w1, w2, 0)
-    w, nu = update_w1(a_til, p1, p1, w1)
     basis = _range_basis(p1)
+    w, nu = update_w1(a_til, p1, basis, w1)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-4)
@@ -237,9 +237,9 @@ def test_update_w2_matches_subspace_eigenvalue():
         w2 = _shell_point(rng, p2)
         a_til, b_til = blocks(w1, w2, 1)
         obj0 = _quad(a_til, w2)
-        w = update_w2(a_til, b_til, p2, w2)
-        obj1 = _quad(a_til, w)
         basis = _range_basis(p2)
+        w = update_w2(a_til, b_til, basis, w2)
+        obj1 = _quad(a_til, w)
         lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
         assert obj1 >= obj0 - 1e-9
         assert obj1 <= lam_star + 1e-8
@@ -279,10 +279,10 @@ def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_
         bh = basis.conj().T
         lam_star = scipy.linalg.eigvalsh(bh @ num @ basis, bh @ den @ basis)[-1]
         if stream == 0:
-            v, nu = update_w1(num, den, p, w)
+            v, nu = update_w1(num, den, basis, w)
             assert nu == pytest.approx(lam_star, rel=1e-10)
         else:
-            v = update_w2(num, den, p, w)
+            v = update_w2(num, den, basis, w)
         assert _quad(num, v) / _quad(den, v) == pytest.approx(lam_star, rel=1e-10)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(p @ v - v) < 1e-10

@@ -134,6 +134,52 @@ def test_run_nsp_forms_an_projector_once(projector_calls):
     assert len(projector_calls) == 1
 
 
+@pytest.fixture
+def formed(monkeypatch):
+    """Counts of the composite channels and the phase maps that the rate
+    model forms (`rates.composite_channels` and `rates.phase_maps`)."""
+    counts = {"composite_channels": 0, "phase_maps": 0}
+
+    def counter(name):
+        fn = getattr(rates, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(rates, name, counter(name))
+    return counts
+
+
+def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
+    # a beamformer step keeps theta, so the run's first model lends its
+    # composite channels to every later one; nothing reads the phase maps
+    cfg, ch, rng = _setup()
+    state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
+    assert state.iterations_used > 1
+    assert formed == {"composite_channels": 1, "phase_maps": 0}
+    run_scheme(Scheme("random_phase", draws=3), cfg, ch)
+    run_scheme(Scheme("no_irs"), cfg, ch)
+    assert formed == {"composite_channels": 1 + 3 + 1, "phase_maps": 0}
+
+
+def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
+    cfg, ch, _ = _setup()
+    state = run_gai(cfg, ch)
+    assert state.iterations_used > 1
+    passes = state.iterations_used
+    assert formed == {"composite_channels": 1 + passes, "phase_maps": passes}
+    formed.update(composite_channels=0, phase_maps=0)
+    # nsp adds one phase step before the alternation
+    state = run_nsp(cfg, ch)
+    assert state.iterations_used > 1
+    steps = 1 + state.iterations_used
+    assert formed == {"composite_channels": 1 + steps, "phase_maps": steps}
+
+
 # ---------------------------------------------------------------- derived model
 
 
@@ -337,8 +383,9 @@ def test_no_irs_variant_drops_reflected_terms():
 # ---------------------------------------------------------------- phase objective
 
 
-def _random_channel_model(seed, n, m, k, betas, precoders=None):
-    """Random full-rank unit-scale channels pushed through derived_model.
+def _random_channels(seed, n, m, k, betas, precoders=None):
+    """Random full-rank unit-scale channels with their config, precoders and
+    the generator that drew them.
 
     precoders(ch, rng) picks (v1, v2); by default two random unit vectors.
     """
@@ -359,10 +406,45 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
         v2=v2 / np.linalg.norm(v2),
         theta=np.exp(2j * math.pi * rng.random(m)),
     )
+    return cfg, ch, prec, rng
+
+
+def _random_channel_model(seed, n, m, k, betas, precoders=None):
+    """`_random_channels` pushed through derived_model."""
+    cfg, ch, prec, _ = _random_channels(seed, n, m, k, betas, precoders)
     return derived_model(cfg, ch, prec), prec
 
 
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
+
+
+_MODEL_FIELDS = ("P_AN", "B", "logdet_B", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2",
+                 "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
+       k=st.integers(1, 4), betas=_BETAS, include_irs=st.booleans(), read_first=st.booleans())
+def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, read_first):
+    # a model built from its predecessor after a beamformer step and after a
+    # phase step is the fresh model at the same precoders, to the bit
+    cfg, ch, prec, rng = _random_channels(seed, n, m, k, betas)
+    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    steps = [replace(prec, v1=v1 / np.linalg.norm(v1))]
+    steps.append(replace(steps[0], theta=np.exp(2j * math.pi * rng.random(m))))
+    dm = derived_model(cfg, ch, prec, include_irs=include_irs)
+    for new in steps:
+        if read_first:  # a predecessor's cached terms must not leak into its successor
+            for name in _MODEL_FIELDS:
+                getattr(dm, name)
+        reused = derived_model(cfg, ch, new, include_irs=include_irs, prev=dm)
+        fresh = derived_model(cfg, ch, new, include_irs=include_irs)
+        for name in _MODEL_FIELDS:
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+        assert rate_gap(reused, new) == rate_gap(fresh, new)
+        # the channel-only terms are lent, and the per-theta ones until theta moves
+        assert reused.P_AN is dm.P_AN and reused.B is dm.B
+        assert (reused.H_B is dm.H_B) == (new.theta is dm.prec.theta)
+        dm = reused
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
