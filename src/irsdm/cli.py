@@ -33,7 +33,7 @@ from .model import SystemConfig, build_channels, build_geometry
 OUT_DIR_ENV = "IRSDM_OUT_DIR"
 CSV_HEADER = ("axis_value", "scheme", "sr_bits", "iterations", "converged", "seed")
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
-INT_FIELDS = {"N", "M", "K", "seed"}
+INT_FIELDS = {f.name for f in dataclasses.fields(SystemConfig) if f.type == "int"}
 
 
 @dataclasses.dataclass

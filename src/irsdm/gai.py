@@ -115,14 +115,14 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def update_v1(dm: DerivedModel, prec: Precoders) -> np.ndarray:
-    """Best stream-1 beamformer with (v2, theta) held fixed."""
-    return rayleigh_ritz_max(*beam_quotient(dm, prec, 0))
+def update_v1(dm: DerivedModel) -> np.ndarray:
+    """Best stream-1 beamformer with the model's (v2, theta) held fixed."""
+    return rayleigh_ritz_max(*beam_quotient(dm, 0))
 
 
-def update_v2(dm: DerivedModel, prec: Precoders) -> np.ndarray:
-    """Best stream-2 beamformer with (v1, theta) held fixed."""
-    return rayleigh_ritz_max(*beam_quotient(dm, prec, 1))
+def update_v2(dm: DerivedModel) -> np.ndarray:
+    """Best stream-2 beamformer with the model's (v1, theta) held fixed."""
+    return rayleigh_ritz_max(*beam_quotient(dm, 1))
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -334,47 +334,43 @@ def initial_beamformers(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, 
 
 
 def alternate(
-    cfg: SystemConfig,
-    channels: ChannelSet,
     dm: DerivedModel,
-    prec: Precoders,
-    steps: Sequence[Callable[[DerivedModel, Precoders], Precoders]],
+    steps: Sequence[Callable[[DerivedModel], Precoders]],
     max_outer: int,
 ) -> RunState:
-    """Run the block steps in turn, building each step's rate model from the
-    last (`derived_model(..., prev=dm)`), until one pass gains at most
-    epsilon in the rate gap.
+    """Run the block steps in turn from the rate model dm until one pass
+    gains at most dm.cfg.epsilon in the rate gap.
 
-    Each step maps the current rate model and precoders to new precoders.
+    The model is the run's one state: each step maps it to new precoders,
+    and the model moves itself to them (`DerivedModel.at`).
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
     A pass that lowers the gap (each block raises it, but solves of pencils
     with entries near 1e8 lose digits) is undone: the run keeps the previous
-    precoders and rate model, repeats the previous rate in the trace and
-    stops as converged.  The trace is therefore non-decreasing.
+    rate model, repeats the previous rate in the trace and stops as
+    converged.  The trace is therefore non-decreasing.
     """
-    trace = [secrecy_rate(dm, prec)]
-    gap = unclipped_gap(trace[-1], dm, prec)
+    trace = [secrecy_rate(dm)]
+    gap = unclipped_gap(trace[-1], dm)
     converged = False
     iterations = 0
     for p in range(1, max_outer + 1):
-        prec_prev, dm_prev = prec, dm
+        dm_prev = dm
         for step in steps:
-            prec = step(dm, prec)
-            dm = derived_model(cfg, channels, prec, prev=dm)
-        sr = secrecy_rate(dm, prec)
-        gap_new = unclipped_gap(sr, dm, prec)
+            dm = dm.at(step(dm))
+        sr = secrecy_rate(dm)
+        gap_new = unclipped_gap(sr, dm)
         if gap_new < gap:
-            prec, dm, sr, gap_new = prec_prev, dm_prev, trace[-1], gap
+            dm, sr, gap_new = dm_prev, trace[-1], gap
         trace.append(sr)
         gap, gap_prev = gap_new, gap
         iterations = p
-        if gap - gap_prev <= cfg.epsilon:
+        if gap - gap_prev <= dm.cfg.epsilon:
             converged = True
             break
     return RunState(
-        prec=prec,
+        prec=dm.prec,
         p_an=dm.P_AN,
         rs_trace=np.array(trace),
         iterations_used=iterations,
@@ -396,17 +392,16 @@ def run_gai(
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.array(fixed_theta, dtype=complex)
     v1, v2 = initial_beamformers(channels, theta)
-    prec = Precoders(v1=v1, v2=v2, theta=theta)
-    dm = derived_model(cfg, channels, prec)
+    dm = derived_model(cfg, channels, Precoders(v1=v1, v2=v2, theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm, prec: replace(prec, v1=update_v1(dm, prec)))
+        steps.append(lambda dm: replace(dm.prec, v1=update_v1(dm)))
     if cfg.beta2 > 0:
-        steps.append(lambda dm, prec: replace(prec, v2=update_v2(dm, prec)))
+        steps.append(lambda dm: replace(dm.prec, v2=update_v2(dm)))
     if fixed_theta is None:
         # solve the phase block well below the outer tolerance: stopping
         # the ascent at the outer epsilon meters a shallow-ridge climb out
         # over many outer passes instead of finishing it in one
-        steps.append(lambda dm, prec: replace(
-            prec, theta=ga_optimize_theta(PhaseProblem(dm), prec.theta, opts, GA_TOL)))
-    return alternate(cfg, channels, dm, prec, steps, opts.max_outer)
+        steps.append(lambda dm: replace(
+            dm.prec, theta=ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL)))
+    return alternate(dm, steps, opts.max_outer)

@@ -98,7 +98,8 @@ class SystemConfig:
 
 @dataclass(frozen=True, eq=False)
 class Geometry:
-    """Node positions plus per-link (distance, angle) pairs.
+    """Node positions plus the surface's links to the receivers; Alice's
+    links are the (distance, angle) pairs of `SystemConfig`.
 
     theta_ib and theta_ie are the angles of the surface->Bob and
     surface->Eve directions against the x axis, folded into [0, pi] with
@@ -109,12 +110,6 @@ class Geometry:
     irs: np.ndarray
     bob: np.ndarray
     eve: np.ndarray
-    d_ai: float
-    theta_ai: float
-    d_ab: float
-    theta_ab: float
-    d_ae: float
-    theta_ae: float
     d_ib: float
     theta_ib: float
     d_ie: float
@@ -153,9 +148,6 @@ def build_geometry(cfg: SystemConfig) -> Geometry:
         raise ValueError("degenerate geometry: surface and Eve coincide")
     return Geometry(
         alice=alice, irs=irs, bob=bob, eve=eve,
-        d_ai=cfg.d_AI, theta_ai=cfg.theta_AI,
-        d_ab=cfg.d_AB, theta_ab=cfg.theta_AB,
-        d_ae=cfg.d_AE, theta_ae=cfg.theta_AE,
         d_ib=d_ib, theta_ib=theta_ib,
         d_ie=d_ie, theta_ie=theta_ie,
     )
@@ -225,28 +217,29 @@ class ChannelSet:
 
 
 def build_channels(cfg: SystemConfig, geo: Geometry) -> ChannelSet:
-    """Rank-one LOS channels: outer products of the two end-point steering vectors."""
-    a_n_ai = steering_vector(cfg.N, geo.theta_ai)
-    a_m_ai = steering_vector(cfg.M, geo.theta_ai)
-    a_n_ab = steering_vector(cfg.N, geo.theta_ab)
-    a_k_ab = steering_vector(cfg.K, geo.theta_ab)
-    a_n_ae = steering_vector(cfg.N, geo.theta_ae)
-    a_k_ae = steering_vector(cfg.K, geo.theta_ae)
+    """Rank-one LOS channels: outer products of the two end-point steering
+    vectors.  Alice's links come from cfg, the surface's from geo."""
+    a_n_ai = steering_vector(cfg.N, cfg.theta_AI)
+    a_m_ai = steering_vector(cfg.M, cfg.theta_AI)
+    a_n_ab = steering_vector(cfg.N, cfg.theta_AB)
+    a_k_ab = steering_vector(cfg.K, cfg.theta_AB)
+    a_n_ae = steering_vector(cfg.N, cfg.theta_AE)
+    a_k_ae = steering_vector(cfg.K, cfg.theta_AE)
     a_m_ib = steering_vector(cfg.M, geo.theta_ib)
     a_k_ib = steering_vector(cfg.K, geo.theta_ib)
     a_m_ie = steering_vector(cfg.M, geo.theta_ie)
     a_k_ie = steering_vector(cfg.K, geo.theta_ie)
     f = cfg.carrier_hz
     # Cascaded reflector gain is the product of the two segment losses.
-    g_ai = path_loss(geo.d_ai, f)
+    g_ai = path_loss(cfg.d_AI, f)
     return ChannelSet(
         H_AI=np.outer(a_m_ai, a_n_ai.conj()),
         H_AB=np.outer(a_n_ab, a_k_ab.conj()),
         H_AE=np.outer(a_n_ae, a_k_ae.conj()),
         H_IB=np.outer(a_m_ib, a_k_ib.conj()),
         H_IE=np.outer(a_m_ie, a_k_ie.conj()),
-        g_AB=path_loss(geo.d_ab, f),
-        g_AE=path_loss(geo.d_ae, f),
+        g_AB=path_loss(cfg.d_AB, f),
+        g_AE=path_loss(cfg.d_AE, f),
         g_AIB=g_ai * path_loss(geo.d_ib, f),
         g_AIE=g_ai * path_loss(geo.d_ie, f),
     )

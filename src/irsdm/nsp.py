@@ -78,14 +78,14 @@ def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def stream_blocks(dm: DerivedModel, prec: Precoders, p: np.ndarray,
-                  stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """GAI's beamformer quotient of one stream (0 or 1) restricted to range(p).
+def stream_blocks(dm: DerivedModel, p: np.ndarray, stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """GAI's beamformer quotient of one stream (0 or 1) at the model's
+    precoders, restricted to range(p).
 
     Returns (p num p, p den p) for (num, den) of `rates.beam_quotient`, so
     that at w with unit ||p w|| the quotient is that of v = p w.
     """
-    num, den = beam_quotient(dm, prec, stream)
+    num, den = beam_quotient(dm, stream)
     return _herm(p @ num @ p), _herm(p @ den @ p)
 
 
@@ -143,26 +143,19 @@ def _subspace_max(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray
     return q @ rayleigh_ritz_max(_herm(qh @ num @ q), _herm(qh @ den @ q))
 
 
-def update_w1(
-    num: np.ndarray,
-    den: np.ndarray,
-    q: np.ndarray,
-    v1: np.ndarray,
-) -> tuple[np.ndarray, float]:
+def update_w1(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Best stream-1 beamformer for the quotient of `stream_blocks` over
     range(P), q its orthonormal basis (`range_basis`), and its quotient nu.
-
-    The solve is exact, so it does not depend on the incumbent v1.
+    The solve is exact, so it takes no incumbent.
     """
     v = _subspace_max(num, den, q)
     return v, _quad(num, v) / _quad(den, v)
 
 
-def update_w2(num: np.ndarray, den: np.ndarray, q: np.ndarray, v2: np.ndarray) -> np.ndarray:
+def update_w2(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Best stream-2 beamformer for the quotient of `stream_blocks` over
-    range(P), q its orthonormal basis (`range_basis`).
-
-    The solve is exact, so it does not depend on the incumbent v2.
+    range(P), q its orthonormal basis (`range_basis`).  The solve is exact,
+    so it takes no incumbent.
     """
     return _subspace_max(num, den, q)
 
@@ -303,23 +296,20 @@ def run_nsp(
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
     q1, q2 = range_basis(p1), range_basis(p2)
-    prec = Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=np.ones(cfg.M, dtype=complex))
-    dm = derived_model(cfg, channels, prec)
+    theta = np.ones(cfg.M, dtype=complex)
+    dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm, prec: replace(
-            prec, v1=update_w1(*stream_blocks(dm, prec, p1, 0), q1, prec.v1)[0]))
+        steps.append(lambda dm: replace(dm.prec, v1=update_w1(*stream_blocks(dm, p1, 0), q1)[0]))
     if cfg.beta2 > 0:
-        steps.append(lambda dm, prec: replace(
-            prec, v2=update_w2(*stream_blocks(dm, prec, p2, 1), q2, prec.v2)))
+        steps.append(lambda dm: replace(dm.prec, v2=update_w2(*stream_blocks(dm, p2, 1), q2)))
     if cfg.beta1 > 0:
         # the phase blocks depend on the beamformers only
-        steps.append(lambda dm, prec: replace(
-            prec, theta=update_theta_nsp(*phase_blocks(dm), prec.theta)))
+        steps.append(lambda dm: replace(
+            dm.prec, theta=update_theta_nsp(*phase_blocks(dm), dm.prec.theta)))
         # pre-align the phases to the initial beamformers: starting the v1
         # block at unaligned phases can reward silencing the surface (the
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
-        prec = steps[-1](dm, prec)
-        dm = derived_model(cfg, channels, prec, prev=dm)
-    return alternate(cfg, channels, dm, prec, steps, opts.max_outer)
+        dm = dm.at(steps[-1](dm))
+    return alternate(dm, steps, opts.max_outer)

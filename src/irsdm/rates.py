@@ -130,22 +130,31 @@ def _phase_map(name: str) -> property:
     return property(lambda dm: dm._maps[name], doc=f"{name} of `phase_maps` at the model's beamformers.")
 
 
+def _theta_terms(cfg: SystemConfig, ch: ChannelSet, theta: np.ndarray) -> dict[str, np.ndarray]:
+    """The rate model's per-theta terms: the unscaled composite channels
+    H_B/H_E and H_B1..H_E2, which fold in each stream's scale."""
+    h_b, h_e = composite_channels(ch, theta)
+    c1, c2 = stream_scales(cfg)
+    return dict(H_B=h_b, H_E=h_e, H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e)
+
+
 @dataclass(frozen=True, eq=False)
 class DerivedModel:
-    """The rate model at the precoders prec, in three layers, each formed
-    only when its own inputs change (`derived_model`):
+    """The rate model at the precoders prec, the state of both optimizers.
 
-    * channel-only, once per run: the AN projector P_AN, Eve's AN-plus-noise
-      covariance B and its log2 det `logdet_B`;
+    It holds three layers, each formed only when its own inputs change:
+
+    * channel-only, once per run (`derived_model`): the AN projector P_AN,
+      Eve's AN-plus-noise covariance B and its log2 det `logdet_B`;
     * per theta: the unscaled composite channels H_B/H_E, and H_B1..H_E2,
       which fold in the per-stream power and noise normalization;
     * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
       h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
       fixed-phase run never forms them.
 
-    `logdet_B` and the phase maps are cached on the instance: a model made
-    by `dataclasses.replace` forms its own from its own fields, and
-    `derived_model` hands `logdet_B` on together with B.
+    `at` moves the model to new precoders.  `logdet_B` and the phase maps
+    are cached on the instance: a model made by `dataclasses.replace` forms
+    its own from its own fields, and `at` hands `logdet_B` on with B.
     """
 
     cfg: SystemConfig
@@ -177,42 +186,39 @@ class DerivedModel:
     h_E1 = _phase_map("h_E1")
     h_E2 = _phase_map("h_E2")
 
+    def at(self, prec: Precoders) -> DerivedModel:
+        """The rate model at prec, of this model's cfg and ch.
 
-def derived_model(
-    cfg: SystemConfig,
-    ch: ChannelSet,
-    prec: Precoders,
-    include_irs: bool = True,
-    prev: DerivedModel | None = None,
-) -> DerivedModel:
-    """The rate model at (v1, v2, theta).
+        It lends this model's channel-only terms, and its per-theta terms
+        too when prec holds this model's own theta array (a beamformer step
+        keeps the array; the phases are never changed in place).  Anything
+        new is formed from the model's own cfg and ch, so a model built
+        without the surface stays without it.
+        """
+        per_theta = {} if prec.theta is self.prec.theta else _theta_terms(self.cfg, self.ch, prec.theta)
+        dm = replace(self, prec=prec, **per_theta)
+        vars(dm)["logdet_B"] = self.logdet_B  # channel-only like P_AN and B: carried, not re-formed
+        return dm
 
-    prev, a model of the same cfg, ch and include_irs at earlier precoders,
-    lends its channel-only terms, and its per-theta terms too when prec
-    holds prev's own theta array (a beamformer step keeps the array; the
-    phases are never changed in place).  Without prev, the channel-only
-    terms are formed here.  With include_irs=False both surface path gains
-    are zeroed, which models a system without the surface while keeping
-    the rest of the pipeline intact.
+
+def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
+                  include_irs: bool = True) -> DerivedModel:
+    """A fresh rate model at (v1, v2, theta); `DerivedModel.at` moves it on.
+
+    With include_irs=False both surface path gains are zeroed, which models
+    a system without the surface while keeping the rest of the pipeline
+    intact.
     """
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
-    per_theta = {}
-    if prev is None or prec.theta is not prev.prec.theta:
-        h_b, h_e = composite_channels(ch, prec.theta)
-        c1, c2 = stream_scales(cfg)
-        per_theta = dict(H_B=h_b, H_E=h_e, H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e)
-    if prev is None:
-        p_an = an_projector(ch.H_AI, ch.H_AB)
-        return DerivedModel(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=eve_covariance(cfg, ch, p_an),
-                            **per_theta)
-    dm = replace(prev, prec=prec, **per_theta)
-    vars(dm)["logdet_B"] = prev.logdet_B  # channel-only like P_AN and B: carried, not re-formed
-    return dm
+    p_an = an_projector(ch.H_AI, ch.H_AB)
+    return DerivedModel(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=eve_covariance(cfg, ch, p_an),
+                        **_theta_terms(cfg, ch, prec.theta))
 
 
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
-    """Bob's achievable sum rate over the two streams, bits/s/Hz."""
+    """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
+    beamformers at the model's phases (prec.theta is not read)."""
     t1 = dm.H_B1 @ prec.v1
     t2 = dm.H_B2 @ prec.v2
     k = t1.shape[0]
@@ -221,7 +227,8 @@ def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
 
 
 def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
-    """Eve's rate with the artificial noise folded into her noise covariance.
+    """Eve's rate with the artificial noise folded into her noise covariance,
+    for prec's beamformers at the model's phases (prec.theta is not read).
 
     det(I + S B^-1) is evaluated as det(B + S) / det(B) so that only
     Hermitian positive definite factorizations are involved.
@@ -232,30 +239,32 @@ def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
     return logdet_hermitian(_herm(dm.B + s)) - dm.logdet_B
 
 
-def rate_gap(dm: DerivedModel, prec: Precoders) -> float:
-    return rate_bob(dm, prec) - rate_eve(dm, prec)
+def rate_gap(dm: DerivedModel) -> float:
+    """R_B - R_E at the model's precoders."""
+    return rate_bob(dm, dm.prec) - rate_eve(dm, dm.prec)
 
 
-def secrecy_rate(dm: DerivedModel, prec: Precoders) -> float:
-    """Clipped rate advantage max(0, R_B - R_E) in bits/s/Hz."""
-    return max(0.0, rate_gap(dm, prec))
+def secrecy_rate(dm: DerivedModel) -> float:
+    """Clipped rate advantage max(0, R_B - R_E) in bits/s/Hz at the model's precoders."""
+    return max(0.0, rate_gap(dm))
 
 
-def unclipped_gap(sr: float, dm: DerivedModel, prec: Precoders) -> float:
-    """R_B - R_E from the secrecy rate sr at the same point, recomputed only if clipped."""
-    return sr if sr > 0 else rate_gap(dm, prec)
+def unclipped_gap(sr: float, dm: DerivedModel) -> float:
+    """R_B - R_E from the secrecy rate sr of the same model, recomputed only if clipped."""
+    return sr if sr > 0 else rate_gap(dm)
 
 
-def beam_quotient(dm: DerivedModel, prec: Precoders, stream: int) -> tuple[np.ndarray, np.ndarray]:
+def beam_quotient(dm: DerivedModel, stream: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the rate gap as a function of one stream's
-    beamformer (stream 0 or 1), with the other stream and theta held fixed.
+    beamformer (stream 0 or 1), with the model's other beamformer and theta
+    held fixed.
 
     R_B - R_E equals a constant plus log2 of x^H num x / x^H den x at unit
     norm; the other stream is folded into the effective noise on both sides.
     """
     h_b = (dm.H_B1, dm.H_B2)
     h_e = (dm.H_E1, dm.H_E2)
-    v_other = (prec.v1, prec.v2)[1 - stream]
+    v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
     n = dm.H_B1.shape[1]
     k = dm.B.shape[0]
     eye_n = np.eye(n, dtype=complex)

@@ -251,7 +251,7 @@ def _tiny_oracle_sr(cfg, ch, grid=720, samples=100_000, seed=2024):
         ii = int(check_rng.integers(0, samples))
         tv = np.exp(1j * np.array([ph[kk // grid], ph[kk % grid]]))
         pr = Precoders(v1=cand[ii], v2=cand[ii], theta=tv)
-        ref = rate_gap(derived_model(cfg, ch, pr), pr)
+        ref = rate_gap(derived_model(cfg, ch, pr))
         t3 = np.array([1.0, tv[0], tv[1]])
         mine = math.log2(
             (1.0 + c * abs(z_b[ii] @ t3) ** 2) / (1.0 + (c / bs) * abs(z_e[ii] @ t3) ** 2)
@@ -380,8 +380,8 @@ def test_criterion_06_dinkelbach_root_residual():
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
-        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), prec, p1, 0)
-        w, nu = update_w1(a_til, b_til, range_basis(p1), w1)
+        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), p1, 0)
+        w, nu = update_w1(a_til, b_til, range_basis(p1))
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))
         if not resid < 1e-8:
             failures.append(f"config {i}: residual {resid:.3e} >= 1e-8")

@@ -141,7 +141,7 @@ def test_update_v1_never_reduces_rate_gap():
         prec = _random_prec(cfg, rng)
         dm = derived_model(cfg, ch, prec)
         gap0 = rate_bob(dm, prec) - rate_eve(dm, prec)
-        new = Precoders(v1=update_v1(dm, prec), v2=prec.v2, theta=prec.theta)
+        new = Precoders(v1=update_v1(dm), v2=prec.v2, theta=prec.theta)
         dm_new = derived_model(cfg, ch, new)
         gap1 = rate_bob(dm_new, new) - rate_eve(dm_new, new)
         assert gap1 >= gap0 - 1e-9
@@ -154,7 +154,7 @@ def test_update_v2_never_reduces_rate_gap():
         prec = _random_prec(cfg, rng)
         dm = derived_model(cfg, ch, prec)
         gap0 = rate_bob(dm, prec) - rate_eve(dm, prec)
-        new = Precoders(v1=prec.v1, v2=update_v2(dm, prec), theta=prec.theta)
+        new = Precoders(v1=prec.v1, v2=update_v2(dm), theta=prec.theta)
         dm_new = derived_model(cfg, ch, new)
         gap1 = rate_bob(dm_new, new) - rate_eve(dm_new, new)
         assert gap1 >= gap0 - 1e-9
@@ -171,7 +171,7 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
         "H_E1": np.zeros_like(dm.H_E1),
         "H_E2": np.zeros_like(dm.H_E2),
     })
-    v1 = update_v1(zeroed, prec)
+    v1 = update_v1(zeroed)
     t2 = dm.H_B2 @ prec.v2
     cov = np.eye(cfg.K) + np.outer(t2, t2.conj())
     mat = dm.H_B1.conj().T @ np.linalg.solve(cov, dm.H_B1)
@@ -196,7 +196,7 @@ def test_update_v1_grid_oracle_two_antennas():
     rng = np.random.default_rng(6)
     prec = _random_prec(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    v1 = update_v1(dm, prec)
+    v1 = update_v1(dm)
     new = Precoders(v1=v1, v2=prec.v2, theta=prec.theta)
     dm_new = derived_model(cfg, ch, new)
     best = rate_bob(dm_new, new) - rate_eve(dm_new, new)

@@ -281,8 +281,8 @@ def test_cascaded_gain_is_product_of_segments():
     cfg, ch = _default_channels()
     geo = build_geometry(cfg)
     f = cfg.carrier_hz
-    assert ch.g_AIB == pytest.approx(path_loss(geo.d_ai, f) * path_loss(geo.d_ib, f), rel=1e-12)
-    assert ch.g_AIE == pytest.approx(path_loss(geo.d_ai, f) * path_loss(geo.d_ie, f), rel=1e-12)
+    assert ch.g_AIB == pytest.approx(path_loss(cfg.d_AI, f) * path_loss(geo.d_ib, f), rel=1e-12)
+    assert ch.g_AIE == pytest.approx(path_loss(cfg.d_AI, f) * path_loss(geo.d_ie, f), rel=1e-12)
     for g in (ch.g_AB, ch.g_AE, ch.g_AIB, ch.g_AIE):
         assert 0 < g <= 1
 

@@ -161,8 +161,8 @@ def test_stream_blocks_match_effective_channels():
     def snr(t, noise):
         return 1.0 + _quad(np.linalg.inv(noise), t)
 
-    num1, den1 = stream_blocks(dm, prec, p1, 0)
-    num2, den2 = stream_blocks(dm, prec, p2, 1)
+    num1, den1 = stream_blocks(dm, p1, 0)
+    num2, den2 = stream_blocks(dm, p2, 1)
     assert _quad(num1, w1) == pytest.approx(snr(t1, np.eye(cfg.K) + np.outer(t2, t2.conj())), rel=1e-9)
     assert _quad(den1, w1) == pytest.approx(snr(t3, dm.B), rel=1e-9)
     assert _quad(num2, w2) == pytest.approx(snr(t2, np.eye(cfg.K) + np.outer(t1, t1.conj())), rel=1e-9)
@@ -181,7 +181,7 @@ def _default_blocks(seed=3):
     def blocks(w1, w2, stream):
         """stream_blocks at v1 = p1 w1, v2 = p2 w2 and the fixed phases."""
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
-        return stream_blocks(derived_model(cfg, ch, prec), prec, (p1, p2)[stream], stream)
+        return stream_blocks(derived_model(cfg, ch, prec), (p1, p2)[stream], stream)
 
     return rng, p1, p2, blocks
 
@@ -193,7 +193,7 @@ def test_update_w1_raises_quotient_and_meets_residual():
         w2 = _shell_point(rng, p2)
         a_til, b_til = blocks(w1, w2, 0)
         q0 = _quad(a_til, w1) / _quad(b_til, w1)
-        w, nu = update_w1(a_til, b_til, _range_basis(p1), w1)
+        w, nu = update_w1(a_til, b_til, _range_basis(p1))
         q1 = _quad(a_til, w) / _quad(b_til, w)
         assert q1 >= q0 - 1e-9
         assert q1 == pytest.approx(nu, abs=1e-6)
@@ -210,7 +210,7 @@ def test_update_w1_zero_eve_matches_subspace_eigenvalue():
     num, _ = blocks(w1, w2, 0)
     a_til = p1 + 1e4 * (num - p1)
     basis = _range_basis(p1)
-    w, nu = update_w1(a_til, p1, basis, w1)
+    w, nu = update_w1(a_til, p1, basis)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-6)
@@ -224,7 +224,7 @@ def test_update_w1_upper_bound_certificate_weak_coupling():
     w2 = _shell_point(rng, p2)
     a_til, _ = blocks(w1, w2, 0)
     basis = _range_basis(p1)
-    w, nu = update_w1(a_til, p1, basis, w1)
+    w, nu = update_w1(a_til, p1, basis)
     lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-4)
@@ -238,7 +238,7 @@ def test_update_w2_matches_subspace_eigenvalue():
         a_til, b_til = blocks(w1, w2, 1)
         obj0 = _quad(a_til, w2)
         basis = _range_basis(p2)
-        w = update_w2(a_til, b_til, basis, w2)
+        w = update_w2(a_til, b_til, basis)
         obj1 = _quad(a_til, w)
         lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
         assert obj1 >= obj0 - 1e-9
@@ -273,16 +273,16 @@ def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_
     w1, w2 = _shell_point(rng, p1), _shell_point(rng, p2)
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=np.exp(2j * math.pi * rng.random(m)))
     dm = derived_model(cfg, ch, prec)
-    for stream, p, w in ((0, p1, w1), (1, p2, w2)):
-        num, den = stream_blocks(dm, prec, p, stream)
+    for stream, p in ((0, p1), (1, p2)):
+        num, den = stream_blocks(dm, p, stream)
         basis = _range_basis(p)
         bh = basis.conj().T
         lam_star = scipy.linalg.eigvalsh(bh @ num @ basis, bh @ den @ basis)[-1]
         if stream == 0:
-            v, nu = update_w1(num, den, basis, w)
+            v, nu = update_w1(num, den, basis)
             assert nu == pytest.approx(lam_star, rel=1e-10)
         else:
-            v = update_w2(num, den, basis, w)
+            v = update_w2(num, den, basis)
         assert _quad(num, v) / _quad(den, v) == pytest.approx(lam_star, rel=1e-10)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(p @ v - v) < 1e-10
