@@ -21,12 +21,11 @@ from .rates import (
     rate_eve,
     secrecy_rate,
 )
-from .gai import GaOptions, RunState, run_gai
+from .gai import GaOptions, Solution, run_gai
 from .nsp import NspOptions, run_nsp
 from .bench import (
     ExperimentResult,
     Scheme,
-    Solution,
     convergence_trace,
     run_scheme,
     sweep_sr_vs_m,
@@ -43,7 +42,6 @@ __all__ = [
     "Geometry",
     "NspOptions",
     "Precoders",
-    "RunState",
     "Scheme",
     "Solution",
     "SystemConfig",

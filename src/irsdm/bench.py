@@ -3,7 +3,8 @@
 Five schemes share one entry point: the two optimizers (gai, nsp), a
 surface-free baseline (no_irs), fixed random phases with optimized
 beamformers (random_phase), and a single-stream variant that pours the
-confidential power budget into one beam (single_cbs).
+confidential power budget into one beam (single_cbs).  Each returns the
+optimizers' run record, `gai.Solution`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gai import RunState, check_count, run_gai
+from .gai import Solution, check_count, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import run_nsp
 # not called here; perfbench/tracing.py wraps the name in this module
@@ -40,21 +41,6 @@ class Scheme:
 
 
 @dataclass
-class Solution:
-    """Scheme output: final precoders, achieved secrecy rate and the trace."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    theta: np.ndarray
-    p_an: np.ndarray
-    sr: float
-    rs_trace: np.ndarray
-    iterations: int
-    converged: bool
-    per_draw: np.ndarray | None = None  # random_phase only
-
-
-@dataclass
 class ExperimentResult:
     experiment: str
     axis_name: str
@@ -66,56 +52,52 @@ class ExperimentResult:
     seed: int
 
 
-def _finish(state: RunState, per_draw=None) -> Solution:
-    return Solution(
-        v1=state.prec.v1,
-        v2=state.prec.v2,
-        theta=state.prec.theta,
-        p_an=state.p_an,
-        sr=float(state.rs_trace[-1]),
-        rs_trace=state.rs_trace,
-        iterations=state.iterations_used,
-        converged=state.converged,
-        per_draw=per_draw,
-    )
-
-
 def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solution:
-    """Run one benchmark scheme on a fixed channel realization."""
+    """Run one benchmark scheme on a fixed channel realization.
+
+    Returns the optimizer's `Solution`; random_phase returns its best draw's
+    with sr the mean rate, per_draw each draw's rate, iterations the rounded
+    mean pass count and converged that of every draw.
+    """
     if scheme.kind == "gai":
-        return _finish(run_gai(cfg, channels))
+        return run_gai(cfg, channels)
     if scheme.kind == "nsp":
-        return _finish(run_nsp(cfg, channels))
+        return run_nsp(cfg, channels)
     if scheme.kind == "no_irs":
         no_surface = replace(channels, g_AIB=0.0, g_AIE=0.0)
-        return _finish(run_gai(cfg, no_surface, fixed_theta=np.ones(cfg.M, dtype=complex)))
+        return run_gai(cfg, no_surface, fixed_theta=np.ones(cfg.M, dtype=complex))
     if scheme.kind == "random_phase":
         rng = np.random.default_rng(cfg.seed)
-        states, srs = [], []
-        for _ in range(scheme.draws):
-            theta = np.exp(2j * math.pi * rng.random(cfg.M))
-            state = run_gai(cfg, channels, fixed_theta=theta)
-            states.append(state)
-            srs.append(float(state.rs_trace[-1]))
-        per_draw = np.array(srs)
-        best = states[int(np.argmax(per_draw))]
-        sol = _finish(best, per_draw=per_draw)
-        sol.sr = float(per_draw.mean())  # headline number is the mean over draws
-        sol.iterations = int(round(np.mean([s.iterations_used for s in states])))
-        sol.converged = all(s.converged for s in states)
-        return sol
+        draws = [run_gai(cfg, channels, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
+                 for _ in range(scheme.draws)]
+        per_draw = np.array([d.sr for d in draws])
+        return replace(
+            draws[int(np.argmax(per_draw))],
+            sr=float(per_draw.mean()),
+            per_draw=per_draw,
+            iterations=int(round(np.mean([d.iterations for d in draws]))),
+            converged=all(d.converged for d in draws),
+        )
     # single_cbs: one confidential stream with the whole non-AN budget
     share = 1.0 - AN_SHARE_SINGLE
     if scheme.active_stream == 2:
         cfg_one = replace(cfg, beta1=0.0, beta2=share)
     else:
         cfg_one = replace(cfg, beta1=share, beta2=0.0)
-    return _finish(run_gai(cfg_one, channels))
+    return run_gai(cfg_one, channels)
 
 
-def _run_point(cfg, schemes):
+def _run_point(cfg, schemes, where):
+    """Every scheme's solution on the point's channels.  A scheme that
+    raises is named in the error, after where (experiment and axis value)."""
     channels = build_channels(cfg, build_geometry(cfg))
-    return {scheme.kind: run_scheme(scheme, cfg, channels) for scheme in schemes}
+    sols = {}
+    for scheme in schemes:
+        try:
+            sols[scheme.kind] = run_scheme(scheme, cfg, channels)
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"{where}, scheme {scheme.kind}: {exc}") from exc
+    return sols
 
 
 def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes):
@@ -123,8 +105,8 @@ def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes):
     series = {s.kind: [] for s in schemes}
     iters = {s.kind: [] for s in schemes}
     converged = {s.kind: [] for s in schemes}
-    for cfg_point in point_cfgs:
-        for label, sol in _run_point(cfg_point, schemes).items():
+    for value, cfg_point in zip(axis_values, point_cfgs):
+        for label, sol in _run_point(cfg_point, schemes, f"{experiment} at {axis_name}={value:g}").items():
             series[label].append(sol.sr)
             iters[label].append(sol.iterations)
             converged[label].append(sol.converged)
@@ -182,7 +164,7 @@ def convergence_trace(
         raise ValueError(f"convergence trace labels its series by M; got a repeated M in {m_values}")
     sols = {}
     for m in m_values:
-        for label, sol in _run_point(replace(cfg, M=int(m)), schemes).items():
+        for label, sol in _run_point(replace(cfg, M=int(m)), schemes, f"converge at M={int(m)}").items():
             sols[f"{label}_M{int(m)}"] = sol
     depth = max(len(sol.rs_trace) for sol in sols.values())
     series, iterations, converged = {}, {}, {}

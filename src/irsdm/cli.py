@@ -279,12 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, schemes_default: str) -> None:
+    def common(p: argparse.ArgumentParser, schemes_default: str | None) -> None:
         _add_config_flags(p)
         p.add_argument("--out-dir", type=Path, default=None,
                        help=f"output directory (default: ${OUT_DIR_ENV} or ./runs)")
-        p.add_argument("--schemes", default=schemes_default,
-                       help="comma-separated scheme list")
+        if schemes_default is not None:  # single takes one --scheme instead
+            p.add_argument("--schemes", default=schemes_default,
+                           help="comma-separated scheme list")
         p.add_argument("--draws", type=int, default=50, help="random_phase draw count")
         p.add_argument("--active-stream", type=int, default=2, choices=(1, 2),
                        help="which stream single_cbs keeps")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment, experiment="sweep_position")
 
     p = sub.add_parser("single", help="run one scheme once and dump the solution")
-    common(p, "gai")
+    common(p, None)
     p.add_argument("--scheme", default="gai")
     p.set_defaults(func=_cmd_single)
 

@@ -85,16 +85,27 @@ def check_count(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-@dataclass
-class RunState:
-    """Result of a run of either optimizer: the final precoders, the AN
-    projector of its rate model and the per-iteration rate trace."""
+@dataclass(frozen=True)
+class Solution:
+    """A run's one record, from `alternate`, both optimizers and every
+    `bench.run_scheme` scheme: final precoders, the run's AN projector, the
+    secrecy rate, its per-pass trace, the passes run and the stop test."""
 
-    prec: Precoders
+    v1: np.ndarray
+    v2: np.ndarray
+    theta: np.ndarray
     p_an: np.ndarray
+    sr: float
     rs_trace: np.ndarray
-    iterations_used: int
+    iterations: int
     converged: bool
+    per_draw: np.ndarray | None = None  # random_phase: each draw's rate
+
+    @property
+    def iterations_used(self) -> int:
+        # read-only alias: perfbench/tracing.py reads this name from the
+        # results of bench.run_gai and bench.run_nsp
+        return self.iterations
 
 
 def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
@@ -337,7 +348,7 @@ def alternate(
     dm: DerivedModel,
     steps: Sequence[Callable[[DerivedModel], Precoders]],
     max_outer: int,
-) -> RunState:
+) -> Solution:
     """Run the block steps in turn from the rate model dm until one pass
     gains at most dm.cfg.epsilon in the rate gap.
 
@@ -350,12 +361,14 @@ def alternate(
     with entries near 1e8 lose digits) is undone: the run keeps the previous
     rate model, repeats the previous rate in the trace and stops as
     converged.  The trace is therefore non-decreasing.
+
+    Returns the run's `Solution`: the last model's precoders and AN
+    projector, sr = rs_trace[-1], and per_draw None.
     """
     trace = [secrecy_rate(dm)]
     gap = unclipped_gap(trace[-1], dm)
-    converged = False
-    iterations = 0
-    for p in range(1, max_outer + 1):
+    converged, iterations = False, 0
+    for iterations in range(1, max_outer + 1):
         dm_prev = dm
         for step in steps:
             dm = dm.at(step(dm))
@@ -365,15 +378,17 @@ def alternate(
             dm, sr, gap_new = dm_prev, trace[-1], gap
         trace.append(sr)
         gap, gap_prev = gap_new, gap
-        iterations = p
         if gap - gap_prev <= dm.cfg.epsilon:
             converged = True
             break
-    return RunState(
-        prec=dm.prec,
+    return Solution(
+        v1=dm.prec.v1,
+        v2=dm.prec.v2,
+        theta=dm.prec.theta,
         p_an=dm.P_AN,
+        sr=float(trace[-1]),
         rs_trace=np.array(trace),
-        iterations_used=iterations,
+        iterations=iterations,
         converged=converged,
     )
 
@@ -383,11 +398,11 @@ def run_gai(
     channels: ChannelSet,
     opts: GaOptions | None = None,
     fixed_theta: np.ndarray | None = None,
-) -> RunState:
+) -> Solution:
     """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
 
     With fixed_theta the phases stay at it and only the beamformers move;
-    without, they start from all ones.
+    without, they start from all ones.  Returns `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.array(fixed_theta, dtype=complex)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gai import (
-    RunState,
+    Solution,
     _project_phases,
     alternate,
     check_count,
@@ -291,8 +291,9 @@ def run_nsp(
     cfg: SystemConfig,
     channels: ChannelSet,
     opts: NspOptions | None = None,
-) -> RunState:
-    """GAI's alternation over the null-space-constrained v1, v2 and theta blocks."""
+) -> Solution:
+    """GAI's alternation over the null-space-constrained v1, v2 and theta
+    blocks; returns `alternate`'s `Solution`."""
     opts = opts or NspOptions()
     p1, p2 = ns_projectors(channels)
     q1, q2 = range_basis(p1), range_basis(p2)

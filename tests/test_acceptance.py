@@ -401,9 +401,9 @@ def test_criterion_07_convergence_speed():
         for label, state in (("gai", run_gai(cfg, ch)), ("nsp", run_nsp(cfg, ch))):
             if not state.converged:
                 failures.append(f"M={m} {label}: did not converge")
-            elif state.iterations_used > 10:
+            elif state.iterations > 10:
                 failures.append(
-                    f"M={m} {label}: {state.iterations_used} outer iterations > 10"
+                    f"M={m} {label}: {state.iterations} outer iterations > 10"
                 )
     elapsed = time.perf_counter() - start
     assert not failures, "convergence-speed misses:\n" + "\n".join(failures)

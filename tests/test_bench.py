@@ -1,5 +1,7 @@
 """Benchmark scheme and experiment checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,16 @@ from hypothesis import strategies as st
 
 from irsdm.bench import (
     AN_SHARE_SINGLE,
+    SCHEME_KINDS,
     Scheme,
     convergence_trace,
     run_scheme,
     sweep_sr_vs_m,
     sweep_sr_vs_position,
 )
+from irsdm.gai import Solution, run_gai
 from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
-from irsdm.nsp import NspOptions
+from irsdm.nsp import NspOptions, run_nsp
 
 
 def _channels(cfg):
@@ -55,6 +59,24 @@ def test_schemes_run_with_one_antenna(kind):
     assert sol.converged
     assert np.all(np.diff(sol.rs_trace) >= -1e-9)
     assert sol.v1.shape == (1,)
+
+
+# ---------------------------------------------------------------- run record
+
+
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_every_scheme_returns_the_optimizers_run_record(kind):
+    cfg = SystemConfig(M=8)
+    ch = _channels(cfg)
+    sol = run_scheme(Scheme(kind, draws=3), cfg, ch)
+    assert isinstance(sol, Solution)
+    assert sol.iterations_used == sol.iterations
+    direct = {"gai": run_gai, "nsp": run_nsp}.get(kind)
+    if direct is not None:
+        # the scheme hands the optimizer's record on unchanged
+        ref = direct(cfg, ch)
+        for field in dataclasses.fields(Solution):
+            assert np.array_equal(getattr(sol, field.name), getattr(ref, field.name)), field.name
 
 
 # ---------------------------------------------------------------- rate traces
@@ -228,3 +250,10 @@ def test_convergence_trace_rejects_a_repeated_m():
     # both runs at M = 10 would share the label gai_M10, and one used to be dropped
     with pytest.raises(ValueError, match="repeated M"):
         convergence_trace(SystemConfig(), [10, 10], [Scheme(kind="gai")])
+
+
+def test_sweep_errors_name_the_point_and_the_scheme():
+    # one antenna leaves nsp's stream-1 null space empty
+    with pytest.raises(ValueError, match="converge at M=4, scheme nsp: P1 null space is empty") as info:
+        convergence_trace(SystemConfig(N=1), [4], [Scheme("gai"), Scheme("nsp")])
+    assert "P1 null space is empty" in str(info.value.__cause__)

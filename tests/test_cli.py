@@ -148,6 +148,23 @@ def test_single_command_dumps_solution(tmp_path):
 # ---------------------------------------------------------------- guard rails
 
 
+def test_single_rejects_the_schemes_flag(tmp_path):
+    # single takes one --scheme; a --schemes list must not be ignored
+    with pytest.raises(SystemExit) as info:
+        main(["single", "--schemes", "nsp", "--out-dir", str(tmp_path)])
+    assert info.value.code == 2
+
+
+def test_sweep_error_names_the_point_and_the_scheme(tmp_path, capsys):
+    # one antenna leaves nsp's stream-1 null space empty
+    rc = main(["sweep-m", "--n", "1", "--m-values", "4,6", "--schemes", "gai,nsp",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ")
+    assert "M=4" in err and "nsp" in err and "P1 null space is empty" in err
+
+
 def test_random_phase_requires_explicit_seed(tmp_path):
     with pytest.raises(SystemExit, match="seed"):
         main([

@@ -483,9 +483,9 @@ def test_run_gai_trace_monotone_and_converges():
     diffs = np.diff(state.rs_trace)
     assert np.all(diffs >= -1e-9)
     assert state.converged
-    assert state.iterations_used <= 10
-    assert np.allclose(np.abs(state.prec.theta), 1.0, atol=1e-9)
-    assert np.linalg.norm(state.prec.v1) == pytest.approx(1.0, abs=1e-9)
+    assert state.iterations <= 10
+    assert np.allclose(np.abs(state.theta), 1.0, atol=1e-9)
+    assert np.linalg.norm(state.v1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_gai_beats_initial_point():
@@ -516,7 +516,7 @@ def test_run_gai_fixed_theta_keeps_theta():
     cfg, ch = _setup(SystemConfig(M=6))
     theta0 = np.exp(1j * np.linspace(0.3, 2.9, cfg.M))
     state = run_gai(cfg, ch, fixed_theta=theta0)
-    assert np.allclose(state.prec.theta, theta0)
+    assert np.allclose(state.theta, theta0)
 
 
 def _pareto_front(gain, leak):

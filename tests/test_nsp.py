@@ -451,14 +451,14 @@ def test_update_theta_rejects_a_span_above_two():
 def test_run_nsp_constraints_hold_at_solution():
     cfg, ch = _setup(SystemConfig(M=10))
     state = run_nsp(cfg, ch)
-    v1, v2 = state.prec.v1, state.prec.v2
+    v1, v2 = state.v1, state.v2
     assert np.linalg.norm(ch.H_AB.conj().T @ v1) < 1e-8
     assert np.linalg.norm(ch.H_AE.conj().T @ v1) < 1e-8
     assert np.linalg.norm(ch.H_AI @ v2) < 1e-8
     assert np.linalg.norm(ch.H_AE.conj().T @ v2) < 1e-8
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(np.abs(state.prec.theta), 1.0, atol=1e-9)
+    assert np.allclose(np.abs(state.theta), 1.0, atol=1e-9)
 
 
 def test_run_nsp_trace_monotone_and_converges():
@@ -466,17 +466,18 @@ def test_run_nsp_trace_monotone_and_converges():
     state = run_nsp(cfg, ch)
     assert np.all(np.diff(state.rs_trace) >= -1e-9)
     assert state.converged
-    assert state.iterations_used <= 10
+    assert state.iterations <= 10
     assert state.rs_trace[-1] > 0
 
 
 def test_run_nsp_eve_rate_comes_from_stream_one_only():
     cfg, ch = _setup(SystemConfig(M=10))
     state = run_nsp(cfg, ch)
-    dm = derived_model(cfg, ch, state.prec)
-    s1 = whiten(dm.B, dm.H_E1 @ state.prec.v1)
+    prec = Precoders(v1=state.v1, v2=state.v2, theta=state.theta)
+    dm = derived_model(cfg, ch, prec)
+    s1 = whiten(dm.B, dm.H_E1 @ state.v1)
     direct = math.log2(1.0 + np.vdot(s1, s1).real)
-    assert rate_eve(dm, state.prec) == pytest.approx(direct, abs=1e-9)
+    assert rate_eve(dm, prec) == pytest.approx(direct, abs=1e-9)
 
 
 def test_run_nsp_never_beats_unconstrained_search():
@@ -493,7 +494,7 @@ def test_run_nsp_single_stream_budgets():
     ch = build_channels(cfg, build_geometry(cfg))
     state = run_nsp(cfg, ch)
     assert np.all(np.diff(state.rs_trace) >= -1e-9)
-    assert np.allclose(state.prec.theta, np.ones(cfg.M))
+    assert np.allclose(state.theta, np.ones(cfg.M))
     assert state.rs_trace[-1] > 0
 
     cfg = SystemConfig(M=8, beta1=0.8, beta2=0.0)
@@ -516,7 +517,7 @@ def test_run_nsp_runs_at_high_transmit_power(d_ab, m, ps_dbm, rate):
     # factors from the rate model cannot
     cfg = SystemConfig(d_AB=d_ab, M=m, ps_dbm=ps_dbm)
     state = run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
-    assert state.converged and state.iterations_used == 2
+    assert state.converged and state.iterations == 2
     assert state.rs_trace[-1] == pytest.approx(rate, abs=1e-3)
 
 
@@ -544,4 +545,4 @@ def test_run_nsp_converges_at_m80_with_two_levels_per_phase_block(overrides, the
     state = run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
     assert state.converged
     # one phase block per pass plus the pre-alignment
-    assert len(theta_star_calls) <= 2 * (state.iterations_used + 1)
+    assert len(theta_star_calls) <= 2 * (state.iterations + 1)

@@ -108,7 +108,7 @@ def projector_calls(monkeypatch):
 def test_run_gai_forms_an_projector_once(projector_calls):
     cfg, ch, _ = _setup()
     state = run_gai(cfg, ch)
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert len(projector_calls) == 1
 
 
@@ -130,7 +130,7 @@ def test_run_nsp_forms_an_projector_once(projector_calls):
     # once for the rate model, not once per pass
     cfg, ch, _ = _setup(SystemConfig(M=10))
     state = run_nsp(cfg, ch)
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert len(projector_calls) == 1
 
 
@@ -152,13 +152,13 @@ def test_each_run_forms_one_rate_model(model_calls):
     # every later model is the first one moved on (`DerivedModel.at`)
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch)
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert len(model_calls) == 1
     state = run_nsp(cfg, ch)  # its phase pre-alignment included
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert len(model_calls) == 2
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert len(model_calls) == 3
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
     assert len(model_calls) == 6
@@ -189,7 +189,7 @@ def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
     # composite channels to every later one; nothing reads the phase maps
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
-    assert state.iterations_used > 1
+    assert state.iterations > 1
     assert formed == {"composite_channels": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
     run_scheme(Scheme("no_irs"), cfg, ch)
@@ -199,14 +199,14 @@ def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
     cfg, ch, _ = _setup()
     state = run_gai(cfg, ch)
-    assert state.iterations_used > 1
-    passes = state.iterations_used
+    assert state.iterations > 1
+    passes = state.iterations
     assert formed == {"composite_channels": 1 + passes, "phase_maps": passes}
     formed.update(composite_channels=0, phase_maps=0)
     # nsp adds one phase step before the alternation
     state = run_nsp(cfg, ch)
-    assert state.iterations_used > 1
-    steps = 1 + state.iterations_used
+    assert state.iterations > 1
+    steps = 1 + state.iterations
     assert formed == {"composite_channels": 1 + steps, "phase_maps": steps}
 
 
