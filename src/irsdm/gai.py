@@ -1,7 +1,8 @@
 """Alternating maximization of the secrecy rate over (v1, v2, theta).
 
 Each beamformer update is a generalized Rayleigh quotient problem solved
-exactly by a Hermitian-definite eigensolver.  The phase block maximizes the
+exactly by a Hermitian-definite eigensolver, on the pencil compressed to the
+model's row basis Q of the composite channels.  The phase block maximizes the
 determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
 logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
@@ -32,7 +33,6 @@ from .rates import (
     Precoders,
     beam_quotient,
     check_finite,
-    composite_channels,
     derived_model,
     secrecy_rate,
     unclipped_gap,
@@ -127,13 +127,15 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
 
 
 def update_v1(dm: DerivedModel) -> np.ndarray:
-    """Best stream-1 beamformer with the model's (v2, theta) held fixed."""
-    return rayleigh_ritz_max(*beam_quotient(dm, 0))
+    """Best stream-1 beamformer with the model's (v2, theta) held fixed,
+    solved on the pencil compressed to the model's row basis Q."""
+    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 0, dm.Q))
 
 
 def update_v2(dm: DerivedModel) -> np.ndarray:
-    """Best stream-2 beamformer with the model's (v1, theta) held fixed."""
-    return rayleigh_ritz_max(*beam_quotient(dm, 1))
+    """Best stream-2 beamformer with the model's (v1, theta) held fixed,
+    solved on the pencil compressed to the model's row basis Q."""
+    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1, dm.Q))
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -324,16 +326,16 @@ def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: floa
     return theta
 
 
-def initial_beamformers(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top two right singular directions of Bob's composite channel at theta.
+def initial_beamformers(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Top two right singular directions of the model's composite channel to
+    Bob, H_B at the model's theta.
 
     Falls back to canonical basis vectors when the channel does not expose
     two usable directions (e.g. K = 1 leaves the second singular value at 0),
     and to v2 = v1 when N = 1.
     """
-    h_b, _ = composite_channels(ch, theta)
-    n = h_b.shape[1]
-    _, svals, vh = np.linalg.svd(h_b, full_matrices=True)
+    n = dm.H_B.shape[1]
+    _, svals, vh = np.linalg.svd(dm.H_B, full_matrices=False)
     v1 = vh[0].conj() if svals[0] > 0 else np.eye(n)[0].astype(complex)
     if len(svals) > 1 and svals[1] > 1e-12 * svals[0]:
         v2 = vh[1].conj()
@@ -398,16 +400,27 @@ def run_gai(
     channels: ChannelSet,
     opts: GaOptions | None = None,
     fixed_theta: np.ndarray | None = None,
+    model: DerivedModel | None = None,
 ) -> Solution:
     """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
 
     With fixed_theta the phases stay at it and only the beamformers move;
-    without, they start from all ones.  Returns `alternate`'s `Solution`.
+    without, they start from all ones.  model, a rate model of cfg and
+    channels at any precoders, lends the run its channel-only terms (the
+    random-phase baseline forms one for all its draws); without it the run
+    forms its own.  Returns `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
-    theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.array(fixed_theta, dtype=complex)
-    v1, v2 = initial_beamformers(channels, theta)
-    dm = derived_model(cfg, channels, Precoders(v1=v1, v2=v2, theta=theta))
+    theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
+    if model is None:
+        e1 = np.eye(cfg.N, dtype=complex)[0]
+        model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
+    elif model.cfg != cfg or model.ch is not channels:
+        raise ValueError("the rate model handed to run_gai is not of its cfg and channels")
+    # moved to theta first: the initial beamformers read its composite channels
+    model = model.at(replace(model.prec, theta=theta))
+    v1, v2 = initial_beamformers(model)
+    dm = model.at(replace(model.prec, v1=v1, v2=v2))
     steps = []
     if cfg.beta1 > 0:
         steps.append(lambda dm: replace(dm.prec, v1=update_v1(dm)))

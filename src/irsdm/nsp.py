@@ -82,11 +82,11 @@ def stream_blocks(dm: DerivedModel, p: np.ndarray, stream: int) -> tuple[np.ndar
     """GAI's beamformer quotient of one stream (0 or 1) at the model's
     precoders, restricted to range(p).
 
-    Returns (p num p, p den p) for (num, den) of `rates.beam_quotient`, so
-    that at w with unit ||p w|| the quotient is that of v = p w.
+    Returns `rates.beam_quotient` in the coordinates of p, (p num p, p den p)
+    for its full pencil (num, den), so that at w with unit ||p w|| the
+    quotient is that of v = p w.
     """
-    num, den = beam_quotient(dm, stream)
-    return _herm(p @ num @ p), _herm(p @ den @ p)
+    return beam_quotient(dm, stream, p)
 
 
 def _quad(a: np.ndarray, w: np.ndarray) -> float:

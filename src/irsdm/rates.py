@@ -130,6 +130,28 @@ def _phase_map(name: str) -> property:
     return property(lambda dm: dm._maps[name], doc=f"{name} of `phase_maps` at the model's beamformers.")
 
 
+def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> np.ndarray:
+    """Orthonormal columns (N, r) spanning the joint row space of the
+    composite channels h_b and h_e, plus one unit direction outside it when
+    that space has fewer than N dimensions.
+
+    The rank is numpy's numerical rank (`np.linalg.matrix_rank`): singular
+    values above s_max * max(2K, N) * eps.  Both quotients of
+    `beam_quotient` equal the identity outside the row space, so their
+    pencil compressed to this basis has the maximum of the full N x N
+    pencil, 1 included when Eve beats Bob everywhere inside it.  The
+    projectors' cut, sqrt(PINV_CUTOFF) s_max, would drop directions that
+    still move the maximum: direct paths at 1e-6 of the surface path move
+    it by 8e-5 relative at 80 dB of transmit SNR.
+    """
+    rows = np.vstack([h_b, h_e])
+    check_finite(rows)
+    n = rows.shape[1]
+    _, svals, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(svals > svals[0] * max(rows.shape) * np.finfo(float).eps))
+    return vh[:min(rank + 1, n)].conj().T
+
+
 def _theta_terms(cfg: SystemConfig, ch: ChannelSet, theta: np.ndarray) -> dict[str, np.ndarray]:
     """The rate model's per-theta terms: the unscaled composite channels
     H_B/H_E and H_B1..H_E2, which fold in each stream's scale."""
@@ -144,17 +166,22 @@ class DerivedModel:
 
     It holds three layers, each formed only when its own inputs change:
 
-    * channel-only, once per run (`derived_model`): the AN projector P_AN,
+    * channel-only, once per `derived_model` call (once per run, and once
+      for all draws of the random-phase baseline): the AN projector P_AN,
       Eve's AN-plus-noise covariance B and its log2 det `logdet_B`;
-    * per theta: the unscaled composite channels H_B/H_E, and H_B1..H_E2,
-      which fold in the per-stream power and noise normalization;
+    * per theta: the unscaled composite channels H_B/H_E, H_B1..H_E2,
+      which fold in the per-stream power and noise normalization, and, on
+      first read, Q: the orthonormal basis of the joint row space of H_B and
+      H_E plus one direction outside it (`row_basis`), in which GAI solves
+      its beamformer pencils;
     * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
       h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
       fixed-phase run never forms them.
 
-    `at` moves the model to new precoders.  `logdet_B` and the phase maps
-    are cached on the instance: a model made by `dataclasses.replace` forms
-    its own from its own fields, and `at` hands `logdet_B` on with B.
+    `at` moves the model to new precoders.  `logdet_B`, Q and the phase
+    maps are cached on the instance: a model made by `dataclasses.replace`
+    forms its own from its own fields, and `at` hands `logdet_B` on with B,
+    and Q, once read, with the composite channels.
     """
 
     cfg: SystemConfig
@@ -172,6 +199,11 @@ class DerivedModel:
     @cached_property
     def logdet_B(self) -> float:
         return logdet_hermitian(self.B)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """(N, r) row basis of H_B and H_E, r <= 2K + 1 (`row_basis`)."""
+        return row_basis(self.H_B, self.H_E)
 
     @cached_property
     def _maps(self) -> dict[str, np.ndarray]:
@@ -198,6 +230,8 @@ class DerivedModel:
         per_theta = {} if prec.theta is self.prec.theta else _theta_terms(self.cfg, self.ch, prec.theta)
         dm = replace(self, prec=prec, **per_theta)
         vars(dm)["logdet_B"] = self.logdet_B  # channel-only like P_AN and B: carried, not re-formed
+        if not per_theta and "Q" in vars(self):
+            vars(dm)["Q"] = self.Q
         return dm
 
 
@@ -216,9 +250,17 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                         **_theta_terms(cfg, ch, prec.theta))
 
 
+def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
+    """Raise ValueError unless prec holds the model's phases: the model's
+    composite channels are those of its own theta."""
+    if prec.theta is not dm.prec.theta and not np.array_equal(prec.theta, dm.prec.theta):
+        raise ValueError("precoders' theta is not the rate model's; move the model there with `at`")
+
+
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
     """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
-    beamformers at the model's phases (prec.theta is not read)."""
+    beamformers at the model's phases, which prec must hold."""
+    _check_phases(dm, prec)
     t1 = dm.H_B1 @ prec.v1
     t2 = dm.H_B2 @ prec.v2
     k = t1.shape[0]
@@ -228,11 +270,12 @@ def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
 
 def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
     """Eve's rate with the artificial noise folded into her noise covariance,
-    for prec's beamformers at the model's phases (prec.theta is not read).
+    for prec's beamformers at the model's phases, which prec must hold.
 
     det(I + S B^-1) is evaluated as det(B + S) / det(B) so that only
     Hermitian positive definite factorizations are involved.
     """
+    _check_phases(dm, prec)
     t1 = dm.H_E1 @ prec.v1
     t2 = dm.H_E2 @ prec.v2
     s = np.outer(t1, t1.conj()) + np.outer(t2, t2.conj())
@@ -254,27 +297,32 @@ def unclipped_gap(sr: float, dm: DerivedModel) -> float:
     return sr if sr > 0 else rate_gap(dm)
 
 
-def beam_quotient(dm: DerivedModel, stream: int) -> tuple[np.ndarray, np.ndarray]:
+def beam_quotient(dm: DerivedModel, stream: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the rate gap as a function of one stream's
     beamformer (stream 0 or 1), with the model's other beamformer and theta
-    held fixed.
+    held fixed, in the coordinates of basis (N, r): the beamformer is basis w.
 
-    R_B - R_E equals a constant plus log2 of x^H num x / x^H den x at unit
-    norm; the other stream is folded into the effective noise on both sides.
+    R_B - R_E equals a constant plus log2 of v^H num v / v^H den v at unit
+    norm, num = I + H_B^H cov_B^-1 H_B and den = I + H_E^H cov_E^-1 H_E; the
+    other stream is folded into the effective noise on both sides.  Returns
+    basis^H basis + (H basis)^H cov^-1 (H basis) for each: the identity gives
+    the full N x N pencil, a projector P gives P num P, and the model's row
+    basis Q the r x r pencil whose maximum is the full one's.
     """
     h_b = (dm.H_B1, dm.H_B2)
     h_e = (dm.H_E1, dm.H_E2)
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    n = dm.H_B1.shape[1]
     k = dm.B.shape[0]
-    eye_n = np.eye(n, dtype=complex)
+    gram = basis.conj().T @ basis
     tb = h_b[1 - stream] @ v_other
     cov_b = np.eye(k, dtype=complex) + np.outer(tb, tb.conj())
-    num = eye_n + h_b[stream].conj().T @ np.linalg.solve(cov_b, h_b[stream])
+    hb = h_b[stream] @ basis
+    num = gram + hb.conj().T @ np.linalg.solve(cov_b, hb)
     te = h_e[1 - stream] @ v_other
     # B^-1 (I + C B^-1)^-1 collapses to (B + C)^-1, keeping the form Hermitian.
     cov_e = dm.B + np.outer(te, te.conj())
-    den = eye_n + h_e[stream].conj().T @ np.linalg.solve(cov_e, h_e[stream])
+    he = h_e[stream] @ basis
+    den = gram + he.conj().T @ np.linalg.solve(cov_e, he)
     return _herm(num), _herm(den)
 
 

@@ -19,6 +19,7 @@ from irsdm.bench import (
 from irsdm.gai import Solution, run_gai
 from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from irsdm.nsp import NspOptions, run_nsp
+from irsdm.rates import Precoders, derived_model
 
 
 def _channels(cfg):
@@ -160,6 +161,30 @@ def test_random_phase_reports_mean_over_draws():
     assert sol.sr == pytest.approx(float(sol.per_draw.mean()), abs=1e-12)
     # the kept precoders belong to the best draw
     assert float(sol.rs_trace[-1]) == pytest.approx(float(sol.per_draw.max()), abs=1e-12)
+
+
+@pytest.mark.parametrize("d_ab", [50.0, 300.0])
+def test_random_phase_shares_one_model_without_changing_a_draw(d_ab):
+    # every draw runs on the call's one rate model, moved to the draw's
+    # phases, and gives the rate of a run that forms its own
+    cfg = SystemConfig(M=6, d_AB=d_ab)
+    ch = _channels(cfg)
+    sol = run_scheme(Scheme(kind="random_phase", draws=5), cfg, ch)
+    rng = np.random.default_rng(cfg.seed)
+    alone = [run_gai(cfg, ch, fixed_theta=np.exp(2j * np.pi * rng.random(cfg.M))).sr for _ in range(5)]
+    assert np.array_equal(sol.per_draw, alone)
+
+
+def test_run_gai_rejects_a_model_of_other_inputs():
+    cfg = SystemConfig(M=6)
+    ch = _channels(cfg)
+    e1 = np.eye(cfg.N, dtype=complex)[0]
+    model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
+    theta = np.exp(1j * np.arange(cfg.M))
+    for other_cfg, other_ch in ((dataclasses.replace(cfg, beta1=0.5), ch),
+                                (cfg, dataclasses.replace(ch, g_AIB=0.0))):
+        with pytest.raises(ValueError, match="cfg and channels"):
+            run_gai(other_cfg, other_ch, fixed_theta=theta, model=model)
 
 
 def test_optimized_schemes_dominate_baselines():

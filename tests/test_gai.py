@@ -22,7 +22,7 @@ from irsdm.gai import (
     update_v1,
     update_v2,
 )
-from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
+from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve
 
 
@@ -177,6 +177,96 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
     mat = dm.H_B1.conj().T @ np.linalg.solve(cov, dm.H_B1)
     evals, evecs = np.linalg.eigh(mat)
     assert abs(abs(evecs[:, -1].conj() @ v1) - 1.0) < 1e-8
+
+
+def _full_pencil(dm, stream):
+    """The stream's beamformer pencil on all N directions, transcribed with
+    explicit inverses: I + H^H cov^-1 H on each side, the other stream
+    folded into Bob's unit noise and into Eve's B."""
+    h_b, h_e = (dm.H_B1, dm.H_B2), (dm.H_E1, dm.H_E2)
+    other = (dm.prec.v1, dm.prec.v2)[1 - stream]
+    tb, te = h_b[1 - stream] @ other, h_e[1 - stream] @ other
+    eye_n, eye_k = np.eye(dm.H_B.shape[1]), np.eye(dm.H_B.shape[0])
+    num = eye_n + h_b[stream].conj().T @ np.linalg.inv(eye_k + np.outer(tb, tb.conj())) @ h_b[stream]
+    den = eye_n + h_e[stream].conj().T @ np.linalg.inv(dm.B + np.outer(te, te.conj())) @ h_e[stream]
+    return 0.5 * (num + num.conj().T), 0.5 * (den + den.conj().T)
+
+
+def _oracle_channels(rng, n, m, k, kind):
+    """A config and channel set: line-of-sight from a random drop, or random
+    full-rank at unit scale.
+
+    The line-of-sight drops transmit at 0 dBm, which keeps every pencil
+    below a norm of about 1e5 even with Eve 100 times stronger than Bob.  An
+    N x N solve resolves an eigenvalue near 1 only to about eps times the
+    norm of its pencil, so at 30 dBm the oracle's own rounding reaches 1e-10.
+    """
+    if kind == "los":
+        cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=0.0, d_AB=float(rng.uniform(20, 300)),
+                           d_AE=float(rng.uniform(20, 300)), theta_AB=float(rng.uniform(0, math.pi)),
+                           theta_AE=float(rng.uniform(0, math.pi)))
+        return cfg, build_channels(cfg, build_geometry(cfg))
+
+    def cmat(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+    cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=0.0, sigma2_dbm=0.0)
+    ch = ChannelSet(H_AI=cmat(m, n), H_AB=cmat(n, k), H_AE=cmat(n, k), H_IB=cmat(m, k),
+                    H_IE=cmat(m, k), g_AB=1.0, g_AE=1.0, g_AIB=1.0 / m, g_AIE=1.0 / m)
+    return cfg, ch
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 32), m=st.integers(1, 60),
+       k=st.integers(1, 8), kind=st.sampled_from(["los", "random"]), eve_gain=st.sampled_from([0.0, 2.0, 100.0]),
+       betas=st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)]))
+def test_compressed_beam_steps_reach_the_full_pencil_maximum(seed, n, m, k, kind, eve_gain, betas):
+    # update_v1/update_v2 solve the pencil in the model's row basis Q; their
+    # beamformer's quotient is the top generalized eigenvalue of the full
+    # N x N pencil.  With eve_gain > 0 Eve hears Bob's channels eve_gain
+    # times stronger, so she beats him in every direction of the row space
+    # and the maximum, 1, lies outside it when the row space misses some.
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    cfg, ch = _oracle_channels(rng, n, m, k, kind)
+    cfg = replace(cfg, beta1=betas[0], beta2=betas[1])
+    if eve_gain:
+        ch = replace(ch, H_AE=ch.H_AB, H_IE=ch.H_IB, g_AE=eve_gain * ch.g_AB, g_AIE=eve_gain * ch.g_AIB)
+    dm = derived_model(cfg, ch, _random_prec(cfg, rng))
+    for stream, update in enumerate((update_v1, update_v2)):
+        v = update(dm)
+        num, den = _full_pencil(dm, stream)
+        top = scipy.linalg.eigh(num, den, eigvals_only=True)[-1]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(v, num @ v).real / np.vdot(v, den @ v).real == pytest.approx(top, rel=1e-10)
+        if eve_gain:
+            assert top <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("weak", [1e-6, 1e-7])
+def test_beam_step_keeps_weak_directions_of_the_row_space(weak):
+    # Antenna 1 of each receiver hears the surface path along e_1; antenna 2
+    # a direct path, Bob's along e_2 at weak times the surface path and Eve's
+    # along e_3 at ten times Bob's.  The maximum lies in e_1/e_2 above 1, so
+    # a rank cut that dropped e_2 and e_3 as noise, keeping one of them as
+    # the direction outside, would miss it.
+    import scipy.linalg
+
+    n = 4
+    e = np.eye(n, dtype=complex)
+    direct = np.zeros((n, 2), dtype=complex)
+    direct[:, 1] = weak * e[1]
+    ch = ChannelSet(H_AI=e[:1], H_AB=direct, H_AE=10.0 * direct[[0, 2, 1, 3]],
+                    H_IB=np.array([[1.0, 0.0]], dtype=complex), H_IE=np.array([[1.0, 0.0]], dtype=complex),
+                    g_AB=1.0, g_AE=1.0, g_AIB=1.0, g_AIE=1.0)
+    cfg = SystemConfig(N=n, M=1, K=2, ps_dbm=0.0, sigma2_dbm=-80.0, beta1=0.8, beta2=0.0)
+    dm = derived_model(cfg, ch, Precoders(v1=e[0], v2=e[0], theta=np.ones(1, dtype=complex)))
+    v = update_v1(dm)
+    num, den = _full_pencil(dm, 0)
+    top = scipy.linalg.eigh(num, den, eigvals_only=True)[-1]
+    assert top > 1.0 + 1e-7
+    assert np.vdot(v, num @ v).real / np.vdot(v, den @ v).real == pytest.approx(top, rel=1e-10)
 
 
 def _bloch_grid(n_angles, n_phases):
@@ -561,9 +651,14 @@ def test_run_gai_tiny_instance_near_brute_force():
     assert state.rs_trace[-1] >= best_sr - 0.05 * abs(best_sr)
 
 
+def _model_at_ones(cfg, ch):
+    e1 = np.eye(cfg.N, dtype=complex)[0]
+    return derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
+
+
 def test_initial_beamformers_unit_norm_and_orthogonal():
     cfg, ch = _setup()
-    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex))
+    v1, v2 = initial_beamformers(_model_at_ones(cfg, ch))
     assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
     assert abs(v1.conj() @ v2) < 1e-8
@@ -571,7 +666,7 @@ def test_initial_beamformers_unit_norm_and_orthogonal():
 
 def test_initial_beamformers_single_antenna_shares_the_direction():
     cfg, ch = _setup(SystemConfig(N=1, M=4, K=1))
-    v1, v2 = initial_beamformers(ch, np.ones(cfg.M, dtype=complex))
+    v1, v2 = initial_beamformers(_model_at_ones(cfg, ch))
     assert v1.shape == (1,) and np.array_equal(v1, v2)
     assert abs(v1[0]) == pytest.approx(1.0, abs=1e-12)
 

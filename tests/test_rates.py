@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from irsdm import gai, nsp, rates
+from irsdm import bench, gai, nsp, rates
 from irsdm.bench import Scheme, run_scheme
 from irsdm.gai import run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, dbm_to_watts
@@ -120,10 +120,11 @@ def test_gai_scheme_forms_an_projector_once(projector_calls):
     assert np.array_equal(sol.p_an, an_projector(ch.H_AI, ch.H_AB))
 
 
-def test_random_phase_forms_an_projector_once_per_draw(projector_calls):
+def test_random_phase_forms_an_projector_once_per_call(projector_calls):
+    # its draws share one rate model
     cfg, ch, _ = _setup(SystemConfig(M=8))
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert len(projector_calls) == 3
+    assert len(projector_calls) == 1
 
 
 def test_run_nsp_forms_an_projector_once(projector_calls):
@@ -136,7 +137,8 @@ def test_run_nsp_forms_an_projector_once(projector_calls):
 
 @pytest.fixture
 def model_calls(monkeypatch):
-    """List that gains one entry per `derived_model` call of either optimizer."""
+    """List that gains one entry per `derived_model` call of either optimizer
+    or of the random-phase baseline."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -145,6 +147,7 @@ def model_calls(monkeypatch):
 
     monkeypatch.setattr(gai, "derived_model", counted)
     monkeypatch.setattr(nsp, "derived_model", counted)
+    monkeypatch.setattr(bench, "derived_model", counted)
     return calls
 
 
@@ -160,15 +163,16 @@ def test_each_run_forms_one_rate_model(model_calls):
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert len(model_calls) == 3
-    run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert len(model_calls) == 6
+    run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one model for all draws
+    assert len(model_calls) == 4
 
 
 @pytest.fixture
 def formed(monkeypatch):
-    """Counts of the composite channels and the phase maps that the rate
-    model forms (`rates.composite_channels` and `rates.phase_maps`)."""
-    counts = {"composite_channels": 0, "phase_maps": 0}
+    """Counts of the composite channels, their row bases and the phase maps
+    that the rate model forms (`rates.composite_channels`, `rates.row_basis`
+    and `rates.phase_maps`)."""
+    counts = {"composite_channels": 0, "row_basis": 0, "phase_maps": 0}
 
     def counter(name):
         fn = getattr(rates, name)
@@ -186,14 +190,16 @@ def formed(monkeypatch):
 
 def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
     # a beamformer step keeps theta, so the run's first model lends its
-    # composite channels to every later one; nothing reads the phase maps
+    # composite channels to every later one, and the first beamformer step
+    # its row basis; nothing reads the phase maps.  random_phase forms its
+    # one model at the first draw's phases, so each draw forms them once.
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
-    assert formed == {"composite_channels": 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1, "row_basis": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert formed == {"composite_channels": 1 + 3 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 3 + 1, "row_basis": 1 + 3 + 1, "phase_maps": 0}
 
 
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
@@ -201,13 +207,15 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     state = run_gai(cfg, ch)
     assert state.iterations > 1
     passes = state.iterations
-    assert formed == {"composite_channels": 1 + passes, "phase_maps": passes}
-    formed.update(composite_channels=0, phase_maps=0)
-    # nsp adds one phase step before the alternation
+    # the row basis is read by the beamformer steps, which never see the last theta
+    assert formed == {"composite_channels": 1 + passes, "row_basis": passes, "phase_maps": passes}
+    formed.update(composite_channels=0, row_basis=0, phase_maps=0)
+    # nsp adds one phase step before the alternation; its beamformer steps
+    # solve in range(P), not in the row basis
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
     steps = 1 + state.iterations
-    assert formed == {"composite_channels": 1 + steps, "phase_maps": steps}
+    assert formed == {"composite_channels": 1 + steps, "row_basis": 0, "phase_maps": steps}
 
 
 # ---------------------------------------------------------------- derived model
@@ -340,6 +348,21 @@ def test_artificial_noise_never_helps_eve():
         assert rate_eve(dm, prec) <= no_an + 1e-9
 
 
+def test_rates_reject_precoders_at_other_phases():
+    # the model's channels are those of its own theta; precoders at another
+    # theta used to be scored at the model's phases without a word
+    cfg, ch, rng = _setup()
+    prec = _random_precoders(cfg, rng)
+    dm = derived_model(cfg, ch, prec)
+    same = replace(prec, theta=prec.theta.copy())  # equal phases in another array
+    assert rate_bob(dm, same) == rate_bob(dm, prec)
+    assert rate_eve(dm, same) == rate_eve(dm, prec)
+    other = replace(prec, theta=-prec.theta)
+    for rate in (rate_bob, rate_eve):
+        with pytest.raises(ValueError, match="theta"):
+            rate(dm, other)
+
+
 def test_rate_eve_zero_when_streams_off():
     cfg = SystemConfig(beta1=0.0, beta2=0.0)
     ch = build_channels(cfg, build_geometry(cfg))
@@ -448,7 +471,7 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
 
 
-_MODEL_FIELDS = ("P_AN", "B", "logdet_B", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2",
+_MODEL_FIELDS = ("P_AN", "B", "logdet_B", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "Q",
                  "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
 
 
@@ -470,6 +493,8 @@ def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, read
             for name in _MODEL_FIELDS:
                 getattr(dm, name)
         reused = dm.at(new)
+        # the row basis, once read, goes along with the composite channels
+        assert ("Q" in vars(reused)) == (read_first and new.theta is dm.prec.theta)
         fresh = derived_model(cfg, ch, new, include_irs=include_irs)
         for name in _MODEL_FIELDS:
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
@@ -525,8 +550,9 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
        k=st.integers(1, 4), betas=_BETAS, stream=st.integers(0, 1), null_space=st.booleans())
 def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space):
     # with the other stream and theta fixed, log2 of the quotient is the rate
-    # gap up to a constant: in the full space (rates.beam_quotient) and, at
-    # nsp's null-space points, restricted to range(P) (nsp.stream_blocks)
+    # gap up to a constant: in the full space and in the model's row basis Q
+    # (rates.beam_quotient) and, at nsp's null-space points, restricted to
+    # range(P) (nsp.stream_blocks)
     if null_space:
         n += max(m + k, 2 * k)  # room for both protected subspaces
         projectors = []
@@ -537,17 +563,18 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
 
         dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
         p = projectors[stream]
-        num, den = nsp.stream_blocks(dm, p, stream)
+        cases = [(p, nsp.stream_blocks(dm, p, stream))]
     else:
+        # the full pencil, and the one compressed to the model's row basis
         dm, prec = _random_channel_model(seed, n, m, k, betas)
-        p = np.eye(n)
-        num, den = rates.beam_quotient(dm, stream)
+        cases = [(basis, rates.beam_quotient(dm, stream, basis)) for basis in (np.eye(n), dm.Q)]
     rng = np.random.default_rng([seed, 1])  # a stream apart from the channels' draws
-    quotients, gaps = [], []
-    for _ in range(2):
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = p @ w
-        trial = replace(prec, **{("v1", "v2")[stream]: v / np.linalg.norm(v)})
-        quotients.append(np.vdot(w, num @ w).real / np.vdot(w, den @ w).real)
-        gaps.append(rate_gap(dm.at(trial)))
-    assert math.log2(quotients[0] / quotients[1]) == pytest.approx(gaps[0] - gaps[1], abs=1e-9)
+    for basis, (num, den) in cases:
+        quotients, gaps = [], []
+        for _ in range(2):
+            w = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+            v = basis @ w
+            trial = replace(prec, **{("v1", "v2")[stream]: v / np.linalg.norm(v)})
+            quotients.append(np.vdot(w, num @ w).real / np.vdot(w, den @ w).real)
+            gaps.append(rate_gap(dm.at(trial)))
+        assert math.log2(quotients[0] / quotients[1]) == pytest.approx(gaps[0] - gaps[1], abs=1e-9)
