@@ -11,9 +11,11 @@ gradient ascent then polishes.  `span_basis` and `span_search` are the span
 and the pattern search of both optimizers' phase steps, with one span rule
 and one sizing (the `SEARCH_*` constants); GAI's step adds only its
 rotation axis.  Each step scores the patterns through their coordinates
-W^H theta alone and keeps its incumbent unless its own objective improves.
-Every block can only increase the rate gap, and `alternate` undoes a pass
-that rounding leaves lower, so the secrecy-rate trace is non-decreasing.
+W^H theta alone, which come in closed form from a fixed M x 4 table of the
+span without forming the patterns, and keeps its incumbent unless its own
+objective improves.  Every block can only increase the rate gap, and
+`alternate` undoes a pass that rounding leaves lower, so the secrecy-rate
+trace is non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.
 """
@@ -60,8 +62,8 @@ SEARCH_ROUNDS = 3
 SEARCH_HALF_WIDTH = 3
 SEARCH_SHRINK = 3
 SPAN_CUT = 1e-10
-# Candidate entries (M x count) formed at once: complex blocks of at most
-# 125 KB stay below malloc's 128 KB mmap threshold, so the allocator reuses
+# Pattern magnitudes (count x M) formed at once: real blocks of at most
+# 62.5 KB stay below malloc's 128 KB mmap threshold, so the allocator reuses
 # them instead of mapping fresh pages that fault in again for every chunk.
 SEARCH_CHUNK = 8000
 
@@ -153,6 +155,48 @@ def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
     return _project_phases(z, fallback[:, None])
 
 
+def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
+                      fallback: np.ndarray) -> np.ndarray:
+    """s = W^H theta, shape (2, n), of the n patterns theta of
+    `_span_candidates`, without forming them.
+
+    With z = W a = cos psi w0 + q w1, q = sin psi e^{j chi}, each |z_m|^2 is
+    a real product of (cos^2 psi, sin^2 psi, 2 cos psi Re q, -2 cos psi Im q)
+    with the row (|w0_m|^2, |w1_m|^2, Re p_m, Im p_m) of a fixed M x 4 table,
+    p = conj(w0) w1.  The sums (A, B, P) of the table's columns weighted by
+    1 / |z| give s = (cos psi A + q P, cos psi conj(P) + q B).  The table's
+    |z_m|^2 carries a rounding error of about eps |W_m|^2, so an entry with
+    |z_m|^2 <= 1e-3 |W_m|^2 (one in a thousand, for patterns spread evenly)
+    is formed as `_span_candidates` forms it, fallback included; every other
+    entry is off by at most about 1e-12 |W_m|.  Magnitudes are formed
+    SEARCH_CHUNK entries at a time.
+    """
+    cross = basis[:, 0].conj() * basis[:, 1]
+    table = np.column_stack([np.abs(basis) ** 2, cross.real, cross.imag])
+    floor = 1e-3 * (table[:, 0] + table[:, 1])
+    cos, sin = np.cos(psi), np.sin(psi)
+    q = sin * np.exp(1j * chi)
+    trig = np.column_stack([cos * cos, sin * sin, 2.0 * cos * q.real, -2.0 * cos * q.imag])
+    sums, cols, rows = np.empty((psi.size, 4)), [], []
+    step = max(1, SEARCH_CHUNK // basis.shape[0])
+    for lo in range(0, psi.size, step):
+        mag2 = trig[lo:lo + step] @ table.T
+        near = mag2 <= floor
+        np.copyto(mag2, np.inf, where=near)  # 1 / |z| = 0: formed below instead
+        np.matmul(1.0 / np.sqrt(mag2), table, out=sums[lo:lo + step])
+        if near.any():
+            col, row = np.nonzero(near)
+            cols.append(col + lo)
+            rows.append(row)
+    p = sums[:, 2] + 1j * sums[:, 3]
+    s = np.stack([cos * sums[:, 0] + q * p, cos * p.conj() + q * sums[:, 1]])
+    if cols:
+        col, row = np.concatenate(cols), np.concatenate(rows)
+        z = basis[row, 0] * cos[col] + basis[row, 1] * q[col]
+        np.add.at(s, (slice(None), col), basis[row].conj().T * _project_phases(z, fallback[row]))
+    return s
+
+
 def span_basis(*parts: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the joint column span of the M-row parts: the
     left singular vectors, with singular values above SPAN_CUT, of the
@@ -194,9 +238,11 @@ def span_search(
     fallback.  score(s, *rest) scores S product grids at once: s = W^H theta
     of their patterns, shape (2, S, n) with the n = n_psi n_chi patterns of
     a grid in C order, and each further axis an (S, n_i) array; the values,
-    lower better, go back as an (S, n n_2 ...) array in C order.  Patterns
-    are formed SEARCH_CHUNK entries at a time.  Each of the SEARCH_STARTS
-    lowest points of the full grid starts a refinement: each round scores
+    lower better, go back as an (S, n n_2 ...) array in C order.  The
+    coordinates s come in closed form (`_span_coordinates`), at O(M) per
+    pattern with SEARCH_CHUNK magnitudes formed at a time; only the returned
+    pattern is formed.  Each of the SEARCH_STARTS lowest points of the full
+    grid starts a refinement: each round scores
     2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
     so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
     and the coordinates of the best point seen; when W is not M x 2, returns
@@ -205,13 +251,11 @@ def span_search(
     counts = SEARCH_GRID + angles
     if basis.shape[1] != 2:
         return fallback, np.zeros(len(counts))
-    step, wh = max(1, SEARCH_CHUNK // basis.shape[0]), basis.conj().T
 
     def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
         n_grid, n_psi, n_chi = psi.shape[0], psi.shape[1], chi.shape[1]
         psi, chi = np.repeat(psi, n_chi, axis=1).ravel(), np.tile(chi, n_psi).ravel()
-        s = np.hstack([wh @ _span_candidates(basis, psi[lo:lo + step], chi[lo:lo + step], fallback)
-                       for lo in range(0, psi.size, step)])
+        s = _span_coordinates(basis, psi, chi, fallback)
         return score(s.reshape(2, n_grid, n_psi * n_chi), *rest)
 
     steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
@@ -245,9 +289,12 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     The ratio's gradient lies in range(W), so its stationary points are
     e^{j phi} exp(j arg(W a)) with a = (cos psi, sin psi e^{j chi}), up to
     a sign on entries where W a is small.  `span_search` hands over
-    s = W^H theta per (psi, chi); the common rotation phi, which the direct
-    path c makes matter, then moves each side's streams along
-    e^{j phi} (U W) s + c at O(1) per value (`rates._rotated_factor`).
+    s = W^H theta per (psi, chi), at O(M) each; the streams (U W) s then cost
+    O(K).  The common rotation phi, which the direct path c makes matter,
+    moves each side's streams along e^{j phi} (U W) s + c, so each side's
+    factor is a degree-2 trigonometric series in e^{j phi} whose
+    coefficients are formed once per pattern; each of the SEARCH_ROTATIONS
+    values of phi then costs O(1) (`rates.PhaseProblem.ratios`).
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not

@@ -48,12 +48,13 @@ class Precoders:
     theta: np.ndarray   # (M,), entries on the unit circle
 
     def __post_init__(self) -> None:
+        # written so that NaN fails: every comparison with NaN is False
         for key in ("v1", "v2"):
             nrm = np.linalg.norm(getattr(self, key))
-            if abs(nrm - 1.0) > 1e-9:
+            if not abs(nrm - 1.0) <= 1e-9:
                 raise ValueError(f"{key} must have unit norm, got {nrm!r}")
         err = float(np.max(np.abs(np.abs(self.theta) - 1.0)))
-        if err > 1e-9:
+        if not err <= 1e-9:
             raise ValueError(f"theta entries must have unit modulus (max error {err!r})")
 
 
@@ -351,8 +352,13 @@ def _rotated_factor(y: np.ndarray, c: np.ndarray, rot: np.ndarray | complex) -> 
     t = rot y + c, for y = U theta of shape (2K, ...) and unit rotations rot
     broadcast against y's trailing shape.
 
-    Each Gram entry is affine in rot and its conjugate, so the K-sums are
-    taken once per column of y and each rotation costs O(1).
+    Each Gram entry is affine in rot and its conjugate: a11 = al1 + 2 Re(rot
+    be1), a22 = al2 + 2 Re(rot be2) and a12 = ga + rot de + conj(rot) ep.  So
+    the factor is the degree-2 trigonometric series F0 + 2 Re(F1 rot) +
+    2 Re(F2 rot^2) in the rotation.  Its coefficients are taken once per
+    column of y from the K-sums, and each rotation costs O(1), in real
+    arithmetic: no complex array of the full (columns x rotations) shape is
+    formed.
     """
     k = y.shape[0] // 2
     c = c.reshape((-1,) + (1,) * (y.ndim - 1))
@@ -361,10 +367,16 @@ def _rotated_factor(y: np.ndarray, c: np.ndarray, rot: np.ndarray | complex) -> 
     def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.sum(a.conj() * b, axis=0)
 
-    a11 = 1.0 + (gram(y1, y1) + gram(c1, c1)).real + 2.0 * (rot * gram(c1, y1)).real
-    a22 = 1.0 + (gram(y2, y2) + gram(c2, c2)).real + 2.0 * (rot * gram(c2, y2)).real
-    a12 = gram(y1, y2) + gram(c1, c2) + rot * gram(c1, y2) + np.conj(rot) * gram(y1, c2)
-    return a11 * a22 - np.abs(a12) ** 2
+    al1 = 1.0 + (gram(y1, y1) + gram(c1, c1)).real
+    al2 = 1.0 + (gram(y2, y2) + gram(c2, c2)).real
+    be1, be2 = gram(c1, y1), gram(c2, y2)
+    ga, de, ep = gram(y1, y2) + gram(c1, c2), gram(c1, y2), gram(y1, c2)
+    f0 = al1 * al2 + 2.0 * (be1 * be2.conj()).real - np.abs(ga) ** 2 - np.abs(de) ** 2 - np.abs(ep) ** 2
+    f1 = al1 * be2 + al2 * be1 - de * ga.conj() - ga * ep.conj()
+    f2 = be1 * be2 - de * ep.conj()
+    rot2 = rot * rot
+    return f0 + 2.0 * (f1.real * np.real(rot) - f1.imag * np.imag(rot)
+                       + f2.real * np.real(rot2) - f2.imag * np.imag(rot2))
 
 
 class PhaseProblem:
@@ -398,7 +410,9 @@ class PhaseProblem:
     def ratios(self, y_b: np.ndarray, y_e: np.ndarray, rot: np.ndarray | complex = 1.0) -> np.ndarray:
         """f/g at many points at once: at rot theta for each side's y = U theta,
         of shape (2K, ...), and unit rotations rot broadcast against y's
-        trailing shape (`_rotated_factor`)."""
+        trailing shape.  Each side's factor is a degree-2 trigonometric series
+        in the rotation, whose coefficients are formed once per column of y
+        (`_rotated_factor`); each further rotation costs O(1)."""
         return _rotated_factor(y_b, self.c_b, rot) / _rotated_factor(y_e, self.c_e, rot)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -531,6 +532,53 @@ def test_span_search_is_chunk_invariant(monkeypatch):
     assert np.allclose(at_small, [psi, chi, phi], atol=1e-12)
     assert np.allclose(p_small, pattern, atol=1e-12)
     assert np.array_equal(p_small[[1, 4]], fallback[[1, 4]])
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
+       vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1))
+@example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0)
+def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, vanishing, cell):
+    # oracle: at every scored (psi, chi), the closed-form s equals W^H of the
+    # pattern formed entry by entry, fallback entries included
+    rng = np.random.default_rng(seed)
+    n_psi, n_chi = gai.SEARCH_GRID
+    psi_grid = np.repeat((np.arange(n_psi) + 0.5) * (0.5 * math.pi / n_psi), n_chi)
+    point = cell * n_chi  # (psi_cell, chi = 0), a point of the first, full grid
+    rows = [np.zeros((zero_rows, 2), dtype=complex)]
+    gram = np.eye(2)
+    if vanishing:
+        # cos psi w0 + sin psi w1 is exactly zero on this row: both products
+        # are sin * cos scaled by a power of two; the cos and sin are those
+        # of the search's own grid array
+        row = 0.5 * np.array([[np.sin(psi_grid)[point], -np.cos(psi_grid)[point]]])
+        rows.append(row.astype(complex))
+        gram = gram - row.T @ row
+    free = np.linalg.qr(rng.normal(size=(free_rows, 2)) + 1j * rng.normal(size=(free_rows, 2)))[0]
+    rows.append(free @ np.linalg.cholesky(gram).T)  # completes W^H W = I
+    basis = np.vstack(rows)[rng.permutation(zero_rows + vanishing + free_rows)]
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
+    fallback = np.exp(2j * math.pi * rng.random(basis.shape[0]))
+    weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    calls = []
+    closed_form = gai._span_coordinates
+
+    def recording(basis_, psi, chi, fallback_):
+        s = closed_form(basis_, psi, chi, fallback_)
+        calls.append((psi, chi, s))
+        return s
+
+    with mock.patch.object(gai, "_span_coordinates", recording):
+        gai.span_search(basis, lambda s: -np.abs(np.tensordot(weights, s, axes=1)), fallback)
+    assert len(calls) == 1 + gai.SEARCH_ROUNDS
+    for psi, chi, s in calls:
+        formed = basis.conj().T @ gai._span_candidates(basis, psi, chi, fallback)
+        assert np.all(np.abs(s - formed) <= 1e-12 * np.linalg.norm(formed, axis=0))
+    if vanishing:
+        psi, chi, _ = calls[0]
+        assert np.array_equal(psi, psi_grid) and chi[point] == 0.0
+        at = np.flatnonzero(basis[:, 0] == 0.5 * np.sin(psi_grid)[point])
+        assert np.array_equal(gai._span_candidates(basis, psi, chi, fallback)[at, point], fallback[at])
 
 
 @given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 0.5 + 2 ** -52, 1.0, 3.0, np.inf, np.nan])

@@ -420,6 +420,18 @@ def test_precoders_validation():
         Precoders(v1=good, v2=good, theta=0.5 * theta)
 
 
+@pytest.mark.parametrize("key", ["v1", "v2", "theta"])
+def test_precoders_reject_nan(key):
+    # a NaN entry fails the checks at construction, not later in the rate model
+    cfg = SystemConfig()
+    fields = dict(v1=np.ones(cfg.N) / math.sqrt(cfg.N), v2=np.ones(cfg.N) / math.sqrt(cfg.N),
+                  theta=np.ones(cfg.M, dtype=complex))
+    fields[key] = fields[key].copy()
+    fields[key][1] = np.nan
+    with pytest.raises(ValueError, match=key):
+        Precoders(**fields)
+
+
 def test_no_irs_variant_drops_reflected_terms():
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)

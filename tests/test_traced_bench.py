@@ -10,13 +10,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_bench_round_runs_and_counts_outer_passes():
+@pytest.mark.parametrize("workload", ["sweep_m_near", "sweep_m_far"])
+def test_traced_bench_round_runs_and_counts_outer_passes(workload):
     # writes its record to the git-ignored perfbench/out/
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "sweep_m_near",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
