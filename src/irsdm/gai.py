@@ -143,7 +143,8 @@ def update_v2(dm: DerivedModel) -> np.ndarray:
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """z / |z| entrywise; entries where z vanishes take fallback's."""
     mag = np.abs(z)
-    out = np.array(np.broadcast_to(fallback, z.shape), dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    out[...] = fallback
     return np.divide(z, mag, out=out, where=mag > 0)
 
 
@@ -459,6 +460,8 @@ def run_gai(
     """
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
+    if theta.shape != (cfg.M,):
+        raise ValueError(f"fixed_theta has shape {theta.shape}; expected ({cfg.M},) for M = {cfg.M}")
     if model is None:
         e1 = np.eye(cfg.N, dtype=complex)[0]
         model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))

@@ -39,6 +39,7 @@ from .rates import (
     beam_quotient,
     derived_model,
     null_projector,
+    solve_lower,
     whiten,
 )
 # not called here; perfbench/tracing.py wraps both names in this module
@@ -166,13 +167,14 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
 
     Read from the stream-1 maps of the rate model at the current
     beamformers: F_b = whiten(cov2, T_B1)^H, with stream 2 folded into Bob's
-    noise cov2, and F_e = whiten(B, T_E1)^H, Eve's rows whitened as in
-    `rates.PhaseProblem`.  The I/M term absorbs the unit-modulus budget
-    theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR exactly on the shell.
+    noise cov2, and F_e = (L^-1 T_E1)^H, Eve's rows whitened by the model's
+    factor of B as in `rates.PhaseProblem`.  The I/M term absorbs the
+    unit-modulus budget theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR
+    exactly on the shell.
     """
     k = dm.T_B1.shape[0]
     cov2 = np.eye(k, dtype=complex) + np.outer(dm.h_B2, dm.h_B2.conj())
-    return whiten(cov2, dm.T_B1).conj().T, whiten(dm.B, dm.T_E1).conj().T
+    return whiten(cov2, dm.T_B1).conj().T, solve_lower(dm.L, dm.T_E1).conj().T
 
 
 def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,11 +215,12 @@ def theta_star_of_mu(
         return theta_prev.copy()
     lam = evals.max()
     theta = theta_prev.copy()
-    y = f.conj().T @ theta
+    fh = f.conj().T
+    y = fh @ theta
     obj = float(d @ np.abs(y) ** 2)
     for _ in range(MAX_MM_ITERS):
         cand = _project_phases(lam * theta - f @ (d * y), theta)
-        y_cand = f.conj().T @ cand
+        y_cand = fh @ cand
         cand_obj = float(d @ np.abs(y_cand) ** 2)
         if obj - cand_obj < MM_TOL:
             if cand_obj < obj:

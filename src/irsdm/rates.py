@@ -10,6 +10,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .model import ChannelSet, SystemConfig
 
-LOG2E = np.log2(np.e)
 PINV_CUTOFF = 1e-10  # relative cutoff on squared singular values when forming projectors
 
 
@@ -32,11 +32,10 @@ def check_finite(*arrays: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
-def logdet_hermitian(a: np.ndarray) -> float:
-    """log2 det of a Hermitian positive definite matrix via its Cholesky factor."""
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a Hermitian positive definite a = L L^H."""
     check_finite(a)
-    ell = np.linalg.cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(ell).real))) * LOG2E
+    return np.linalg.cholesky(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +47,12 @@ class Precoders:
     theta: np.ndarray   # (M,), entries on the unit circle
 
     def __post_init__(self) -> None:
+        shapes = {key: np.shape(getattr(self, key)) for key in ("v1", "v2", "theta")}
+        for key, shape in shapes.items():
+            if len(shape) != 1 or shape[0] == 0:
+                raise ValueError(f"{key} must be a vector with at least one entry, got shape {shape}")
+        if shapes["v2"] != shapes["v1"]:
+            raise ValueError(f"v2 must have the {shapes['v1'][0]} entries of v1, got {shapes['v2'][0]}")
         # written so that NaN fails: every comparison with NaN is False
         for key in ("v1", "v2"):
             nrm = np.linalg.norm(getattr(self, key))
@@ -169,20 +174,24 @@ class DerivedModel:
 
     * channel-only, once per `derived_model` call (once per run, and once
       for all draws of the random-phase baseline): the AN projector P_AN,
-      Eve's AN-plus-noise covariance B and its log2 det `logdet_B`;
+      Eve's AN-plus-noise covariance B and, on first read, its lower
+      Cholesky factor L, B = L L^H;
     * per theta: the unscaled composite channels H_B/H_E, H_B1..H_E2,
       which fold in the per-stream power and noise normalization, and, on
-      first read, Q: the orthonormal basis of the joint row space of H_B and
-      H_E plus one direction outside it (`row_basis`), in which GAI solves
-      its beamformer pencils;
+      first read, Eve's whitened stream channels G_E1 = L^-1 H_E1 and
+      G_E2 = L^-1 H_E2, from which her rate and beamformer terms need no
+      further factorization, and Q: the orthonormal basis of the joint row
+      space of H_B and H_E plus one direction outside it (`row_basis`), in
+      which GAI solves its beamformer pencils;
     * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
       h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
       fixed-phase run never forms them.
 
-    `at` moves the model to new precoders.  `logdet_B`, Q and the phase
-    maps are cached on the instance: a model made by `dataclasses.replace`
-    forms its own from its own fields, and `at` hands `logdet_B` on with B,
-    and Q, once read, with the composite channels.
+    `at` moves the model to new precoders.  L, G_E1/G_E2, Q and the phase
+    maps are cached on the instance and formed from the instance's own
+    fields, so a model made by `dataclasses.replace` forms its own; `at`
+    hands L on with B, and G_E1/G_E2 and Q, once read, with the composite
+    channels.
     """
 
     cfg: SystemConfig
@@ -197,9 +206,28 @@ class DerivedModel:
     H_E1: np.ndarray
     H_E2: np.ndarray
 
+    # what `at` hands on besides L: always, and while theta is unchanged
+    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "B")
+    _THETA_TERMS = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "_G_E", "Q")
+
     @cached_property
-    def logdet_B(self) -> float:
-        return logdet_hermitian(self.B)
+    def L(self) -> np.ndarray:
+        """(K, K) lower Cholesky factor of B."""
+        return cholesky(self.B)
+
+    @cached_property
+    def _G_E(self) -> np.ndarray:
+        return solve_lower(self.L, np.hstack([self.H_E1, self.H_E2]))
+
+    @property
+    def G_E1(self) -> np.ndarray:
+        """(K, N) Eve's stream-1 channel whitened by B, L^-1 H_E1."""
+        return self._G_E[:, :self.H_E1.shape[1]]
+
+    @property
+    def G_E2(self) -> np.ndarray:
+        """(K, N) Eve's stream-2 channel whitened by B, L^-1 H_E2."""
+        return self._G_E[:, self.H_E1.shape[1]:]
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -222,18 +250,35 @@ class DerivedModel:
     def at(self, prec: Precoders) -> DerivedModel:
         """The rate model at prec, of this model's cfg and ch.
 
-        It lends this model's channel-only terms, and its per-theta terms
-        too when prec holds this model's own theta array (a beamformer step
-        keeps the array; the phases are never changed in place).  Anything
-        new is formed from the model's own cfg and ch, so a model built
-        without the surface stays without it.
+        It lends this model's channel-only terms, L included (formed here
+        if not yet read, so that B is factored once per `derived_model`
+        call), and its per-theta terms too when prec holds this model's own
+        theta array (a beamformer step keeps the array; the phases are never
+        changed in place).  Anything new is formed from the model's own cfg
+        and ch, so a model built without the surface stays without it.  The
+        new model's state is filled in directly rather than through
+        `dataclasses.replace`, which would rebuild every field through the
+        constructor on each block step.
         """
-        per_theta = {} if prec.theta is self.prec.theta else _theta_terms(self.cfg, self.ch, prec.theta)
-        dm = replace(self, prec=prec, **per_theta)
-        vars(dm)["logdet_B"] = self.logdet_B  # channel-only like P_AN and B: carried, not re-formed
-        if not per_theta and "Q" in vars(self):
-            vars(dm)["Q"] = self.Q
+        own = vars(self)
+        same_theta = prec.theta is self.prec.theta
+        names = self._CHANNEL_TERMS + self._THETA_TERMS if same_theta else self._CHANNEL_TERMS
+        dm = object.__new__(DerivedModel)
+        state = vars(dm)
+        state.update((name, own[name]) for name in names if name in own)
+        state.update(prec=prec, L=self.L)  # L formed here if not yet read
+        if not same_theta:
+            state.update(_theta_terms(self.cfg, self.ch, prec.theta))
         return dm
+
+
+def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
+    """Raise ValueError unless prec's beamformers have cfg.N entries and its
+    phases cfg.M."""
+    for key, dim in (("v1", "N"), ("v2", "N"), ("theta", "M")):
+        size, expected = getattr(prec, key).size, getattr(cfg, dim)
+        if size != expected:
+            raise ValueError(f"{key} has {size} entries; expected {dim} = {expected}")
 
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
@@ -242,8 +287,9 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
-    intact.
+    intact.  Raises ValueError if prec's sizes are not cfg's N and M.
     """
+    _check_sizes(cfg, prec)
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
@@ -258,29 +304,53 @@ def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
         raise ValueError("precoders' theta is not the rate model's; move the model there with `at`")
 
 
+def _det2(t1: np.ndarray, t2: np.ndarray) -> float:
+    """det(I_2 + [t1 t2]^H [t1 t2]) of two streams, in a form with no
+    subtraction: (1 + |t1|^2)(1 + |p|^2) + |t1^H t2|^2 / |t1|^2, p = t2
+    minus its projection onto t1.
+
+    The Gram form a11 a22 - |a12|^2 cancels when the streams are near
+    collinear at high SNR, and so does a K x K factorization of I + t1 t1^H
+    + t2 t2^H: both lose about eps |t|^2 relative.  Here every term keeps
+    its relative accuracy.  A NaN anywhere gives NaN.
+    """
+    n1 = np.vdot(t1, t1).real
+    if n1 == 0.0:
+        return 1.0 + np.vdot(t2, t2).real
+    a12 = np.vdot(t1, t2)
+    p = t2 - (a12 / n1) * t1
+    return (1.0 + n1) * (1.0 + np.vdot(p, p).real) + abs(a12) ** 2 / n1
+
+
+def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float:
+    det = float(_det2(t1, t2))
+    if not math.isfinite(det):
+        raise ValueError("matrix has non-finite entries")
+    return math.log2(det)
+
+
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
     """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
-    beamformers at the model's phases, which prec must hold."""
+    beamformers at the model's phases, which prec must hold.
+
+    log2 det(I + t1 t1^H + t2 t2^H) is the two streams' 2 x 2 determinant
+    det(I_2 + [t1 t2]^H [t1 t2]) (`_det2`), at O(K).
+    """
     _check_phases(dm, prec)
-    t1 = dm.H_B1 @ prec.v1
-    t2 = dm.H_B2 @ prec.v2
-    k = t1.shape[0]
-    s = np.eye(k, dtype=complex) + np.outer(t1, t1.conj()) + np.outer(t2, t2.conj())
-    return logdet_hermitian(_herm(s))
+    return _log2_det2(dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2)
 
 
 def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
     """Eve's rate with the artificial noise folded into her noise covariance,
     for prec's beamformers at the model's phases, which prec must hold.
 
-    det(I + S B^-1) is evaluated as det(B + S) / det(B) so that only
-    Hermitian positive definite factorizations are involved.
+    log2 det(I + S B^-1) = log2 det(B + S) - log2 det B is the 2 x 2
+    determinant det(I_2 + T^H T) (`_det2`) of her streams whitened by the
+    model's factor of B, T = L^-1 [t1 t2] = [G_E1 v1, G_E2 v2], at O(K N):
+    no factorization per evaluation.
     """
     _check_phases(dm, prec)
-    t1 = dm.H_E1 @ prec.v1
-    t2 = dm.H_E2 @ prec.v2
-    s = np.outer(t1, t1.conj()) + np.outer(t2, t2.conj())
-    return logdet_hermitian(_herm(dm.B + s)) - dm.logdet_B
+    return _log2_det2(dm.G_E1 @ prec.v1, dm.G_E2 @ prec.v2)
 
 
 def rate_gap(dm: DerivedModel) -> float:
@@ -298,6 +368,22 @@ def unclipped_gap(sr: float, dm: DerivedModel) -> float:
     return sr if sr > 0 else rate_gap(dm)
 
 
+def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """gram + h^H (I + t t^H)^-1 h for h (K, r) and the stream t (K,), with
+    the inverse as a rank-one downdate of the identity (Sherman-Morrison):
+    I - e e^H + e e^H / (1 + |t|^2), e = t / |t|.  Written as gram +
+    (P h)^H (P h) + c^H c / (1 + |t|^2), P = I - e e^H and c = e^H h, it
+    subtracts no two Gram terms, so the directions along t keep their
+    relative accuracy at high SNR; O(K r^2), no solve."""
+    n = np.vdot(t, t).real
+    if n == 0.0:
+        return gram + h.conj().T @ h
+    e = t / math.sqrt(n)
+    c = e.conj() @ h
+    ph = h - e[:, None] * c
+    return gram + ph.conj().T @ ph + c.conj()[:, None] * (c / (1.0 + n))
+
+
 def beam_quotient(dm: DerivedModel, stream: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the rate gap as a function of one stream's
     beamformer (stream 0 or 1), with the model's other beamformer and theta
@@ -305,46 +391,53 @@ def beam_quotient(dm: DerivedModel, stream: int, basis: np.ndarray) -> tuple[np.
 
     R_B - R_E equals a constant plus log2 of v^H num v / v^H den v at unit
     norm, num = I + H_B^H cov_B^-1 H_B and den = I + H_E^H cov_E^-1 H_E; the
-    other stream is folded into the effective noise on both sides.  Returns
-    basis^H basis + (H basis)^H cov^-1 (H basis) for each: the identity gives
-    the full N x N pencil, a projector P gives P num P, and the model's row
-    basis Q the r x r pencil whose maximum is the full one's.
+    other stream t is folded into the effective noise on both sides, cov_B
+    = I + t_B t_B^H and cov_E = B + t_E t_E^H.  Returns basis^H basis + (H
+    basis)^H cov^-1 (H basis) for each: the identity gives the full N x N
+    pencil, a projector P gives P num P, and the model's row basis Q the
+    r x r pencil whose maximum is the full one's.  Eve's side is read in
+    the model's whitened channels G_E, where cov_E becomes I + t t^H with
+    t = L^-1 t_E, so both inverses are rank-one downdates of the identity
+    (`_downdated_gram`): O(K N r) per call, no K x K solve.
     """
-    h_b = (dm.H_B1, dm.H_B2)
-    h_e = (dm.H_E1, dm.H_E2)
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    k = dm.B.shape[0]
+    h_b = (dm.H_B1, dm.H_B2)
+    g_e = (dm.G_E1, dm.G_E2)
     gram = basis.conj().T @ basis
-    tb = h_b[1 - stream] @ v_other
-    cov_b = np.eye(k, dtype=complex) + np.outer(tb, tb.conj())
-    hb = h_b[stream] @ basis
-    num = gram + hb.conj().T @ np.linalg.solve(cov_b, hb)
-    te = h_e[1 - stream] @ v_other
-    # B^-1 (I + C B^-1)^-1 collapses to (B + C)^-1, keeping the form Hermitian.
-    cov_e = dm.B + np.outer(te, te.conj())
-    he = h_e[stream] @ basis
-    den = gram + he.conj().T @ np.linalg.solve(cov_e, he)
+    num = _downdated_gram(gram, h_b[stream] @ basis, h_b[1 - stream] @ v_other)
+    den = _downdated_gram(gram, g_e[stream] @ basis, g_e[1 - stream] @ v_other)
     return _herm(num), _herm(den)
 
 
+def solve_lower(ell: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^-1 x for a lower Cholesky factor L of B = L L^H, so that
+    x^H B^-1 y = (L^-1 x)^H (L^-1 y)."""
+    check_finite(x)
+    return np.linalg.solve(ell, x)
+
+
 def whiten(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^-1 x for the lower Cholesky factor L of B = L L^H, so that
-    x^H B^-1 y = whiten(B, x)^H whiten(B, y)."""
-    check_finite(b, x)
-    return np.linalg.solve(np.linalg.cholesky(b), x)
+    """L^-1 x for the lower Cholesky factor L of B = L L^H (`solve_lower`)."""
+    return solve_lower(cholesky(b), x)
+
+
+def _streams(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One side's two streams (t1, t2), the halves of t = U theta + c."""
+    r = u @ theta + c
+    k = r.size // 2
+    return r[:k], r[k:]
 
 
 def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """One side's factor det(I + [t1 t2]^H [t1 t2]) at t = U theta + c, and
-    the weights w whose image U^H w is the factor's conjugate gradient."""
-    r = u @ theta + c
-    k = r.size // 2
-    t1, t2 = r[:k], r[k:]
+    """One side's factor det(I + [t1 t2]^H [t1 t2]) at t = U theta + c
+    (`_det2`), and the weights w whose image U^H w is the factor's conjugate
+    gradient."""
+    t1, t2 = _streams(u, c, theta)
     a11 = 1.0 + np.vdot(t1, t1).real
     a22 = 1.0 + np.vdot(t2, t2).real
     a12 = np.vdot(t1, t2)
     w = np.concatenate([a22 * t1 - a12.conjugate() * t2, a11 * t2 - a12 * t1])
-    return a11 * a22 - abs(a12) ** 2, w
+    return _det2(t1, t2), w
 
 
 def _rotated_factor(y: np.ndarray, c: np.ndarray, rot: np.ndarray | complex) -> np.ndarray:
@@ -384,24 +477,23 @@ class PhaseProblem:
 
     Every received stream is affine in theta (t_i = T_i theta + h_i), so each
     side stacks its two streams into one map t = U theta + c with U (2K, M).
-    Eve's rows are whitened by the Cholesky factor of B, which turns both
-    factors into the same 2 x 2 determinant; log2(f / g) is the rate gap at
-    unit-modulus theta.  Each evaluation costs O(K M).
+    Eve's rows are whitened by the model's Cholesky factor L of B, which
+    turns both factors into the same 2 x 2 determinant (`_det2`);
+    log2(f / g) is the rate gap at unit-modulus theta.  Each evaluation
+    costs O(K M).
     """
 
     def __init__(self, dm: DerivedModel):
         self.u_b = np.vstack([dm.T_B1, dm.T_B2])
         self.c_b = np.concatenate([dm.h_B1, dm.h_B2])
-        eve = [whiten(dm.B, np.column_stack([t, h]))
+        eve = [solve_lower(dm.L, np.column_stack([t, h]))
                for t, h in ((dm.T_E1, dm.h_E1), (dm.T_E2, dm.h_E2))]
         self.u_e = np.vstack([e[:, :-1] for e in eve])
         self.c_e = np.concatenate([e[:, -1] for e in eve])
 
     def factors(self, theta: np.ndarray) -> tuple[float, float]:
         """Bob and Eve determinant factors (f, g)."""
-        f, _ = _side(self.u_b, self.c_b, theta)
-        g, _ = _side(self.u_e, self.c_e, theta)
-        return f, g
+        return _det2(*_streams(self.u_b, self.c_b, theta)), _det2(*_streams(self.u_e, self.c_e, theta))
 
     def ratio(self, theta: np.ndarray) -> float:
         f, g = self.factors(theta)

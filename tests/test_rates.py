@@ -3,9 +3,10 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -218,6 +219,62 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     assert formed == {"composite_channels": 1 + steps, "row_basis": 0, "phase_maps": steps}
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of numpy's Cholesky factorizations and solves of K x K
+    matrices (K = 4 at the default config, against N = 16 and M >= 10), and
+    the matrices factored."""
+    counts = {"cholesky": 0, "solve": 0, "factored": []}
+
+    def counter(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(a, *args):
+            if a.shape == (SystemConfig().K,) * 2:
+                counts[name] += 1
+                if name == "cholesky":
+                    counts["factored"].append(a)
+            return fn(a, *args)
+
+        return counted
+
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, counter(name))
+    return counts
+
+
+def test_fixed_phase_passes_factor_nothing(factorizations):
+    # B is factored once per rate model, and Eve's stream channels are
+    # whitened once per theta; the beamformer steps and each pass's rates
+    # then run on rank-one downdates and 2 x 2 determinants
+    cfg, ch, rng = _setup()
+    state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
+    assert state.iterations > 1
+    assert (factorizations["cholesky"], factorizations["solve"]) == (1, 1)
+    run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one model, three thetas
+    run_scheme(Scheme("no_irs"), cfg, ch)
+    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1 + 1, 1 + 3 + 1)
+
+
+def test_optimizers_factor_b_once_per_run(factorizations):
+    # the phase steps whiten Eve's maps with the model's factor too; nsp
+    # also factors Bob's stream-2 noise once per phase step
+    cfg, ch, _ = _setup()
+    b = rates.eve_covariance(cfg, ch, an_projector(ch.H_AI, ch.H_AB))
+    state = run_gai(cfg, ch)
+    assert state.iterations > 1
+    assert factorizations["cholesky"] == 1
+    assert np.array_equal(factorizations["factored"][0], b)
+    # per pass: Eve's channels whitened at the new theta, and the phase
+    # step's two stream maps
+    assert factorizations["solve"] == 1 + 3 * state.iterations
+    factorizations.update(cholesky=0, solve=0, factored=[])
+    state = run_nsp(cfg, ch)
+    assert state.iterations > 1
+    assert [np.array_equal(a, b) for a in factorizations["factored"]].count(True) == 1
+    assert factorizations["cholesky"] == 1 + (1 + state.iterations)
+
+
 # ---------------------------------------------------------------- derived model
 
 
@@ -321,6 +378,54 @@ def test_rate_bob_determinant_lemma_split():
     assert rate_bob(dm, prec) == pytest.approx(split, abs=1e-10)
 
 
+def _log2det_exact(base, streams):
+    """log2 det(base + sum t t^H), formed and evaluated in 50-digit
+    arithmetic from the float64 entries of base and the streams."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix(base.tolist())
+        for t in streams:
+            col = mpmath.matrix(t.tolist())
+            a += col * col.H
+        return float(mpmath.log(mpmath.re(mpmath.det(a)), 2))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), ps_dbm=st.floats(0.0, 90.0),
+       tilt=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1.0]),
+       betas=st.sampled_from([(0.4, 0.4), (0.5, 0.5), (0.8, 0.0), (0.0, 0.8)]))
+@example(seed=0, k=4, ps_dbm=90.0, tilt=1e-8, betas=(0.5, 0.5))
+@example(seed=1, k=2, ps_dbm=90.0, tilt=1e-8, betas=(0.4, 0.4))
+def test_rates_match_exact_log_det_oracle(seed, k, ps_dbm, tilt, betas):
+    # rate_bob / rate_eve read the streams' 2 x 2 determinant; the oracle is
+    # log det(I + S) and log det(B + S) - log det B on K x K matrices.  At
+    # 90 dBm with the streams within tilt of collinear, a11 a22 - |a12|^2
+    # (and a float64 slogdet of I + S) lose about eps |t|^2 relative: up to
+    # 1e-5 bits.  Eve's rate is only as exact as the Cholesky factor of the
+    # stored B, whose backward error is about K eps ||B|| (up to 2e-7 bits
+    # with strong AN at 90 dBm); with no AN (betas (0.5, 0.5)) B = I.
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(K=k, N=int(rng.integers(1, 17)), M=int(rng.integers(1, 41)), ps_dbm=ps_dbm,
+                       beta1=betas[0], beta2=betas[1], d_AB=float(rng.uniform(20, 300)),
+                       d_AE=float(rng.uniform(20, 300)), theta_AB=float(rng.uniform(0, math.pi)),
+                       theta_AE=float(rng.uniform(0, math.pi)))
+    ch = build_channels(cfg, build_geometry(cfg))
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def draw():
+        return rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N)
+
+    v1 = unit(draw())
+    prec = Precoders(v1=v1, v2=unit(v1 + tilt * draw()), theta=np.exp(2j * math.pi * rng.random(cfg.M)))
+    dm = derived_model(cfg, ch, prec)
+    bob = _log2det_exact(np.eye(k), [dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2])
+    eve = _log2det_exact(dm.B, [dm.H_E1 @ prec.v1, dm.H_E2 @ prec.v2]) - _log2det_exact(dm.B, [])
+    assert rate_bob(dm, prec) == pytest.approx(bob, abs=1e-9)
+    factor_error = 4 * k * np.finfo(float).eps * np.linalg.norm(dm.B, 2) * math.log2(math.e)
+    assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-9 + factor_error)
+
+
 def test_rates_invariant_to_beamformer_phase():
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
@@ -386,13 +491,13 @@ def test_secrecy_rate_non_negative():
 def test_factorizations_reject_non_finite_entries(value):
     # numpy's Cholesky reads one triangle and returns NaN for NaN input, so
     # an entry in the other triangle would be ignored and one in its own
-    # would come back as a NaN log-det
+    # would come back as a NaN factor
     a = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
     for i, j in ((0, 1), (1, 0), (1, 1)):
         bad = a.copy()
         bad[i, j] = value
         with pytest.raises(ValueError, match="non-finite"):
-            rates.logdet_hermitian(bad)
+            rates.cholesky(bad)
         with pytest.raises(ValueError, match="non-finite"):
             rates.whiten(bad, np.ones((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
@@ -418,6 +523,38 @@ def test_precoders_validation():
         Precoders(v1=2 * good, v2=good, theta=theta)
     with pytest.raises(ValueError, match="theta"):
         Precoders(v1=good, v2=good, theta=0.5 * theta)
+
+
+def test_precoders_reject_empty_and_mismatched_vectors():
+    v = np.ones(4) / 2.0
+    with pytest.raises(ValueError, match=r"theta must be a vector with at least one entry"):
+        Precoders(v1=v, v2=v, theta=np.ones(0))
+    with pytest.raises(ValueError, match=r"v1 must be a vector"):
+        Precoders(v1=np.eye(2) / math.sqrt(2), v2=v, theta=np.ones(2))
+    with pytest.raises(ValueError, match=r"v2 must have the 4 entries of v1, got 5"):
+        Precoders(v1=v, v2=np.ones(5) / math.sqrt(5), theta=np.ones(2))
+
+
+@pytest.mark.parametrize("key", ["v1", "v2", "theta"])
+def test_rate_model_rejects_precoders_of_another_size(key):
+    # a beamformer of N + 1 entries used to build a model and fail later in a matmul
+    cfg, ch, rng = _setup()
+    prec = _random_precoders(cfg, rng)
+    n = cfg.M if key == "theta" else cfg.N
+    fields = dict(v1=prec.v1, v2=prec.v2, theta=prec.theta)
+    fields[key] = np.ones(n + 1) / (1.0 if key == "theta" else math.sqrt(n + 1))
+    if key != "theta":  # v1 and v2 share one length
+        fields["v1"] = fields["v2"] = fields[key]
+    dim = "M" if key == "theta" else "N"
+    with pytest.raises(ValueError, match=rf"has {n + 1} entries; expected {dim} = {n}"):
+        derived_model(cfg, ch, Precoders(**fields))
+
+
+def test_run_gai_rejects_fixed_phases_of_another_size():
+    # used to fail with numpy's broadcast error
+    cfg, ch, _ = _setup()
+    with pytest.raises(ValueError, match=rf"fixed_theta has shape \({cfg.M - 1},\); expected \({cfg.M},\)"):
+        run_gai(cfg, ch, fixed_theta=np.ones(cfg.M - 1))
 
 
 @pytest.mark.parametrize("key", ["v1", "v2", "theta"])
@@ -483,8 +620,8 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
 
 
-_MODEL_FIELDS = ("P_AN", "B", "logdet_B", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "Q",
-                 "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
+_MODEL_FIELDS = ("P_AN", "B", "L", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2",
+                 "Q", "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
