@@ -11,11 +11,13 @@ gradient ascent then polishes.  `span_basis` and `span_search` are the span
 and the pattern search of both optimizers' phase steps, with one span rule
 and one sizing (the `SEARCH_*` constants); GAI's step adds only its
 rotation axis.  Each step scores the patterns through their coordinates
-W^H theta alone, which come in closed form from a fixed M x 4 table of the
-span without forming the patterns, and keeps its incumbent unless its own
-objective improves.  Every block can only increase the rate gap, and
-`alternate` undoes a pass that rounding leaves lower, so the secrecy-rate
-trace is non-decreasing.
+s = W^H theta alone, which come in closed form from a fixed M x 4 table of
+the span without forming the patterns.  Both objectives read s through 2 x 2
+forms, taken once per step and evaluated from the moments |s0|^2, |s1|^2 and
+conj(s0) s1 (`rates.span_moments`), so a pattern's score costs O(1).  Each
+step keeps its incumbent unless its own objective improves.  Every block can
+only increase the rate gap, and `alternate` undoes a pass that rounding
+leaves lower, so the secrecy-rate trace is non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.
 """
@@ -290,12 +292,15 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     The ratio's gradient lies in range(W), so its stationary points are
     e^{j phi} exp(j arg(W a)) with a = (cos psi, sin psi e^{j chi}), up to
     a sign on entries where W a is small.  `span_search` hands over
-    s = W^H theta per (psi, chi), at O(M) each; the streams (U W) s then cost
-    O(K).  The common rotation phi, which the direct path c makes matter,
-    moves each side's streams along e^{j phi} (U W) s + c, so each side's
-    factor is a degree-2 trigonometric series in e^{j phi} whose
-    coefficients are formed once per pattern; each of the SEARCH_ROTATIONS
-    values of phi then costs O(1) (`rates.PhaseProblem.ratios`).
+    s = W^H theta per (psi, chi), at O(M) each.  The streams e^{j phi} (U W) s
+    + c are not formed: each side's Gram entries are 2 x 2, linear or
+    constant forms in s, taken once per block, so a pattern's entries cost
+    O(1) from the moments of s, with no K axis.  The common rotation phi,
+    which the direct path c makes matter, makes each side's factor a
+    degree-2 trigonometric series in e^{j phi}, and the SEARCH_ROTATIONS
+    values of phi are one product of the series' real columns with a table
+    of cos and sin per side (`rates.PhaseProblem.span_ratio`).  The best
+    candidate and theta0 are compared on the exact ratio.
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not
@@ -304,18 +309,13 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     can lie inside the reachable set, away from every pattern of the family.
     """
     basis = span_basis(pp.u_b.conj().T, pp.u_e.conj().T)
-    uw_b, uw_e = pp.u_b @ basis, pp.u_e @ basis
-
-    def score(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        y_b = (uw_b @ s.reshape(2, -1)).reshape(-1, *s.shape[1:], 1)
-        y_e = (uw_e @ s.reshape(2, -1)).reshape(-1, *s.shape[1:], 1)
-        return -pp.ratios(y_b, y_e, np.exp(1j * phi)[:, None, :]).reshape(s.shape[1], -1)
-
-    pattern, (_, _, phi) = span_search(basis, score, theta0, SEARCH_ROTATIONS)
+    if basis.shape[1] != 2:
+        return theta0
+    ratio = pp.span_ratio(basis)
+    pattern, (_, _, phi) = span_search(
+        basis, lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS)
     cand = np.exp(1j * phi) * pattern
-    pair = np.column_stack([theta0, cand])
-    q_inc, q_cand = pp.ratios(pp.u_b @ pair, pp.u_e @ pair)
-    return cand if q_cand > q_inc else theta0
+    return cand if pp.ratio(cand) > pp.ratio(theta0) else theta0
 
 
 def ga_optimize_theta(

@@ -11,9 +11,10 @@ range(P).  The phases minimize a unit-modulus quotient of two forms, each
 I/M + F F^H with F an M x K factor read from the rate model; no M x M
 matrix is formed.  The step is GAI's pattern search (`gai.span_search`,
 with its sizing and without its rotation axis, which the quotient ignores)
-over the factors' joint span (`gai.span_basis`), scored through the
-factors' compressions onto that span, then majorize-minimize phase rounding
-at the best level found, each rounding at O(K M).
+over the factors' joint span (`gai.span_basis`), scored through 2 x 2
+forms of the factors' compressions onto that span at O(1) per pattern, then
+majorize-minimize phase rounding at the best level found, each rounding at
+O(K M).
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from .rates import (
     _herm,
     beam_quotient,
     derived_model,
+    form_weights,
     null_projector,
     solve_lower,
+    span_moments,
     whiten,
 )
 # not called here; perfbench/tracing.py wraps both names in this module
@@ -177,14 +180,10 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     return whiten(cov2, dm.T_B1).conj().T, solve_lower(dm.L, dm.T_E1).conj().T
 
 
-def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's and Bob's forms at unit-modulus x, (1 + |F_e^H x|^2, 1 + |F_b^H x|^2),
-    for each column of the (rows, ...) array x, over its trailing shape.
-    For factors compressed to a span and x the coordinates of unit-modulus
-    points in it, the same values at those points."""
-    flat = x.reshape(x.shape[0], -1)
-    num, den = (1.0 + np.sum(np.abs(f.conj().T @ flat) ** 2, axis=0).reshape(x.shape[1:])
-                for f in (f_e, f_b))
+def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, theta: np.ndarray) -> tuple[float, float]:
+    """Eve's and Bob's forms at unit-modulus theta, (1 + |F_e^H theta|^2,
+    1 + |F_b^H theta|^2)."""
+    num, den = (1.0 + float(np.sum(np.abs(f.conj().T @ theta) ** 2)) for f in (f_e, f_b))
     return num, den
 
 
@@ -254,13 +253,16 @@ def update_theta_nsp(
     `phase_blocks`, rank one each on line-of-sight channels, so on the
     unit-modulus shell the quotient is (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2)
     in s = W^H theta, W the basis of the factors' joint span from
-    `gai.span_basis(F_b, F_e)` and G = W^H F their 2 x K compressions; one
-    evaluator (`_shell_terms`) serves both.  At a stationary point
+    `gai.span_basis(F_b, F_e)` and G = W^H F their 2 x K compressions.
+    Each |G^H s|^2 is the 2 x 2 form s^H G G^H s, read from the moments of s
+    (`rates.span_moments`, `rates.form_weights`), as GAI's span scorer reads
+    its Gram entries; exact quotients of a phase vector come from
+    `_shell_terms`.  At a stationary point
     theta_i is the phase of (W a)_i for some a in C^2, up to a sign on
     entries where (W a)_i is small next to the excess diagonal; only the
     direction of a matters.  `gai.span_search` scores its (psi, chi) grid
-    of these patterns at O(K) each and refines around the best points; on
-    a span of lower dimension it returns the incumbent.  The better of its
+    of these patterns at O(1) each and refines around the best points; a
+    span of lower dimension is not searched.  The better of its
     pattern and the incumbent, compared on the exact quotient, is polished
     with at most POLISH_LEVELS `theta_star_of_mu` levels.  It returns the
     incumbent unless a candidate beats it.  The search is global when the
@@ -276,11 +278,19 @@ def update_theta_nsp(
     if basis.shape[1] > 2:
         raise ValueError(f"phase forms span {basis.shape[1]} dimensions beyond I/M; "
                          "the phase step handles at most 2")
-    g_b, g_e = basis.conj().T @ f_b, basis.conj().T @ f_e
-    found, _ = span_search(basis, lambda s: np.divide(*_shell_terms(g_b, g_e, s)), theta_prev)
     best_theta, best_q = theta_prev, quotient(theta_prev)
-    if (q_found := quotient(found)) < best_q:
-        best_theta, best_q = found, q_found
+    if basis.shape[1] == 2:
+        # |G^H s|^2 = s^H G G^H s, a 2 x 2 form: O(1) per pattern from the moments of s
+        weights = np.array([form_weights(g @ g.conj().T)
+                            for g in (basis.conj().T @ f_e, basis.conj().T @ f_b)]).real
+
+        def score(s: np.ndarray) -> np.ndarray:
+            num, den = 1.0 + np.tensordot(weights, span_moments(s), axes=1)
+            return num / den
+
+        found, _ = span_search(basis, score, theta_prev)
+        if (q_found := quotient(found)) < best_q:
+            best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):
         cand = theta_star_of_mu(f_b, f_e, best_q, best_theta)
         q_cand = quotient(cand)

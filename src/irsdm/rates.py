@@ -11,6 +11,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -440,36 +441,100 @@ def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.nd
     return _det2(t1, t2), w
 
 
-def _rotated_factor(y: np.ndarray, c: np.ndarray, rot: np.ndarray | complex) -> np.ndarray:
-    """`_side`'s factor det(I + [t1 t2]^H [t1 t2]) at the stacked streams
-    t = rot y + c, for y = U theta of shape (2K, ...) and unit rotations rot
-    broadcast against y's trailing shape.
+def span_moments(s: np.ndarray) -> np.ndarray:
+    """The real moments (|s0|^2, |s1|^2, Re x, Im x), x = conj(s0) s1, of
+    span coordinates s, shape (2, ...), stacked on a new leading axis.
 
-    Each Gram entry is affine in rot and its conjugate: a11 = al1 + 2 Re(rot
-    be1), a22 = al2 + 2 Re(rot be2) and a12 = ga + rot de + conj(rot) ep.  So
-    the factor is the degree-2 trigonometric series F0 + 2 Re(F1 rot) +
-    2 Re(F2 rot^2) in the rotation.  Its coefficients are taken once per
-    column of y from the K-sums, and each rotation costs O(1), in real
-    arithmetic: no complex array of the full (columns x rotations) shape is
-    formed.
+    Every 2 x 2 form s^H A s is the product of `form_weights(A)` with them,
+    so a form costs O(1) per point, whatever the size of the factors behind A.
     """
-    k = y.shape[0] // 2
-    c = c.reshape((-1,) + (1,) * (y.ndim - 1))
-    y1, y2, c1, c2 = y[:k], y[k:], c[:k], c[k:]
+    x = s[0].conj() * s[1]
+    mag2 = s.real ** 2 + s.imag ** 2
+    return np.stack([mag2[0], mag2[1], x.real, x.imag])
 
-    def gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum(a.conj() * b, axis=0)
 
-    al1 = 1.0 + (gram(y1, y1) + gram(c1, c1)).real
-    al2 = 1.0 + (gram(y2, y2) + gram(c2, c2)).real
-    be1, be2 = gram(c1, y1), gram(c2, y2)
-    ga, de, ep = gram(y1, y2) + gram(c1, c2), gram(c1, y2), gram(y1, c2)
-    f0 = al1 * al2 + 2.0 * (be1 * be2.conj()).real - np.abs(ga) ** 2 - np.abs(de) ** 2 - np.abs(ep) ** 2
-    f1 = al1 * be2 + al2 * be1 - de * ga.conj() - ga * ep.conj()
-    f2 = be1 * be2 - de * ep.conj()
-    rot2 = rot * rot
-    return f0 + 2.0 * (f1.real * np.real(rot) - f1.imag * np.imag(rot)
-                       + f2.real * np.real(rot2) - f2.imag * np.imag(rot2))
+def form_weights(a: np.ndarray) -> np.ndarray:
+    """The weights (a00, a11, a01 + a10, j (a01 - a10)) that give the 2 x 2
+    form s^H a s from `span_moments(s)`; for Hermitian a, their real part."""
+    return np.array([a[0, 0], a[1, 1], a[0, 1] + a[1, 0], 1j * (a[0, 1] - a[1, 0])])
+
+
+def _gram_forms(uw: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One side's Gram entries at the streams t = U W s + c as forms in the
+    span coordinates s, from the K x 2 halves A1, A2 of U W and c1, c2 of c.
+
+    With y_i = A_i s, the entries of `_series_columns` are al_i = 1 + |c_i|^2
+    + s^H A_i^H A_i s and ga = s^H A1^H A2 s + c1^H c2, 2 x 2 forms plus
+    constants, and be1 = c1^H A1 s, be2 = c2^H A2 s, de = c1^H A2 s and ep
+    = c2^H A1 s, linear forms; h = 2 Re(be1 conj(be2)) - |de|^2 - |ep|^2 is
+    one more 2 x 2 form.  Returns the weights (4, 4) of al1, al2, h and ga
+    on `span_moments(s)`, their constants (4,) and the rows (4, 2) of be1,
+    be2, de and ep.
+    """
+    k = c.size // 2
+    a1, a2, c1, c2 = uw[:k], uw[k:], c[:k], c[k:]
+    b1, b2, d, e = c1.conj() @ a1, c2.conj() @ a2, c1.conj() @ a2, c2.conj() @ a1
+    cross = np.outer(b2.conj(), b1)
+    h = cross + cross.conj().T - np.outer(d.conj(), d) - np.outer(e.conj(), e)
+    a1h = a1.conj().T
+    # the first three forms are Hermitian: real weights
+    quad = np.array([form_weights(a1h @ a1).real, form_weights(a2.conj().T @ a2).real,
+                     form_weights(h).real, form_weights(a1h @ a2)])
+    const = np.array([1.0 + np.vdot(c1, c1).real, 1.0 + np.vdot(c2, c2).real, 0.0, np.vdot(c1, c2)])
+    return quad, const, np.array([b1, b2, d, e])
+
+
+def _series_columns(al1, al2, h, ga, be1, be2, de, ep) -> np.ndarray:
+    """The real columns (f0, Re f1, Im f1, Re f2, Im f2), on a new trailing
+    axis, of one side's factor det(I + [t1 t2]^H [t1 t2]) as a degree-2
+    trigonometric series in a rotation rot = e^{j phi} of the streams,
+    t = rot y + c.
+
+    The Gram entries are affine in rot and its conjugate: a11 = al1 + 2 Re(rot
+    be1), a22 = al2 + 2 Re(rot be2) and a12 = ga + rot de + conj(rot ep), for
+    al_i = 1 + |y_i|^2 + |c_i|^2, be_i = c_i^H y_i, ga = y1^H y2 + c1^H c2,
+    de = c1^H y2 and ep = c2^H y1.  So the factor is f0 + 2 Re(f1 rot) +
+    2 Re(f2 rot^2), with f0 = al1 al2 + h - |ga|^2 for h = 2 Re(be1 conj(be2))
+    - |de|^2 - |ep|^2: the columns' product with `rotation_table(phi)`.
+    """
+    f0 = al1 * al2 + h - (ga.real ** 2 + ga.imag ** 2)
+    f1 = al1 * be2 + al2 * be1 - de * ga.conj() - ga * ep
+    f2 = be1 * be2 - de * ep
+    return np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+
+
+def _span_columns(forms: tuple[np.ndarray, ...], s: np.ndarray) -> np.ndarray:
+    """`_series_columns` of both sides, shape (2, n, 5), at the span
+    coordinates s (2, n).  forms holds `_gram_forms` of both sides, each
+    entry's two sides in adjacent rows: the real weights (6, 4) and
+    constants (6, 1) of al1, al2 and h, the weights (2, 4) and constants
+    (2, 1) of ga, and the rows (8, 2) of be1, be2, de and ep.
+
+    A function of its own so that the entries are freed before the
+    products with the rotation table: on the grid's 1152 patterns, holding
+    them too would take the scorer's live arrays to about 0.5 MB, and
+    glibc, which keeps at most 128 KB free on top of the heap, would hand
+    the pages back and fault them in again on every grid.
+    """
+    real, real_c, ga_w, ga_c, lin = forms
+    moments = span_moments(s)
+    q = real @ moments
+    q += real_c
+    ga = ga_w @ moments
+    ga += ga_c
+    # two (4, n) products: one (8, n) complex array of the grid's 1152
+    # patterns would pass malloc's 128 KB mmap threshold
+    be = (lin[:4] @ s).reshape(2, 2, -1)
+    de, ep = (lin[4:] @ s).reshape(2, 2, -1)
+    return _series_columns(*q.reshape(3, 2, -1), ga, *be, de, ep)
+
+
+def rotation_table(phi: np.ndarray) -> np.ndarray:
+    """(1, 2 cos phi, -2 sin phi, 2 cos 2 phi, -2 sin 2 phi) on a new
+    second-to-last axis, shape (..., 5, R) for phi (..., R): the product of
+    `_series_columns` with it is each side's factor at the rotations phi."""
+    return np.stack([np.ones_like(phi), 2.0 * np.cos(phi), -2.0 * np.sin(phi),
+                     2.0 * np.cos(2.0 * phi), -2.0 * np.sin(2.0 * phi)], axis=-2)
 
 
 class PhaseProblem:
@@ -499,13 +564,32 @@ class PhaseProblem:
         f, g = self.factors(theta)
         return f / g
 
-    def ratios(self, y_b: np.ndarray, y_e: np.ndarray, rot: np.ndarray | complex = 1.0) -> np.ndarray:
-        """f/g at many points at once: at rot theta for each side's y = U theta,
-        of shape (2K, ...), and unit rotations rot broadcast against y's
-        trailing shape.  Each side's factor is a degree-2 trigonometric series
-        in the rotation, whose coefficients are formed once per column of y
-        (`_rotated_factor`); each further rotation costs O(1)."""
-        return _rotated_factor(y_b, self.c_b, rot) / _rotated_factor(y_e, self.c_e, rot)
+    def span_ratio(self, basis: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """f/g at the rotated points e^{j phi} W s of an M x 2 matrix W; when
+        W is an orthonormal basis of a span that holds the rows of U, the
+        points are e^{j phi} theta at the coordinates s = W^H theta.
+
+        The returned function takes span coordinates s, shape (2, ..., n),
+        and rotations phi, shape (..., R), and returns the ratios, shape
+        (..., n, R).  Each side's Gram entries are 2 x 2, linear or constant
+        forms in s (`_gram_forms`), formed here once; each point then costs
+        O(1) from its `span_moments`, with no K axis, for both sides at once,
+        and each side's factors at every rotation are one product of its
+        `_series_columns` with `rotation_table(phi)`.
+        """
+        # each part of both sides, the side on the second axis
+        quad, const, lin = (np.stack(part, axis=1) for part in zip(
+            *(_gram_forms(u @ basis, c) for u, c in ((self.u_b, self.c_b), (self.u_e, self.c_e)))))
+        forms = (quad[:3].real.reshape(6, 4), const[:3].real.reshape(6, 1),
+                 quad[3], const[3][:, None], lin.reshape(8, 2))
+
+        def ratio(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
+            f, g = _span_columns(forms, s.reshape(2, -1)).reshape(2, *s.shape[1:], 5)
+            table = rotation_table(phi)
+            out = f @ table
+            return np.divide(out, g @ table, out=out)
+
+        return ratio
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Conjugate (Wirtinger) gradient of f/g; ascent direction for the ratio."""

@@ -6,7 +6,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -661,10 +661,16 @@ def test_phase_problem_matches_rate_gap_and_finite_differences(seed, n, m, k, be
     pp = PhaseProblem(dm)
     theta = prec.theta
     assert math.log2(pp.ratio(theta)) == pytest.approx(rate_bob(dm, prec) - rate_eve(dm, prec), abs=1e-9)
-    # the batched ratio at rotated points e^{j phi} theta, from U theta alone
-    rot = np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0]))
-    batch = pp.ratios((pp.u_b @ theta)[:, None], (pp.u_e @ theta)[:, None], rot)
-    assert batch == pytest.approx([pp.ratio(r * theta) for r in rot], rel=1e-9)
+    # the span scorer at rotated points e^{j phi} W s, from the 2 x 2 forms of
+    # U W alone: W holds theta, so s = (1, 0) is theta itself, and two random
+    # s reach every weight of the forms
+    rng = np.random.default_rng([seed, 2])
+    basis = np.column_stack([theta, rng.standard_normal(m) + 1j * rng.standard_normal(m)])
+    s = np.column_stack([[1.0, 0.0], rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))])
+    phi = np.array([0.0, 1.0, 2.5, -2.0])
+    batch = pp.span_ratio(basis)(s, phi)
+    points = [[pp.ratio(np.exp(1j * p) * (basis @ s[:, i])) for p in phi] for i in range(3)]
+    assert batch == pytest.approx(np.array(points), rel=1e-9)
     grad = pp.gradient(theta)
     h = 1e-6
     for i in range(m):
@@ -673,6 +679,51 @@ def test_phase_problem_matches_rate_gap_and_finite_differences(seed, n, m, k, be
             e[i] = step
             fd = (pp.ratio(theta + e) - pp.ratio(theta - e)) / (2.0 * h)
             assert fd == pytest.approx(ana, rel=1e-5, abs=1e-8)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 200), k=st.integers(1, 4),
+       ps_dbm=st.sampled_from([30.0, 60.0, 90.0]), d_ab=st.floats(20.0, 300.0),
+       beta1=st.floats(0.05, 0.95), share2=st.floats(0.0, 1.0))
+@example(seed=0, m=200, k=4, ps_dbm=90.0, d_ab=50.0, beta1=0.4, share2=2.0 / 3.0)
+def test_span_ratio_matches_the_ratio_of_the_rotated_patterns(seed, m, k, ps_dbm, d_ab, beta1, share2):
+    # GAI's pattern scorer (`PhaseProblem.span_ratio`, 2 x 2 forms of the
+    # span coordinates) at random (psi, chi, phi) is the exact ratio at
+    # e^{j phi} times the pattern of (psi, chi), on line-of-sight drops.
+    # Each side's f0 = al1 al2 + h - |ga|^2 cancels at high SNR, as it did
+    # when the entries were K-sums of the streams, and a form's value from
+    # the moments is off by about eps |A_i|^2 |s|^2: so beyond 30 dBm the
+    # allowance is 32 eps times the sum over sides of (1 + |c1|^2 + |A1|^2
+    # |s|^2)(1 + |c2|^2 + |A2|^2 |s|^2) / factor, A_i = U_i W.  Over 3000
+    # random drops the K-sum form used up to 5.3 / 32 of it and this one 4.8.
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(M=m, K=k, N=int(rng.integers(2, 17)), ps_dbm=ps_dbm, beta1=beta1,
+                       beta2=share2 * (1.0 - beta1), d_AB=d_ab, d_AI=float(rng.uniform(5, 100)),
+                       d_AE=float(rng.uniform(20, 300)), theta_AI=float(rng.uniform(0, math.pi)),
+                       theta_AB=float(rng.uniform(0, math.pi)), theta_AE=float(rng.uniform(0, math.pi)))
+    ch = build_channels(cfg, build_geometry(cfg))
+    prec = _random_precoders(cfg, rng)
+    pp = PhaseProblem(derived_model(cfg, ch, prec))
+    basis = gai.span_basis(pp.u_b.conj().T, pp.u_e.conj().T)
+    assume(basis.shape[1] == 2)  # one dimension when Bob and Eve lie on one line from the surface
+    n = 32
+    psi, chi, phi = rng.random(n) * math.pi / 2, rng.random(n) * 2 * math.pi, rng.random(n) * 2 * math.pi
+    patterns = gai._span_candidates(basis, psi, chi, prec.theta)
+    s = basis.conj().T @ patterns
+    scored = pp.span_ratio(basis)(s[:, :, None], phi[:, None])[:, 0, 0]
+    rotated = [np.exp(1j * p) * patterns[:, i] for i, p in enumerate(phi)]
+    err = np.abs(scored / [pp.ratio(t) for t in rotated] - 1.0)
+    if ps_dbm == 30.0:
+        assert err.max() <= 1e-9
+    size = np.sum(np.abs(s) ** 2, axis=0)
+    factors = np.array([pp.factors(t) for t in rotated]).T
+    scale = 0.0
+    for (u, c), factor in zip(((pp.u_b, pp.c_b), (pp.u_e, pp.c_e)), factors):
+        uw = u @ basis
+        al1, al2 = (1.0 + np.vdot(c[h], c[h]).real + np.linalg.norm(uw[h]) ** 2 * size
+                    for h in (slice(0, k), slice(k, None)))
+        scale = scale + al1 * al2 / factor
+    assert np.all(err <= 32 * np.finfo(float).eps * scale), (err / (np.finfo(float).eps * scale)).max()
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 24), k=st.integers(1, 4),
