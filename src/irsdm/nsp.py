@@ -14,7 +14,8 @@ with its sizing and without its rotation axis, which the quotient ignores)
 over the factors' joint span (`gai.span_basis`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern, then
 majorize-minimize phase rounding at the best level found, each rounding at
-O(K M).
+O(K M), the roundings driven by squared extrapolation (SQUAREM) until one
+more lowers the level objective by less than MM_TOL.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ from .rates import (
 from .rates import an_projector, secrecy_rate
 
 
-MAX_MM_ITERS = 500       # phase roundings per mu evaluation
-MM_TOL = 1e-12           # stop when the surrogate decrease drops below this (the phase
-                         # step's polish needs its level minimizer to 1e-9 relative)
+MAX_MM_ITERS = 500       # phase roundings per mu evaluation, extrapolated or not; the
+                         # bench and placement calls take at most 31
+MM_TOL = 1e-12           # stop when one rounding lowers the level objective by less than
+                         # this (the phase step's polish needs its level minimizer to
+                         # 1e-9 relative)
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
 QCQP_RIDGE = 1e-10
 QCQP_TOL = 1e-8
@@ -196,13 +199,25 @@ def theta_star_of_mu(
     """Unit-modulus minimizer of theta^H (BtE - mu TtB) theta via phase rounding,
     TtB and BtE the forms I/M + F F^H of the factors f_b and f_e.
 
-    On the shell the objective is (1 - mu) + theta^H F D F^H theta with
-    F = [F_e, F_b] and D = diag(1, -mu).  Each pass minimizes the
-    spectral-shift majorant, which amounts to taking the phases of
+    On the shell the objective is (1 - mu) + v(theta), v = theta^H F D F^H
+    theta with F = [F_e, F_b] and D = diag(1, -mu).  A rounding T minimizes
+    the spectral-shift majorant, which amounts to taking the phases of
     (lam I - F D F^H) theta at O(r M) for r columns of F; entries with a
     vanishing drive keep their previous phase.  lam, the largest eigenvalue
     of F D F^H, comes from the r x r R D R^H of F = Q R, with 0 added when
-    range(F) misses directions of C^M.  The quadratic value never increases.
+    range(F) misses directions of C^M.
+
+    The roundings run in squared-extrapolation cycles (SQUAREM, Varadhan and
+    Roland 2008).  A cycle from theta takes t1 = T(theta) and stops there if
+    v falls by less than MM_TOL, keeping t1 only if it is lower.  Otherwise
+    it takes t2 = T(t1), r = t1 - theta, w = t2 - 2 t1 + theta and
+    alpha = -||r|| / ||w||; when alpha < -1 it also rounds the extrapolated
+    point, c = T(phase(theta - 2 alpha r + alpha^2 w)), and keeps c only if
+    v(c) < v(t2), t2 otherwise.  A rounding never raises v and c is kept
+    only below t2, so the quadratic value never increases.  The cycles also
+    end, silently, after MAX_MM_ITERS roundings; a level where mu times
+    Bob's excess is small next to Eve's, started far from its minimizer,
+    can need thousands.
     """
     f = np.hstack([f_e, f_b])
     d = np.concatenate([np.ones(f_e.shape[1]), np.full(f_b.shape[1], -mu)])
@@ -213,19 +228,38 @@ def theta_star_of_mu(
     if evals.max() - evals.min() < 1e-12:
         return theta_prev.copy()
     lam = evals.max()
-    theta = theta_prev.copy()
     fh = f.conj().T
-    y = fh @ theta
-    obj = float(d @ np.abs(y) ** 2)
-    for _ in range(MAX_MM_ITERS):
-        cand = _project_phases(lam * theta - f @ (d * y), theta)
-        y_cand = fh @ cand
-        cand_obj = float(d @ np.abs(y_cand) ** 2)
-        if obj - cand_obj < MM_TOL:
-            if cand_obj < obj:
-                theta, obj = cand, cand_obj
+
+    def value(x: np.ndarray) -> tuple[np.ndarray, float]:
+        y = fh @ x
+        return y, float(d @ np.abs(y) ** 2)
+
+    def rounding(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        t = _project_phases(lam * x - f @ (d * y), x)
+        return (t, *value(t))
+
+    theta = theta_prev.copy()
+    y, obj = value(theta)
+    left = MAX_MM_ITERS
+    while left > 0:
+        t1, y1, obj1 = rounding(theta, y)
+        left -= 1
+        if obj - obj1 < MM_TOL or left == 0:
+            if obj1 < obj:
+                theta = t1
             break
-        theta, obj, y = cand, cand_obj, y_cand
+        t2, y2, obj2 = rounding(t1, y1)
+        left -= 1
+        r_step, w_step = t1 - theta, t2 - 2.0 * t1 + theta
+        r_norm, w_norm = np.linalg.norm(r_step), np.linalg.norm(w_step)
+        start, theta, y, obj = theta, t2, y2, obj2
+        if left > 0 and 0.0 < w_norm < r_norm:
+            alpha = -r_norm / w_norm
+            jump = _project_phases(start - 2.0 * alpha * r_step + alpha**2 * w_step, start)
+            c, y_c, obj_c = rounding(jump, fh @ jump)
+            left -= 1
+            if obj_c < obj:
+                theta, y, obj = c, y_c, obj_c
     return theta
 
 

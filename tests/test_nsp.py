@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,6 +446,65 @@ def test_update_theta_rejects_a_span_above_two():
         update_theta_nsp(f_b, f_e, np.ones(m, dtype=complex))
 
 
+def _level_factors(f_b, f_e, mu):
+    """F = [F_e, F_b] and the diagonal of D = diag(1, -mu): the level
+    objective theta^H (BtE - mu TtB) theta is 1 - mu + theta^H F D F^H theta
+    on the shell."""
+    return np.hstack([f_e, f_b]), np.concatenate([np.ones(f_e.shape[1]), np.full(f_b.shape[1], -mu)])
+
+
+def _level_value(f_b, f_e, mu, theta):
+    """v(theta) = theta^H F D F^H theta of `_level_factors`."""
+    f, d = _level_factors(f_b, f_e, mu)
+    return float(d @ np.abs(f.conj().T @ theta) ** 2)
+
+
+def _plain_rounding(f_b, f_e, mu, theta):
+    """One majorize-minimize rounding, the phases of (lam I - F D F^H) theta,
+    lam the top eigenvalue of the M x M F D F^H, formed here as an oracle."""
+    f, d = _level_factors(f_b, f_e, mu)
+    fdf = (f * d) @ f.conj().T
+    lam = np.linalg.eigvalsh(0.5 * (fdf + fdf.conj().T)).max()
+    z = lam * theta - fdf @ theta
+    return np.where(np.abs(z) > 0, z / np.maximum(np.abs(z), 1e-300), theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60), k=st.integers(0, 3),
+       u=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       log_g=st.tuples(st.floats(-3.0, 1.0), st.floats(-3.0, 1.0)),
+       level=st.floats(0.0, 1.0))
+@example(seed=0, m=20, k=0, u=(0.2, -0.3, 0.6), log_g=(1.0, 1.0), level=1.0)  # mu at the quotient
+@example(seed=1, m=30, k=2, u=(0.0, 0.0, 0.0), log_g=(1.0, -3.0), level=0.0)  # mu = 0
+@example(seed=0, m=6, k=0, u=(0.0, 0.0, 1.0), log_g=(-3.0, 0.0), level=1.0)   # runs out the cap
+def test_theta_star_is_a_fixed_point_of_the_rounding(seed, m, k, u, log_g, level):
+    # k = 0 takes the line-of-sight factors of `_los_factors`, k >= 1 random
+    # M x k factors with the same excess g over I/M; mu lies between 0 and
+    # the quotient at theta_prev.  The extrapolated cycles stop where one
+    # more plain rounding gains less than MM_TOL, unless they run out the
+    # MAX_MM_ITERS roundings first: mu times Bob's excess far below Eve's
+    # can need thousands (FOUND in CHANGES.md)
+    g_b, g_e = 10.0 ** log_g[0], 10.0 ** log_g[1]
+    rng = np.random.default_rng(seed)
+    if k == 0:
+        f_b, f_e = _los_factors(m, *u, g_b, g_e)
+    else:
+        f_b, f_e = (math.sqrt(g / (m * k)) * (rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+                    for g in (g_b, g_e))
+    tt_b, bt_e = _forms(f_b, f_e)
+    theta_prev = np.exp(2j * math.pi * rng.random(m))
+    mu = level * _quad(bt_e, theta_prev) / _quad(tt_b, theta_prev)
+    with mock.patch.object(nsp, "_project_phases", wraps=nsp._project_phases) as project:
+        star = theta_star_of_mu(f_b, f_e, mu, theta_prev)
+    assert np.allclose(np.abs(star), 1.0, atol=1e-12)
+    v_star = _level_value(f_b, f_e, mu, star)
+    assert v_star <= _level_value(f_b, f_e, mu, theta_prev)
+    # each rounding makes one projection and each extrapolated point one more,
+    # so fewer projections than the cap means the call stopped on MM_TOL
+    if project.call_count < nsp.MAX_MM_ITERS:
+        assert v_star - _level_value(f_b, f_e, mu, _plain_rounding(f_b, f_e, mu, star)) < nsp.MM_TOL
+
+
 # ---------------------------------------------------------------- full runs
 
 
@@ -523,13 +583,21 @@ def test_run_nsp_runs_at_high_transmit_power(d_ab, m, ps_dbm, rate):
 
 @pytest.fixture
 def theta_star_calls(monkeypatch):
-    """List that gains one entry per theta_star_of_mu call inside nsp."""
+    """List that gains one entry per theta_star_of_mu call inside nsp: the
+    number of phase projections it makes, its roundings plus its
+    extrapolated points."""
     calls = []
+    project = nsp._project_phases
+
+    def counted_projection(*args):
+        calls[-1] += 1
+        return project(*args)
 
     def counted(*args):
-        calls.append(args)
+        calls.append(0)
         return theta_star_of_mu(*args)
 
+    monkeypatch.setattr(nsp, "_project_phases", counted_projection)
     monkeypatch.setattr(nsp, "theta_star_of_mu", counted)
     return calls
 
@@ -546,3 +614,16 @@ def test_run_nsp_converges_at_m80_with_two_levels_per_phase_block(overrides, the
     assert state.converged
     # one phase block per pass plus the pre-alignment
     assert len(theta_star_calls) <= 2 * (state.iterations + 1)
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"d_AB": d_ab, "M": m} for d_ab, ms in ((50.0, (10, 50, 200)), (300.0, (10, 30, 80))) for m in ms),
+    *({"M": 80, "d_AI": d_ai, "theta_AI": parallel_irs_angle(SystemConfig())} for d_ai in (20.0, 50.0, 100.0)),
+], ids=lambda o: " ".join(f"{k}={v:g}" for k, v in o.items() if k != "theta_AI"))
+def test_theta_star_stays_below_its_rounding_cap(overrides, theta_star_calls):
+    # the bench's six sweep points and the placement line at M = 80; with
+    # plain roundings five calls on the bench points ran out the 500-rounding
+    # cap, still lowering the level objective by more than MM_TOL
+    cfg = SystemConfig(**overrides)
+    run_nsp(cfg, build_channels(cfg, build_geometry(cfg)))
+    assert theta_star_calls and max(theta_star_calls) < nsp.MAX_MM_ITERS
