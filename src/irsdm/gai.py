@@ -14,7 +14,12 @@ rotation axis.  Each step scores the patterns through their coordinates
 s = W^H theta alone, which come in closed form from a fixed M x 4 table of
 the span without forming the patterns.  Both objectives read s through 2 x 2
 forms, taken once per step and evaluated from the moments |s0|^2, |s1|^2 and
-conj(s0) s1 (`rates.span_moments`), so a pattern's score costs O(1).  Each
+conj(s0) s1 (`rates.span_moments`), so a pattern's score costs O(1).  A
+run's phase steps share one basis (`SpanMemo`) while their spans lie in it,
+as on line-of-sight links, where the span depends only on the channels.
+They share the coordinates formed on it too: each (psi, chi) grid, the full
+one or a start's patch, is formed once per run, so a later step forms only
+the patches that no earlier step reached.  Each
 step keeps its incumbent unless its own objective improves.  Every block can
 only increase the rate gap, and `alternate` undoes a pass that rounding
 leaves lower, so the secrecy-rate trace is non-decreasing.
@@ -67,6 +72,8 @@ SPAN_CUT = 1e-10
 # Pattern magnitudes (count x M) formed at once: real blocks of at most
 # 62.5 KB stay below malloc's 128 KB mmap threshold, so the allocator reuses
 # them instead of mapping fresh pages that fault in again for every chunk.
+# The memo holds one small array per grid (37 KB for the full grid, 1.5 KB
+# for a patch), below the threshold too.
 SEARCH_CHUNK = 8000
 
 
@@ -158,10 +165,12 @@ def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
     return _project_phases(z, fallback[:, None])
 
 
-def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
-                      fallback: np.ndarray) -> np.ndarray:
-    """s = W^H theta, shape (2, n), of the n patterns theta of
-    `_span_candidates`, without forming them.
+def _span_coordinates(basis: np.ndarray, psi: np.ndarray,
+                      chi: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """s = W^H theta, shape (2, P, n), of the patterns theta of
+    `_span_candidates` at the P x n angles (psi, chi), without forming them,
+    and the indices (row of psi, pattern, entry) of the entries where W a
+    vanishes exactly, which s leaves out: they take a search's fallback.
 
     With z = W a = cos psi w0 + q w1, q = sin psi e^{j chi}, each |z_m|^2 is
     a real product of (cos^2 psi, sin^2 psi, 2 cos psi Re q, -2 cos psi Im q)
@@ -170,44 +179,83 @@ def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
     1 / |z| give s = (cos psi A + q P, cos psi conj(P) + q B).  The table's
     |z_m|^2 carries a rounding error of about eps |W_m|^2, so an entry with
     |z_m|^2 <= 1e-3 |W_m|^2 (one in a thousand, for patterns spread evenly)
-    is formed as `_span_candidates` forms it, fallback included; every other
-    entry is off by at most about 1e-12 |W_m|.  Magnitudes are formed
-    SEARCH_CHUNK entries at a time.
+    is formed as `_span_candidates` forms it; every other entry is off by at
+    most about 1e-12 |W_m|.  Magnitudes are formed at most SEARCH_CHUNK at a
+    time, in the same pattern ranges of every row of psi, and numpy's stacked
+    products take one BLAS call per row; so a row's s is the same to the bit
+    whether it is formed alone or beside other rows.
     """
     cross = basis[:, 0].conj() * basis[:, 1]
     table = np.column_stack([np.abs(basis) ** 2, cross.real, cross.imag])
     floor = 1e-3 * (table[:, 0] + table[:, 1])
     cos, sin = np.cos(psi), np.sin(psi)
     q = sin * np.exp(1j * chi)
-    trig = np.column_stack([cos * cos, sin * sin, 2.0 * cos * q.real, -2.0 * cos * q.imag])
-    sums, cols, rows = np.empty((psi.size, 4)), [], []
-    step = max(1, SEARCH_CHUNK // basis.shape[0])
-    for lo in range(0, psi.size, step):
-        mag2 = trig[lo:lo + step] @ table.T
-        near = mag2 <= floor
-        np.copyto(mag2, np.inf, where=near)  # 1 / |z| = 0: formed below instead
-        np.matmul(1.0 / np.sqrt(mag2), table, out=sums[lo:lo + step])
-        if near.any():
-            col, row = np.nonzero(near)
-            cols.append(col + lo)
-            rows.append(row)
-    p = sums[:, 2] + 1j * sums[:, 3]
-    s = np.stack([cos * sums[:, 0] + q * p, cos * p.conj() + q * sums[:, 1]])
-    if cols:
-        col, row = np.concatenate(cols), np.concatenate(rows)
-        z = basis[row, 0] * cos[col] + basis[row, 1] * q[col]
-        np.add.at(s, (slice(None), col), basis[row].conj().T * _project_phases(z, fallback[row]))
-    return s
+    trig = np.stack([cos * cos, sin * sin, 2.0 * cos * q.real, -2.0 * cos * q.imag], axis=-1)
+    sums, near_at = np.empty(trig.shape), []
+    width = min(psi.shape[1], max(1, SEARCH_CHUNK // basis.shape[0]))
+    height = max(1, SEARCH_CHUNK // (width * basis.shape[0]))
+    for top in range(0, psi.shape[0], height):
+        for lo in range(0, psi.shape[1], width):
+            part = np.s_[top:top + height, lo:lo + width]
+            mag2 = trig[part] @ table.T
+            near = mag2 <= floor
+            np.copyto(mag2, np.inf, where=near)  # 1 / |z| = 0: formed below instead
+            np.matmul(1.0 / np.sqrt(mag2), table, out=sums[part])
+            if near.any():
+                row, col, entry = np.nonzero(near)
+                near_at.append((row + top, col + lo, entry))
+    p = sums[..., 2] + 1j * sums[..., 3]
+    s = np.stack([cos * sums[..., 0] + q * p, cos * p.conj() + q * sums[..., 1]])
+    if not near_at:
+        return s, (np.zeros(0, dtype=int),) * 3
+    row, col, entry = (np.concatenate(x) for x in zip(*near_at))
+    z = basis[entry, 0] * cos[row, col] + basis[entry, 1] * q[row, col]
+    live = z != 0
+    np.add.at(s, (slice(None), row[live], col[live]),
+              basis[entry[live]].conj().T * (z[live] / np.abs(z[live])))
+    return s, (row[~live], col[~live], entry[~live])
+
+
+def _unit_stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The non-zero M-row parts scaled to unit Frobenius norm, side by side."""
+    # the empty M x 0 block keeps the stack defined when every part is zero
+    return np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
 
 
 def span_basis(*parts: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the joint column span of the M-row parts: the
     left singular vectors, with singular values above SPAN_CUT, of the
     non-zero parts scaled to unit Frobenius norm side by side."""
-    # the empty M x 0 block keeps the stack defined when every part is zero
-    cols = np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
-    u, svals, _ = np.linalg.svd(cols, full_matrices=False)
+    u, svals, _ = np.linalg.svd(_unit_stack(parts), full_matrices=False)
     return u[:, svals > SPAN_CUT]
+
+
+class SpanMemo:
+    """One run's span basis, and the span coordinates `span_search` formed
+    on it (`formed`), kept from one phase step to the next.
+
+    On line-of-sight links the span of a phase step's parts depends only on
+    the channels, so every phase step of a run can search one basis and
+    read the patterns that earlier steps formed on it.
+    """
+
+    def __init__(self) -> None:
+        self.basis = np.zeros((0, 0), dtype=complex)
+        self.formed: dict = {}
+
+    def basis_of(self, *parts: np.ndarray) -> np.ndarray:
+        """The kept basis if it has two columns and the parts, scaled as
+        `span_basis` scales them, lie in its span with a residual of at most
+        SPAN_CUT and span it with singular values above SPAN_CUT; otherwise
+        `span_basis(*parts)`, kept from now on with an empty memo."""
+        cols = _unit_stack(parts)
+        if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
+            coef = self.basis.conj().T @ cols
+            if (np.linalg.norm(cols - self.basis @ coef) <= SPAN_CUT
+                    and np.linalg.svd(coef, compute_uv=False)[1] > SPAN_CUT):
+                return self.basis
+        self.basis, self.formed = span_basis(*parts), {}
+        return self.basis
 
 
 def lowest(values: np.ndarray, count: int) -> np.ndarray:
@@ -230,6 +278,7 @@ def span_search(
     score: Callable[..., np.ndarray],
     fallback: np.ndarray,
     *angles: int,
+    formed: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid search, then refinement, over the phase patterns exp(j arg(W a))
     of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
@@ -250,16 +299,35 @@ def span_search(
     so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
     and the coordinates of the best point seen; when W is not M x 2, returns
     fallback and zero coordinates without scoring.
+
+    formed, a memo of coordinates on this W (`SpanMemo.formed`), maps the
+    exact (psi, chi) arrays of each product grid, the full grid and each
+    start's patch, to the coordinates formed for them less the entries
+    where W a vanishes; the search reads it and adds what it forms, so a
+    grid is formed once per memo.  The vanishing entries take this search's
+    fallback each time.  Without a memo the search forms every grid.
     """
     counts = SEARCH_GRID + angles
     if basis.shape[1] != 2:
         return fallback, np.zeros(len(counts))
+    formed = {} if formed is None else formed
 
     def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-        n_grid, n_psi, n_chi = psi.shape[0], psi.shape[1], chi.shape[1]
-        psi, chi = np.repeat(psi, n_chi, axis=1).ravel(), np.tile(chi, n_psi).ravel()
-        s = _span_coordinates(basis, psi, chi, fallback)
-        return score(s.reshape(2, n_grid, n_psi * n_chi), *rest)
+        keys = [(p.tobytes(), c.tobytes()) for p, c in zip(psi, chi)]
+        new = {key: i for i, key in enumerate(keys) if key not in formed}
+        if new:
+            rows = list(new.values())
+            n_psi, n_chi = psi.shape[1], chi.shape[1]
+            s, (row, col, entry) = _span_coordinates(
+                basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
+            for i, key in enumerate(new):
+                formed[key] = (s[:, i].copy(), col[row == i], entry[row == i])
+        s = np.stack([formed[key][0] for key in keys], axis=1)
+        for i, key in enumerate(keys):
+            _, col, entry = formed[key]
+            if col.size:
+                np.add.at(s[:, i], (slice(None), col), basis[entry].conj().T * fallback[entry])
+        return score(s, *rest)
 
     steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
     axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
@@ -284,7 +352,7 @@ def span_search(
     return _span_candidates(basis, at[:1], at[1:2], fallback)[:, 0], at
 
 
-def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
+def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndarray:
     """The better of theta0 and the best phase pattern of the ratio's span.
 
     t = U theta + c reads theta only through W^H theta, W an orthonormal
@@ -300,7 +368,9 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     degree-2 trigonometric series in e^{j phi}, and the SEARCH_ROTATIONS
     values of phi are one product of the series' real columns with a table
     of cos and sin per side (`rates.PhaseProblem.span_ratio`).  The best
-    candidate and theta0 are compared on the exact ratio.
+    candidate and theta0 are compared on the exact ratio.  W and the
+    coordinates already formed on it come from the run's memo
+    (`SpanMemo.basis_of`).
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not
@@ -308,12 +378,13 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray) -> np.ndarray:
     from the surface) leaves the ratio bounded in W^H theta, so its maximum
     can lie inside the reachable set, away from every pattern of the family.
     """
-    basis = span_basis(pp.u_b.conj().T, pp.u_e.conj().T)
+    basis = memo.basis_of(pp.u_b.conj().T, pp.u_e.conj().T)
     if basis.shape[1] != 2:
         return theta0
     ratio = pp.span_ratio(basis)
     pattern, (_, _, phi) = span_search(
-        basis, lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS)
+        basis, lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS,
+        formed=memo.formed)
     cand = np.exp(1j * phi) * pattern
     return cand if pp.ratio(cand) > pp.ratio(theta0) else theta0
 
@@ -323,6 +394,7 @@ def ga_optimize_theta(
     theta0: np.ndarray,
     opts: GaOptions,
     epsilon: float,
+    memo: SpanMemo | None = None,
 ) -> np.ndarray:
     """Best unit-modulus phase vector for f/g: a span search for the start,
     then projected gradient ascent (`_ascend`) as a polish.
@@ -331,9 +403,11 @@ def ga_optimize_theta(
     (`_span_start`) if it beats theta0, else theta0.  When the span is not
     two dimensional (a silent surface, channels that are not line of sight,
     or Bob and Eve on one line from the surface), the block is the ascent
-    from theta0 alone.
+    from theta0 alone.  memo, the run's `SpanMemo`, lends the search the
+    basis and coordinates of earlier blocks; without it the block searches
+    cold.
     """
-    return _ascend(pp, _span_start(pp, theta0), opts, epsilon)
+    return _ascend(pp, _span_start(pp, theta0, memo or SpanMemo()), opts, epsilon)
 
 
 def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: float) -> np.ndarray:
@@ -477,9 +551,10 @@ def run_gai(
     if cfg.beta2 > 0:
         steps.append(lambda dm: replace(dm.prec, v2=update_v2(dm)))
     if fixed_theta is None:
+        memo = SpanMemo()
         # solve the phase block well below the outer tolerance: stopping
         # the ascent at the outer epsilon meters a shallow-ridge climb out
         # over many outer passes instead of finishing it in one
         steps.append(lambda dm: replace(
-            dm.prec, theta=ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL)))
+            dm.prec, theta=ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
     return alternate(dm, steps, opts.max_outer)

@@ -12,10 +12,13 @@ I/M + F F^H with F an M x K factor read from the rate model; no M x M
 matrix is formed.  The step is GAI's pattern search (`gai.span_search`,
 with its sizing and without its rotation axis, which the quotient ignores)
 over the factors' joint span (`gai.span_basis`), scored through 2 x 2
-forms of the factors' compressions onto that span at O(1) per pattern, then
-majorize-minimize phase rounding at the best level found, each rounding at
-O(K M), the roundings driven by squared extrapolation (SQUAREM) until one
-more lowers the level objective by less than MM_TOL.
+forms of the factors' compressions onto that span at O(1) per pattern; a
+run's steps share one basis and the coordinates formed on it
+(`gai.SpanMemo`), as GAI's do, so a later step forms only the patches no
+earlier step reached.  Then majorize-minimize phase rounding at the best
+level found, each rounding at O(K M), the roundings driven by squared
+extrapolation (SQUAREM) until one more lowers the level objective by less
+than MM_TOL.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import numpy as np
 
 from .gai import (
     Solution,
+    SpanMemo,
     _project_phases,
     alternate,
     check_count,
     rayleigh_ritz_max,
-    span_basis,
     span_search,
 )
 from .model import ChannelSet, SystemConfig
@@ -279,6 +282,7 @@ def update_theta_nsp(
     f_b: np.ndarray,
     f_e: np.ndarray,
     theta_prev: np.ndarray,
+    memo: SpanMemo | None = None,
 ) -> np.ndarray:
     """Minimize the Eve/Bob phase quotient theta^H BtE theta / theta^H TtB theta
     over unit-modulus theta by a search over the span of its two factors.
@@ -302,13 +306,16 @@ def update_theta_nsp(
     incumbent unless a candidate beats it.  The search is global when the
     surface resolves Bob from Eve; within one beam the sign flips matter
     and the polish descends only locally.  Raises ValueError if the
-    factors span more than two dimensions.
+    factors span more than two dimensions.  memo, the run's `gai.SpanMemo`,
+    lends the search the basis and coordinates of earlier steps; without it
+    the step searches cold.
     """
 
     def quotient(theta: np.ndarray) -> float:
         return float(np.divide(*_shell_terms(f_b, f_e, theta)))
 
-    basis = span_basis(f_b, f_e)
+    memo = memo or SpanMemo()
+    basis = memo.basis_of(f_b, f_e)
     if basis.shape[1] > 2:
         raise ValueError(f"phase forms span {basis.shape[1]} dimensions beyond I/M; "
                          "the phase step handles at most 2")
@@ -322,7 +329,7 @@ def update_theta_nsp(
             num, den = 1.0 + np.tensordot(weights, span_moments(s), axes=1)
             return num / den
 
-        found, _ = span_search(basis, score, theta_prev)
+        found, _ = span_search(basis, score, theta_prev, formed=memo.formed)
         if (q_found := quotient(found)) < best_q:
             best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):
@@ -352,9 +359,10 @@ def run_nsp(
     if cfg.beta2 > 0:
         steps.append(lambda dm: replace(dm.prec, v2=update_w2(*stream_blocks(dm, p2, 1), q2)))
     if cfg.beta1 > 0:
+        memo = SpanMemo()
         # the phase blocks depend on the beamformers only
         steps.append(lambda dm: replace(
-            dm.prec, theta=update_theta_nsp(*phase_blocks(dm), dm.prec.theta)))
+            dm.prec, theta=update_theta_nsp(*phase_blocks(dm), dm.prec.theta, memo)))
         # pre-align the phases to the initial beamformers: starting the v1
         # block at unaligned phases can reward silencing the surface (the
         # cascade hurts Bob less than it leaks to Eve), after which the

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irsdm import gai
+from irsdm import gai, nsp
 from irsdm.bench import Scheme, run_scheme
 from irsdm.gai import (
     GaOptions,
@@ -536,12 +536,10 @@ def test_span_search_is_chunk_invariant(monkeypatch):
     assert np.array_equal(p_small[[1, 4]], fallback[[1, 4]])
 
 
-@given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
-       vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1))
-@example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0)
-def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, vanishing, cell):
-    # oracle: at every scored (psi, chi), the closed-form s equals W^H of the
-    # pattern formed entry by entry, fallback entries included
+def _search_basis(seed, free_rows, zero_rows, vanishing, cell):
+    """An M x 2 orthonormal basis with zero_rows zero rows and, if vanishing,
+    a row where W a is exactly zero at the grid point (psi cell, chi = 0);
+    with the psi array of the full grid, that point's index and a fallback."""
     rng = np.random.default_rng(seed)
     n_psi, n_chi = gai.SEARCH_GRID
     psi_grid = np.repeat((np.arange(n_psi) + 0.5) * (0.5 * math.pi / n_psi), n_chi)
@@ -559,28 +557,159 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
     rows.append(free @ np.linalg.cholesky(gram).T)  # completes W^H W = I
     basis = np.vstack(rows)[rng.permutation(zero_rows + vanishing + free_rows)]
     assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-14)
+    return basis, psi_grid, point, rng
+
+
+@given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
+       vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1))
+@example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0)
+def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, vanishing, cell):
+    # oracle: at every scored (psi, chi), the closed-form s equals W^H of the
+    # pattern formed entry by entry, fallback entries included
+    basis, psi_grid, point, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
     fallback = np.exp(2j * math.pi * rng.random(basis.shape[0]))
     weights = rng.normal(size=2) + 1j * rng.normal(size=2)
 
     calls = []
     closed_form = gai._span_coordinates
 
-    def recording(basis_, psi, chi, fallback_):
-        s = closed_form(basis_, psi, chi, fallback_)
-        calls.append((psi, chi, s))
-        return s
+    def recording(basis_, psi, chi):
+        s, vanish = closed_form(basis_, psi, chi)
+        calls.append((psi.ravel(), chi.ravel(), s, vanish))
+        return s, vanish
 
     with mock.patch.object(gai, "_span_coordinates", recording):
         gai.span_search(basis, lambda s: -np.abs(np.tensordot(weights, s, axes=1)), fallback)
     assert len(calls) == 1 + gai.SEARCH_ROUNDS
-    for psi, chi, s in calls:
+    for psi, chi, s, (row, col, entry) in calls:
+        # s leaves out the entries where W a vanishes; they take the fallback
+        s = s.copy()
+        np.add.at(s, (slice(None), row, col), basis[entry].conj().T * fallback[entry])
+        s = s.reshape(2, -1)
         formed = basis.conj().T @ gai._span_candidates(basis, psi, chi, fallback)
         assert np.all(np.abs(s - formed) <= 1e-12 * np.linalg.norm(formed, axis=0))
     if vanishing:
-        psi, chi, _ = calls[0]
+        psi, chi, _, (_, col, entry) = calls[0]
         assert np.array_equal(psi, psi_grid) and chi[point] == 0.0
         at = np.flatnonzero(basis[:, 0] == 0.5 * np.sin(psi_grid)[point])
         assert np.array_equal(gai._span_candidates(basis, psi, chi, fallback)[at, point], fallback[at])
+        assert set(entry[col == point]) >= set(at)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
+       vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1),
+       rotations=st.sampled_from([(), (gai.SEARCH_ROTATIONS,)]))
+@example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0, rotations=())
+@example(seed=1, free_rows=5, zero_rows=1, vanishing=True, cell=3, rotations=(gai.SEARCH_ROTATIONS,))
+def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanishing, cell, rotations):
+    # earlier searches on the same basis, with other scores and another
+    # fallback, fill the memo; a search that reads it sees the same
+    # coordinates and returns the same pattern as a cold search, to the bit,
+    # so no search's fallback leaks into another's
+    basis, _, _, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
+    m = basis.shape[0]
+    fallbacks = np.exp(2j * math.pi * rng.random((2, m)))
+    weights = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+
+    def scorer(w, seen):
+        def score(s, *phi):
+            seen.append(s.copy())
+            value = np.abs(np.tensordot(w, s, axes=1) + 0.3)
+            if phi:  # a rotation axis, as in GAI's step
+                value = np.abs(np.exp(1j * phi[0])[:, None, :] * value[..., None] + w[0])
+            return -value.reshape(s.shape[1], -1)
+        return score
+
+    memo = {}
+    for w, fallback in ((weights[1], fallbacks[1]), (weights[0], fallbacks[1]), (weights[2], fallbacks[0])):
+        gai.span_search(basis, scorer(w, []), fallback, *rotations, formed=memo)
+    warm_seen, cold_seen, formed = [], [], []
+    closed_form = gai._span_coordinates
+
+    def recording(basis_, psi, chi):
+        formed.append(psi.size)
+        return closed_form(basis_, psi, chi)
+
+    with mock.patch.object(gai, "_span_coordinates", recording):
+        warm = gai.span_search(basis, scorer(weights[0], warm_seen), fallbacks[0], *rotations, formed=memo)
+    n_warm = sum(formed)
+    cold = gai.span_search(basis, scorer(weights[0], cold_seen), fallbacks[0], *rotations)
+    assert n_warm < np.prod(gai.SEARCH_GRID)  # the grid came from the memo
+    assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+    assert len(warm_seen) == len(cold_seen)
+    assert all(np.array_equal(a, b) for a, b in zip(warm_seen, cold_seen))
+
+
+def test_span_memo_keeps_its_basis_only_for_parts_that_span_it():
+    rng = np.random.default_rng(5)
+    w = np.linalg.qr(rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2)))[0]
+
+    def inside(k):
+        return w @ (rng.normal(size=(2, k)) + 1j * rng.normal(size=(2, k)))
+
+    memo = gai.SpanMemo()
+    basis = memo.basis_of(inside(3), inside(3))
+    memo.formed["grid"] = "coordinates"
+    # parts in the kept span, at any scale: the same basis and memo
+    assert memo.basis_of(inside(2), 1e6 * inside(1)) is basis and memo.formed
+    # parts along one direction of it, or a part 1e-8 outside it: the parts'
+    # own basis, as span_basis gives it, and an empty memo
+    outside = inside(2) + 1e-8 * np.linalg.norm(inside(2)) * rng.normal(size=(12, 2))
+    direction = inside(1)
+    for parts in ((direction, 2.0 * direction), (inside(2), inside(2)), (inside(2), outside)):
+        memo.formed["grid"] = "coordinates"
+        found = memo.basis_of(*parts)
+        assert found.shape == gai.span_basis(*parts).shape and not memo.formed
+    assert found is not basis and found is memo.basis
+
+
+def test_a_run_searches_one_basis_and_forms_each_grid_once(monkeypatch):
+    # default line-of-sight scenario: each run takes one span basis, and no
+    # product grid of (psi, chi) points, the full grid or a start's patch,
+    # is formed twice in it; a second call on the same channels starts over
+    cfg, ch = _setup()
+    bases, blocks, steps = [], [], []
+    span_basis, closed_form, search = gai.span_basis, gai._span_coordinates, gai.span_search
+
+    def counting_basis(*parts):
+        bases.append(parts[0].shape)
+        return span_basis(*parts)
+
+    def recording(basis, psi, chi):
+        blocks.extend((p.tobytes(), c.tobytes()) for p, c in zip(psi, chi))
+        return closed_form(basis, psi, chi)
+
+    def counting_search(*args, **kwargs):
+        steps.append(kwargs["formed"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gai, "span_basis", counting_basis)
+    monkeypatch.setattr(gai, "_span_coordinates", recording)
+    monkeypatch.setattr(gai, "span_search", counting_search)
+    monkeypatch.setattr(nsp, "span_search", counting_search)
+    grid = np.prod(gai.SEARCH_GRID)
+    for kind in ("gai", "nsp", "gai"):
+        bases.clear(), blocks.clear(), steps.clear()
+        run_scheme(Scheme(kind), cfg, ch)
+        assert len(steps) >= 3 and all(memo is steps[0] for memo in steps)
+        assert len(bases) == 1
+        assert len(blocks) == len(set(blocks))
+        assert sum(len(b[0]) == 8 * grid for b in blocks) == 1  # the full grid, formed in this run
+
+    # channels that are not line of sight: every phase step takes its own basis
+    rng = np.random.default_rng(3)
+    cfg = SystemConfig(M=20, K=2, N=8, ps_dbm=0.0, sigma2_dbm=0.0)
+    gauss = lambda *shape: (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+    ch = ChannelSet(H_AI=gauss(20, 8), H_AB=gauss(8, 2), H_AE=gauss(8, 2), H_IB=gauss(20, 2),
+                    H_IE=gauss(20, 2), g_AB=1.0, g_AE=1.0, g_AIB=1.0, g_AIE=1.0)
+    phase_steps = []
+    block = gai.ga_optimize_theta
+    monkeypatch.setattr(gai, "ga_optimize_theta", lambda *args: phase_steps.append(1) or block(*args))
+    bases.clear(), blocks.clear()
+    run_gai(cfg, ch)
+    assert len(phase_steps) >= 2 and len(bases) == len(phase_steps)
+    assert not blocks
 
 
 @given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 0.5 + 2 ** -52, 1.0, 3.0, np.inf, np.nan])
