@@ -7,10 +7,10 @@ determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
 logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
 starts from a grid search over the phase patterns of that span; projected
-gradient ascent then polishes.  `span_basis` and `span_search` are the span
-and the pattern search of both optimizers' phase steps, with one span rule
-and one sizing (the `SEARCH_*` constants); GAI's step adds only its
-rotation axis.  Each step scores the patterns through their coordinates
+gradient ascent then polishes.  `span_basis` and `SpanMemo.search` are
+the span and the pattern search of both optimizers' phase steps, with one
+span rule and one sizing (the `SEARCH_*` constants); GAI's step adds only
+its rotation axis.  Each step scores the patterns through their coordinates
 s = W^H theta alone, which come in closed form from a fixed M x 4 table of
 the span without forming the patterns.  Both objectives read s through 2 x 2
 forms, taken once per step and evaluated from the moments |s0|^2, |s1|^2 and
@@ -222,40 +222,17 @@ def _unit_stack(parts: Sequence[np.ndarray]) -> np.ndarray:
     return np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
 
 
+def _column_basis(cols: np.ndarray) -> np.ndarray:
+    """The left singular vectors of cols with singular values above SPAN_CUT."""
+    u, svals, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, svals > SPAN_CUT]
+
+
 def span_basis(*parts: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the joint column span of the M-row parts: the
     left singular vectors, with singular values above SPAN_CUT, of the
     non-zero parts scaled to unit Frobenius norm side by side."""
-    u, svals, _ = np.linalg.svd(_unit_stack(parts), full_matrices=False)
-    return u[:, svals > SPAN_CUT]
-
-
-class SpanMemo:
-    """One run's span basis, and the span coordinates `span_search` formed
-    on it (`formed`), kept from one phase step to the next.
-
-    On line-of-sight links the span of a phase step's parts depends only on
-    the channels, so every phase step of a run can search one basis and
-    read the patterns that earlier steps formed on it.
-    """
-
-    def __init__(self) -> None:
-        self.basis = np.zeros((0, 0), dtype=complex)
-        self.formed: dict = {}
-
-    def basis_of(self, *parts: np.ndarray) -> np.ndarray:
-        """The kept basis if it has two columns and the parts, scaled as
-        `span_basis` scales them, lie in its span with a residual of at most
-        SPAN_CUT and span it with singular values above SPAN_CUT; otherwise
-        `span_basis(*parts)`, kept from now on with an empty memo."""
-        cols = _unit_stack(parts)
-        if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
-            coef = self.basis.conj().T @ cols
-            if (np.linalg.norm(cols - self.basis @ coef) <= SPAN_CUT
-                    and np.linalg.svd(coef, compute_uv=False)[1] > SPAN_CUT):
-                return self.basis
-        self.basis, self.formed = span_basis(*parts), {}
-        return self.basis
+    return _column_basis(_unit_stack(parts))
 
 
 def lowest(values: np.ndarray, count: int) -> np.ndarray:
@@ -273,83 +250,128 @@ def lowest(values: np.ndarray, count: int) -> np.ndarray:
     return pool[np.argsort(values[pool], kind="stable")[:count]]
 
 
+class SpanMemo:
+    """A span basis W and the span coordinates its searches formed on it.
+
+    `formed` maps the exact (psi, chi) arrays of each product grid searched
+    on W, the full grid or a start's patch, to the coordinates formed for
+    them less the entries where W a vanishes.  W is set only with an empty
+    memo, by the constructor or by `basis_of`, so every entry belongs to the
+    current W.  A run keeps one SpanMemo from one phase step to the next:
+    on line-of-sight links the span of a step's parts depends only on the
+    channels, so every step can search one basis and read the patterns that
+    earlier steps formed on it.
+    """
+
+    def __init__(self, basis: np.ndarray | None = None) -> None:
+        self.basis = np.zeros((0, 0), dtype=complex) if basis is None else basis
+        self.formed: dict = {}
+
+    def basis_of(self, *parts: np.ndarray) -> np.ndarray:
+        """The kept basis if it has two columns and the parts, scaled as
+        `span_basis` scales them, lie in its span with a residual of at most
+        SPAN_CUT and span it with singular values above SPAN_CUT; otherwise
+        the parts' own basis, as `span_basis` takes it, kept from now on
+        with an empty memo."""
+        cols = _unit_stack(parts)
+        if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
+            coef = self.basis.conj().T @ cols
+            if (np.linalg.norm(cols - self.basis @ coef) <= SPAN_CUT
+                    and np.linalg.svd(coef, compute_uv=False)[1] > SPAN_CUT):
+                return self.basis
+        self.basis, self.formed = _column_basis(cols), {}
+        return self.basis
+
+    def coordinates(self, psi: np.ndarray, chi: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+        """s = W^H theta, shape (2, S, n_psi n_chi), of the patterns of the S
+        product grids of the rows of psi (S x n_psi) and chi (S x n_chi), in
+        C order; entries where W a vanishes take the phase of fallback.
+
+        Grids not in the memo are formed (`_span_coordinates`) and kept
+        without their vanishing entries, which are added from fallback on
+        every read.
+        """
+        keys = [(p.tobytes(), c.tobytes()) for p, c in zip(psi, chi)]
+        new = {key: i for i, key in enumerate(keys) if key not in self.formed}
+        if new:
+            rows = list(new.values())
+            n_psi, n_chi = psi.shape[1], chi.shape[1]
+            s, (row, col, entry) = _span_coordinates(
+                self.basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
+            for i, key in enumerate(new):
+                self.formed[key] = (s[:, i].copy(), col[row == i], entry[row == i])
+        s = np.stack([self.formed[key][0] for key in keys], axis=1)
+        for i, key in enumerate(keys):
+            _, col, entry = self.formed[key]
+            if col.size:
+                np.add.at(s[:, i], (slice(None), col), self.basis[entry].conj().T * fallback[entry])
+        return s
+
+    def search(
+        self,
+        score: Callable[..., np.ndarray],
+        fallback: np.ndarray,
+        *angles: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Grid search, then refinement, over the phase patterns exp(j arg(W a))
+        of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
+        over any further angles the score takes.
+
+        psi takes SEARCH_GRID[0] cell midpoints of [0, pi/2] and chi
+        SEARCH_GRID[1] points on [0, 2 pi); each further axis has angles[i]
+        points on [0, 2 pi).  Entries where W a vanishes take the phase of
+        fallback.  score(s, *rest) scores S product grids at once: s = W^H theta
+        of their patterns, shape (2, S, n) with the n = n_psi n_chi patterns of
+        a grid in C order, and each further axis an (S, n_i) array; the values,
+        lower better, go back as an (S, n n_2 ...) array in C order.  The
+        coordinates s come in closed form (`coordinates`), at O(M) per
+        pattern with SEARCH_CHUNK magnitudes formed at a time, and only for
+        the grids not in the memo, so a grid is formed once per memo; only
+        the returned pattern is formed.  Each of the SEARCH_STARTS lowest
+        points of the full grid starts a refinement: each round scores
+        2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
+        so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
+        and the coordinates of the best point seen; when W is not M x 2, returns
+        fallback and zero coordinates without scoring.
+        """
+        counts = SEARCH_GRID + angles
+        if self.basis.shape[1] != 2:
+            return fallback, np.zeros(len(counts))
+
+        def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+            return score(self.coordinates(psi, chi, fallback), *rest)
+
+        steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
+        axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
+        axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
+        values = evaluate(*(x[None, :] for x in axes))[0]
+        top = lowest(values, SEARCH_STARTS)
+        best = values[top]
+        at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
+        offsets = np.arange(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH + 1)
+        rows = np.arange(top.size)
+        for _ in range(SEARCH_ROUNDS):
+            steps = steps / SEARCH_SHRINK
+            patch = at[:, :, None] + offsets * steps[:, None]
+            values = evaluate(*patch.transpose(1, 0, 2))
+            k = np.argmin(values, axis=1)
+            idx = np.unravel_index(k, (offsets.size,) * len(counts))
+            moved = np.column_stack([patch[rows, d, i] for d, i in enumerate(idx)])
+            better = values[rows, k] < best
+            best = np.where(better, values[rows, k], best)
+            at = np.where(better[:, None], moved, at)
+        at = at[int(np.argmin(best))]
+        return _span_candidates(self.basis, at[:1], at[1:2], fallback)[:, 0], at
+
+
 def span_search(
     basis: np.ndarray,
     score: Callable[..., np.ndarray],
     fallback: np.ndarray,
     *angles: int,
-    formed: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid search, then refinement, over the phase patterns exp(j arg(W a))
-    of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
-    over any further angles the score takes.
-
-    psi takes SEARCH_GRID[0] cell midpoints of [0, pi/2] and chi
-    SEARCH_GRID[1] points on [0, 2 pi); each further axis has angles[i]
-    points on [0, 2 pi).  Entries where W a vanishes take the phase of
-    fallback.  score(s, *rest) scores S product grids at once: s = W^H theta
-    of their patterns, shape (2, S, n) with the n = n_psi n_chi patterns of
-    a grid in C order, and each further axis an (S, n_i) array; the values,
-    lower better, go back as an (S, n n_2 ...) array in C order.  The
-    coordinates s come in closed form (`_span_coordinates`), at O(M) per
-    pattern with SEARCH_CHUNK magnitudes formed at a time; only the returned
-    pattern is formed.  Each of the SEARCH_STARTS lowest points of the full
-    grid starts a refinement: each round scores
-    2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
-    so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
-    and the coordinates of the best point seen; when W is not M x 2, returns
-    fallback and zero coordinates without scoring.
-
-    formed, a memo of coordinates on this W (`SpanMemo.formed`), maps the
-    exact (psi, chi) arrays of each product grid, the full grid and each
-    start's patch, to the coordinates formed for them less the entries
-    where W a vanishes; the search reads it and adds what it forms, so a
-    grid is formed once per memo.  The vanishing entries take this search's
-    fallback each time.  Without a memo the search forms every grid.
-    """
-    counts = SEARCH_GRID + angles
-    if basis.shape[1] != 2:
-        return fallback, np.zeros(len(counts))
-    formed = {} if formed is None else formed
-
-    def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-        keys = [(p.tobytes(), c.tobytes()) for p, c in zip(psi, chi)]
-        new = {key: i for i, key in enumerate(keys) if key not in formed}
-        if new:
-            rows = list(new.values())
-            n_psi, n_chi = psi.shape[1], chi.shape[1]
-            s, (row, col, entry) = _span_coordinates(
-                basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
-            for i, key in enumerate(new):
-                formed[key] = (s[:, i].copy(), col[row == i], entry[row == i])
-        s = np.stack([formed[key][0] for key in keys], axis=1)
-        for i, key in enumerate(keys):
-            _, col, entry = formed[key]
-            if col.size:
-                np.add.at(s[:, i], (slice(None), col), basis[entry].conj().T * fallback[entry])
-        return score(s, *rest)
-
-    steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
-    axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
-    axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
-    values = evaluate(*(x[None, :] for x in axes))[0]
-    top = lowest(values, SEARCH_STARTS)
-    best = values[top]
-    at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
-    offsets = np.arange(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH + 1)
-    rows = np.arange(top.size)
-    for _ in range(SEARCH_ROUNDS):
-        steps = steps / SEARCH_SHRINK
-        patch = at[:, :, None] + offsets * steps[:, None]
-        values = evaluate(*patch.transpose(1, 0, 2))
-        k = np.argmin(values, axis=1)
-        idx = np.unravel_index(k, (offsets.size,) * len(counts))
-        moved = np.column_stack([patch[rows, d, i] for d, i in enumerate(idx)])
-        better = values[rows, k] < best
-        best = np.where(better, values[rows, k], best)
-        at = np.where(better[:, None], moved, at)
-    at = at[int(np.argmin(best))]
-    return _span_candidates(basis, at[:1], at[1:2], fallback)[:, 0], at
+    """`SpanMemo.search` on the M x 2 basis with an empty memo: a cold search."""
+    return SpanMemo(basis).search(score, fallback, *angles)
 
 
 def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndarray:
@@ -359,7 +381,7 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndar
     basis of the row space of [U_B; U_E], rank two on line-of-sight links.
     The ratio's gradient lies in range(W), so its stationary points are
     e^{j phi} exp(j arg(W a)) with a = (cos psi, sin psi e^{j chi}), up to
-    a sign on entries where W a is small.  `span_search` hands over
+    a sign on entries where W a is small.  `SpanMemo.search` hands over
     s = W^H theta per (psi, chi), at O(M) each.  The streams e^{j phi} (U W) s
     + c are not formed: each side's Gram entries are 2 x 2, linear or
     constant forms in s, taken once per block, so a pattern's entries cost
@@ -369,8 +391,8 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndar
     values of phi are one product of the series' real columns with a table
     of cos and sin per side (`rates.PhaseProblem.span_ratio`).  The best
     candidate and theta0 are compared on the exact ratio.  W and the
-    coordinates already formed on it come from the run's memo
-    (`SpanMemo.basis_of`).
+    coordinates already formed on it come from the run's memo, which
+    searches only on the basis it hands out (`SpanMemo.basis_of`).
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not
@@ -382,9 +404,8 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndar
     if basis.shape[1] != 2:
         return theta0
     ratio = pp.span_ratio(basis)
-    pattern, (_, _, phi) = span_search(
-        basis, lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS,
-        formed=memo.formed)
+    pattern, (_, _, phi) = memo.search(
+        lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS)
     cand = np.exp(1j * phi) * pattern
     return cand if pp.ratio(cand) > pp.ratio(theta0) else theta0
 

@@ -9,7 +9,7 @@ quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
 by GAI's eigensolver on the pencil compressed to an orthonormal basis of
 range(P).  The phases minimize a unit-modulus quotient of two forms, each
 I/M + F F^H with F an M x K factor read from the rate model; no M x M
-matrix is formed.  The step is GAI's pattern search (`gai.span_search`,
+matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
 with its sizing and without its rotation axis, which the quotient ignores)
 over the factors' joint span (`gai.span_basis`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern; a
@@ -34,7 +34,6 @@ from .gai import (
     alternate,
     check_count,
     rayleigh_ritz_max,
-    span_search,
 )
 from .model import ChannelSet, SystemConfig
 from .rates import (
@@ -298,7 +297,7 @@ def update_theta_nsp(
     `_shell_terms`.  At a stationary point
     theta_i is the phase of (W a)_i for some a in C^2, up to a sign on
     entries where (W a)_i is small next to the excess diagonal; only the
-    direction of a matters.  `gai.span_search` scores its (psi, chi) grid
+    direction of a matters.  `gai.SpanMemo.search` scores its (psi, chi) grid
     of these patterns at O(1) each and refines around the best points; a
     span of lower dimension is not searched.  The better of its
     pattern and the incumbent, compared on the exact quotient, is polished
@@ -329,7 +328,7 @@ def update_theta_nsp(
             num, den = 1.0 + np.tensordot(weights, span_moments(s), axes=1)
             return num / den
 
-        found, _ = span_search(basis, score, theta_prev, formed=memo.formed)
+        found, _ = memo.search(score, theta_prev)
         if (q_found := quotient(found)) < best_q:
             best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):

@@ -564,36 +564,41 @@ def _search_basis(seed, free_rows, zero_rows, vanishing, cell):
        vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1))
 @example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0)
 def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, vanishing, cell):
-    # oracle: at every scored (psi, chi), the closed-form s equals W^H of the
-    # pattern formed entry by entry, fallback entries included
+    # oracle: at every scored (psi, chi), the s the score receives equals W^H
+    # of the pattern formed entry by entry, fallback entries included
     basis, psi_grid, point, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
     fallback = np.exp(2j * math.pi * rng.random(basis.shape[0]))
-    weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+    # the score is lowest at the grid point of the vanishing row, so that
+    # point starts a refinement and every round's patch holds it too
+    target = basis.conj().T @ gai._span_candidates(basis, psi_grid[point:point + 1], np.zeros(1), fallback)
 
-    calls = []
-    closed_form = gai._span_coordinates
+    grids, scored = [], []
+    coordinates = gai.SpanMemo.coordinates
 
-    def recording(basis_, psi, chi):
-        s, vanish = closed_form(basis_, psi, chi)
-        calls.append((psi.ravel(), chi.ravel(), s, vanish))
-        return s, vanish
+    def recording(memo, psi, chi, fallback_):
+        grids.append((psi, chi))
+        return coordinates(memo, psi, chi, fallback_)
 
-    with mock.patch.object(gai, "_span_coordinates", recording):
-        gai.span_search(basis, lambda s: -np.abs(np.tensordot(weights, s, axes=1)), fallback)
-    assert len(calls) == 1 + gai.SEARCH_ROUNDS
-    for psi, chi, s, (row, col, entry) in calls:
-        # s leaves out the entries where W a vanishes; they take the fallback
-        s = s.copy()
-        np.add.at(s, (slice(None), row, col), basis[entry].conj().T * fallback[entry])
-        s = s.reshape(2, -1)
-        formed = basis.conj().T @ gai._span_candidates(basis, psi, chi, fallback)
-        assert np.all(np.abs(s - formed) <= 1e-12 * np.linalg.norm(formed, axis=0))
+    def score(s):
+        scored.append(s.copy())
+        return np.sum(np.abs(s - target[:, None]) ** 2, axis=0)
+
+    with mock.patch.object(gai.SpanMemo, "coordinates", recording):
+        gai.span_search(basis, score, fallback)
+    # one scorer call per product-grid batch: the full grid, then each round
+    assert len(grids) == len(scored) == 1 + gai.SEARCH_ROUNDS
+    for (psi, chi), s in zip(grids, scored):
+        assert s.shape == (2, psi.shape[0], psi.shape[1] * chi.shape[1])
+        for p, c, s_row in zip(psi, chi, s.transpose(1, 0, 2)):
+            p, c = np.repeat(p, c.size), np.tile(c, psi.shape[1])
+            formed = basis.conj().T @ gai._span_candidates(basis, p, c, fallback)
+            assert np.all(np.abs(s_row - formed) <= 1e-12 * np.linalg.norm(formed, axis=0))
     if vanishing:
-        psi, chi, _, (_, col, entry) = calls[0]
+        psi, chi = grids[0]
+        psi, chi = np.repeat(psi[0], chi.shape[1]), np.tile(chi[0], psi.shape[1])
         assert np.array_equal(psi, psi_grid) and chi[point] == 0.0
         at = np.flatnonzero(basis[:, 0] == 0.5 * np.sin(psi_grid)[point])
         assert np.array_equal(gai._span_candidates(basis, psi, chi, fallback)[at, point], fallback[at])
-        assert set(entry[col == point]) >= set(at)
 
 
 @settings(max_examples=100)
@@ -621,9 +626,9 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
             return -value.reshape(s.shape[1], -1)
         return score
 
-    memo = {}
+    memo = gai.SpanMemo(basis)
     for w, fallback in ((weights[1], fallbacks[1]), (weights[0], fallbacks[1]), (weights[2], fallbacks[0])):
-        gai.span_search(basis, scorer(w, []), fallback, *rotations, formed=memo)
+        memo.search(scorer(w, []), fallback, *rotations)
     warm_seen, cold_seen, formed = [], [], []
     closed_form = gai._span_coordinates
 
@@ -632,7 +637,7 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
         return closed_form(basis_, psi, chi)
 
     with mock.patch.object(gai, "_span_coordinates", recording):
-        warm = gai.span_search(basis, scorer(weights[0], warm_seen), fallbacks[0], *rotations, formed=memo)
+        warm = memo.search(scorer(weights[0], warm_seen), fallbacks[0], *rotations)
     n_warm = sum(formed)
     cold = gai.span_search(basis, scorer(weights[0], cold_seen), fallbacks[0], *rotations)
     assert n_warm < np.prod(gai.SEARCH_GRID)  # the grid came from the memo
@@ -670,29 +675,29 @@ def test_a_run_searches_one_basis_and_forms_each_grid_once(monkeypatch):
     # is formed twice in it; a second call on the same channels starts over
     cfg, ch = _setup()
     bases, blocks, steps = [], [], []
-    span_basis, closed_form, search = gai.span_basis, gai._span_coordinates, gai.span_search
+    column_basis, closed_form, search = gai._column_basis, gai._span_coordinates, gai.SpanMemo.search
 
-    def counting_basis(*parts):
-        bases.append(parts[0].shape)
-        return span_basis(*parts)
+    def counting_basis(cols):
+        bases.append(cols.shape)
+        return column_basis(cols)
 
     def recording(basis, psi, chi):
         blocks.extend((p.tobytes(), c.tobytes()) for p, c in zip(psi, chi))
         return closed_form(basis, psi, chi)
 
-    def counting_search(*args, **kwargs):
-        steps.append(kwargs["formed"])
-        return search(*args, **kwargs)
+    def counting_search(memo, *args):
+        steps.append((memo, memo.basis))
+        return search(memo, *args)
 
-    monkeypatch.setattr(gai, "span_basis", counting_basis)
+    monkeypatch.setattr(gai, "_column_basis", counting_basis)
     monkeypatch.setattr(gai, "_span_coordinates", recording)
-    monkeypatch.setattr(gai, "span_search", counting_search)
-    monkeypatch.setattr(nsp, "span_search", counting_search)
+    monkeypatch.setattr(gai.SpanMemo, "search", counting_search)
     grid = np.prod(gai.SEARCH_GRID)
     for kind in ("gai", "nsp", "gai"):
         bases.clear(), blocks.clear(), steps.clear()
         run_scheme(Scheme(kind), cfg, ch)
-        assert len(steps) >= 3 and all(memo is steps[0] for memo in steps)
+        memo, basis = steps[0]
+        assert len(steps) >= 3 and all(m is memo and b is basis for m, b in steps)
         assert len(bases) == 1
         assert len(blocks) == len(set(blocks))
         assert sum(len(b[0]) == 8 * grid for b in blocks) == 1  # the full grid, formed in this run
