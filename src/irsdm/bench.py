@@ -57,8 +57,10 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
     Returns the optimizer's `Solution`; random_phase returns its best draw's
     with sr the mean rate, per_draw each draw's rate, iterations the rounded
     mean pass count and converged that of every draw.  Its draws share one
-    rate model, formed at the first draw's phases, so the channel-only terms
-    are formed once per call.
+    rate model's channel-only terms, and their per-theta terms (composite
+    channels, Eve's whitened channels, row bases) are formed in one stacked
+    pass (`DerivedModel.at_phases`); each draw is then one `run_gai` on its
+    own model.
     """
     if scheme.kind == "gai":
         return run_gai(cfg, channels)
@@ -72,7 +74,7 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
         thetas = [np.exp(2j * math.pi * rng.random(cfg.M)) for _ in range(scheme.draws)]
         e1 = np.eye(cfg.N, dtype=complex)[0]
         model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=thetas[0]))
-        draws = [run_gai(cfg, channels, fixed_theta=theta, model=model) for theta in thetas]
+        draws = [run_gai(cfg, channels, fixed_theta=m.prec.theta, model=m) for m in model.at_phases(thetas)]
         per_draw = np.array([d.sr for d in draws])
         return replace(
             draws[int(np.argmax(per_draw))],

@@ -140,13 +140,13 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
 def update_v1(dm: DerivedModel) -> np.ndarray:
     """Best stream-1 beamformer with the model's (v2, theta) held fixed,
     solved on the pencil compressed to the model's row basis Q."""
-    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 0, dm.Q))
+    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 0))
 
 
 def update_v2(dm: DerivedModel) -> np.ndarray:
     """Best stream-2 beamformer with the model's (v1, theta) held fixed,
     solved on the pencil compressed to the model's row basis Q."""
-    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1, dm.Q))
+    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1))
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -549,9 +549,13 @@ def run_gai(
 
     With fixed_theta the phases stay at it and only the beamformers move;
     without, they start from all ones.  model, a rate model of cfg and
-    channels at any precoders, lends the run its channel-only terms (the
-    random-phase baseline forms one for all its draws); without it the run
-    forms its own.  Returns `alternate`'s `Solution`.
+    channels, lends the run its channel-only terms, and its per-theta terms
+    too when it holds fixed_theta itself, the same array (the random-phase
+    baseline forms one model per draw, all in one `DerivedModel.at_phases`
+    pass); at any other phases it is moved to the run's.  Without it the
+    run forms its own.  Each beamformer step checks only the beamformer it
+    replaced (`Precoders.with_beamformer`).  Returns `alternate`'s
+    `Solution`.
     """
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
@@ -562,15 +566,16 @@ def run_gai(
         model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
     elif model.cfg != cfg or model.ch is not channels:
         raise ValueError("the rate model handed to run_gai is not of its cfg and channels")
-    # moved to theta first: the initial beamformers read its composite channels
-    model = model.at(replace(model.prec, theta=theta))
+    elif model.prec.theta is not theta:
+        # moved to theta first: the initial beamformers read its composite channels
+        model = model.at(replace(model.prec, theta=theta))
     v1, v2 = initial_beamformers(model)
-    dm = model.at(replace(model.prec, v1=v1, v2=v2))
+    dm = model.at(model.prec.with_beamformer("v1", v1).with_beamformer("v2", v2))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: replace(dm.prec, v1=update_v1(dm)))
+        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_v1(dm)))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: replace(dm.prec, v2=update_v2(dm)))
+        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_v2(dm)))
     if fixed_theta is None:
         memo = SpanMemo()
         # solve the phase block well below the outer tolerance: stopping

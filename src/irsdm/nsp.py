@@ -354,9 +354,9 @@ def run_nsp(
     dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: replace(dm.prec, v1=update_w1(*stream_blocks(dm, p1, 0), q1)[0]))
+        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_w1(*stream_blocks(dm, p1, 0), q1)[0]))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: replace(dm.prec, v2=update_w2(*stream_blocks(dm, p2, 1), q2)))
+        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_w2(*stream_blocks(dm, p2, 1), q2)))
     if cfg.beta1 > 0:
         memo = SpanMemo()
         # the phase blocks depend on the beamformers only

@@ -11,7 +11,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -39,6 +39,24 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(a)
 
 
+def _check_vector(key: str, value: np.ndarray) -> None:
+    shape = np.shape(value)
+    if len(shape) != 1 or shape[0] == 0:
+        raise ValueError(f"{key} must be a vector with at least one entry, got shape {shape}")
+
+
+def _check_beamformer(key: str, v: np.ndarray, other: str, size: int) -> None:
+    """Raise ValueError unless v is a unit-norm vector of the size entries of
+    the other beamformer."""
+    _check_vector(key, v)
+    if np.shape(v)[0] != size:
+        raise ValueError(f"{key} must have the {size} entries of {other}, got {np.shape(v)[0]}")
+    # written so that NaN fails: every comparison with NaN is False
+    nrm = math.sqrt(np.vdot(v, v).real)
+    if not abs(nrm - 1.0) <= 1e-9:
+        raise ValueError(f"{key} must have unit norm, got {nrm!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Precoders:
     """Unit-norm beamformers and the unit-modulus reflection phases."""
@@ -48,20 +66,26 @@ class Precoders:
     theta: np.ndarray   # (M,), entries on the unit circle
 
     def __post_init__(self) -> None:
-        shapes = {key: np.shape(getattr(self, key)) for key in ("v1", "v2", "theta")}
-        for key, shape in shapes.items():
-            if len(shape) != 1 or shape[0] == 0:
-                raise ValueError(f"{key} must be a vector with at least one entry, got shape {shape}")
-        if shapes["v2"] != shapes["v1"]:
-            raise ValueError(f"v2 must have the {shapes['v1'][0]} entries of v1, got {shapes['v2'][0]}")
-        # written so that NaN fails: every comparison with NaN is False
+        for key in ("v1", "v2", "theta"):
+            _check_vector(key, getattr(self, key))
         for key in ("v1", "v2"):
-            nrm = np.linalg.norm(getattr(self, key))
-            if not abs(nrm - 1.0) <= 1e-9:
-                raise ValueError(f"{key} must have unit norm, got {nrm!r}")
+            _check_beamformer(key, getattr(self, key), "v1", np.shape(self.v1)[0])
         err = float(np.max(np.abs(np.abs(self.theta) - 1.0)))
         if not err <= 1e-9:
             raise ValueError(f"theta entries must have unit modulus (max error {err!r})")
+
+    def with_beamformer(self, key: str, v: np.ndarray) -> Precoders:
+        """These precoders with beamformer key ("v1" or "v2") replaced by v.
+
+        Only v is checked, as `__post_init__` checks a beamformer: the other
+        one and theta are this instance's, checked when it was made and never
+        changed in place, so a beamformer step skips the O(M) scan of theta.
+        """
+        other = "v2" if key == "v1" else "v1"
+        _check_beamformer(key, v, other, np.shape(getattr(self, other))[0])
+        new = object.__new__(Precoders)
+        vars(new).update(vars(self), **{key: v})
+        return new
 
 
 def null_projector(rows: np.ndarray) -> np.ndarray:
@@ -96,12 +120,29 @@ def eve_covariance(cfg: SystemConfig, ch: ChannelSet, p_an: np.ndarray) -> np.nd
     return _herm(b)
 
 
-def composite_channels(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled (K, N) channels to Bob and to Eve: the direct path plus the
-    path reflected by the surface at phases theta."""
-    h_b = np.sqrt(ch.g_AIB) * ((ch.H_IB.conj().T * theta[None, :]) @ ch.H_AI)
-    h_e = np.sqrt(ch.g_AIE) * ((ch.H_IE.conj().T * theta[None, :]) @ ch.H_AI)
-    return h_b + np.sqrt(ch.g_AB) * ch.H_AB.conj().T, h_e + np.sqrt(ch.g_AE) * ch.H_AE.conj().T
+def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled channels to Bob and to Eve, (D, K, N) each, at a stack of D
+    phase vectors (M,): the direct path plus the path reflected by the
+    surface at each draw's phases.
+
+    Each draw's reflected path is its own K x M by M x N product, formed as
+    it would be alone, so no array grows with D M and a draw's channels are
+    the same to the bit whatever the stack around it: a product over the
+    whole stack can round differently, as numpy's loops for complex
+    products differ in rounding and a broadcast over a stack of K = M = 1
+    runs as one loop of length D.
+    """
+    h_b = np.empty((len(thetas), ch.H_IB.shape[1], ch.H_AI.shape[1]), dtype=complex)
+    h_e = np.empty_like(h_b)
+    hib_h, hie_h = ch.H_IB.conj().T, ch.H_IE.conj().T
+    for theta, b, e in zip(thetas, h_b, h_e):
+        np.matmul(hib_h * theta, ch.H_AI, out=b)
+        np.matmul(hie_h * theta, ch.H_AI, out=e)
+    h_b *= np.sqrt(ch.g_AIB)
+    h_b += np.sqrt(ch.g_AB) * ch.H_AB.conj().T
+    h_e *= np.sqrt(ch.g_AIE)
+    h_e += np.sqrt(ch.g_AE) * ch.H_AE.conj().T
+    return h_b, h_e
 
 
 def stream_scales(cfg: SystemConfig) -> tuple[float, float]:
@@ -137,10 +178,11 @@ def _phase_map(name: str) -> property:
     return property(lambda dm: dm._maps[name], doc=f"{name} of `phase_maps` at the model's beamformers.")
 
 
-def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> np.ndarray:
-    """Orthonormal columns (N, r) spanning the joint row space of the
-    composite channels h_b and h_e, plus one unit direction outside it when
-    that space has fewer than N dimensions.
+def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
+    """For stacks (D, K, N) of composite channels, each draw's orthonormal
+    columns Q (N, r) spanning the joint row space of its h_b and h_e, plus
+    one unit direction outside it when that space has fewer than N
+    dimensions.
 
     The rank is numpy's numerical rank (`np.linalg.matrix_rank`): singular
     values above s_max * max(2K, N) * eps.  Both quotients of
@@ -150,21 +192,44 @@ def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> np.ndarray:
     projectors' cut, sqrt(PINV_CUTOFF) s_max, would drop directions that
     still move the maximum: direct paths at 1e-6 of the surface path move
     it by 8e-5 relative at 80 dB of transmit SNR.
+
+    One batched reduced SVD of the 2K x N stacks serves every draw whose
+    rank leaves room for the extra direction among its 2K rows; only a draw
+    of rank 2K < N takes the full SVD, for its N x N factor.
     """
-    rows = np.vstack([h_b, h_e])
+    rows = np.concatenate([h_b, h_e], axis=-2)
     check_finite(rows)
-    n = rows.shape[1]
-    _, svals, vh = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(svals > svals[0] * max(rows.shape) * np.finfo(float).eps))
-    return vh[:min(rank + 1, n)].conj().T
+    n = rows.shape[-1]
+    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
+    ranks = np.sum(svals > svals[:, :1] * max(rows.shape[1:]) * np.finfo(float).eps, axis=-1)
+    widths = np.minimum(ranks + 1, n)
+    vh = list(vh)
+    full = np.flatnonzero(widths > rows.shape[-2])
+    if full.size:
+        for d, v in zip(full, np.linalg.svd(rows[full], full_matrices=True)[2]):
+            vh[d] = v
+    return [v[:w].conj().T for v, w in zip(vh, widths)]
 
 
-def _theta_terms(cfg: SystemConfig, ch: ChannelSet, theta: np.ndarray) -> dict[str, np.ndarray]:
-    """The rate model's per-theta terms: the unscaled composite channels
-    H_B/H_E and H_B1..H_E2, which fold in each stream's scale."""
-    h_b, h_e = composite_channels(ch, theta)
+def whiten_streams(ell: np.ndarray, h_e1: np.ndarray, h_e2: np.ndarray) -> np.ndarray:
+    """Eve's stream channels whitened by the factor L of B, L^-1 [H_E1 H_E2],
+    (..., K, 2N) for channels (..., K, N): one solve, broadcast over any
+    leading draw axis."""
+    return solve_lower(ell, np.concatenate([h_e1, h_e2], axis=-1))
+
+
+def _theta_terms(cfg: SystemConfig, h_b: np.ndarray, h_e: np.ndarray) -> dict[str, np.ndarray]:
+    """The rate model's per-theta terms from one draw's unscaled composite
+    channels h_b and h_e (K, N): H_B/H_E and H_B1..H_E2, which fold in each
+    stream's scale."""
     c1, c2 = stream_scales(cfg)
     return dict(H_B=h_b, H_E=h_e, H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e)
+
+
+def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """basis^H basis and each channel (K, N) in the coordinates of basis
+    (N, r): what `beam_quotient` reads of the channels."""
+    return (basis.conj().T @ basis, *(h @ basis for h in channels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,16 +248,22 @@ class DerivedModel:
       G_E2 = L^-1 H_E2, from which her rate and beamformer terms need no
       further factorization, and Q: the orthonormal basis of the joint row
       space of H_B and H_E plus one direction outside it (`row_basis`), in
-      which GAI solves its beamformer pencils;
+      which GAI solves its beamformer pencils, with the products that
+      every beamformer step reads, Q^H Q and H_B1, H_B2, G_E1 and G_E2
+      times Q;
     * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
       h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
       fixed-phase run never forms them.
 
-    `at` moves the model to new precoders.  L, G_E1/G_E2, Q and the phase
-    maps are cached on the instance and formed from the instance's own
-    fields, so a model made by `dataclasses.replace` forms its own; `at`
-    hands L on with B, and G_E1/G_E2 and Q, once read, with the composite
-    channels.
+    The per-theta layer is formed for a stack of phase vectors at once:
+    `at_phases` forms it for D draws in one pass, and `at` and
+    `derived_model` are its case D = 1, with G_E and Q left to first read.
+
+    `at` moves the model to new precoders.  L, G_E1/G_E2, Q and its
+    products and the phase maps are cached on the instance and formed from
+    the instance's own fields, so a model made by `dataclasses.replace`
+    forms its own; `at` hands L on with B, and G_E1/G_E2 and Q, once read,
+    with the composite channels.
     """
 
     cfg: SystemConfig
@@ -209,7 +280,7 @@ class DerivedModel:
 
     # what `at` hands on besides L: always, and while theta is unchanged
     _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "B")
-    _THETA_TERMS = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "_G_E", "Q")
+    _THETA_TERMS = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "_G_E", "Q", "_Q_products")
 
     @cached_property
     def L(self) -> np.ndarray:
@@ -218,7 +289,7 @@ class DerivedModel:
 
     @cached_property
     def _G_E(self) -> np.ndarray:
-        return solve_lower(self.L, np.hstack([self.H_E1, self.H_E2]))
+        return whiten_streams(self.L, self.H_E1, self.H_E2)
 
     @property
     def G_E1(self) -> np.ndarray:
@@ -233,7 +304,12 @@ class DerivedModel:
     @cached_property
     def Q(self) -> np.ndarray:
         """(N, r) row basis of H_B and H_E, r <= 2K + 1 (`row_basis`)."""
-        return row_basis(self.H_B, self.H_E)
+        return row_basis(self.H_B[None], self.H_E[None])[0]
+
+    @cached_property
+    def _Q_products(self) -> tuple[np.ndarray, ...]:
+        # Q^H Q, then H_B1, H_B2, G_E1 and G_E2 in the coordinates of Q
+        return _basis_products(self.Q, self.H_B1, self.H_B2, self.G_E1, self.G_E2)
 
     @cached_property
     def _maps(self) -> dict[str, np.ndarray]:
@@ -248,29 +324,62 @@ class DerivedModel:
     h_E1 = _phase_map("h_E1")
     h_E2 = _phase_map("h_E2")
 
-    def at(self, prec: Precoders) -> DerivedModel:
-        """The rate model at prec, of this model's cfg and ch.
-
-        It lends this model's channel-only terms, L included (formed here
-        if not yet read, so that B is factored once per `derived_model`
-        call), and its per-theta terms too when prec holds this model's own
-        theta array (a beamformer step keeps the array; the phases are never
-        changed in place).  Anything new is formed from the model's own cfg
-        and ch, so a model built without the surface stays without it.  The
-        new model's state is filled in directly rather than through
-        `dataclasses.replace`, which would rebuild every field through the
-        constructor on each block step.
-        """
+    def _lend(self, prec: Precoders, names: tuple[str, ...]) -> DerivedModel:
+        """A model at prec holding this model's terms of the given names
+        that are formed, and L (formed here if not yet read, so that B is
+        factored once per `derived_model` call).  Its state is filled in
+        directly rather than through `dataclasses.replace`, which would
+        rebuild every field through the constructor on each block step."""
         own = vars(self)
-        same_theta = prec.theta is self.prec.theta
-        names = self._CHANNEL_TERMS + self._THETA_TERMS if same_theta else self._CHANNEL_TERMS
         dm = object.__new__(DerivedModel)
         state = vars(dm)
         state.update((name, own[name]) for name in names if name in own)
-        state.update(prec=prec, L=self.L)  # L formed here if not yet read
-        if not same_theta:
-            state.update(_theta_terms(self.cfg, self.ch, prec.theta))
+        state.update(prec=prec, L=self.L)
         return dm
+
+    def at(self, prec: Precoders) -> DerivedModel:
+        """The rate model at prec, of this model's cfg and ch.
+
+        It lends this model's channel-only terms, L included, and its
+        per-theta terms too when prec holds this model's own theta array (a
+        beamformer step keeps the array; the phases are never changed in
+        place).  Anything new is formed from the model's own cfg and ch, so
+        a model built without the surface stays without it.
+        """
+        if prec.theta is self.prec.theta:
+            return self._lend(prec, self._CHANNEL_TERMS + self._THETA_TERMS)
+        dm = self._lend(prec, self._CHANNEL_TERMS)
+        h_b, h_e = composite_channels(self.ch, [prec.theta])
+        vars(dm).update(_theta_terms(self.cfg, h_b[0], h_e[0]))
+        return dm
+
+    def at_phases(self, thetas: Sequence[np.ndarray]) -> Iterator[DerivedModel]:
+        """The rate models at this model's beamformers and each of the D
+        phase vectors thetas, each checked as `Precoders` checks it.
+
+        They borrow this model's channel-only terms, and their per-theta
+        terms come from one stacked pass: the composite channels, Eve's
+        whitened channels G_E (one solve against L, broadcast over the
+        draws) and the row bases Q (one batched SVD, `row_basis`).  Each
+        model equals `at` of its own precoders to the bit, and forms the
+        products with its Q on first read.  The models are made one at a
+        time, as the returned iterator reaches them, so that only the draw
+        being run holds its scaled channels and products.
+        """
+        precs = [Precoders(v1=self.prec.v1, v2=self.prec.v2, theta=theta) for theta in thetas]
+        for prec in precs:
+            _check_sizes(self.cfg, prec)
+        h_b, h_e = composite_channels(self.ch, thetas)
+        c1, c2 = stream_scales(self.cfg)
+        g_e = whiten_streams(self.L, c1 * h_e, c2 * h_e)  # every draw's H_E1 and H_E2
+        bases = row_basis(h_b, h_e)
+
+        def draw(d: int) -> DerivedModel:
+            dm = self._lend(precs[d], self._CHANNEL_TERMS)
+            vars(dm).update(_theta_terms(self.cfg, h_b[d], h_e[d]), _G_E=g_e[d], Q=bases[d])
+            return dm
+
+        return map(draw, range(len(precs)))
 
 
 def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
@@ -284,7 +393,8 @@ def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                   include_irs: bool = True) -> DerivedModel:
-    """A fresh rate model at (v1, v2, theta); `DerivedModel.at` moves it on.
+    """A fresh rate model at (v1, v2, theta); `DerivedModel.at` moves it on,
+    and `DerivedModel.at_phases` to a stack of phase vectors.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
@@ -294,8 +404,9 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
+    h_b, h_e = composite_channels(ch, [prec.theta])
     return DerivedModel(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=eve_covariance(cfg, ch, p_an),
-                        **_theta_terms(cfg, ch, prec.theta))
+                        **_theta_terms(cfg, h_b[0], h_e[0]))
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
@@ -385,7 +496,8 @@ def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarra
     return gram + ph.conj().T @ ph + c.conj()[:, None] * (c / (1.0 + n))
 
 
-def beam_quotient(dm: DerivedModel, stream: int, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def beam_quotient(dm: DerivedModel, stream: int,
+                  basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the rate gap as a function of one stream's
     beamformer (stream 0 or 1), with the model's other beamformer and theta
     held fixed, in the coordinates of basis (N, r): the beamformer is basis w.
@@ -395,18 +507,24 @@ def beam_quotient(dm: DerivedModel, stream: int, basis: np.ndarray) -> tuple[np.
     other stream t is folded into the effective noise on both sides, cov_B
     = I + t_B t_B^H and cov_E = B + t_E t_E^H.  Returns basis^H basis + (H
     basis)^H cov^-1 (H basis) for each: the identity gives the full N x N
-    pencil, a projector P gives P num P, and the model's row basis Q the
-    r x r pencil whose maximum is the full one's.  Eve's side is read in
-    the model's whitened channels G_E, where cov_E becomes I + t t^H with
-    t = L^-1 t_E, so both inverses are rank-one downdates of the identity
-    (`_downdated_gram`): O(K N r) per call, no K x K solve.
+    pencil, a projector P gives P num P, and the model's row basis Q, the
+    default, the r x r pencil whose maximum is the full one's.  Q's products
+    with the channels are the model's, formed once per theta.  Eve's side
+    is read in the model's whitened channels G_E, where cov_E becomes
+    I + t t^H with t = L^-1 t_E, so both inverses are rank-one downdates of
+    the identity (`_downdated_gram`): O(K r^2) per call on Q, O(K N r) on
+    another basis, no K x K solve.
     """
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
     h_b = (dm.H_B1, dm.H_B2)
     g_e = (dm.G_E1, dm.G_E2)
-    gram = basis.conj().T @ basis
-    num = _downdated_gram(gram, h_b[stream] @ basis, h_b[1 - stream] @ v_other)
-    den = _downdated_gram(gram, g_e[stream] @ basis, g_e[1 - stream] @ v_other)
+    if basis is None:
+        gram, *coords = dm._Q_products
+        hb_s, ge_s = coords[stream], coords[2 + stream]
+    else:
+        gram, hb_s, ge_s = _basis_products(basis, h_b[stream], g_e[stream])
+    num = _downdated_gram(gram, hb_s, h_b[1 - stream] @ v_other)
+    den = _downdated_gram(gram, ge_s, g_e[1 - stream] @ v_other)
     return _herm(num), _herm(den)
 
 

@@ -793,6 +793,32 @@ def test_run_gai_fixed_theta_keeps_theta():
     assert np.allclose(state.theta, theta0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (lambda w: np.full_like(w, np.nan), r"v1 must have unit norm, got nan"),
+    (lambda w: 2.0 * w, r"v1 must have unit norm, got (1\.99|2\.0)"),
+    (lambda w: np.column_stack([w, w]) / math.sqrt(2.0), r"v1 must be a vector"),
+], ids=["nan", "norm 2", "matrix"])
+def test_a_beamformer_step_checks_the_beamformer_it_replaced(monkeypatch, bad, message):
+    # the step skips the scan of theta, which it keeps, but not the checks
+    # of its own result
+    cfg, ch = _setup(SystemConfig(M=6))
+    solve = gai.rayleigh_ritz_max
+    monkeypatch.setattr(gai, "rayleigh_ritz_max", lambda a, b: bad(solve(a, b)))
+    with pytest.raises(ValueError, match=message):
+        run_gai(cfg, ch, fixed_theta=np.exp(1j * np.linspace(0.3, 2.9, cfg.M)))
+
+
+def test_replacing_a_beamformer_checks_its_size_and_keeps_the_rest():
+    rng = np.random.default_rng(3)
+    prec = _random_prec(SystemConfig(), rng)
+    with pytest.raises(ValueError, match=r"v2 must have the 16 entries of v1, got 17"):
+        prec.with_beamformer("v2", _unit(rng, 17))
+    v = _unit(rng, 16)
+    new = prec.with_beamformer("v1", v)
+    assert (new.v1, new.v2, new.theta) == (v, prec.v2, prec.theta)
+    assert (prec.v1 is not v) and isinstance(new, Precoders)
+
+
 def _pareto_front(gain, leak):
     # keep only candidates not dominated in (higher gain, lower leak)
     order = np.argsort(-gain)

@@ -193,14 +193,16 @@ def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
     # a beamformer step keeps theta, so the run's first model lends its
     # composite channels to every later one, and the first beamformer step
     # its row basis; nothing reads the phase maps.  random_phase forms its
-    # one model at the first draw's phases, so each draw forms them once.
+    # one model at the first draw's phases, then every draw's composite
+    # channels and row basis in one stacked pass (`DerivedModel.at_phases`).
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert formed == {"composite_channels": 1, "row_basis": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
+    assert formed == {"composite_channels": 1 + (1 + 1), "row_basis": 1 + 1, "phase_maps": 0}
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert formed == {"composite_channels": 1 + 3 + 1, "row_basis": 1 + 3 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + (1 + 1) + 1, "row_basis": 1 + 1 + 1, "phase_maps": 0}
 
 
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
@@ -245,15 +247,17 @@ def factorizations(monkeypatch):
 
 def test_fixed_phase_passes_factor_nothing(factorizations):
     # B is factored once per rate model, and Eve's stream channels are
-    # whitened once per theta; the beamformer steps and each pass's rates
+    # whitened once per theta, random_phase's draws all in one solve
+    # broadcast over the draws; the beamformer steps and each pass's rates
     # then run on rank-one downdates and 2 x 2 determinants
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert (factorizations["cholesky"], factorizations["solve"]) == (1, 1)
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one model, three thetas
+    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1, 1 + 1)
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1 + 1, 1 + 3 + 1)
+    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1 + 1, 1 + 1 + 1)
 
 
 def test_optimizers_factor_b_once_per_run(factorizations):
@@ -654,6 +658,76 @@ def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, read
         dm = reused
 
 
+def _stack_case(seed, n, m, k, kind):
+    """A config, channel set and precoders: line-of-sight from a random drop,
+    random full-rank, or random with both surface gains zeroed."""
+    cfg, ch, prec, rng = _random_channels(seed, n, m, k, (0.4, 0.4))
+    if kind == "los":
+        cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=0.0, d_AB=float(rng.uniform(20, 300)),
+                           d_AE=float(rng.uniform(20, 300)), theta_AB=float(rng.uniform(0, math.pi)))
+        ch = build_channels(cfg, build_geometry(cfg))
+    elif kind == "no surface":
+        ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
+    return cfg, ch, prec, rng
+
+
+def _theta_layer(dm):
+    """A model's per-theta terms, Q's cached products included, as bytes."""
+    names = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2", "Q")
+    terms = [getattr(dm, name) for name in names] + list(dm._Q_products)
+    return [(t.shape, t.tobytes()) for t in terms]
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), k=st.integers(1, 3), n=st.integers(1, 6),
+       m=st.integers(1, 8), kind=st.sampled_from(["los", "random", "no surface"]))
+def test_stacked_theta_terms_equal_single_formations_to_the_bit(seed, d, k, n, m, kind):
+    # `DerivedModel.at_phases` forms D draws' terms in one stacked pass; each
+    # draw's equal those of a model formed at its phases alone, fresh or moved
+    cfg, ch, prec, rng = _stack_case(seed, n, m, k, kind)
+    thetas = [np.exp(2j * math.pi * rng.random(m)) for _ in range(d)]
+    model = derived_model(cfg, ch, prec)
+    stacked = list(model.at_phases(thetas))
+    assert [dm.prec.theta is theta for dm, theta in zip(stacked, thetas)] == [True] * d
+    for dm, theta in zip(stacked, thetas):
+        alone = replace(prec, theta=theta)
+        assert dm.P_AN is model.P_AN and dm.L is model.L
+        assert _theta_layer(dm) == _theta_layer(derived_model(cfg, ch, alone))
+        assert _theta_layer(dm) == _theta_layer(model.at(alone))
+        assert rate_gap(dm) == rate_gap(derived_model(cfg, ch, alone))
+
+
+def test_a_stack_with_one_phase_vector_off_the_unit_circle_raises():
+    cfg, ch, rng = _setup()
+    e1 = np.eye(cfg.N, dtype=complex)[0]
+    model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
+    thetas = [np.exp(2j * math.pi * rng.random(cfg.M)) for _ in range(4)]
+    thetas[2] = thetas[2].copy()
+    thetas[2][5] *= 1.01
+    with pytest.raises(ValueError, match="unit modulus"):
+        model.at_phases(thetas)  # before any draw's terms are formed
+    with pytest.raises(ValueError, match=rf"theta has {cfg.M + 1} entries"):
+        model.at_phases([np.ones(cfg.M + 1, dtype=complex)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(1, 4),
+       deficient=st.booleans())
+def test_row_basis_spans_the_rows_plus_one_direction_outside(seed, d, k, extra, deficient):
+    # rank 2K < N takes the full SVD for its extra direction; a rank below
+    # 2K finds it among the reduced SVD's 2K rows
+    rng = np.random.default_rng(seed)
+    n = 2 * k + extra
+    h_b, h_e = (rng.standard_normal((d, k, n)) + 1j * rng.standard_normal((d, k, n)) for _ in range(2))
+    if deficient:  # Eve's rows repeat Bob's: rank K
+        h_e = (1.0 + 2.0j) * h_b
+    rank = k if deficient else 2 * k
+    for q, rows in zip(rates.row_basis(h_b, h_e), np.concatenate([h_b, h_e], axis=1)):
+        assert q.shape == (n, rank + 1)
+        assert np.allclose(q.conj().T @ q, np.eye(rank + 1), atol=1e-12)
+        assert np.linalg.norm(rows @ q[:, -1]) <= 1e-12 * np.linalg.norm(rows)
+        # the first rank columns span the rows
+        assert np.allclose(rows @ q[:, :rank] @ q[:, :rank].conj().T, rows, atol=1e-12 * np.linalg.norm(rows))
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
        k=st.integers(1, 4), betas=_BETAS)
 def test_phase_problem_matches_rate_gap_and_finite_differences(seed, n, m, k, betas):
@@ -765,9 +839,12 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
         p = projectors[stream]
         cases = [(p, nsp.stream_blocks(dm, p, stream))]
     else:
-        # the full pencil, and the one compressed to the model's row basis
+        # the full pencil, and the one compressed to the model's row basis;
+        # by default, from the model's cached products with Q, the same to the bit
         dm, prec = _random_channel_model(seed, n, m, k, betas)
         cases = [(basis, rates.beam_quotient(dm, stream, basis)) for basis in (np.eye(n), dm.Q)]
+        cached = rates.beam_quotient(dm, stream)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, cases[1][1]))
     rng = np.random.default_rng([seed, 1])  # a stream apart from the channels' draws
     for basis, (num, den) in cases:
         quotients, gaps = [], []

@@ -1,8 +1,9 @@
-"""The benchmark's traced round runs against the current program.
+"""The benchmark's rounds run against the current program.
 
-Its per-layer metrics read the optimizers' option defaults and the pass
-counts of their outer runs, so a change to the program can break
-`perfbench/run.py --trace 1` while every other test passes.
+The traced round's per-layer metrics read the optimizers' option defaults
+and the pass counts of their outer runs, and the untraced round reports the
+end-to-end metrics that BENCHMARK.json declares, so a change to the program
+can break `perfbench/run.py` while every other test passes.
 """
 
 import json
@@ -15,17 +16,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["sweep_m_near", "sweep_m_far"])
-def test_traced_bench_round_runs_and_counts_outer_passes(workload):
+def _bench(workload, trace):
     # writes its record to the git-ignored perfbench/out/
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "1"],
+         "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     assert res["correct"] is True
     assert res["failed"] == 0
-    assert res["metrics"]["gai.outer_iterations"]["value"] > 0
-    assert res["metrics"]["nsp.outer_iterations"]["value"] > 0
+    return res["metrics"]
+
+
+@pytest.mark.parametrize("workload", ["sweep_m_near", "sweep_m_far"])
+def test_traced_bench_round_runs_and_counts_outer_passes(workload):
+    metrics = _bench(workload, trace=1)
+    assert metrics["gai.outer_iterations"]["value"] > 0
+    assert metrics["nsp.outer_iterations"]["value"] > 0
+
+
+@pytest.mark.parametrize("workload", ["sweep_m_near", "sweep_m_far"])
+def test_untraced_bench_round_reports_the_declared_end_to_end_metrics(workload):
+    metrics = _bench(workload, trace=0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)
