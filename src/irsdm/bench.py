@@ -59,7 +59,8 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
     mean pass count and converged that of every draw.  Its draws share one
     rate model's channel-only terms, and their per-theta terms (composite
     channels, Eve's whitened channels, row bases) are formed in one stacked
-    pass (`DerivedModel.at_phases`); each draw is then one `run_gai` on its
+    pass (`DerivedModel.at_phases`), each draw's once: the shared model
+    forms none at its own phases.  Each draw is then one `run_gai` on its
     own model.
     """
     if scheme.kind == "gai":

@@ -44,9 +44,8 @@ from .rates import (
     derived_model,
     form_weights,
     null_projector,
-    solve_lower,
     span_moments,
-    whiten,
+    whiten_rank_one,
 )
 # not called here; perfbench/tracing.py wraps both names in this module
 from .rates import an_projector, secrecy_rate
@@ -174,15 +173,15 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     Bob's numerator and Eve's denominator.
 
     Read from the stream-1 maps of the rate model at the current
-    beamformers: F_b = whiten(cov2, T_B1)^H, with stream 2 folded into Bob's
-    noise cov2, and F_e = (L^-1 T_E1)^H, Eve's rows whitened by the model's
-    factor of B as in `rates.PhaseProblem`.  The I/M term absorbs the
-    unit-modulus budget theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR
-    exactly on the shell.
+    beamformers: F_b = (cov2^-1/2 T_B1)^H, with stream 2 folded into Bob's
+    noise cov2 = I + h_B2 h_B2^H, whose inverse square root is a rank-one
+    closed form (`rates.whiten_rank_one`), and F_e = (W T_E1)^H, Eve's rows
+    whitened by the model's W as in `rates.PhaseProblem`.  No K x K
+    factorization or solve.  The I/M term absorbs the unit-modulus budget
+    theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR exactly on the
+    shell.
     """
-    k = dm.T_B1.shape[0]
-    cov2 = np.eye(k, dtype=complex) + np.outer(dm.h_B2, dm.h_B2.conj())
-    return whiten(cov2, dm.T_B1).conj().T, solve_lower(dm.L, dm.T_E1).conj().T
+    return whiten_rank_one(dm.h_B2, dm.T_B1).conj().T, (dm.W @ dm.T_E1).conj().T
 
 
 def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, theta: np.ndarray) -> tuple[float, float]:

@@ -33,12 +33,6 @@ def check_finite(*arrays: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of a Hermitian positive definite a = L L^H."""
-    check_finite(a)
-    return np.linalg.cholesky(a)
-
-
 def _check_vector(key: str, value: np.ndarray) -> None:
     shape = np.shape(value)
     if len(shape) != 1 or shape[0] == 0:
@@ -111,13 +105,25 @@ def an_projector(H_AI: np.ndarray, H_AB: np.ndarray) -> np.ndarray:
     return null_projector(np.vstack([H_AI, H_AB.conj().T]))
 
 
-def eve_covariance(cfg: SystemConfig, ch: ChannelSet, p_an: np.ndarray) -> np.ndarray:
-    """Eve's AN-plus-noise covariance B, noise-normalized, for the AN projector p_an."""
-    b = np.eye(cfg.K, dtype=complex)
-    if cfg.beta3 > 0:
-        scale = cfg.beta3 * cfg.ps_watts * ch.g_AE / cfg.sigma_watts_sqrt ** 2
-        b = b + scale * (ch.H_AE.conj().T @ p_an @ p_an.conj().T @ ch.H_AE)
-    return _herm(b)
+def eve_whitener(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's AN-plus-noise covariance B = I + A A^H, noise-normalized, and
+    its whitener W (K, K), W^H W = B^-1, for the AN's image A (K, N) at Eve.
+
+    One SVD A = U s V^H gives B = U diag(1 + s^2) U^H and W = diag(1 +
+    s^2)^-1/2 U^H, the full U when K > N.  The eigenvalues 1 + s^2 keep the
+    unit ones exact, where a factor of the formed B loses about eps ||B||
+    of them.  A zero image (no AN) gives B = W = I exactly.  Raises
+    ValueError if A has non-finite entries.
+    """
+    check_finite(a)
+    k = a.shape[0]
+    if not a.any():
+        eye = np.eye(k, dtype=complex)
+        return eye, eye
+    u, svals, _ = np.linalg.svd(a, full_matrices=k > a.shape[1])
+    lam = np.ones(k)
+    lam[:svals.size] += svals ** 2
+    return _herm((u * lam) @ u.conj().T), u.conj().T / np.sqrt(lam)[:, None]
 
 
 def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -174,10 +180,6 @@ def phase_maps(cfg: SystemConfig, ch: ChannelSet, prec: Precoders) -> dict[str, 
     )
 
 
-def _phase_map(name: str) -> property:
-    return property(lambda dm: dm._maps[name], doc=f"{name} of `phase_maps` at the model's beamformers.")
-
-
 def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
     """For stacks (D, K, N) of composite channels, each draw's orthonormal
     columns Q (N, r) spanning the joint row space of its h_b and h_e, plus
@@ -211,19 +213,26 @@ def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
     return [v[:w].conj().T for v, w in zip(vh, widths)]
 
 
-def whiten_streams(ell: np.ndarray, h_e1: np.ndarray, h_e2: np.ndarray) -> np.ndarray:
-    """Eve's stream channels whitened by the factor L of B, L^-1 [H_E1 H_E2],
-    (..., K, 2N) for channels (..., K, N): one solve, broadcast over any
-    leading draw axis."""
-    return solve_lower(ell, np.concatenate([h_e1, h_e2], axis=-1))
+def _theta_terms(cfg: SystemConfig, ch: ChannelSet, w: np.ndarray,
+                 thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, Iterator[dict]]:
+    """The rate model's per-theta layer at a stack of D phase vectors: the
+    unscaled composite channels H_B and H_E, (D, K, N) each, and each draw's
+    terms, formed as the returned iterator reaches the draw: H_B/H_E,
+    H_B1..H_E2, which fold in each stream's scale, and Eve's stream
+    channels whitened by W, G_E1 = W H_E1 and G_E2 = W H_E2.
 
-
-def _theta_terms(cfg: SystemConfig, h_b: np.ndarray, h_e: np.ndarray) -> dict[str, np.ndarray]:
-    """The rate model's per-theta terms from one draw's unscaled composite
-    channels h_b and h_e (K, N): H_B/H_E and H_B1..H_E2, which fold in each
-    stream's scale."""
+    Every product is taken per draw, as the composites are, so a draw's
+    terms are the same to the bit whatever the stack around it.
+    """
+    h_b, h_e = composite_channels(ch, thetas)
     c1, c2 = stream_scales(cfg)
-    return dict(H_B=h_b, H_E=h_e, H_B1=c1 * h_b, H_B2=c2 * h_b, H_E1=c1 * h_e, H_E2=c2 * h_e)
+
+    def draw(b: np.ndarray, e: np.ndarray) -> dict:
+        h_e1, h_e2 = c1 * e, c2 * e
+        return dict(H_B=b, H_E=e, H_B1=c1 * b, H_B2=c2 * b, H_E1=h_e1, H_E2=h_e2,
+                    G_E1=w @ h_e1, G_E2=w @ h_e2)
+
+    return h_b, h_e, map(draw, h_b, h_e)
 
 
 def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -240,30 +249,25 @@ class DerivedModel:
 
     * channel-only, once per `derived_model` call (once per run, and once
       for all draws of the random-phase baseline): the AN projector P_AN,
-      Eve's AN-plus-noise covariance B and, on first read, its lower
-      Cholesky factor L, B = L L^H;
-    * per theta: the unscaled composite channels H_B/H_E, H_B1..H_E2,
-      which fold in the per-stream power and noise normalization, and, on
-      first read, Eve's whitened stream channels G_E1 = L^-1 H_E1 and
-      G_E2 = L^-1 H_E2, from which her rate and beamformer terms need no
-      further factorization, and Q: the orthonormal basis of the joint row
-      space of H_B and H_E plus one direction outside it (`row_basis`), in
-      which GAI solves its beamformer pencils, with the products that
-      every beamformer step reads, Q^H Q and H_B1, H_B2, G_E1 and G_E2
-      times Q;
+      Eve's AN-plus-noise covariance B and its whitener W, W^H W = B^-1,
+      from one SVD of the AN's image at Eve (`eve_whitener`);
+    * per theta (`_theta_terms`): the unscaled composite channels H_B/H_E,
+      H_B1..H_E2, which fold in the per-stream power and noise
+      normalization, and Eve's whitened stream channels G_E1 = W H_E1 and
+      G_E2 = W H_E2 (not fields: a model built by the constructor, as by
+      `dataclasses.replace`, whitens its own); and, on first read, Q: the
+      orthonormal basis of the joint row space of H_B and H_E plus one
+      direction outside it (`row_basis`), in which GAI solves its
+      beamformer pencils, with the products that every beamformer step
+      reads, Q^H Q and H_B1, H_B2, G_E1 and G_E2 times Q;
     * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
       h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
       fixed-phase run never forms them.
 
-    The per-theta layer is formed for a stack of phase vectors at once:
-    `at_phases` forms it for D draws in one pass, and `at` and
-    `derived_model` are its case D = 1, with G_E and Q left to first read.
-
-    `at` moves the model to new precoders.  L, G_E1/G_E2, Q and its
-    products and the phase maps are cached on the instance and formed from
-    the instance's own fields, so a model made by `dataclasses.replace`
-    forms its own; `at` hands L on with B, and G_E1/G_E2 and Q, once read,
-    with the composite channels.
+    `at_phases` forms the per-theta layer of D draws in one stacked pass;
+    a model from `derived_model` or moved to new phases by `at` forms its
+    own, D = 1, on the first read of any of its terms, so the random-phase
+    baseline's base model, whose phases no draw reads, forms none.
     """
 
     cfg: SystemConfig
@@ -271,6 +275,7 @@ class DerivedModel:
     prec: Precoders
     P_AN: np.ndarray
     B: np.ndarray       # (K, K)
+    W: np.ndarray       # (K, K), W^H W = B^-1
     H_B: np.ndarray     # (K, N) composite channel to Bob
     H_E: np.ndarray
     H_B1: np.ndarray
@@ -278,28 +283,33 @@ class DerivedModel:
     H_E1: np.ndarray
     H_E2: np.ndarray
 
-    # what `at` hands on besides L: always, and while theta is unchanged
-    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "B")
-    _THETA_TERMS = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "_G_E", "Q", "_Q_products")
+    # what `at` hands on: always, and while theta is unchanged
+    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "B", "W")
+    _THETA_LAYER = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2")
+    _THETA_TERMS = _THETA_LAYER + ("Q", "_Q_products")
+    _MAPS = ("T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
 
-    @cached_property
-    def L(self) -> np.ndarray:
-        """(K, K) lower Cholesky factor of B."""
-        return cholesky(self.B)
+    def __post_init__(self) -> None:
+        vars(self).update(G_E1=self.W @ self.H_E1, G_E2=self.W @ self.H_E2)
 
-    @cached_property
-    def _G_E(self) -> np.ndarray:
-        return whiten_streams(self.L, self.H_E1, self.H_E2)
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a name the instance lacks: a term of a layer
+        # that is formed on first read
+        if name in DerivedModel._THETA_LAYER:
+            return self._theta_layer()[name]
+        if name in DerivedModel._MAPS:
+            vars(self).update(phase_maps(self.cfg, self.ch, self.prec))
+            return vars(self)[name]
+        raise AttributeError(name)
 
-    @property
-    def G_E1(self) -> np.ndarray:
-        """(K, N) Eve's stream-1 channel whitened by B, L^-1 H_E1."""
-        return self._G_E[:, :self.H_E1.shape[1]]
-
-    @property
-    def G_E2(self) -> np.ndarray:
-        """(K, N) Eve's stream-2 channel whitened by B, L^-1 H_E2."""
-        return self._G_E[:, self.H_E1.shape[1]:]
+    def _theta_layer(self) -> dict:
+        """The instance's state, with its per-theta layer formed (D = 1)
+        if it was not yet."""
+        own = vars(self)
+        if "H_B" not in own:
+            _, _, terms = _theta_terms(self.cfg, self.ch, self.W, [self.prec.theta])
+            own.update(next(terms))
+        return own
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -311,75 +321,55 @@ class DerivedModel:
         # Q^H Q, then H_B1, H_B2, G_E1 and G_E2 in the coordinates of Q
         return _basis_products(self.Q, self.H_B1, self.H_B2, self.G_E1, self.G_E2)
 
-    @cached_property
-    def _maps(self) -> dict[str, np.ndarray]:
-        return phase_maps(self.cfg, self.ch, self.prec)
-
-    T_B1 = _phase_map("T_B1")
-    T_B2 = _phase_map("T_B2")
-    T_E1 = _phase_map("T_E1")
-    T_E2 = _phase_map("T_E2")
-    h_B1 = _phase_map("h_B1")
-    h_B2 = _phase_map("h_B2")
-    h_E1 = _phase_map("h_E1")
-    h_E2 = _phase_map("h_E2")
-
-    def _lend(self, prec: Precoders, names: tuple[str, ...]) -> DerivedModel:
+    def _lend(self, prec: Precoders, names: tuple[str, ...], **terms: np.ndarray) -> DerivedModel:
         """A model at prec holding this model's terms of the given names
-        that are formed, and L (formed here if not yet read, so that B is
-        factored once per `derived_model` call).  Its state is filled in
-        directly rather than through `dataclasses.replace`, which would
-        rebuild every field through the constructor on each block step."""
+        that are formed, and terms (`_model`)."""
         own = vars(self)
-        dm = object.__new__(DerivedModel)
-        state = vars(dm)
-        state.update((name, own[name]) for name in names if name in own)
-        state.update(prec=prec, L=self.L)
-        return dm
+        return _model(prec=prec, **{name: own[name] for name in names if name in own}, **terms)
 
     def at(self, prec: Precoders) -> DerivedModel:
         """The rate model at prec, of this model's cfg and ch.
 
-        It lends this model's channel-only terms, L included, and its
-        per-theta terms too when prec holds this model's own theta array (a
-        beamformer step keeps the array; the phases are never changed in
-        place).  Anything new is formed from the model's own cfg and ch, so
+        It lends this model's channel-only terms, and its per-theta terms
+        too, formed here if not yet read, when prec holds this model's own
+        theta array (a beamformer step keeps the array; the phases are never
+        changed in place).  At other phases the new model forms its own
+        per-theta layer on first read, from the model's own cfg and ch, so
         a model built without the surface stays without it.
         """
         if prec.theta is self.prec.theta:
+            self._theta_layer()  # formed once here, not once per successor
             return self._lend(prec, self._CHANNEL_TERMS + self._THETA_TERMS)
-        dm = self._lend(prec, self._CHANNEL_TERMS)
-        h_b, h_e = composite_channels(self.ch, [prec.theta])
-        vars(dm).update(_theta_terms(self.cfg, h_b[0], h_e[0]))
-        return dm
+        return self._lend(prec, self._CHANNEL_TERMS)
 
     def at_phases(self, thetas: Sequence[np.ndarray]) -> Iterator[DerivedModel]:
         """The rate models at this model's beamformers and each of the D
         phase vectors thetas, each checked as `Precoders` checks it.
 
         They borrow this model's channel-only terms, and their per-theta
-        terms come from one stacked pass: the composite channels, Eve's
-        whitened channels G_E (one solve against L, broadcast over the
-        draws) and the row bases Q (one batched SVD, `row_basis`).  Each
-        model equals `at` of its own precoders to the bit, and forms the
-        products with its Q on first read.  The models are made one at a
-        time, as the returned iterator reaches them, so that only the draw
-        being run holds its scaled channels and products.
+        terms come from one stacked pass (`_theta_terms`), with the row
+        bases Q from one batched SVD (`row_basis`).  Each model equals `at`
+        of its own precoders to the bit, and forms the products with its Q
+        on first read.  The models are made one at a time, as the returned
+        iterator reaches them, so that only the draw being run holds its
+        scaled channels and products.
         """
         precs = [Precoders(v1=self.prec.v1, v2=self.prec.v2, theta=theta) for theta in thetas]
         for prec in precs:
             _check_sizes(self.cfg, prec)
-        h_b, h_e = composite_channels(self.ch, thetas)
-        c1, c2 = stream_scales(self.cfg)
-        g_e = whiten_streams(self.L, c1 * h_e, c2 * h_e)  # every draw's H_E1 and H_E2
+        h_b, h_e, terms = _theta_terms(self.cfg, self.ch, self.W, thetas)
         bases = row_basis(h_b, h_e)
+        return (self._lend(prec, self._CHANNEL_TERMS, **draw, Q=q)
+                for prec, draw, q in zip(precs, terms, bases))
 
-        def draw(d: int) -> DerivedModel:
-            dm = self._lend(precs[d], self._CHANNEL_TERMS)
-            vars(dm).update(_theta_terms(self.cfg, h_b[d], h_e[d]), _G_E=g_e[d], Q=bases[d])
-            return dm
 
-        return map(draw, range(len(precs)))
+def _model(**state: object) -> DerivedModel:
+    """A rate model holding state, filled in directly rather than through
+    the constructor, which needs every per-theta term and would rebuild
+    each field on every block step."""
+    dm = object.__new__(DerivedModel)
+    vars(dm).update(state)
+    return dm
 
 
 def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
@@ -393,8 +383,11 @@ def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                   include_irs: bool = True) -> DerivedModel:
-    """A fresh rate model at (v1, v2, theta); `DerivedModel.at` moves it on,
-    and `DerivedModel.at_phases` to a stack of phase vectors.
+    """A fresh rate model at (v1, v2, theta), with its channel-only layer:
+    the AN projector and, from the AN's image at Eve A = sqrt(beta3 ps g_AE)
+    / sigma H_AE^H P_AN, Eve's B and W (`eve_whitener`).  Its per-theta
+    layer is formed on first read; `DerivedModel.at` moves it on, and
+    `DerivedModel.at_phases` to a stack of phase vectors.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
@@ -404,9 +397,9 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
-    h_b, h_e = composite_channels(ch, [prec.theta])
-    return DerivedModel(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=eve_covariance(cfg, ch, p_an),
-                        **_theta_terms(cfg, h_b[0], h_e[0]))
+    scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
+    b, w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
+    return _model(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=b, W=w)
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
@@ -458,11 +451,11 @@ def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
 
     log2 det(I + S B^-1) = log2 det(B + S) - log2 det B is the 2 x 2
     determinant det(I_2 + T^H T) (`_det2`) of her streams whitened by the
-    model's factor of B, T = L^-1 [t1 t2] = [G_E1 v1, G_E2 v2], at O(K N):
-    no factorization per evaluation.
+    model's W, T = W [t1 t2] = W [H_E1 v1, H_E2 v2], at O(K N): no
+    factorization per evaluation.
     """
     _check_phases(dm, prec)
-    return _log2_det2(dm.G_E1 @ prec.v1, dm.G_E2 @ prec.v2)
+    return _log2_det2(dm.W @ (dm.H_E1 @ prec.v1), dm.W @ (dm.H_E2 @ prec.v2))
 
 
 def rate_gap(dm: DerivedModel) -> float:
@@ -496,6 +489,20 @@ def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarra
     return gram + ph.conj().T @ ph + c.conj()[:, None] * (c / (1.0 + n))
 
 
+def whiten_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(I + t t^H)^-1/2 x for the stream t (K,) and x (K, ...), in the
+    closed rank-one form of `_downdated_gram`: x - e (e^H x)(1 - 1 / sqrt(1
+    + |t|^2)), e = t / |t|, with the coefficient written as n / (r (1 + r)),
+    n = |t|^2 and r = sqrt(1 + n), so that it keeps its relative accuracy
+    at small n; O(K) per column, no factorization."""
+    n = np.vdot(t, t).real
+    if n == 0.0:
+        return x
+    e = t / math.sqrt(n)
+    r = math.sqrt(1.0 + n)
+    return x - np.multiply.outer(e, (e.conj() @ x) * (n / (r * (1.0 + r))))
+
+
 def beam_quotient(dm: DerivedModel, stream: int,
                   basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the rate gap as a function of one stream's
@@ -510,10 +517,10 @@ def beam_quotient(dm: DerivedModel, stream: int,
     pencil, a projector P gives P num P, and the model's row basis Q, the
     default, the r x r pencil whose maximum is the full one's.  Q's products
     with the channels are the model's, formed once per theta.  Eve's side
-    is read in the model's whitened channels G_E, where cov_E becomes
-    I + t t^H with t = L^-1 t_E, so both inverses are rank-one downdates of
-    the identity (`_downdated_gram`): O(K r^2) per call on Q, O(K N r) on
-    another basis, no K x K solve.
+    is read in the model's whitened channels G_E = W H_E, where cov_E
+    becomes I + t t^H with t = W t_E, so both inverses are rank-one
+    downdates of the identity (`_downdated_gram`): O(K r^2) per call on Q,
+    O(K N r) on another basis, no K x K solve.
     """
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
     h_b = (dm.H_B1, dm.H_B2)
@@ -526,18 +533,6 @@ def beam_quotient(dm: DerivedModel, stream: int,
     num = _downdated_gram(gram, hb_s, h_b[1 - stream] @ v_other)
     den = _downdated_gram(gram, ge_s, g_e[1 - stream] @ v_other)
     return _herm(num), _herm(den)
-
-
-def solve_lower(ell: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^-1 x for a lower Cholesky factor L of B = L L^H, so that
-    x^H B^-1 y = (L^-1 x)^H (L^-1 y)."""
-    check_finite(x)
-    return np.linalg.solve(ell, x)
-
-
-def whiten(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^-1 x for the lower Cholesky factor L of B = L L^H (`solve_lower`)."""
-    return solve_lower(cholesky(b), x)
 
 
 def _streams(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -660,8 +655,8 @@ class PhaseProblem:
 
     Every received stream is affine in theta (t_i = T_i theta + h_i), so each
     side stacks its two streams into one map t = U theta + c with U (2K, M).
-    Eve's rows are whitened by the model's Cholesky factor L of B, which
-    turns both factors into the same 2 x 2 determinant (`_det2`);
+    Eve's rows are whitened by the model's W, W^H W = B^-1, which turns
+    both factors into the same 2 x 2 determinant (`_det2`);
     log2(f / g) is the rate gap at unit-modulus theta.  Each evaluation
     costs O(K M).
     """
@@ -669,10 +664,9 @@ class PhaseProblem:
     def __init__(self, dm: DerivedModel):
         self.u_b = np.vstack([dm.T_B1, dm.T_B2])
         self.c_b = np.concatenate([dm.h_B1, dm.h_B2])
-        eve = [solve_lower(dm.L, np.column_stack([t, h]))
-               for t, h in ((dm.T_E1, dm.h_E1), (dm.T_E2, dm.h_E2))]
-        self.u_e = np.vstack([e[:, :-1] for e in eve])
-        self.c_e = np.concatenate([e[:, -1] for e in eve])
+        w = dm.W
+        self.u_e = np.vstack([w @ dm.T_E1, w @ dm.T_E2])
+        self.c_e = np.concatenate([w @ dm.h_E1, w @ dm.h_E2])
 
     def factors(self, theta: np.ndarray) -> tuple[float, float]:
         """Bob and Eve determinant factors (f, g)."""

@@ -339,7 +339,7 @@ def random_phase_instance(rng, k, m):
     return SimpleNamespace(
         T_B1=cmat(k, m), T_B2=cmat(k, m), h_B1=cmat(k), h_B2=cmat(k),
         T_E1=cmat(k, m), T_E2=cmat(k, m), h_E1=cmat(k), h_E2=cmat(k),
-        B=b, L=np.linalg.cholesky(b),
+        B=b, W=np.linalg.inv(np.linalg.cholesky(b)),  # W^H W = B^-1
     )
 
 
@@ -459,7 +459,7 @@ def _los_phase_problem(rng, m, k, u, log_g):
     u_s, u_sb, u_se, u_bs, u_bd, u_es, u_ed = u
     g_bs, g_bd, g_es, g_ed, g_an = (10.0 ** x for x in log_g)
     b = np.eye(k, dtype=complex) + g_an * np.outer(_steer(k, u_ed), _steer(k, u_ed).conj())
-    dm = SimpleNamespace(B=b, L=np.linalg.cholesky(b))
+    dm = SimpleNamespace(B=b, W=np.linalg.inv(np.linalg.cholesky(b)))  # W^H W = B^-1
     for side, g_s, g_d, a_s, a_d, u_out in (("B", g_bs, g_bd, u_bs, u_bd, u_sb),
                                              ("E", g_es, g_ed, u_es, u_ed, u_se)):
         row = _steer(m, u_s) * _steer(m, u_out).conj()

@@ -192,17 +192,17 @@ def formed(monkeypatch):
 def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
     # a beamformer step keeps theta, so the run's first model lends its
     # composite channels to every later one, and the first beamformer step
-    # its row basis; nothing reads the phase maps.  random_phase forms its
-    # one model at the first draw's phases, then every draw's composite
-    # channels and row basis in one stacked pass (`DerivedModel.at_phases`).
+    # its row basis; nothing reads the phase maps.  random_phase's one model
+    # forms no per-theta layer of its own: every draw's composite channels
+    # and row basis come from one stacked pass (`DerivedModel.at_phases`).
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert formed == {"composite_channels": 1, "row_basis": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert formed == {"composite_channels": 1 + (1 + 1), "row_basis": 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 1, "row_basis": 1 + 1, "phase_maps": 0}
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert formed == {"composite_channels": 1 + (1 + 1) + 1, "row_basis": 1 + 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 1 + 1, "row_basis": 1 + 1 + 1, "phase_maps": 0}
 
 
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
@@ -214,69 +214,77 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     assert formed == {"composite_channels": 1 + passes, "row_basis": passes, "phase_maps": passes}
     formed.update(composite_channels=0, row_basis=0, phase_maps=0)
     # nsp adds one phase step before the alternation; its beamformer steps
-    # solve in range(P), not in the row basis
+    # solve in range(P), not in the row basis.  That first step reads only
+    # the phase maps, so the run's first model, at the all-ones phases,
+    # never forms its composite channels
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
     steps = 1 + state.iterations
-    assert formed == {"composite_channels": 1 + steps, "row_basis": 0, "phase_maps": steps}
+    assert formed == {"composite_channels": steps, "row_basis": 0, "phase_maps": steps}
+
+
+def _an_image(cfg, ch):
+    """The AN's image at Eve, A = sqrt(beta3 ps g_AE) / sigma H_AE^H P_AN:
+    B = I + A A^H."""
+    scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
+    return scale * ch.H_AE.conj().T @ an_projector(ch.H_AI, ch.H_AB)
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Counts of numpy's Cholesky factorizations and solves of K x K
-    matrices (K = 4 at the default config, against N = 16 and M >= 10), and
-    the matrices factored."""
-    counts = {"cholesky": 0, "solve": 0, "factored": []}
+    """Counts of numpy's SVDs of the AN image at Eve of the default
+    config's channels (K x N, K = 4 and N = 16), and of its Cholesky
+    factorizations and solves of K x K matrices (against N = 16 and M >= 10)."""
+    cfg, ch, _ = _setup()
+    a = _an_image(cfg, ch)
+    counts = {"svd of A": 0, "cholesky": 0, "solve": 0}
+    svd, cholesky, solve = np.linalg.svd, np.linalg.cholesky, np.linalg.solve
 
-    def counter(name):
-        fn = getattr(np.linalg, name)
+    def counted_svd(x, *args, **kwargs):
+        if x.shape == a.shape and np.allclose(x, a, rtol=1e-12, atol=0.0):
+            counts["svd of A"] += 1
+        return svd(x, *args, **kwargs)
 
-        def counted(a, *args):
-            if a.shape == (SystemConfig().K,) * 2:
+    def counter(name, fn):
+        def counted(x, *args):
+            if x.shape == (cfg.K,) * 2:
                 counts[name] += 1
-                if name == "cholesky":
-                    counts["factored"].append(a)
-            return fn(a, *args)
+            return fn(x, *args)
 
         return counted
 
-    for name in ("cholesky", "solve"):
-        monkeypatch.setattr(np.linalg, name, counter(name))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "cholesky", counter("cholesky", cholesky))
+    monkeypatch.setattr(np.linalg, "solve", counter("solve", solve))
     return counts
 
 
 def test_fixed_phase_passes_factor_nothing(factorizations):
-    # B is factored once per rate model, and Eve's stream channels are
-    # whitened once per theta, random_phase's draws all in one solve
-    # broadcast over the draws; the beamformer steps and each pass's rates
-    # then run on rank-one downdates and 2 x 2 determinants
+    # B and its whitener W come from one SVD of A per rate model, and Eve's
+    # stream channels are whitened by a product with W once per theta; the
+    # beamformer steps and each pass's rates then run on rank-one
+    # downdates and 2 x 2 determinants, with no K x K factorization or solve
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
-    assert (factorizations["cholesky"], factorizations["solve"]) == (1, 1)
+    assert factorizations == {"svd of A": 1, "cholesky": 0, "solve": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one model, three thetas
-    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1, 1 + 1)
+    assert factorizations == {"svd of A": 1 + 1, "cholesky": 0, "solve": 0}
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert (factorizations["cholesky"], factorizations["solve"]) == (1 + 1 + 1, 1 + 1 + 1)
+    assert factorizations == {"svd of A": 1 + 1 + 1, "cholesky": 0, "solve": 0}
 
 
 def test_optimizers_factor_b_once_per_run(factorizations):
-    # the phase steps whiten Eve's maps with the model's factor too; nsp
-    # also factors Bob's stream-2 noise once per phase step
+    # the phase steps whiten Eve's maps with the model's W too, and nsp's
+    # Bob-side stream-2 noise is whitened in a rank-one closed form
     cfg, ch, _ = _setup()
-    b = rates.eve_covariance(cfg, ch, an_projector(ch.H_AI, ch.H_AB))
     state = run_gai(cfg, ch)
     assert state.iterations > 1
-    assert factorizations["cholesky"] == 1
-    assert np.array_equal(factorizations["factored"][0], b)
-    # per pass: Eve's channels whitened at the new theta, and the phase
-    # step's two stream maps
-    assert factorizations["solve"] == 1 + 3 * state.iterations
-    factorizations.update(cholesky=0, solve=0, factored=[])
+    assert factorizations == {"svd of A": 1, "cholesky": 0, "solve": 0}
+    factorizations.update({"svd of A": 0})
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
-    assert [np.array_equal(a, b) for a in factorizations["factored"]].count(True) == 1
-    assert factorizations["cholesky"] == 1 + (1 + state.iterations)
+    assert factorizations == {"svd of A": 1, "cholesky": 0, "solve": 0}
 
 
 # ---------------------------------------------------------------- derived model
@@ -404,9 +412,10 @@ def test_rates_match_exact_log_det_oracle(seed, k, ps_dbm, tilt, betas):
     # log det(I + S) and log det(B + S) - log det B on K x K matrices.  At
     # 90 dBm with the streams within tilt of collinear, a11 a22 - |a12|^2
     # (and a float64 slogdet of I + S) lose about eps |t|^2 relative: up to
-    # 1e-5 bits.  Eve's rate is only as exact as the Cholesky factor of the
-    # stored B, whose backward error is about K eps ||B|| (up to 2e-7 bits
-    # with strong AN at 90 dBm); with no AN (betas (0.5, 0.5)) B = I.
+    # 1e-5 bits.  This oracle's Eve side is built on the stored float64 B,
+    # which is I + A A^H rounded by about K eps ||B|| (up to 2e-7 bits with
+    # strong AN at 90 dBm; the oracle built from A is the next test); with
+    # no AN (betas (0.5, 0.5)) B = I.
     rng = np.random.default_rng(seed)
     cfg = SystemConfig(K=k, N=int(rng.integers(1, 17)), M=int(rng.integers(1, 41)), ps_dbm=ps_dbm,
                        beta1=betas[0], beta2=betas[1], d_AB=float(rng.uniform(20, 300)),
@@ -428,6 +437,37 @@ def test_rates_match_exact_log_det_oracle(seed, k, ps_dbm, tilt, betas):
     assert rate_bob(dm, prec) == pytest.approx(bob, abs=1e-9)
     factor_error = 4 * k * np.finfo(float).eps * np.linalg.norm(dm.B, 2) * math.log2(math.e)
     assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-9 + factor_error)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(1, 16), ps_dbm=st.floats(60.0, 90.0),
+       betas=st.sampled_from([(0.4, 0.4), (0.1, 0.1), (0.02, 0.08), (0.5, 0.5), (0.8, 0.0)]))
+@example(seed=0, k=2, n=5, ps_dbm=60.0, betas=(0.02, 0.08))  # 1.7e-10 bits off from a factor of the stored B
+@example(seed=0, k=4, n=2, ps_dbm=90.0, betas=(0.1, 0.1))  # K > N: B has K - N unit eigenvalues
+@example(seed=0, k=3, n=8, ps_dbm=90.0, betas=(0.5, 0.5))  # no AN: B = W = I
+def test_rate_eve_matches_a_log_det_built_from_the_an_image(seed, k, n, ps_dbm, betas):
+    # B = I + A A^H for the AN's image A at Eve; the oracle forms B from A
+    # in 50-digit arithmetic, so it holds none of the float64 rounding of a
+    # stored B, which at 60-90 dBm reaches ||B|| ~ 1e9 and moved a rate
+    # taken from a factor of the formed B by up to 5.5e-7 bits
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(K=k, N=n, M=int(rng.integers(1, 41)), ps_dbm=ps_dbm, beta1=betas[0], beta2=betas[1],
+                       d_AB=float(rng.uniform(20, 300)), d_AE=float(rng.uniform(20, 300)),
+                       theta_AB=float(rng.uniform(0, math.pi)), theta_AE=float(rng.uniform(0, math.pi)))
+    ch = build_channels(cfg, build_geometry(cfg))
+    prec = _random_precoders(cfg, rng)
+    dm = derived_model(cfg, ch, prec)
+    a = _an_image(cfg, ch)
+    streams = [dm.H_E1 @ prec.v1, dm.H_E2 @ prec.v2]
+    with mpmath.workdps(50):
+        a_mp = mpmath.matrix(a.tolist())
+        b = mpmath.eye(k) + a_mp * a_mp.H
+        s = b.copy()
+        for t in streams:
+            col = mpmath.matrix(t.tolist())
+            s += col * col.H
+        eve = float(mpmath.log(mpmath.re(mpmath.det(s)) / mpmath.re(mpmath.det(b)), 2))
+    assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-10)
 
 
 def test_rates_invariant_to_beamformer_phase():
@@ -492,23 +532,23 @@ def test_secrecy_rate_non_negative():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_factorizations_reject_non_finite_entries(value):
-    # numpy's Cholesky reads one triangle and returns NaN for NaN input, so
-    # an entry in the other triangle would be ignored and one in its own
-    # would come back as a NaN factor
-    a = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
-    for i, j in ((0, 1), (1, 0), (1, 1)):
+def test_the_whitener_rejects_a_non_finite_an_image(value):
+    # numpy's SVD raises LinAlgError on a NaN and passes an inf on as NaN
+    # singular values; the check also runs before the no-AN shortcut, so an
+    # image that is zero but for one such entry is rejected too
+    a = np.array([[2.0, 0.5j, 0.0], [-0.5j, 3.0, 1.0]])
+    for i, j in ((0, 0), (0, 2), (1, 1)):
         bad = a.copy()
         bad[i, j] = value
         with pytest.raises(ValueError, match="non-finite"):
-            rates.cholesky(bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            rates.whiten(bad, np.ones((2, 3)))
+            rates.eve_whitener(bad)
+    zero = np.zeros((2, 3), dtype=complex)
+    zero[1, 2] = value
     with pytest.raises(ValueError, match="non-finite"):
-        rates.whiten(a, np.full((2, 3), value))
+        rates.eve_whitener(zero)
 
 
-@pytest.mark.parametrize("field", ["B", "H_B1", "H_E2"])
+@pytest.mark.parametrize("field", ["W", "H_B1", "H_E2"])
 def test_a_nan_in_the_model_raises_instead_of_giving_a_nan_rate(field):
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
@@ -624,7 +664,7 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
 
 
-_MODEL_FIELDS = ("P_AN", "B", "L", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2",
+_MODEL_FIELDS = ("P_AN", "B", "W", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2",
                  "Q", "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
 
 
@@ -690,7 +730,7 @@ def test_stacked_theta_terms_equal_single_formations_to_the_bit(seed, d, k, n, m
     assert [dm.prec.theta is theta for dm, theta in zip(stacked, thetas)] == [True] * d
     for dm, theta in zip(stacked, thetas):
         alone = replace(prec, theta=theta)
-        assert dm.P_AN is model.P_AN and dm.L is model.L
+        assert dm.P_AN is model.P_AN and dm.W is model.W
         assert _theta_layer(dm) == _theta_layer(derived_model(cfg, ch, alone))
         assert _theta_layer(dm) == _theta_layer(model.at(alone))
         assert rate_gap(dm) == rate_gap(derived_model(cfg, ch, alone))
