@@ -364,16 +364,6 @@ class SpanMemo:
         return _span_candidates(self.basis, at[:1], at[1:2], fallback)[:, 0], at
 
 
-def span_search(
-    basis: np.ndarray,
-    score: Callable[..., np.ndarray],
-    fallback: np.ndarray,
-    *angles: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`SpanMemo.search` on the M x 2 basis with an empty memo: a cold search."""
-    return SpanMemo(basis).search(score, fallback, *angles)
-
-
 def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndarray:
     """The better of theta0 and the best phase pattern of the ratio's span.
 

@@ -5,9 +5,9 @@ beamformer.  Stream 1 is confined to range(P1), the null space of the direct
 Bob and Eve channels, so it reaches Bob only via the surface; stream 2 to
 range(P2), the null space of the surface and Eve channels, so it rides the
 direct path and stays invisible to Eve.  Each beamformer block is GAI's
-quotient (`rates.beam_quotient`) restricted to range(P), maximized exactly
-by GAI's eigensolver on the pencil compressed to an orthonormal basis of
-range(P).  The phases minimize a unit-modulus quotient of two forms, each
+quotient (`rates.beam_quotient`) restricted to range(P): the pencil in the
+coordinates of an orthonormal basis of range(P), maximized exactly by GAI's
+eigensolver.  The phases minimize a unit-modulus quotient of two forms, each
 I/M + F F^H with F an M x K factor read from the rate model; no M x M
 matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
 with its sizing and without its rotation axis, which the quotient ignores)
@@ -86,15 +86,16 @@ def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def stream_blocks(dm: DerivedModel, p: np.ndarray, stream: int) -> tuple[np.ndarray, np.ndarray]:
+def stream_blocks(dm: DerivedModel, q: np.ndarray, stream: int) -> tuple[np.ndarray, np.ndarray]:
     """GAI's beamformer quotient of one stream (0 or 1) at the model's
-    precoders, restricted to range(p).
+    precoders, restricted to range(P), q an orthonormal basis of it
+    (`range_basis`).
 
-    Returns `rates.beam_quotient` in the coordinates of p, (p num p, p den p)
-    for its full pencil (num, den), so that at w with unit ||p w|| the
-    quotient is that of v = p w.
+    Returns `rates.beam_quotient` in the coordinates of q, the r x r pencil
+    (q^H num q, q^H den q) of its full pencil (num, den), so that at a unit
+    r-vector w the quotient is that of v = q w.
     """
-    return beam_quotient(dm, stream, p)
+    return beam_quotient(dm, stream, q)
 
 
 def _quad(a: np.ndarray, w: np.ndarray) -> float:
@@ -143,45 +144,43 @@ def range_basis(p: np.ndarray) -> np.ndarray:
     return evecs[:, evals > 0.5]
 
 
-def _subspace_max(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Unit maximizer of (v^H num v) / (v^H den v) over v in range(q), q
-    with orthonormal columns: GAI's eigensolver on the pencil compressed to
-    q, lifted back by q."""
-    qh = q.conj().T
-    return q @ rayleigh_ritz_max(_herm(qh @ num @ q), _herm(qh @ den @ q))
-
-
 def update_w1(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best stream-1 beamformer for the quotient of `stream_blocks` over
-    range(P), q its orthonormal basis (`range_basis`), and its quotient nu.
-    The solve is exact, so it takes no incumbent.
+    """Best stream-1 beamformer v = q w for the r x r pencil of
+    `stream_blocks` in the coordinates of q, the orthonormal basis of
+    range(P) (`range_basis`), and its quotient nu, taken on w.  The solve is
+    GAI's exact eigensolver, so it takes no incumbent.
     """
-    v = _subspace_max(num, den, q)
-    return v, _quad(num, v) / _quad(den, v)
+    w = rayleigh_ritz_max(num, den)
+    return q @ w, _quad(num, w) / _quad(den, w)
 
 
 def update_w2(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Best stream-2 beamformer for the quotient of `stream_blocks` over
-    range(P), q its orthonormal basis (`range_basis`).  The solve is exact,
-    so it takes no incumbent.
+    """Best stream-2 beamformer v = q w for the r x r pencil of
+    `stream_blocks` in the coordinates of q, the orthonormal basis of
+    range(P) (`range_basis`).  The solve is GAI's exact eigensolver, so it
+    takes no incumbent.
     """
-    return _subspace_max(num, den, q)
+    return q @ rayleigh_ritz_max(num, den)
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     """Factors F_b, F_e (M x K) of the phase quotient's forms I/M + F F^H:
     Bob's numerator and Eve's denominator.
 
-    Read from the stream-1 maps of the rate model at the current
-    beamformers: F_b = (cov2^-1/2 T_B1)^H, with stream 2 folded into Bob's
-    noise cov2 = I + h_B2 h_B2^H, whose inverse square root is a rank-one
-    closed form (`rates.whiten_rank_one`), and F_e = (W T_E1)^H, Eve's rows
-    whitened by the model's W as in `rates.PhaseProblem`.  No K x K
-    factorization or solve.  The I/M term absorbs the unit-modulus budget
-    theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR exactly on the
-    shell.
+    Sliced from the rate model's stacked phase maps (`rates.phase_maps`)
+    at the current beamformers, whose first K rows are stream 1's: F_b =
+    (cov2^-1/2 T_B1)^H for stream 1's reflected map T_B1, with stream 2's
+    direct part h_B2 folded into Bob's noise cov2 = I + h_B2 h_B2^H, whose
+    inverse square root is a rank-one closed form
+    (`rates.whiten_rank_one`), and F_e = T_E1^H for stream 1's reflected map
+    at Eve, whose rows are already whitened by the model's W.  On nsp's
+    beamformers stream 1 has no direct part and stream 2 no reflected one.
+    No K x K factorization or solve.  The I/M term absorbs the
+    unit-modulus budget theta^H theta = M, so 1 + |F^H theta|^2 is 1 + SNR
+    exactly on the shell.
     """
-    return whiten_rank_one(dm.h_B2, dm.T_B1).conj().T, (dm.W @ dm.T_E1).conj().T
+    k = dm.cfg.K
+    return whiten_rank_one(dm.c_B[k:], dm.U_B[:k]).conj().T, dm.U_E[:k].conj().T
 
 
 def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, theta: np.ndarray) -> tuple[float, float]:
@@ -347,15 +346,14 @@ def run_nsp(
     """GAI's alternation over the null-space-constrained v1, v2 and theta
     blocks; returns `alternate`'s `Solution`."""
     opts = opts or NspOptions()
-    p1, p2 = ns_projectors(channels)
-    q1, q2 = range_basis(p1), range_basis(p2)
+    q1, q2 = map(range_basis, ns_projectors(channels))
     theta = np.ones(cfg.M, dtype=complex)
     dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_w1(*stream_blocks(dm, p1, 0), q1)[0]))
+        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)[0]))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_w2(*stream_blocks(dm, p2, 1), q2)))
+        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_w2(*stream_blocks(dm, q2, 1), q2)))
     if cfg.beta1 > 0:
         memo = SpanMemo()
         # the phase blocks depend on the beamformers only

@@ -105,25 +105,24 @@ def an_projector(H_AI: np.ndarray, H_AB: np.ndarray) -> np.ndarray:
     return null_projector(np.vstack([H_AI, H_AB.conj().T]))
 
 
-def eve_whitener(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's AN-plus-noise covariance B = I + A A^H, noise-normalized, and
-    its whitener W (K, K), W^H W = B^-1, for the AN's image A (K, N) at Eve.
+def eve_whitener(a: np.ndarray) -> np.ndarray:
+    """Whitener W (K, K) of Eve's AN-plus-noise covariance B = I + A A^H,
+    noise-normalized, W^H W = B^-1, for the AN's image A (K, N) at Eve.
 
-    One SVD A = U s V^H gives B = U diag(1 + s^2) U^H and W = diag(1 +
-    s^2)^-1/2 U^H, the full U when K > N.  The eigenvalues 1 + s^2 keep the
-    unit ones exact, where a factor of the formed B loses about eps ||B||
-    of them.  A zero image (no AN) gives B = W = I exactly.  Raises
-    ValueError if A has non-finite entries.
+    One SVD A = U s V^H gives B's eigenvectors U and eigenvalues 1 + s^2,
+    and W = diag(1 + s^2)^-1/2 U^H, the full U when K > N.  The eigenvalues
+    keep the unit ones exact, where a factor of the formed B loses about
+    eps ||B|| of them; B itself is never formed.  A zero image (no AN)
+    gives W = I exactly.  Raises ValueError if A has non-finite entries.
     """
     check_finite(a)
     k = a.shape[0]
     if not a.any():
-        eye = np.eye(k, dtype=complex)
-        return eye, eye
+        return np.eye(k, dtype=complex)
     u, svals, _ = np.linalg.svd(a, full_matrices=k > a.shape[1])
     lam = np.ones(k)
     lam[:svals.size] += svals ** 2
-    return _herm((u * lam) @ u.conj().T), u.conj().T / np.sqrt(lam)[:, None]
+    return u.conj().T / np.sqrt(lam)[:, None]
 
 
 def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -151,33 +150,29 @@ def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np
     return h_b, h_e
 
 
-def stream_scales(cfg: SystemConfig) -> tuple[float, float]:
-    """Amplitude of each stream over the noise, sqrt(beta_i ps) / sigma."""
-    sigma = cfg.sigma_watts_sqrt
-    ps = cfg.ps_watts
-    return np.sqrt(cfg.beta1 * ps) / sigma, np.sqrt(cfg.beta2 * ps) / sigma
+def phase_maps(dm: DerivedModel) -> dict[str, np.ndarray]:
+    """Each side's received streams as an affine map of the phases, t = U
+    theta + c, at the model's beamformers: Bob's (U_B, c_B) and Eve's (U_E,
+    c_E), with U (2K, M) the reflected path and c (2K,) the direct one.
 
-
-def phase_maps(cfg: SystemConfig, ch: ChannelSet, prec: Precoders) -> dict[str, np.ndarray]:
-    """The T/h pairs that give each received stream's affine dependence on
-    the phases, H_B1 v1 = T_B1 theta + h_B1 and likewise for the other three:
-    T (K, M) is the reflected path and h (K,) the direct one.  They depend
-    on the beamformers and the channels, not on theta."""
-    c1, c2 = stream_scales(cfg)
-    hib_h = ch.H_IB.conj().T
-    hie_h = ch.H_IE.conj().T
-    g1 = ch.H_AI @ prec.v1
-    g2 = ch.H_AI @ prec.v2
-    return dict(
-        T_B1=c1 * np.sqrt(ch.g_AIB) * (hib_h * g1[None, :]),
-        T_B2=c2 * np.sqrt(ch.g_AIB) * (hib_h * g2[None, :]),
-        T_E1=c1 * np.sqrt(ch.g_AIE) * (hie_h * g1[None, :]),
-        T_E2=c2 * np.sqrt(ch.g_AIE) * (hie_h * g2[None, :]),
-        h_B1=c1 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v1),
-        h_B2=c2 * np.sqrt(ch.g_AB) * (ch.H_AB.conj().T @ prec.v2),
-        h_E1=c1 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v1),
-        h_E2=c2 * np.sqrt(ch.g_AE) * (ch.H_AE.conj().T @ prec.v2),
-    )
+    Stream i's K rows of t, stream 1 first, are c_i H_B v_i on Bob's side
+    and c_i G_E v_i = c_i W H_E v_i on Eve's, c_i the stream's scale
+    (`DerivedModel.scales`): Eve's rows are whitened by the model's W.  The maps
+    depend on the beamformers and the channels, not on theta.
+    """
+    ch, prec = dm.ch, dm.prec
+    beams = (prec.v1, prec.v2)
+    at_surface = [ch.H_AI @ v for v in beams]
+    maps = {}
+    for side, h_ir, g_ir, h_a, g_a, w in (("B", ch.H_IB, ch.g_AIB, ch.H_AB, ch.g_AB, None),
+                                         ("E", ch.H_IE, ch.g_AIE, ch.H_AE, ch.g_AE, dm.W)):
+        h_ir_h, h_a_h = h_ir.conj().T, h_a.conj().T
+        u = [c * np.sqrt(g_ir) * (h_ir_h * g[None, :]) for c, g in zip(dm.scales, at_surface)]
+        d = [c * np.sqrt(g_a) * (h_a_h @ v) for c, v in zip(dm.scales, beams)]
+        if w is not None:
+            u, d = [w @ x for x in u], [w @ x for x in d]
+        maps[f"U_{side}"], maps[f"c_{side}"] = np.vstack(u), np.concatenate(d)
+    return maps
 
 
 def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
@@ -213,26 +208,18 @@ def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
     return [v[:w].conj().T for v, w in zip(vh, widths)]
 
 
-def _theta_terms(cfg: SystemConfig, ch: ChannelSet, w: np.ndarray,
+def _theta_terms(ch: ChannelSet, w: np.ndarray,
                  thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, Iterator[dict]]:
     """The rate model's per-theta layer at a stack of D phase vectors: the
     unscaled composite channels H_B and H_E, (D, K, N) each, and each draw's
-    terms, formed as the returned iterator reaches the draw: H_B/H_E,
-    H_B1..H_E2, which fold in each stream's scale, and Eve's stream
-    channels whitened by W, G_E1 = W H_E1 and G_E2 = W H_E2.
+    terms, formed as the returned iterator reaches the draw: H_B, H_E and
+    Eve's channel whitened by W, G_E = W H_E.
 
     Every product is taken per draw, as the composites are, so a draw's
     terms are the same to the bit whatever the stack around it.
     """
     h_b, h_e = composite_channels(ch, thetas)
-    c1, c2 = stream_scales(cfg)
-
-    def draw(b: np.ndarray, e: np.ndarray) -> dict:
-        h_e1, h_e2 = c1 * e, c2 * e
-        return dict(H_B=b, H_E=e, H_B1=c1 * b, H_B2=c2 * b, H_E1=h_e1, H_E2=h_e2,
-                    G_E1=w @ h_e1, G_E2=w @ h_e2)
-
-    return h_b, h_e, map(draw, h_b, h_e)
+    return h_b, h_e, (dict(H_B=b, H_E=e, G_E=w @ e) for b, e in zip(h_b, h_e))
 
 
 def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -245,24 +232,26 @@ def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarra
 class DerivedModel:
     """The rate model at the precoders prec, the state of both optimizers.
 
-    It holds three layers, each formed only when its own inputs change:
+    Bob hears both streams through one composite channel H_B and Eve
+    through one H_E; stream i differs only by its scale c_i = sqrt(beta_i
+    ps) / sigma (`scales`), which the rates apply to H_B v_i and G_E v_i.
+    The model holds three layers, each formed only when its own inputs
+    change:
 
     * channel-only, once per `derived_model` call (once per run, and once
       for all draws of the random-phase baseline): the AN projector P_AN,
-      Eve's AN-plus-noise covariance B and its whitener W, W^H W = B^-1,
-      from one SVD of the AN's image at Eve (`eve_whitener`);
-    * per theta (`_theta_terms`): the unscaled composite channels H_B/H_E,
-      H_B1..H_E2, which fold in the per-stream power and noise
-      normalization, and Eve's whitened stream channels G_E1 = W H_E1 and
-      G_E2 = W H_E2 (not fields: a model built by the constructor, as by
-      `dataclasses.replace`, whitens its own); and, on first read, Q: the
-      orthonormal basis of the joint row space of H_B and H_E plus one
+      the whitener W of Eve's AN-plus-noise covariance B, W^H W = B^-1,
+      from one SVD of the AN's image at Eve (`eve_whitener`), and the two
+      stream scales;
+    * per theta (`_theta_terms`): the unscaled composite channels H_B and
+      H_E, and Eve's whitened channel G_E = W H_E; and, on first read, Q:
+      the orthonormal basis of the joint row space of H_B and H_E plus one
       direction outside it (`row_basis`), in which GAI solves its
       beamformer pencils, with the products that every beamformer step
-      reads, Q^H Q and H_B1, H_B2, G_E1 and G_E2 times Q;
-    * per beamformer pair, on first read: the phase maps T_B1..T_E2 and
-      h_B1..h_E2 of `phase_maps`.  Only the phase steps read them, so a
-      fixed-phase run never forms them.
+      reads, Q^H Q, H_B Q and G_E Q;
+    * per beamformer pair, on first read: each side's stacked phase map,
+      (U_B, c_B) and (U_E, c_E) of `phase_maps`.  Only the phase steps read
+      them, so a fixed-phase run never forms them.
 
     `at_phases` forms the per-theta layer of D draws in one stacked pass;
     a model from `derived_model` or moved to new phases by `at` forms its
@@ -274,23 +263,16 @@ class DerivedModel:
     ch: ChannelSet      # with both surface gains zeroed when built without the surface
     prec: Precoders
     P_AN: np.ndarray
-    B: np.ndarray       # (K, K)
     W: np.ndarray       # (K, K), W^H W = B^-1
     H_B: np.ndarray     # (K, N) composite channel to Bob
-    H_E: np.ndarray
-    H_B1: np.ndarray
-    H_B2: np.ndarray
-    H_E1: np.ndarray
-    H_E2: np.ndarray
+    H_E: np.ndarray     # (K, N) composite channel to Eve
+    G_E: np.ndarray     # (K, N) W H_E
 
     # what `at` hands on: always, and while theta is unchanged
-    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "B", "W")
-    _THETA_LAYER = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2")
+    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "W", "scales")
+    _THETA_LAYER = ("H_B", "H_E", "G_E")
     _THETA_TERMS = _THETA_LAYER + ("Q", "_Q_products")
-    _MAPS = ("T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
-
-    def __post_init__(self) -> None:
-        vars(self).update(G_E1=self.W @ self.H_E1, G_E2=self.W @ self.H_E2)
+    _MAPS = ("U_B", "c_B", "U_E", "c_E")
 
     def __getattr__(self, name: str) -> np.ndarray:
         # reached only for a name the instance lacks: a term of a layer
@@ -298,7 +280,7 @@ class DerivedModel:
         if name in DerivedModel._THETA_LAYER:
             return self._theta_layer()[name]
         if name in DerivedModel._MAPS:
-            vars(self).update(phase_maps(self.cfg, self.ch, self.prec))
+            vars(self).update(phase_maps(self))
             return vars(self)[name]
         raise AttributeError(name)
 
@@ -307,9 +289,15 @@ class DerivedModel:
         if it was not yet."""
         own = vars(self)
         if "H_B" not in own:
-            _, _, terms = _theta_terms(self.cfg, self.ch, self.W, [self.prec.theta])
+            _, _, terms = _theta_terms(self.ch, self.W, [self.prec.theta])
             own.update(next(terms))
         return own
+
+    @cached_property
+    def scales(self) -> tuple[float, float]:
+        """Each stream's amplitude over the noise, c_i = sqrt(beta_i ps) / sigma."""
+        cfg = self.cfg
+        return tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -318,8 +306,8 @@ class DerivedModel:
 
     @cached_property
     def _Q_products(self) -> tuple[np.ndarray, ...]:
-        # Q^H Q, then H_B1, H_B2, G_E1 and G_E2 in the coordinates of Q
-        return _basis_products(self.Q, self.H_B1, self.H_B2, self.G_E1, self.G_E2)
+        # Q^H Q, then H_B and G_E in the coordinates of Q
+        return _basis_products(self.Q, self.H_B, self.G_E)
 
     def _lend(self, prec: Precoders, names: tuple[str, ...], **terms: np.ndarray) -> DerivedModel:
         """A model at prec holding this model's terms of the given names
@@ -357,7 +345,7 @@ class DerivedModel:
         precs = [Precoders(v1=self.prec.v1, v2=self.prec.v2, theta=theta) for theta in thetas]
         for prec in precs:
             _check_sizes(self.cfg, prec)
-        h_b, h_e, terms = _theta_terms(self.cfg, self.ch, self.W, thetas)
+        h_b, h_e, terms = _theta_terms(self.ch, self.W, thetas)
         bases = row_basis(h_b, h_e)
         return (self._lend(prec, self._CHANNEL_TERMS, **draw, Q=q)
                 for prec, draw, q in zip(precs, terms, bases))
@@ -385,9 +373,10 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                   include_irs: bool = True) -> DerivedModel:
     """A fresh rate model at (v1, v2, theta), with its channel-only layer:
     the AN projector and, from the AN's image at Eve A = sqrt(beta3 ps g_AE)
-    / sigma H_AE^H P_AN, Eve's B and W (`eve_whitener`).  Its per-theta
-    layer is formed on first read; `DerivedModel.at` moves it on, and
-    `DerivedModel.at_phases` to a stack of phase vectors.
+    / sigma H_AE^H P_AN, the whitener W of Eve's B = I + A A^H
+    (`eve_whitener`).  Its per-theta layer is formed on first read;
+    `DerivedModel.at` moves it on, and `DerivedModel.at_phases` to a stack
+    of phase vectors.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
@@ -398,8 +387,8 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
     scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
-    b, w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
-    return _model(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, B=b, W=w)
+    w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
+    return _model(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, W=w)
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
@@ -438,11 +427,12 @@ def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
     """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
     beamformers at the model's phases, which prec must hold.
 
-    log2 det(I + t1 t1^H + t2 t2^H) is the two streams' 2 x 2 determinant
-    det(I_2 + [t1 t2]^H [t1 t2]) (`_det2`), at O(K).
+    log2 det(I + t1 t1^H + t2 t2^H), t_i = c_i H_B v_i, is the two streams'
+    2 x 2 determinant det(I_2 + [t1 t2]^H [t1 t2]) (`_det2`), at O(K N).
     """
     _check_phases(dm, prec)
-    return _log2_det2(dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2)
+    c1, c2 = dm.scales
+    return _log2_det2(c1 * (dm.H_B @ prec.v1), c2 * (dm.H_B @ prec.v2))
 
 
 def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
@@ -451,11 +441,12 @@ def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
 
     log2 det(I + S B^-1) = log2 det(B + S) - log2 det B is the 2 x 2
     determinant det(I_2 + T^H T) (`_det2`) of her streams whitened by the
-    model's W, T = W [t1 t2] = W [H_E1 v1, H_E2 v2], at O(K N): no
+    model's W, T = [c1 G_E v1, c2 G_E v2] with G_E = W H_E, at O(K N): no
     factorization per evaluation.
     """
     _check_phases(dm, prec)
-    return _log2_det2(dm.W @ (dm.H_E1 @ prec.v1), dm.W @ (dm.H_E2 @ prec.v2))
+    c1, c2 = dm.scales
+    return _log2_det2(c1 * (dm.G_E @ prec.v1), c2 * (dm.G_E @ prec.v2))
 
 
 def rate_gap(dm: DerivedModel) -> float:
@@ -510,28 +501,24 @@ def beam_quotient(dm: DerivedModel, stream: int,
     held fixed, in the coordinates of basis (N, r): the beamformer is basis w.
 
     R_B - R_E equals a constant plus log2 of v^H num v / v^H den v at unit
-    norm, num = I + H_B^H cov_B^-1 H_B and den = I + H_E^H cov_E^-1 H_E; the
-    other stream t is folded into the effective noise on both sides, cov_B
-    = I + t_B t_B^H and cov_E = B + t_E t_E^H.  Returns basis^H basis + (H
-    basis)^H cov^-1 (H basis) for each: the identity gives the full N x N
-    pencil, a projector P gives P num P, and the model's row basis Q, the
-    default, the r x r pencil whose maximum is the full one's.  Q's products
-    with the channels are the model's, formed once per theta.  Eve's side
-    is read in the model's whitened channels G_E = W H_E, where cov_E
-    becomes I + t t^H with t = W t_E, so both inverses are rank-one
+    norm, num = I + c^2 H_B^H cov_B^-1 H_B and den = I + c^2 H_E^H cov_E^-1
+    H_E, c the stream's scale; the other stream t is folded into the
+    effective noise on both sides, cov_B = I + t_B t_B^H and cov_E = B +
+    t_E t_E^H.  Returns basis^H basis + c^2 (H basis)^H cov^-1 (H basis)
+    for each: the identity gives the full N x N pencil, an orthonormal
+    basis of a subspace the pencil restricted to it, and the model's row
+    basis Q, the default, the r x r pencil whose maximum is the full one's.
+    Q's products with the channels are the model's, formed once per theta.
+    Eve's side is read in the model's whitened channel G_E = W H_E, where
+    cov_E becomes I + t t^H with t = W t_E, so both inverses are rank-one
     downdates of the identity (`_downdated_gram`): O(K r^2) per call on Q,
     O(K N r) on another basis, no K x K solve.
     """
+    c = dm.scales
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    h_b = (dm.H_B1, dm.H_B2)
-    g_e = (dm.G_E1, dm.G_E2)
-    if basis is None:
-        gram, *coords = dm._Q_products
-        hb_s, ge_s = coords[stream], coords[2 + stream]
-    else:
-        gram, hb_s, ge_s = _basis_products(basis, h_b[stream], g_e[stream])
-    num = _downdated_gram(gram, hb_s, h_b[1 - stream] @ v_other)
-    den = _downdated_gram(gram, ge_s, g_e[1 - stream] @ v_other)
+    gram, hb, ge = dm._Q_products if basis is None else _basis_products(basis, dm.H_B, dm.G_E)
+    num = _downdated_gram(gram, c[stream] * hb, c[1 - stream] * (dm.H_B @ v_other))
+    den = _downdated_gram(gram, c[stream] * ge, c[1 - stream] * (dm.G_E @ v_other))
     return _herm(num), _herm(den)
 
 
@@ -653,20 +640,16 @@ def rotation_table(phi: np.ndarray) -> np.ndarray:
 class PhaseProblem:
     """The phase objective f(theta) / g(theta) for fixed beamformers.
 
-    Every received stream is affine in theta (t_i = T_i theta + h_i), so each
-    side stacks its two streams into one map t = U theta + c with U (2K, M).
-    Eve's rows are whitened by the model's W, W^H W = B^-1, which turns
-    both factors into the same 2 x 2 determinant (`_det2`);
-    log2(f / g) is the rate gap at unit-modulus theta.  Each evaluation
-    costs O(K M).
+    Every received stream is affine in theta, so each side's two streams
+    are one stacked map t = U theta + c with U (2K, M), the model's phase
+    maps (`phase_maps`).  Eve's rows are whitened by the model's W, W^H W =
+    B^-1, which turns both factors into the same 2 x 2 determinant
+    (`_det2`); log2(f / g) is the rate gap at unit-modulus theta.  Each
+    evaluation costs O(K M).
     """
 
     def __init__(self, dm: DerivedModel):
-        self.u_b = np.vstack([dm.T_B1, dm.T_B2])
-        self.c_b = np.concatenate([dm.h_B1, dm.h_B2])
-        w = dm.W
-        self.u_e = np.vstack([w @ dm.T_E1, w @ dm.T_E2])
-        self.c_e = np.concatenate([w @ dm.h_E1, w @ dm.h_E2])
+        self.u_b, self.c_b, self.u_e, self.c_e = dm.U_B, dm.c_B, dm.U_E, dm.c_E
 
     def factors(self, theta: np.ndarray) -> tuple[float, float]:
         """Bob and Eve determinant factors (f, g)."""

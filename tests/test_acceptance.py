@@ -184,7 +184,7 @@ def _tiny_oracle_sr(cfg, ch, grid=720, samples=100_000, seed=2024):
     unit = np.array([1.0 + 0j, 0.0])
     probes = [np.array([1, 1], complex), np.array([-1, 1], complex), np.array([1, -1], complex)]
     dms = [derived_model(cfg, ch, Precoders(v1=unit, v2=unit, theta=t)) for t in probes]
-    bs = float(dms[0].B[0, 0].real)
+    bs = 1.0 / abs(dms[0].W[0, 0]) ** 2  # K = 1: W^H W = 1 / B
     rows = {}
     for name in ("H_B", "H_E"):
         r0, r1, r2 = (getattr(d, name)[0] for d in dms)
@@ -380,8 +380,12 @@ def test_criterion_06_dinkelbach_root_residual():
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
-        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), p1, 0)
-        w, nu = update_w1(a_til, b_til, range_basis(p1))
+        # the pencil in the coordinates of range(P1)'s orthonormal basis q1,
+        # where the residual at v = q1 w is that of P1 num P1 at v
+        q1 = range_basis(p1)
+        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), q1, 0)
+        v, nu = update_w1(a_til, b_til, q1)
+        w = q1.conj().T @ v
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))
         if not resid < 1e-8:
             failures.append(f"config {i}: residual {resid:.3e} >= 1e-8")

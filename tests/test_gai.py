@@ -51,6 +51,18 @@ def _random_hpd(rng, n, shift=0.0):
     return a @ a.conj().T + (1.0 + shift) * np.eye(n)
 
 
+def _stream_channels(dm):
+    """Each stream's channel to Bob and to Eve, scaled by its amplitude
+    over the noise: (c1 H_B, c2 H_B) and (c1 H_E, c2 H_E)."""
+    c1, c2 = dm.scales
+    return (c1 * dm.H_B, c2 * dm.H_B), (c1 * dm.H_E, c2 * dm.H_E)
+
+
+def _eve_noise(dm):
+    """Eve's AN-plus-noise covariance B from the model's whitener, W^H W = B^-1."""
+    return np.linalg.inv(dm.W.conj().T @ dm.W)
+
+
 # ---------------------------------------------------------------- eigen steps
 
 
@@ -169,13 +181,13 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
     dm = derived_model(cfg, ch, prec)
     zeroed = type(dm)(**{
         **{f: getattr(dm, f) for f in dm.__dataclass_fields__},
-        "H_E1": np.zeros_like(dm.H_E1),
-        "H_E2": np.zeros_like(dm.H_E2),
+        "G_E": np.zeros_like(dm.G_E),
     })
     v1 = update_v1(zeroed)
-    t2 = dm.H_B2 @ prec.v2
+    (h_b1, h_b2), _ = _stream_channels(dm)
+    t2 = h_b2 @ prec.v2
     cov = np.eye(cfg.K) + np.outer(t2, t2.conj())
-    mat = dm.H_B1.conj().T @ np.linalg.solve(cov, dm.H_B1)
+    mat = h_b1.conj().T @ np.linalg.solve(cov, h_b1)
     evals, evecs = np.linalg.eigh(mat)
     assert abs(abs(evecs[:, -1].conj() @ v1) - 1.0) < 1e-8
 
@@ -184,12 +196,12 @@ def _full_pencil(dm, stream):
     """The stream's beamformer pencil on all N directions, transcribed with
     explicit inverses: I + H^H cov^-1 H on each side, the other stream
     folded into Bob's unit noise and into Eve's B."""
-    h_b, h_e = (dm.H_B1, dm.H_B2), (dm.H_E1, dm.H_E2)
+    h_b, h_e = _stream_channels(dm)
     other = (dm.prec.v1, dm.prec.v2)[1 - stream]
     tb, te = h_b[1 - stream] @ other, h_e[1 - stream] @ other
     eye_n, eye_k = np.eye(dm.H_B.shape[1]), np.eye(dm.H_B.shape[0])
     num = eye_n + h_b[stream].conj().T @ np.linalg.inv(eye_k + np.outer(tb, tb.conj())) @ h_b[stream]
-    den = eye_n + h_e[stream].conj().T @ np.linalg.inv(dm.B + np.outer(te, te.conj())) @ h_e[stream]
+    den = eye_n + h_e[stream].conj().T @ np.linalg.inv(_eve_noise(dm) + np.outer(te, te.conj())) @ h_e[stream]
     return 0.5 * (num + num.conj().T), 0.5 * (den + den.conj().T)
 
 
@@ -292,11 +304,12 @@ def test_update_v1_grid_oracle_two_antennas():
     dm_new = derived_model(cfg, ch, new)
     best = rate_bob(dm_new, new) - rate_eve(dm_new, new)
     cand = _bloch_grid(181, 360)
-    bs = dm.B[0, 0].real
-    gain = np.abs(cand @ dm.H_B1[0]) ** 2
-    leak = np.abs(cand @ dm.H_E1[0]) ** 2
-    const_b = np.abs(dm.H_B2 @ prec.v2)[0] ** 2
-    const_e = np.abs(dm.H_E2 @ prec.v2)[0] ** 2
+    bs = _eve_noise(dm)[0, 0].real
+    (h_b1, h_b2), (h_e1, h_e2) = _stream_channels(dm)
+    gain = np.abs(cand @ h_b1[0]) ** 2
+    leak = np.abs(cand @ h_e1[0]) ** 2
+    const_b = np.abs(h_b2 @ prec.v2)[0] ** 2
+    const_e = np.abs(h_e2 @ prec.v2)[0] ** 2
     gaps = np.log2(1 + gain + const_b) - np.log2(1 + (leak + const_e) / bs)
     assert best >= gaps.max() - 1e-6
 
@@ -328,6 +341,14 @@ def test_phase_objective_single_stream():
     assert math.log2(ratio) == pytest.approx(gap, abs=1e-9)
 
 
+def _phase_maps(t_b, h_b, t_e, h_e, w):
+    """A rate model's stacked phase maps from each stream's reflected map T
+    (K, M) and direct part h (K,), stream 1 first: Bob's as they are, Eve's
+    whitened by w."""
+    return SimpleNamespace(U_B=np.vstack(t_b), c_B=np.concatenate(h_b),
+                           U_E=np.vstack([w @ t for t in t_e]), c_E=np.concatenate([w @ h for h in h_e]))
+
+
 def random_phase_instance(rng, k, m):
     """Random O(1)-scaled affine-stream blocks for scale-free gradient checks."""
 
@@ -336,11 +357,10 @@ def random_phase_instance(rng, k, m):
 
     r = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     b = np.eye(k, dtype=complex) + r @ r.conj().T / k
-    return SimpleNamespace(
-        T_B1=cmat(k, m), T_B2=cmat(k, m), h_B1=cmat(k), h_B2=cmat(k),
-        T_E1=cmat(k, m), T_E2=cmat(k, m), h_E1=cmat(k), h_E2=cmat(k),
-        B=b, W=np.linalg.inv(np.linalg.cholesky(b)),  # W^H W = B^-1
-    )
+    t_b1, t_b2, h_b1, h_b2 = cmat(k, m), cmat(k, m), cmat(k), cmat(k)
+    t_e1, t_e2, h_e1, h_e2 = cmat(k, m), cmat(k, m), cmat(k), cmat(k)
+    w = np.linalg.inv(np.linalg.cholesky(b))  # W^H W = B^-1
+    return _phase_maps((t_b1, t_b2), (h_b1, h_b2), (t_e1, t_e2), (h_e1, h_e2), w)
 
 
 def test_phase_gradient_matches_finite_differences():
@@ -459,15 +479,14 @@ def _los_phase_problem(rng, m, k, u, log_g):
     u_s, u_sb, u_se, u_bs, u_bd, u_es, u_ed = u
     g_bs, g_bd, g_es, g_ed, g_an = (10.0 ** x for x in log_g)
     b = np.eye(k, dtype=complex) + g_an * np.outer(_steer(k, u_ed), _steer(k, u_ed).conj())
-    dm = SimpleNamespace(B=b, W=np.linalg.inv(np.linalg.cholesky(b)))  # W^H W = B^-1
-    for side, g_s, g_d, a_s, a_d, u_out in (("B", g_bs, g_bd, u_bs, u_bd, u_sb),
-                                             ("E", g_es, g_ed, u_es, u_ed, u_se)):
+    maps = []
+    for g_s, g_d, a_s, a_d, u_out in ((g_bs, g_bd, u_bs, u_bd, u_sb), (g_es, g_ed, u_es, u_ed, u_se)):
         row = _steer(m, u_s) * _steer(m, u_out).conj()
-        for i, z in zip((1, 2), (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)):
-            setattr(dm, f"T_{side}{i}", math.sqrt(g_s / m) * z * np.outer(_steer(k, a_s), row))
-        for i, z in zip((1, 2), (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)):
-            setattr(dm, f"h_{side}{i}", math.sqrt(g_d) * z * _steer(k, a_d))
-    return PhaseProblem(dm)
+        maps.append([math.sqrt(g_s / m) * z * np.outer(_steer(k, a_s), row)
+                     for z in (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)])
+        maps.append([math.sqrt(g_d) * z * _steer(k, a_d)
+                     for z in (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)])
+    return PhaseProblem(_phase_maps(*maps, np.linalg.inv(np.linalg.cholesky(b))))  # W^H W = B^-1
 
 
 @settings(max_examples=40)
@@ -528,7 +547,7 @@ def test_span_search_is_chunk_invariant(monkeypatch):
     found = []
     for chunk in (1, 2 ** 20):
         monkeypatch.setattr(gai, "SEARCH_CHUNK", chunk)
-        found.append(gai.span_search(basis, score, fallback, counts[2]))
+        found.append(gai.SpanMemo(basis).search(score, fallback, counts[2]))
     (p_small, at_small), (p_large, at_large) = found
     assert np.array_equal(p_small, p_large) and np.array_equal(at_small, at_large)
     assert np.allclose(at_small, [psi, chi, phi], atol=1e-12)
@@ -584,7 +603,7 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
         return np.sum(np.abs(s - target[:, None]) ** 2, axis=0)
 
     with mock.patch.object(gai.SpanMemo, "coordinates", recording):
-        gai.span_search(basis, score, fallback)
+        gai.SpanMemo(basis).search(score, fallback)
     # one scorer call per product-grid batch: the full grid, then each round
     assert len(grids) == len(scored) == 1 + gai.SEARCH_ROUNDS
     for (psi, chi), s in zip(grids, scored):
@@ -639,7 +658,7 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
     with mock.patch.object(gai, "_span_coordinates", recording):
         warm = memo.search(scorer(weights[0], warm_seen), fallbacks[0], *rotations)
     n_warm = sum(formed)
-    cold = gai.span_search(basis, scorer(weights[0], cold_seen), fallbacks[0], *rotations)
+    cold = gai.SpanMemo(basis).search(scorer(weights[0], cold_seen), fallbacks[0], *rotations)
     assert n_warm < np.prod(gai.SEARCH_GRID)  # the grid came from the memo
     assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
     assert len(warm_seen) == len(cold_seen)
@@ -847,12 +866,13 @@ def test_run_gai_tiny_instance_near_brute_force():
         for t2 in thetas:
             theta = np.exp(1j * np.array([t1, t2]))
             dm = derived_model(cfg, ch, Precoders(v1=unit, v2=unit, theta=theta))
-            bs = dm.B[0, 0].real
+            bs = _eve_noise(dm)[0, 0].real
+            (h_b1, h_b2), (h_e1, h_e2) = _stream_channels(dm)
             g1, l1 = _pareto_front(
-                np.abs(cand @ dm.H_B1[0]) ** 2, np.abs(cand @ dm.H_E1[0]) ** 2
+                np.abs(cand @ h_b1[0]) ** 2, np.abs(cand @ h_e1[0]) ** 2
             )
             g2, l2 = _pareto_front(
-                np.abs(cand @ dm.H_B2[0]) ** 2, np.abs(cand @ dm.H_E2[0]) ** 2
+                np.abs(cand @ h_b2[0]) ** 2, np.abs(cand @ h_e2[0]) ** 2
             )
             num = 1.0 + g1[:, None] + g2[None, :]
             den = 1.0 + (l1[:, None] + l2[None, :]) / bs

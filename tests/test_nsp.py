@@ -25,7 +25,7 @@ from irsdm.nsp import (
     update_w1,
     update_w2,
 )
-from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve
+from irsdm.rates import Precoders, beam_quotient, derived_model, rate_bob, rate_eve
 
 
 def _setup(cfg=None):
@@ -52,6 +52,11 @@ def _range_basis(p):
 
 def _quad(a, w):
     return float(np.real(w.conj() @ a @ w))
+
+
+def _eve_noise(dm):
+    """Eve's AN-plus-noise covariance B from the model's whitener, W^H W = B^-1."""
+    return np.linalg.inv(dm.W.conj().T @ dm.W)
 
 
 # ---------------------------------------------------------------- projectors
@@ -151,23 +156,30 @@ def test_stream_blocks_match_effective_channels():
     w2 = _shell_point(rng, p2)
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
     dm = derived_model(cfg, ch, prec)
-    t1, t2, t3 = dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2, dm.H_E1 @ prec.v1
-    # stream 1 reaches both receivers via the surface only, stream 2 Bob directly only
-    assert np.linalg.norm(t1 - dm.T_B1 @ theta) < 1e-8
-    assert np.linalg.norm(t3 - dm.T_E1 @ theta) < 1e-8
-    assert np.linalg.norm(t2 - dm.h_B2) < 1e-8
+    k = cfg.K
+    c1, c2 = dm.scales
+    t1, t2, t3 = c1 * (dm.H_B @ prec.v1), c2 * (dm.H_B @ prec.v2), c1 * (dm.H_E @ prec.v1)
+    # stream 1 reaches both receivers via the surface only, stream 2 Bob
+    # directly only; Eve's maps are whitened by W
+    assert np.linalg.norm(t1 - dm.U_B[:k] @ theta) < 1e-8
+    assert np.linalg.norm(dm.W @ t3 - dm.U_E[:k] @ theta) < 1e-8
+    assert np.linalg.norm(t2 - dm.c_B[k:]) < 1e-8
     # stream 2 is invisible to Eve by construction
-    assert np.linalg.norm(dm.H_E2 @ prec.v2) < 1e-8
+    assert np.linalg.norm(c2 * (dm.H_E @ prec.v2)) < 1e-8
 
     def snr(t, noise):
         return 1.0 + _quad(np.linalg.inv(noise), t)
 
-    num1, den1 = stream_blocks(dm, p1, 0)
-    num2, den2 = stream_blocks(dm, p2, 1)
-    assert _quad(num1, w1) == pytest.approx(snr(t1, np.eye(cfg.K) + np.outer(t2, t2.conj())), rel=1e-9)
-    assert _quad(den1, w1) == pytest.approx(snr(t3, dm.B), rel=1e-9)
-    assert _quad(num2, w2) == pytest.approx(snr(t2, np.eye(cfg.K) + np.outer(t1, t1.conj())), rel=1e-9)
-    assert np.linalg.norm(den2 - p2) < 1e-8
+    # the blocks are r x r pencils in the coordinates of range(P)'s basis q:
+    # x = q^H w gives q x = P w
+    q1, q2 = _range_basis(p1), _range_basis(p2)
+    x1, x2 = q1.conj().T @ w1, q2.conj().T @ w2
+    num1, den1 = stream_blocks(dm, q1, 0)
+    num2, den2 = stream_blocks(dm, q2, 1)
+    assert _quad(num1, x1) == pytest.approx(snr(t1, np.eye(cfg.K) + np.outer(t2, t2.conj())), rel=1e-9)
+    assert _quad(den1, x1) == pytest.approx(snr(t3, _eve_noise(dm)), rel=1e-9)
+    assert _quad(num2, x2) == pytest.approx(snr(t2, np.eye(cfg.K) + np.outer(t1, t1.conj())), rel=1e-9)
+    assert np.linalg.norm(den2 - np.eye(q2.shape[1])) < 1e-8
 
 
 # ---------------------------------------------------------------- w1 and w2 steps
@@ -180,9 +192,10 @@ def _default_blocks(seed=3):
     theta = np.exp(2j * math.pi * rng.random(cfg.M))
 
     def blocks(w1, w2, stream):
-        """stream_blocks at v1 = p1 w1, v2 = p2 w2 and the fixed phases."""
+        """stream_blocks at v1 = p1 w1, v2 = p2 w2 and the fixed phases, in
+        the coordinates of range(P)'s orthonormal basis."""
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
-        return stream_blocks(derived_model(cfg, ch, prec), (p1, p2)[stream], stream)
+        return stream_blocks(derived_model(cfg, ch, prec), _range_basis((p1, p2)[stream]), stream)
 
     return rng, p1, p2, blocks
 
@@ -193,12 +206,15 @@ def test_update_w1_raises_quotient_and_meets_residual():
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
         a_til, b_til = blocks(w1, w2, 0)
-        q0 = _quad(a_til, w1) / _quad(b_til, w1)
-        w, nu = update_w1(a_til, b_til, _range_basis(p1))
-        q1 = _quad(a_til, w) / _quad(b_til, w)
+        basis = _range_basis(p1)
+        x1 = basis.conj().T @ w1  # w1's coordinates: basis x1 = p1 w1
+        q0 = _quad(a_til, x1) / _quad(b_til, x1)
+        v, nu = update_w1(a_til, b_til, basis)
+        x = basis.conj().T @ v
+        q1 = _quad(a_til, x) / _quad(b_til, x)
         assert q1 >= q0 - 1e-9
         assert q1 == pytest.approx(nu, abs=1e-6)
-        assert _quad(p1, w) == pytest.approx(1.0, abs=1e-6)
+        assert _quad(p1, v) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_update_w1_zero_eve_matches_subspace_eigenvalue():
@@ -209,10 +225,10 @@ def test_update_w1_zero_eve_matches_subspace_eigenvalue():
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
     num, _ = blocks(w1, w2, 0)
-    a_til = p1 + 1e4 * (num - p1)
-    basis = _range_basis(p1)
-    w, nu = update_w1(a_til, p1, basis)
-    lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
+    eye = np.eye(num.shape[0])  # range(P) in its own coordinates
+    a_til = eye + 1e4 * (num - eye)
+    w, nu = update_w1(a_til, eye, _range_basis(p1))
+    lam_star = scipy.linalg.eigvalsh(a_til)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-6)
 
@@ -224,9 +240,8 @@ def test_update_w1_upper_bound_certificate_weak_coupling():
     w1 = _shell_point(rng, p1)
     w2 = _shell_point(rng, p2)
     a_til, _ = blocks(w1, w2, 0)
-    basis = _range_basis(p1)
-    w, nu = update_w1(a_til, p1, basis)
-    lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
+    w, nu = update_w1(a_til, np.eye(a_til.shape[0]), _range_basis(p1))
+    lam_star = scipy.linalg.eigvalsh(a_til)[-1]
     assert nu <= lam_star + 1e-8
     assert nu == pytest.approx(lam_star, rel=1e-4)
 
@@ -237,11 +252,11 @@ def test_update_w2_matches_subspace_eigenvalue():
         w1 = _shell_point(rng, p1)
         w2 = _shell_point(rng, p2)
         a_til, b_til = blocks(w1, w2, 1)
-        obj0 = _quad(a_til, w2)
         basis = _range_basis(p2)
-        w = update_w2(a_til, b_til, basis)
-        obj1 = _quad(a_til, w)
-        lam_star = scipy.linalg.eigvalsh(basis.conj().T @ a_til @ basis)[-1]
+        obj0 = _quad(a_til, basis.conj().T @ w2)
+        v = update_w2(a_til, b_til, basis)
+        obj1 = _quad(a_til, basis.conj().T @ v)
+        lam_star = scipy.linalg.eigvalsh(a_til)[-1]
         assert obj1 >= obj0 - 1e-9
         assert obj1 <= lam_star + 1e-8
         assert obj1 == pytest.approx(lam_star, rel=1e-6)
@@ -265,7 +280,8 @@ def _full_rank_channels(rng, cfg):
        d_ab=st.floats(20.0, 300.0), d_ae=st.floats(20.0, 300.0))
 def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_ab, d_ae):
     # stream 1 is constrained by 2K rows, stream 2 by M + K (2 each on
-    # line-of-sight links); N exceeds both by `spare`
+    # line-of-sight links); N exceeds both by `spare`.  Each block is the
+    # r x r pencil in the coordinates of range(P)'s orthonormal basis
     rng = np.random.default_rng(seed)
     n = (2 if los else max(2 * k, m + k)) + spare
     cfg = SystemConfig(N=n, M=m, K=k, d_AB=d_ab, d_AE=d_ae)
@@ -275,16 +291,19 @@ def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=np.exp(2j * math.pi * rng.random(m)))
     dm = derived_model(cfg, ch, prec)
     for stream, p in ((0, p1), (1, p2)):
-        num, den = stream_blocks(dm, p, stream)
         basis = _range_basis(p)
-        bh = basis.conj().T
-        lam_star = scipy.linalg.eigvalsh(bh @ num @ basis, bh @ den @ basis)[-1]
+        num, den = stream_blocks(dm, basis, stream)
+        # the full N x N pencil compressed to range(P)'s coordinates
+        for block, full in zip((num, den), beam_quotient(dm, stream, np.eye(n))):
+            assert np.linalg.norm(block - basis.conj().T @ full @ basis) <= 1e-12 * np.linalg.norm(full)
+        lam_star = scipy.linalg.eigvalsh(num, den)[-1]
         if stream == 0:
             v, nu = update_w1(num, den, basis)
             assert nu == pytest.approx(lam_star, rel=1e-10)
         else:
             v = update_w2(num, den, basis)
-        assert _quad(num, v) / _quad(den, v) == pytest.approx(lam_star, rel=1e-10)
+        x = basis.conj().T @ v
+        assert _quad(num, x) / _quad(den, x) == pytest.approx(lam_star, rel=1e-10)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(p @ v - v) < 1e-10
 
@@ -315,7 +334,7 @@ def test_phase_blocks_reproduce_rates_on_the_shell():
     tt_b, bt_e = _forms(f_b, f_e)
     prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
     dm = derived_model(cfg, ch, prec)
-    t2 = dm.H_B2 @ prec.v2
+    t2 = dm.scales[1] * (dm.H_B @ prec.v2)
     cov2 = np.eye(cfg.K) + np.outer(t2, t2.conj())
     det2 = np.linalg.det(cov2).real
     rb = math.log2(det2 * _quad(tt_b, theta))
@@ -535,7 +554,8 @@ def test_run_nsp_eve_rate_comes_from_stream_one_only():
     state = run_nsp(cfg, ch)
     prec = Precoders(v1=state.v1, v2=state.v2, theta=state.theta)
     dm = derived_model(cfg, ch, prec)
-    s1 = np.linalg.solve(np.linalg.cholesky(dm.B), dm.H_E1 @ state.v1)  # L^-1 t, B = L L^H
+    t1 = dm.scales[0] * (dm.H_E @ state.v1)
+    s1 = np.linalg.solve(np.linalg.cholesky(_eve_noise(dm)), t1)  # L^-1 t, B = L L^H
     direct = math.log2(1.0 + np.vdot(s1, s1).real)
     assert rate_eve(dm, prec) == pytest.approx(direct, abs=1e-9)
 

@@ -290,29 +290,65 @@ def test_optimizers_factor_b_once_per_run(factorizations):
 # ---------------------------------------------------------------- derived model
 
 
-def test_phase_linearization_identity():
-    # H_X v = T_X theta + h_X for all four streams, over many random draws
-    cfg, ch, rng = _setup()
-    for _ in range(1000):
-        prec = _random_precoders(cfg, rng)
-        dm = derived_model(cfg, ch, prec)
-        assert np.allclose(dm.H_B1 @ prec.v1, dm.T_B1 @ prec.theta + dm.h_B1, atol=1e-10)
-        assert np.allclose(dm.H_B2 @ prec.v2, dm.T_B2 @ prec.theta + dm.h_B2, atol=1e-10)
-        assert np.allclose(dm.H_E1 @ prec.v1, dm.T_E1 @ prec.theta + dm.h_E1, atol=1e-10)
-        assert np.allclose(dm.H_E2 @ prec.v2, dm.T_E2 @ prec.theta + dm.h_E2, atol=1e-10)
+def _scaled_streams(dm, prec):
+    """Each side's two received streams, c_i H_B v_i at Bob and c_i G_E v_i
+    (whitened) at Eve, c_i the stream's amplitude over the noise."""
+    c1, c2 = dm.scales
+    return {side: (c1 * (h @ prec.v1), c2 * (h @ prec.v2)) for side, h in (("B", dm.H_B), ("E", dm.G_E))}
+
+
+def _eve_streams(dm, prec):
+    """Eve's two received streams before whitening, c_i H_E v_i."""
+    c1, c2 = dm.scales
+    return c1 * (dm.H_E @ prec.v1), c2 * (dm.H_E @ prec.v2)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), n=st.integers(1, 16), m=st.integers(1, 40),
+       ps_dbm=st.floats(0.0, 90.0), betas=st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)]),
+       include_irs=st.booleans())
+@example(seed=0, k=4, n=16, m=40, ps_dbm=90.0, betas=(0.0, 0.8), include_irs=True)  # single_cbs: no stream 1
+@example(seed=1, k=2, n=3, m=7, ps_dbm=30.0, betas=(0.4, 0.4), include_irs=False)  # no_irs: no surface
+def test_phase_linearization_identity(seed, k, n, m, ps_dbm, betas, include_irs):
+    # each side's stacked phase map t = U theta + c holds stream i in its
+    # i-th block of K rows: c_i H_B v_i at Bob and c_i G_E v_i at Eve, to
+    # 1e-10 of the two parts' size; a zero-power stream and zeroed surface
+    # gains give exact zeros
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(K=k, N=n, M=m, ps_dbm=ps_dbm, beta1=betas[0], beta2=betas[1],
+                       d_AB=float(rng.uniform(20, 300)), d_AE=float(rng.uniform(20, 300)),
+                       theta_AB=float(rng.uniform(0, math.pi)), theta_AE=float(rng.uniform(0, math.pi)))
+    ch = build_channels(cfg, build_geometry(cfg))
+    prec = _random_precoders(cfg, rng)
+    dm = derived_model(cfg, ch, prec, include_irs=include_irs)
+    for side, streams in _scaled_streams(dm, prec).items():
+        u, c = getattr(dm, f"U_{side}"), getattr(dm, f"c_{side}")
+        assert u.shape == (2 * k, m) and c.shape == (2 * k,)
+        if not include_irs:
+            assert not u.any()
+        for rows, ref in zip((slice(0, k), slice(k, None)), streams):
+            reflected = u[rows] @ prec.theta
+            scale = np.linalg.norm(reflected) + np.linalg.norm(c[rows])
+            assert np.linalg.norm(reflected + c[rows] - ref) <= 1e-10 * scale
+        if betas[0] == 0.0:
+            assert not u[:k].any() and not c[:k].any()
 
 
 def test_noise_covariance_properties():
+    # B = (W^H W)^-1 is I + A A^H for the AN's image A at Eve
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    evals = np.linalg.eigvalsh(dm.B)
+    b = np.linalg.inv(dm.W.conj().T @ dm.W)
+    a = _an_image(cfg, ch)
+    assert np.allclose(b, np.eye(cfg.K) + a @ a.conj().T, rtol=0.0, atol=1e-12 * np.linalg.norm(b, 2))
+    evals = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
     assert evals[0] >= 1.0 - 1e-9  # B - I is PSD
-    assert np.linalg.norm(dm.B - dm.B.conj().T) < 1e-12
+    assert np.linalg.norm(b - b.conj().T) < 1e-12 * np.linalg.norm(b, 2)
     # with the whole budget on the streams there is no AN left
     cfg_no_an = SystemConfig(beta1=0.5, beta2=0.5)
     dm2 = derived_model(cfg_no_an, ch, prec)
-    assert np.allclose(dm2.B, np.eye(cfg.K))
+    assert np.array_equal(dm2.W, np.eye(cfg.K))
 
 
 def test_effective_channel_scaling():
@@ -320,9 +356,9 @@ def test_effective_channel_scaling():
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec)
     sigma = math.sqrt(dbm_to_watts(cfg.sigma2_dbm))
-    c1 = math.sqrt(cfg.beta1 * dbm_to_watts(cfg.ps_dbm)) / sigma
-    assert np.allclose(dm.H_B1, c1 * dm.H_B)
-    assert np.allclose(dm.H_E1, c1 * dm.H_E)
+    c1, c2 = (math.sqrt(beta * dbm_to_watts(cfg.ps_dbm)) / sigma for beta in (cfg.beta1, cfg.beta2))
+    assert dm.scales == pytest.approx((c1, c2), rel=1e-12)
+    assert np.allclose(dm.G_E, dm.W @ dm.H_E)
 
 
 # ---------------------------------------------------------------- rates
@@ -373,7 +409,8 @@ def test_rate_bob_scalar_oracle_single_antenna():
     for _ in range(10):
         prec = _random_precoders(cfg, rng)
         dm = derived_model(cfg, ch, prec)
-        snr = abs(dm.H_B1 @ prec.v1) ** 2 + abs(dm.H_B2 @ prec.v2) ** 2
+        t1, t2 = _scaled_streams(dm, prec)["B"]
+        snr = abs(t1) ** 2 + abs(t2) ** 2
         assert rate_bob(dm, prec) == pytest.approx(math.log2(1 + float(snr[0])), rel=1e-12)
 
 
@@ -382,8 +419,7 @@ def test_rate_bob_determinant_lemma_split():
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    t1 = dm.H_B1 @ prec.v1
-    t2 = dm.H_B2 @ prec.v2
+    t1, t2 = _scaled_streams(dm, prec)["B"]
     c2 = np.eye(cfg.K) + np.outer(t2, t2.conj())
     split = np.log2(np.linalg.det(c2).real) \
         + np.log2(1 + (t1.conj() @ np.linalg.solve(c2, t1)).real)
@@ -401,6 +437,20 @@ def _log2det_exact(base, streams):
         return float(mpmath.log(mpmath.re(mpmath.det(a)), 2))
 
 
+def _eve_rate_exact(a, streams):
+    """Eve's rate log2 det(B + sum t t^H) - log2 det B for her unwhitened
+    streams t, with B = I + A A^H formed from the AN's image A in 50-digit
+    arithmetic, so that it holds none of the rounding of a float64 B."""
+    with mpmath.workdps(50):
+        a_mp = mpmath.matrix(a.tolist())
+        b = mpmath.eye(a.shape[0]) + a_mp * a_mp.H
+        s = b.copy()
+        for t in streams:
+            col = mpmath.matrix(t.tolist())
+            s += col * col.H
+        return float(mpmath.log(mpmath.re(mpmath.det(s)) / mpmath.re(mpmath.det(b)), 2))
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), ps_dbm=st.floats(0.0, 90.0),
        tilt=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1.0]),
@@ -412,10 +462,8 @@ def test_rates_match_exact_log_det_oracle(seed, k, ps_dbm, tilt, betas):
     # log det(I + S) and log det(B + S) - log det B on K x K matrices.  At
     # 90 dBm with the streams within tilt of collinear, a11 a22 - |a12|^2
     # (and a float64 slogdet of I + S) lose about eps |t|^2 relative: up to
-    # 1e-5 bits.  This oracle's Eve side is built on the stored float64 B,
-    # which is I + A A^H rounded by about K eps ||B|| (up to 2e-7 bits with
-    # strong AN at 90 dBm; the oracle built from A is the next test); with
-    # no AN (betas (0.5, 0.5)) B = I.
+    # 1e-5 bits.  Eve's B = I + A A^H is formed from the AN's image A in
+    # 50 digits; with no AN (betas (0.5, 0.5)) B = I.
     rng = np.random.default_rng(seed)
     cfg = SystemConfig(K=k, N=int(rng.integers(1, 17)), M=int(rng.integers(1, 41)), ps_dbm=ps_dbm,
                        beta1=betas[0], beta2=betas[1], d_AB=float(rng.uniform(20, 300)),
@@ -432,11 +480,10 @@ def test_rates_match_exact_log_det_oracle(seed, k, ps_dbm, tilt, betas):
     v1 = unit(draw())
     prec = Precoders(v1=v1, v2=unit(v1 + tilt * draw()), theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     dm = derived_model(cfg, ch, prec)
-    bob = _log2det_exact(np.eye(k), [dm.H_B1 @ prec.v1, dm.H_B2 @ prec.v2])
-    eve = _log2det_exact(dm.B, [dm.H_E1 @ prec.v1, dm.H_E2 @ prec.v2]) - _log2det_exact(dm.B, [])
+    bob = _log2det_exact(np.eye(k), _scaled_streams(dm, prec)["B"])
+    eve = _eve_rate_exact(_an_image(cfg, ch), _eve_streams(dm, prec))
     assert rate_bob(dm, prec) == pytest.approx(bob, abs=1e-9)
-    factor_error = 4 * k * np.finfo(float).eps * np.linalg.norm(dm.B, 2) * math.log2(math.e)
-    assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-9 + factor_error)
+    assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-10)
 
 
 @settings(deadline=None)
@@ -457,16 +504,7 @@ def test_rate_eve_matches_a_log_det_built_from_the_an_image(seed, k, n, ps_dbm, 
     ch = build_channels(cfg, build_geometry(cfg))
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    a = _an_image(cfg, ch)
-    streams = [dm.H_E1 @ prec.v1, dm.H_E2 @ prec.v2]
-    with mpmath.workdps(50):
-        a_mp = mpmath.matrix(a.tolist())
-        b = mpmath.eye(k) + a_mp * a_mp.H
-        s = b.copy()
-        for t in streams:
-            col = mpmath.matrix(t.tolist())
-            s += col * col.H
-        eve = float(mpmath.log(mpmath.re(mpmath.det(s)) / mpmath.re(mpmath.det(b)), 2))
+    eve = _eve_rate_exact(_an_image(cfg, ch), _eve_streams(dm, prec))
     assert rate_eve(dm, prec) == pytest.approx(eve, abs=1e-10)
 
 
@@ -490,8 +528,7 @@ def test_artificial_noise_never_helps_eve():
     for _ in range(10):
         prec = _random_precoders(cfg, rng)
         dm = derived_model(cfg, ch, prec)
-        t1 = dm.H_E1 @ prec.v1
-        t2 = dm.H_E2 @ prec.v2
+        t1, t2 = _eve_streams(dm, prec)
         s_e = np.outer(t1, t1.conj()) + np.outer(t2, t2.conj())
         no_an = np.log2(np.linalg.det(np.eye(cfg.K) + s_e).real)
         assert rate_eve(dm, prec) <= no_an + 1e-9
@@ -548,7 +585,7 @@ def test_the_whitener_rejects_a_non_finite_an_image(value):
         rates.eve_whitener(zero)
 
 
-@pytest.mark.parametrize("field", ["W", "H_B1", "H_E2"])
+@pytest.mark.parametrize("field", ["H_B", "G_E"])
 def test_a_nan_in_the_model_raises_instead_of_giving_a_nan_rate(field):
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
@@ -618,8 +655,8 @@ def test_no_irs_variant_drops_reflected_terms():
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec, include_irs=False)
     assert np.allclose(dm.H_B, np.sqrt(ch.g_AB) * ch.H_AB.conj().T)
-    assert np.allclose(dm.T_B1, 0)
-    assert np.allclose(dm.T_E2, 0)
+    assert np.allclose(dm.U_B, 0)
+    assert np.allclose(dm.U_E, 0)
     # direct-only rate no longer depends on theta
     other = Precoders(v1=prec.v1, v2=prec.v2, theta=-prec.theta)
     dm2 = derived_model(cfg, ch, other, include_irs=False)
@@ -664,8 +701,7 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
 
 
-_MODEL_FIELDS = ("P_AN", "B", "W", "H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2",
-                 "Q", "T_B1", "T_B2", "T_E1", "T_E2", "h_B1", "h_B2", "h_E1", "h_E2")
+_MODEL_FIELDS = ("P_AN", "W", "scales", "H_B", "H_E", "G_E", "Q", "U_B", "c_B", "U_E", "c_E")
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
@@ -693,7 +729,7 @@ def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, read
             assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
         assert rate_gap(reused) == rate_gap(fresh)
         # the channel-only terms are lent, and the per-theta ones until theta moves
-        assert reused.P_AN is dm.P_AN and reused.B is dm.B
+        assert reused.P_AN is dm.P_AN and reused.W is dm.W
         assert (reused.H_B is dm.H_B) == (new.theta is dm.prec.theta)
         dm = reused
 
@@ -713,7 +749,7 @@ def _stack_case(seed, n, m, k, kind):
 
 def _theta_layer(dm):
     """A model's per-theta terms, Q's cached products included, as bytes."""
-    names = ("H_B", "H_E", "H_B1", "H_B2", "H_E1", "H_E2", "G_E1", "G_E2", "Q")
+    names = ("H_B", "H_E", "G_E", "Q")
     terms = [getattr(dm, name) for name in names] + list(dm._Q_products)
     return [(t.shape, t.tobytes()) for t in terms]
 
@@ -853,7 +889,8 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
     dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
     f_b, f_e = nsp.phase_blocks(dm)
     theta = prec.theta
-    det2 = 1.0 + np.vdot(dm.h_B2, dm.h_B2).real
+    h_b2 = dm.c_B[k:]  # stream 2's direct part at Bob
+    det2 = 1.0 + np.vdot(h_b2, h_b2).real
     # theta^H (I/M + F F^H) theta = 1 + |F^H theta|^2 at unit modulus
     quotient = (det2 * (1.0 + np.linalg.norm(f_b.conj().T @ theta) ** 2)
                 / (1.0 + np.linalg.norm(f_e.conj().T @ theta) ** 2))
@@ -865,8 +902,8 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
 def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space):
     # with the other stream and theta fixed, log2 of the quotient is the rate
     # gap up to a constant: in the full space and in the model's row basis Q
-    # (rates.beam_quotient) and, at nsp's null-space points, restricted to
-    # range(P) (nsp.stream_blocks)
+    # (rates.beam_quotient) and, at nsp's null-space points, in an
+    # orthonormal basis of range(P) (nsp.stream_blocks)
     if null_space:
         n += max(m + k, 2 * k)  # room for both protected subspaces
         projectors = []
@@ -876,8 +913,8 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
             return (p @ (rng.standard_normal(n) + 1j * rng.standard_normal(n)) for p in projectors)
 
         dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
-        p = projectors[stream]
-        cases = [(p, nsp.stream_blocks(dm, p, stream))]
+        q = nsp.range_basis(projectors[stream])
+        cases = [(q, nsp.stream_blocks(dm, q, stream))]
     else:
         # the full pencil, and the one compressed to the model's row basis;
         # by default, from the model's cached products with Q, the same to the bit
