@@ -7,8 +7,8 @@ determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
 logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
 starts from a grid search over the phase patterns of that span; projected
-gradient ascent then polishes.  `span_basis` and `SpanMemo.search` are
-the span and the pattern search of both optimizers' phase steps, with one
+gradient ascent then polishes.  `SpanMemo.basis_of` and `SpanMemo.search`
+are the span and the pattern search of both optimizers' phase steps, with one
 span rule and one sizing (the `SEARCH_*` constants); GAI's step adds only
 its rotation axis.  Each step scores the patterns through their coordinates
 s = W^H theta alone, which come in closed form from a fixed M x 4 table of
@@ -149,7 +149,7 @@ def update_v2(dm: DerivedModel) -> np.ndarray:
     return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1))
 
 
-def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+def _project_phases(z: np.ndarray, fallback: np.ndarray | float) -> np.ndarray:
     """z / |z| entrywise; entries where z vanishes take fallback's."""
     mag = np.abs(z)
     out = np.empty(z.shape, dtype=complex)
@@ -157,20 +157,16 @@ def _project_phases(z: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.divide(z, mag, out=out, where=mag > 0)
 
 
-def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray,
-                     fallback: np.ndarray) -> np.ndarray:
+def _span_candidates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Phases of W a, a = (cos psi, sin psi e^{j chi}), one column per (psi, chi);
-    entries where W a vanishes take the phase of fallback."""
+    entries where W a vanishes take phase 0."""
     z = np.outer(basis[:, 0], np.cos(psi)) + np.outer(basis[:, 1], np.sin(psi) * np.exp(1j * chi))
-    return _project_phases(z, fallback[:, None])
+    return _project_phases(z, 1.0)
 
 
-def _span_coordinates(basis: np.ndarray, psi: np.ndarray,
-                      chi: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """s = W^H theta, shape (2, P, n), of the patterns theta of
-    `_span_candidates` at the P x n angles (psi, chi), without forming them,
-    and the indices (row of psi, pattern, entry) of the entries where W a
-    vanishes exactly, which s leaves out: they take a search's fallback.
+    `_span_candidates` at the P x n angles (psi, chi), without forming them.
 
     With z = W a = cos psi w0 + q w1, q = sin psi e^{j chi}, each |z_m|^2 is
     a real product of (cos^2 psi, sin^2 psi, 2 cos psi Re q, -2 cos psi Im q)
@@ -206,14 +202,11 @@ def _span_coordinates(basis: np.ndarray, psi: np.ndarray,
                 near_at.append((row + top, col + lo, entry))
     p = sums[..., 2] + 1j * sums[..., 3]
     s = np.stack([cos * sums[..., 0] + q * p, cos * p.conj() + q * sums[..., 1]])
-    if not near_at:
-        return s, (np.zeros(0, dtype=int),) * 3
-    row, col, entry = (np.concatenate(x) for x in zip(*near_at))
-    z = basis[entry, 0] * cos[row, col] + basis[entry, 1] * q[row, col]
-    live = z != 0
-    np.add.at(s, (slice(None), row[live], col[live]),
-              basis[entry[live]].conj().T * (z[live] / np.abs(z[live])))
-    return s, (row[~live], col[~live], entry[~live])
+    if near_at:
+        row, col, entry = (np.concatenate(x) for x in zip(*near_at))
+        z = basis[entry, 0] * cos[row, col] + basis[entry, 1] * q[row, col]
+        np.add.at(s, (slice(None), row, col), basis[entry].conj().T * _project_phases(z, 1.0))
+    return s
 
 
 def _unit_stack(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -226,13 +219,6 @@ def _column_basis(cols: np.ndarray) -> np.ndarray:
     """The left singular vectors of cols with singular values above SPAN_CUT."""
     u, svals, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, svals > SPAN_CUT]
-
-
-def span_basis(*parts: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the joint column span of the M-row parts: the
-    left singular vectors, with singular values above SPAN_CUT, of the
-    non-zero parts scaled to unit Frobenius norm side by side."""
-    return _column_basis(_unit_stack(parts))
 
 
 def lowest(values: np.ndarray, count: int) -> np.ndarray:
@@ -255,10 +241,10 @@ class SpanMemo:
 
     `formed` maps the exact (psi, chi) arrays of each product grid searched
     on W, the full grid or a start's patch, to the coordinates formed for
-    them less the entries where W a vanishes.  W is set only with an empty
-    memo, by the constructor or by `basis_of`, so every entry belongs to the
-    current W.  A run keeps one SpanMemo from one phase step to the next:
-    on line-of-sight links the span of a step's parts depends only on the
+    them, one array per grid.  W is set only with an empty memo, by the
+    constructor or by `basis_of`, so every entry belongs to the current W.
+    A run keeps one SpanMemo from one phase step to the next: on
+    line-of-sight links the span of a step's parts depends only on the
     channels, so every step can search one basis and read the patterns that
     earlier steps formed on it.
     """
@@ -268,11 +254,12 @@ class SpanMemo:
         self.formed: dict = {}
 
     def basis_of(self, *parts: np.ndarray) -> np.ndarray:
-        """The kept basis if it has two columns and the parts, scaled as
-        `span_basis` scales them, lie in its span with a residual of at most
-        SPAN_CUT and span it with singular values above SPAN_CUT; otherwise
-        the parts' own basis, as `span_basis` takes it, kept from now on
-        with an empty memo."""
+        """The kept basis if it has two columns and the non-zero parts,
+        each scaled to unit Frobenius norm, lie in its span with a residual
+        of at most SPAN_CUT and span it with singular values above SPAN_CUT;
+        otherwise the parts' own basis, kept from now on with an empty memo:
+        the left singular vectors, with singular values above SPAN_CUT, of
+        the scaled parts side by side."""
         cols = _unit_stack(parts)
         if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
             coef = self.basis.conj().T @ cols
@@ -282,45 +269,30 @@ class SpanMemo:
         self.basis, self.formed = _column_basis(cols), {}
         return self.basis
 
-    def coordinates(self, psi: np.ndarray, chi: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    def coordinates(self, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
         """s = W^H theta, shape (2, S, n_psi n_chi), of the patterns of the S
         product grids of the rows of psi (S x n_psi) and chi (S x n_chi), in
-        C order; entries where W a vanishes take the phase of fallback.
-
-        Grids not in the memo are formed (`_span_coordinates`) and kept
-        without their vanishing entries, which are added from fallback on
-        every read.
-        """
+        C order.  Grids not in the memo are formed (`_span_coordinates`) and
+        kept."""
         keys = [(p.tobytes(), c.tobytes()) for p, c in zip(psi, chi)]
         new = {key: i for i, key in enumerate(keys) if key not in self.formed}
         if new:
             rows = list(new.values())
             n_psi, n_chi = psi.shape[1], chi.shape[1]
-            s, (row, col, entry) = _span_coordinates(
-                self.basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
+            s = _span_coordinates(self.basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
             for i, key in enumerate(new):
-                self.formed[key] = (s[:, i].copy(), col[row == i], entry[row == i])
-        s = np.stack([self.formed[key][0] for key in keys], axis=1)
-        for i, key in enumerate(keys):
-            _, col, entry = self.formed[key]
-            if col.size:
-                np.add.at(s[:, i], (slice(None), col), self.basis[entry].conj().T * fallback[entry])
-        return s
+                self.formed[key] = s[:, i].copy()
+        return np.stack([self.formed[key] for key in keys], axis=1)
 
-    def search(
-        self,
-        score: Callable[..., np.ndarray],
-        fallback: np.ndarray,
-        *angles: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def search(self, score: Callable[..., np.ndarray], *angles: int) -> tuple[np.ndarray, np.ndarray]:
         """Grid search, then refinement, over the phase patterns exp(j arg(W a))
         of the span of the M x 2 basis W, a = (cos psi, sin psi e^{j chi}), and
         over any further angles the score takes.
 
         psi takes SEARCH_GRID[0] cell midpoints of [0, pi/2] and chi
         SEARCH_GRID[1] points on [0, 2 pi); each further axis has angles[i]
-        points on [0, 2 pi).  Entries where W a vanishes take the phase of
-        fallback.  score(s, *rest) scores S product grids at once: s = W^H theta
+        points on [0, 2 pi).  Entries where W a vanishes take phase 0, so s
+        stays exact.  score(s, *rest) scores S product grids at once: s = W^H theta
         of their patterns, shape (2, S, n) with the n = n_psi n_chi patterns of
         a grid in C order, and each further axis an (S, n_i) array; the values,
         lower better, go back as an (S, n n_2 ...) array in C order.  The
@@ -331,15 +303,15 @@ class SpanMemo:
         points of the full grid starts a refinement: each round scores
         2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
         so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
-        and the coordinates of the best point seen; when W is not M x 2, returns
-        fallback and zero coordinates without scoring.
+        and the coordinates of the best point seen.  Raises ValueError unless W
+        is M x 2.
         """
-        counts = SEARCH_GRID + angles
         if self.basis.shape[1] != 2:
-            return fallback, np.zeros(len(counts))
+            raise ValueError(f"the pattern search needs an M x 2 span basis, got {self.basis.shape}")
+        counts = SEARCH_GRID + angles
 
         def evaluate(psi: np.ndarray, chi: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-            return score(self.coordinates(psi, chi, fallback), *rest)
+            return score(self.coordinates(psi, chi), *rest)
 
         steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
         axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
@@ -361,7 +333,7 @@ class SpanMemo:
             best = np.where(better, values[rows, k], best)
             at = np.where(better[:, None], moved, at)
         at = at[int(np.argmin(best))]
-        return _span_candidates(self.basis, at[:1], at[1:2], fallback)[:, 0], at
+        return _span_candidates(self.basis, at[:1], at[1:2])[:, 0], at
 
 
 def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndarray:
@@ -395,7 +367,7 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndar
         return theta0
     ratio = pp.span_ratio(basis)
     pattern, (_, _, phi) = memo.search(
-        lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), theta0, SEARCH_ROTATIONS)
+        lambda s, phi: -ratio(s, phi).reshape(s.shape[1], -1), SEARCH_ROTATIONS)
     cand = np.exp(1j * phi) * pattern
     return cand if pp.ratio(cand) > pp.ratio(theta0) else theta0
 
@@ -539,13 +511,13 @@ def run_gai(
 
     With fixed_theta the phases stay at it and only the beamformers move;
     without, they start from all ones.  model, a rate model of cfg and
-    channels, lends the run its channel-only terms, and its per-theta terms
-    too when it holds fixed_theta itself, the same array (the random-phase
-    baseline forms one model per draw, all in one `DerivedModel.at_phases`
-    pass); at any other phases it is moved to the run's.  Without it the
-    run forms its own.  Each beamformer step checks only the beamformer it
-    replaced (`Precoders.with_beamformer`).  Returns `alternate`'s
-    `Solution`.
+    channels that holds fixed_theta itself, the same array, lends the run
+    its channel-only and per-theta terms (the random-phase baseline forms
+    one model per draw, all in one `DerivedModel.at_phases` pass); without
+    it the run forms its own.  A model of other inputs, or one handed to a
+    run that optimizes the phases, raises ValueError.  Each beamformer step
+    checks only the beamformer it replaced (`Precoders.with_beamformer`).
+    Returns `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
     theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
@@ -554,11 +526,9 @@ def run_gai(
     if model is None:
         e1 = np.eye(cfg.N, dtype=complex)[0]
         model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
-    elif model.cfg != cfg or model.ch is not channels:
-        raise ValueError("the rate model handed to run_gai is not of its cfg and channels")
-    elif model.prec.theta is not theta:
-        # moved to theta first: the initial beamformers read its composite channels
-        model = model.at(replace(model.prec, theta=theta))
+    elif model.cfg != cfg or model.ch is not channels or model.prec.theta is not theta:
+        raise ValueError("the rate model handed to run_gai is not of its cfg and channels "
+                         "at its own fixed_theta array")
     v1, v2 = initial_beamformers(model)
     dm = model.at(model.prec.with_beamformer("v1", v1).with_beamformer("v2", v2))
     steps = []

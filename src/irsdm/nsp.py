@@ -11,7 +11,7 @@ eigensolver.  The phases minimize a unit-modulus quotient of two forms, each
 I/M + F F^H with F an M x K factor read from the rate model; no M x M
 matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
 with its sizing and without its rotation axis, which the quotient ignores)
-over the factors' joint span (`gai.span_basis`), scored through 2 x 2
+over the factors' joint span (`gai.SpanMemo.basis_of`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern; a
 run's steps share one basis and the coordinates formed on it
 (`gai.SpanMemo`), as GAI's do, so a later step forms only the patches no
@@ -263,18 +263,6 @@ def theta_star_of_mu(
     return theta
 
 
-def phi_star(
-    f_b: np.ndarray,
-    f_e: np.ndarray,
-    mu: float,
-    theta_prev: np.ndarray,
-) -> float:
-    """Value of the parametric subproblem min theta^H (BtE - mu TtB) theta
-    on the unit-modulus shell."""
-    num, den = _shell_terms(f_b, f_e, theta_star_of_mu(f_b, f_e, mu, theta_prev))
-    return float(num - mu * den)
-
-
 def update_theta_nsp(
     f_b: np.ndarray,
     f_e: np.ndarray,
@@ -288,17 +276,18 @@ def update_theta_nsp(
     `phase_blocks`, rank one each on line-of-sight channels, so on the
     unit-modulus shell the quotient is (1 + |G_e^H s|^2) / (1 + |G_b^H s|^2)
     in s = W^H theta, W the basis of the factors' joint span from
-    `gai.span_basis(F_b, F_e)` and G = W^H F their 2 x K compressions.
+    `gai.SpanMemo.basis_of(F_b, F_e)` and G = W^H F their 2 x K compressions.
     Each |G^H s|^2 is the 2 x 2 form s^H G G^H s, read from the moments of s
     (`rates.span_moments`, `rates.form_weights`), as GAI's span scorer reads
     its Gram entries; exact quotients of a phase vector come from
     `_shell_terms`.  At a stationary point
     theta_i is the phase of (W a)_i for some a in C^2, up to a sign on
     entries where (W a)_i is small next to the excess diagonal; only the
-    direction of a matters.  `gai.SpanMemo.search` scores its (psi, chi) grid
-    of these patterns at O(1) each and refines around the best points; a
-    span of lower dimension is not searched.  The better of its
-    pattern and the incumbent, compared on the exact quotient, is polished
+    direction of a matters, and an entry where W a vanishes takes phase 0.
+    `gai.SpanMemo.search` scores its (psi, chi) grid of these patterns at
+    O(1) each and refines around the best points; a span of lower
+    dimension is not searched.  The better of its pattern and the
+    incumbent, compared on the exact quotient, is polished
     with at most POLISH_LEVELS `theta_star_of_mu` levels.  It returns the
     incumbent unless a candidate beats it.  The search is global when the
     surface resolves Bob from Eve; within one beam the sign flips matter
@@ -326,7 +315,7 @@ def update_theta_nsp(
             num, den = 1.0 + np.tensordot(weights, span_moments(s), axes=1)
             return num / den
 
-        found, _ = memo.search(score, theta_prev)
+        found, _ = memo.search(score)
         if (q_found := quotient(found)) < best_q:
             best_theta, best_q = found, q_found
     for _ in range(POLISH_LEVELS):

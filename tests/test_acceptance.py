@@ -18,7 +18,6 @@ from irsdm.gai import GaOptions, PhaseProblem, run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
     ns_projectors,
-    phi_star,
     range_basis,
     run_nsp,
     stream_blocks,
@@ -351,8 +350,9 @@ def test_criterion_05_nsp_phase_oracle():
         if abs(q_upd - q_grid) > 1e-3:
             failures.append(f"pair {i}: quotient {q_upd:.6f} vs grid {q_grid:.6f}")
 
+        # phi*(mu) = min theta^H (BtE - mu TtB) theta over the shell
         phis = np.array([
-            phi_star(f_b, f_e, mu, theta_prev)
+            _quad(bt_e - mu * tt_b, theta_star_of_mu(f_b, f_e, mu, theta_prev))
             for mu in np.linspace(0.0, q_prev, 50)
         ])
         if not np.all(np.diff(phis) < 0.0):

@@ -185,6 +185,11 @@ def test_run_gai_rejects_a_model_of_other_inputs():
                                 (cfg, dataclasses.replace(ch, g_AIB=0.0))):
         with pytest.raises(ValueError, match="cfg and channels"):
             run_gai(other_cfg, other_ch, fixed_theta=theta, model=model)
+    # the run's own inputs, but the model is at other phases than the run's
+    # fixed_theta, or the run optimizes the phases
+    for fixed in (theta, None):
+        with pytest.raises(ValueError, match="cfg and channels"):
+            run_gai(cfg, ch, fixed_theta=fixed, model=model)
 
 
 def test_optimized_schemes_dominate_baselines():

@@ -24,7 +24,7 @@ from irsdm.gai import (
     update_v2,
 )
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
-from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve
+from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve, rate_gap
 
 
 def _setup(cfg=None):
@@ -530,11 +530,10 @@ def test_span_search_is_chunk_invariant(monkeypatch):
     rng = np.random.default_rng(21)
     basis = np.zeros((6, 2), dtype=complex)
     basis[[0, 2, 3, 5]] = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0]
-    fallback = np.exp(2j * math.pi * rng.random(6))
     counts = (6, 12, 8)
     psi, chi, phi = 3.5 * (0.5 * math.pi / 6), 5 * (2 * math.pi / 12), 3 * (2 * math.pi / 8)
     z = basis @ np.array([math.cos(psi), math.sin(psi) * np.exp(1j * chi)])
-    pattern = np.where(np.abs(z) > 0, z / np.maximum(np.abs(z), 1e-300), fallback)
+    pattern = np.where(np.abs(z) > 0, z / np.maximum(np.abs(z), 1e-300), 1.0)
     s_star = np.exp(1j * phi) * (basis.conj().T @ pattern)
 
     def score(s, rot):
@@ -547,18 +546,27 @@ def test_span_search_is_chunk_invariant(monkeypatch):
     found = []
     for chunk in (1, 2 ** 20):
         monkeypatch.setattr(gai, "SEARCH_CHUNK", chunk)
-        found.append(gai.SpanMemo(basis).search(score, fallback, counts[2]))
+        found.append(gai.SpanMemo(basis).search(score, counts[2]))
     (p_small, at_small), (p_large, at_large) = found
     assert np.array_equal(p_small, p_large) and np.array_equal(at_small, at_large)
     assert np.allclose(at_small, [psi, chi, phi], atol=1e-12)
     assert np.allclose(p_small, pattern, atol=1e-12)
-    assert np.array_equal(p_small[[1, 4]], fallback[[1, 4]])
+    assert np.array_equal(p_small[[1, 4]], np.ones(2))  # phase 0 where W a vanishes
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+def test_span_search_needs_a_two_column_basis(cols):
+    # the patterns exp(j arg(W a)) are defined on a two-dimensional span only
+    rng = np.random.default_rng(cols)
+    basis = np.linalg.qr(rng.normal(size=(8, cols)) + 1j * rng.normal(size=(8, cols)))[0]
+    with pytest.raises(ValueError, match="M x 2"):
+        gai.SpanMemo(basis).search(lambda s: np.zeros(s.shape[1:]))
 
 
 def _search_basis(seed, free_rows, zero_rows, vanishing, cell):
     """An M x 2 orthonormal basis with zero_rows zero rows and, if vanishing,
     a row where W a is exactly zero at the grid point (psi cell, chi = 0);
-    with the psi array of the full grid, that point's index and a fallback."""
+    with the psi array of the full grid, that point's index and the rng."""
     rng = np.random.default_rng(seed)
     n_psi, n_chi = gai.SEARCH_GRID
     psi_grid = np.repeat((np.arange(n_psi) + 0.5) * (0.5 * math.pi / n_psi), n_chi)
@@ -584,40 +592,39 @@ def _search_basis(seed, free_rows, zero_rows, vanishing, cell):
 @example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0)
 def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, vanishing, cell):
     # oracle: at every scored (psi, chi), the s the score receives equals W^H
-    # of the pattern formed entry by entry, fallback entries included
-    basis, psi_grid, point, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
-    fallback = np.exp(2j * math.pi * rng.random(basis.shape[0]))
+    # of the pattern formed entry by entry, phase-0 entries included
+    basis, psi_grid, point, _ = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
     # the score is lowest at the grid point of the vanishing row, so that
     # point starts a refinement and every round's patch holds it too
-    target = basis.conj().T @ gai._span_candidates(basis, psi_grid[point:point + 1], np.zeros(1), fallback)
+    target = basis.conj().T @ gai._span_candidates(basis, psi_grid[point:point + 1], np.zeros(1))
 
     grids, scored = [], []
     coordinates = gai.SpanMemo.coordinates
 
-    def recording(memo, psi, chi, fallback_):
+    def recording(memo, psi, chi):
         grids.append((psi, chi))
-        return coordinates(memo, psi, chi, fallback_)
+        return coordinates(memo, psi, chi)
 
     def score(s):
         scored.append(s.copy())
         return np.sum(np.abs(s - target[:, None]) ** 2, axis=0)
 
     with mock.patch.object(gai.SpanMemo, "coordinates", recording):
-        gai.SpanMemo(basis).search(score, fallback)
+        gai.SpanMemo(basis).search(score)
     # one scorer call per product-grid batch: the full grid, then each round
     assert len(grids) == len(scored) == 1 + gai.SEARCH_ROUNDS
     for (psi, chi), s in zip(grids, scored):
         assert s.shape == (2, psi.shape[0], psi.shape[1] * chi.shape[1])
         for p, c, s_row in zip(psi, chi, s.transpose(1, 0, 2)):
             p, c = np.repeat(p, c.size), np.tile(c, psi.shape[1])
-            formed = basis.conj().T @ gai._span_candidates(basis, p, c, fallback)
+            formed = basis.conj().T @ gai._span_candidates(basis, p, c)
             assert np.all(np.abs(s_row - formed) <= 1e-12 * np.linalg.norm(formed, axis=0))
     if vanishing:
         psi, chi = grids[0]
         psi, chi = np.repeat(psi[0], chi.shape[1]), np.tile(chi[0], psi.shape[1])
         assert np.array_equal(psi, psi_grid) and chi[point] == 0.0
         at = np.flatnonzero(basis[:, 0] == 0.5 * np.sin(psi_grid)[point])
-        assert np.array_equal(gai._span_candidates(basis, psi, chi, fallback)[at, point], fallback[at])
+        assert np.array_equal(gai._span_candidates(basis, psi, chi)[at, point], np.ones(at.size))
 
 
 @settings(max_examples=100)
@@ -627,13 +634,10 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
 @example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0, rotations=())
 @example(seed=1, free_rows=5, zero_rows=1, vanishing=True, cell=3, rotations=(gai.SEARCH_ROTATIONS,))
 def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanishing, cell, rotations):
-    # earlier searches on the same basis, with other scores and another
-    # fallback, fill the memo; a search that reads it sees the same
-    # coordinates and returns the same pattern as a cold search, to the bit,
-    # so no search's fallback leaks into another's
+    # earlier searches on the same basis, with other scores, fill the memo;
+    # a search that reads it sees the same coordinates and returns the same
+    # pattern as a cold search, to the bit
     basis, _, _, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
-    m = basis.shape[0]
-    fallbacks = np.exp(2j * math.pi * rng.random((2, m)))
     weights = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
 
     def scorer(w, seen):
@@ -646,8 +650,8 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
         return score
 
     memo = gai.SpanMemo(basis)
-    for w, fallback in ((weights[1], fallbacks[1]), (weights[0], fallbacks[1]), (weights[2], fallbacks[0])):
-        memo.search(scorer(w, []), fallback, *rotations)
+    for w in weights[[1, 0, 2]]:
+        memo.search(scorer(w, []), *rotations)
     warm_seen, cold_seen, formed = [], [], []
     closed_form = gai._span_coordinates
 
@@ -656,9 +660,9 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
         return closed_form(basis_, psi, chi)
 
     with mock.patch.object(gai, "_span_coordinates", recording):
-        warm = memo.search(scorer(weights[0], warm_seen), fallbacks[0], *rotations)
+        warm = memo.search(scorer(weights[0], warm_seen), *rotations)
     n_warm = sum(formed)
-    cold = gai.SpanMemo(basis).search(scorer(weights[0], cold_seen), fallbacks[0], *rotations)
+    cold = gai.SpanMemo(basis).search(scorer(weights[0], cold_seen), *rotations)
     assert n_warm < np.prod(gai.SEARCH_GRID)  # the grid came from the memo
     assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
     assert len(warm_seen) == len(cold_seen)
@@ -678,13 +682,13 @@ def test_span_memo_keeps_its_basis_only_for_parts_that_span_it():
     # parts in the kept span, at any scale: the same basis and memo
     assert memo.basis_of(inside(2), 1e6 * inside(1)) is basis and memo.formed
     # parts along one direction of it, or a part 1e-8 outside it: the parts'
-    # own basis, as span_basis gives it, and an empty memo
+    # own basis, as a fresh memo takes it, and an empty memo
     outside = inside(2) + 1e-8 * np.linalg.norm(inside(2)) * rng.normal(size=(12, 2))
     direction = inside(1)
     for parts in ((direction, 2.0 * direction), (inside(2), inside(2)), (inside(2), outside)):
         memo.formed["grid"] = "coordinates"
         found = memo.basis_of(*parts)
-        assert found.shape == gai.span_basis(*parts).shape and not memo.formed
+        assert found.shape == gai.SpanMemo().basis_of(*parts).shape and not memo.formed
     assert found is not basis and found is memo.basis
 
 
@@ -810,6 +814,28 @@ def test_run_gai_fixed_theta_keeps_theta():
     theta0 = np.exp(1j * np.linspace(0.3, 2.9, cfg.M))
     state = run_gai(cfg, ch, fixed_theta=theta0)
     assert np.allclose(state.theta, theta0)
+
+
+@pytest.mark.parametrize("d_ab", [50.0, 300.0])
+def test_dead_elements_neither_stall_a_run_nor_move_its_rate(d_ab):
+    # elements 3 and 11 receive nothing from Alice, so no rate reads their
+    # phases, the span basis has zero rows there and every searched pattern
+    # takes phase 0 on them
+    cfg = SystemConfig(d_AB=d_ab)
+    _, ch = _setup(cfg)
+    dead = [3, 11]
+    h_ai = ch.H_AI.copy()
+    h_ai[dead] = 0.0
+    ch = replace(ch, H_AI=h_ai)
+    for run in (run_gai, nsp.run_nsp):
+        sol = run(cfg, ch)
+        assert np.isfinite(sol.sr) and sol.converged
+        assert np.allclose(np.abs(sol.theta), 1.0, atol=1e-12)
+        rotated = sol.theta.copy()
+        rotated[dead] *= np.exp(1j * np.array([0.7, 2.9]))
+        gaps = [rate_gap(derived_model(cfg, ch, Precoders(v1=sol.v1, v2=sol.v2, theta=t)))
+                for t in (sol.theta, rotated)]
+        assert gaps[0] == gaps[1]
 
 
 @pytest.mark.parametrize("bad, message", [

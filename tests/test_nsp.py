@@ -17,7 +17,6 @@ from irsdm.nsp import (
     dual_qcqp_solve,
     ns_projectors,
     phase_blocks,
-    phi_star,
     run_nsp,
     stream_blocks,
     theta_star_of_mu,
@@ -365,11 +364,17 @@ def test_theta_star_flat_spectrum_returns_previous():
 
 
 def test_phi_star_signs_bracket_the_root():
+    # phi*(mu) = min theta^H (BtE - mu TtB) theta over the unit-modulus shell,
+    # taken at theta_star_of_mu's minimizer
     cfg, ch, rng, p1, p2, w1, w2, theta, f_b, f_e = _phase_setup(seed=8)
     tt_b, bt_e = _forms(f_b, f_e)
     q_prev = _quad(bt_e, theta) / _quad(tt_b, theta)
-    assert phi_star(f_b, f_e, 0.0, theta) > 0
-    assert phi_star(f_b, f_e, q_prev, theta) <= 1e-12
+
+    def phi_star(mu):
+        return _quad(bt_e - mu * tt_b, theta_star_of_mu(f_b, f_e, mu, theta))
+
+    assert phi_star(0.0) > 0
+    assert phi_star(q_prev) <= 1e-12
 
 
 def test_update_theta_never_worsens_and_tracks_mu_grid():

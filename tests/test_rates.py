@@ -586,6 +586,8 @@ def test_the_whitener_rejects_a_non_finite_an_image(value):
 
 
 @pytest.mark.parametrize("field", ["H_B", "G_E"])
+# the planted NaN reaches the 2 x 2 determinant's division before the check
+@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide:RuntimeWarning")
 def test_a_nan_in_the_model_raises_instead_of_giving_a_nan_rate(field):
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
@@ -854,11 +856,11 @@ def test_span_ratio_matches_the_ratio_of_the_rotated_patterns(seed, m, k, ps_dbm
     ch = build_channels(cfg, build_geometry(cfg))
     prec = _random_precoders(cfg, rng)
     pp = PhaseProblem(derived_model(cfg, ch, prec))
-    basis = gai.span_basis(pp.u_b.conj().T, pp.u_e.conj().T)
+    basis = gai.SpanMemo().basis_of(pp.u_b.conj().T, pp.u_e.conj().T)
     assume(basis.shape[1] == 2)  # one dimension when Bob and Eve lie on one line from the surface
     n = 32
     psi, chi, phi = rng.random(n) * math.pi / 2, rng.random(n) * 2 * math.pi, rng.random(n) * 2 * math.pi
-    patterns = gai._span_candidates(basis, psi, chi, prec.theta)
+    patterns = gai._span_candidates(basis, psi, chi)
     s = basis.conj().T @ patterns
     scored = pp.span_ratio(basis)(s[:, :, None], phi[:, None])[:, 0, 0]
     rotated = [np.exp(1j * p) * patterns[:, i] for i, p in enumerate(phi)]
