@@ -192,6 +192,35 @@ def test_run_gai_rejects_a_model_of_other_inputs():
             run_gai(cfg, ch, fixed_theta=fixed, model=model)
 
 
+# the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and
+# nsp's secrecy rates and pass counts, as the optimizers gave them when the
+# bench was last re-measured; their means are the bench's sr_gai_bits and
+# sr_nsp_bits (21.707789678080086 and 21.54519282039872 at 50 m,
+# 9.243407311407617 and 8.170854360900194 at 300 m)
+BENCH_SOLVES = {
+    (50.0, 10): (16.61066574553327, 4, 16.446399598364714, 2),
+    (50.0, 50): (22.23672599813199, 3, 22.074675275625125, 2),
+    (50.0, 200): (26.275977290574996, 3, 26.114503587206322, 2),
+    (300.0, 10): (8.160985090918745, 6, 6.999419953685313, 2),
+    (300.0, 30): (8.887240010580259, 6, 7.7691566678822825, 2),
+    (300.0, 80): (10.681996832723852, 4, 9.743986461132986, 2),
+}
+
+
+@pytest.mark.parametrize("point", list(BENCH_SOLVES), ids=lambda p: f"d_AB={p[0]:g} M={p[1]}")
+def test_bench_points_keep_their_rates_and_pass_counts(point):
+    # a change that moves a bench rate by more than 1e-9 bits says why
+    d_ab, m = point
+    cfg = dataclasses.replace(SystemConfig(), d_AB=d_ab, M=m, seed=0)
+    ch = _channels(cfg)
+    gai_sr, gai_passes, nsp_sr, nsp_passes = BENCH_SOLVES[point]
+    gai, nsp = run_gai(cfg, ch), run_nsp(cfg, ch)
+    assert gai.sr == pytest.approx(gai_sr, rel=0.0, abs=1e-9)
+    assert gai.iterations == gai_passes
+    assert nsp.sr == pytest.approx(nsp_sr, rel=0.0, abs=1e-9)
+    assert nsp.iterations == nsp_passes
+
+
 def test_optimized_schemes_dominate_baselines():
     cfg = SystemConfig(M=10)
     ch = _channels(cfg)
