@@ -13,8 +13,10 @@ from .model import (
     steering_vector,
 )
 from .rates import (
+    ChannelTerms,
     DerivedModel,
     Precoders,
+    ThetaTerms,
     an_projector,
     derived_model,
     rate_bob,
@@ -36,6 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelSet",
+    "ChannelTerms",
     "DerivedModel",
     "ExperimentResult",
     "GaOptions",
@@ -45,6 +48,7 @@ __all__ = [
     "Scheme",
     "Solution",
     "SystemConfig",
+    "ThetaTerms",
     "an_projector",
     "build_channels",
     "build_geometry",

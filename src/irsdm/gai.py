@@ -24,14 +24,16 @@ step keeps its incumbent unless its own objective improves.  Every block can
 only increase the rate gap, and `alternate` undoes a pass that rounding
 leaves lower, so the secrecy-rate trace is non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
-null-space-constrained blocks.
+null-space-constrained blocks.  Each block step maps the rate model
+(`rates.DerivedModel`) to the next: a beamformer step keeps its theta terms
+and a phase step forms new ones.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -453,14 +455,15 @@ def initial_beamformers(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
 
 def alternate(
     dm: DerivedModel,
-    steps: Sequence[Callable[[DerivedModel], Precoders]],
+    steps: Sequence[Callable[[DerivedModel], DerivedModel]],
     max_outer: int,
 ) -> Solution:
     """Run the block steps in turn from the rate model dm until one pass
     gains at most dm.cfg.epsilon in the rate gap.
 
-    The model is the run's one state: each step maps it to new precoders,
-    and the model moves itself to them (`DerivedModel.at`).
+    The model is the run's one state, and each step moves it: a beamformer
+    step keeps its theta terms (`DerivedModel.with_beamformer`), and a phase
+    step forms new ones (`DerivedModel.with_theta`).
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
@@ -478,7 +481,7 @@ def alternate(
     for iterations in range(1, max_outer + 1):
         dm_prev = dm
         for step in steps:
-            dm = dm.at(step(dm))
+            dm = step(dm)
         sr = secrecy_rate(dm)
         gap_new = unclipped_gap(sr, dm)
         if gap_new < gap:
@@ -504,43 +507,42 @@ def run_gai(
     cfg: SystemConfig,
     channels: ChannelSet,
     opts: GaOptions | None = None,
-    fixed_theta: np.ndarray | None = None,
-    model: DerivedModel | None = None,
+    fixed_theta: np.ndarray | DerivedModel | None = None,
 ) -> Solution:
     """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
 
-    With fixed_theta the phases stay at it and only the beamformers move;
-    without, they start from all ones.  model, a rate model of cfg and
-    channels that holds fixed_theta itself, the same array, lends the run
-    its channel-only and per-theta terms (the random-phase baseline forms
-    one model per draw, all in one `DerivedModel.at_phases` pass); without
-    it the run forms its own.  A model of other inputs, or one handed to a
-    run that optimizes the phases, raises ValueError.  Each beamformer step
-    checks only the beamformer it replaced (`Precoders.with_beamformer`).
-    Returns `alternate`'s `Solution`.
+    With fixed_theta the phases stay fixed and only the beamformers move;
+    without, they start from all ones.  fixed_theta is either the phase
+    vector or a rate model of cfg and channels at it, whose channel and
+    theta terms the run then reads instead of forming its own (the
+    random-phase baseline hands each draw its model of one stack); a model
+    of other inputs raises ValueError.  Each beamformer step checks only
+    the beamformer it replaced (`Precoders.with_beamformer`).  Returns
+    `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
-    theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
-    if theta.shape != (cfg.M,):
-        raise ValueError(f"fixed_theta has shape {theta.shape}; expected ({cfg.M},) for M = {cfg.M}")
-    if model is None:
+    if isinstance(fixed_theta, DerivedModel):
+        dm = fixed_theta
+        if dm.cfg != cfg or dm.ch is not channels:
+            raise ValueError("the rate model handed to run_gai is not of its cfg and channels")
+    else:
+        theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
+        if theta.shape != (cfg.M,):
+            raise ValueError(f"fixed_theta has shape {theta.shape}; expected ({cfg.M},) for M = {cfg.M}")
         e1 = np.eye(cfg.N, dtype=complex)[0]
-        model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
-    elif model.cfg != cfg or model.ch is not channels or model.prec.theta is not theta:
-        raise ValueError("the rate model handed to run_gai is not of its cfg and channels "
-                         "at its own fixed_theta array")
-    v1, v2 = initial_beamformers(model)
-    dm = model.at(model.prec.with_beamformer("v1", v1).with_beamformer("v2", v2))
+        dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
+    v1, v2 = initial_beamformers(dm)
+    dm = dm.with_beamformer("v1", v1).with_beamformer("v2", v2)
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_v1(dm)))
+        steps.append(lambda dm: dm.with_beamformer("v1", update_v1(dm)))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_v2(dm)))
+        steps.append(lambda dm: dm.with_beamformer("v2", update_v2(dm)))
     if fixed_theta is None:
         memo = SpanMemo()
         # solve the phase block well below the outer tolerance: stopping
         # the ascent at the outer epsilon meters a shallow-ridge climb out
         # over many outer passes instead of finishing it in one
-        steps.append(lambda dm: replace(
-            dm.prec, theta=ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
+        steps.append(lambda dm: dm.with_theta(
+            ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
     return alternate(dm, steps, opts.max_outer)

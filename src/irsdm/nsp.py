@@ -23,7 +23,7 @@ than MM_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .rates import (
     derived_model,
     form_weights,
     null_projector,
+    phase_maps,
     span_moments,
     whiten_rank_one,
 )
@@ -167,8 +168,8 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     """Factors F_b, F_e (M x K) of the phase quotient's forms I/M + F F^H:
     Bob's numerator and Eve's denominator.
 
-    Sliced from the rate model's stacked phase maps (`rates.phase_maps`)
-    at the current beamformers, whose first K rows are stream 1's: F_b =
+    Sliced from the stacked phase maps (`rates.phase_maps`), formed here
+    at the model's beamformers, whose first K rows are stream 1's: F_b =
     (cov2^-1/2 T_B1)^H for stream 1's reflected map T_B1, with stream 2's
     direct part h_B2 folded into Bob's noise cov2 = I + h_B2 h_B2^H, whose
     inverse square root is a rank-one closed form
@@ -180,7 +181,8 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     exactly on the shell.
     """
     k = dm.cfg.K
-    return whiten_rank_one(dm.c_B[k:], dm.U_B[:k]).conj().T, dm.U_E[:k].conj().T
+    u_b, c_b, u_e, _ = phase_maps(dm)
+    return whiten_rank_one(c_b[k:], u_b[:k]).conj().T, u_e[:k].conj().T
 
 
 def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, theta: np.ndarray) -> tuple[float, float]:
@@ -340,17 +342,16 @@ def run_nsp(
     dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)[0]))
+        steps.append(lambda dm: dm.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)[0]))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: dm.prec.with_beamformer("v2", update_w2(*stream_blocks(dm, q2, 1), q2)))
+        steps.append(lambda dm: dm.with_beamformer("v2", update_w2(*stream_blocks(dm, q2, 1), q2)))
     if cfg.beta1 > 0:
         memo = SpanMemo()
         # the phase blocks depend on the beamformers only
-        steps.append(lambda dm: replace(
-            dm.prec, theta=update_theta_nsp(*phase_blocks(dm), dm.prec.theta, memo)))
+        steps.append(lambda dm: dm.with_theta(update_theta_nsp(*phase_blocks(dm), dm.prec.theta, memo)))
         # pre-align the phases to the initial beamformers: starting the v1
         # block at unaligned phases can reward silencing the surface (the
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
-        dm = dm.at(steps[-1](dm))
+        dm = steps[-1](dm)
     return alternate(dm, steps, opts.max_outer)

@@ -11,7 +11,7 @@ of the surface phases, the objective of both optimizers' phase steps.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -51,6 +51,12 @@ def _check_beamformer(key: str, v: np.ndarray, other: str, size: int) -> None:
         raise ValueError(f"{key} must have unit norm, got {nrm!r}")
 
 
+def _check_unit_modulus(theta: np.ndarray) -> None:
+    err = float(np.max(np.abs(np.abs(theta) - 1.0)))
+    if not err <= 1e-9:
+        raise ValueError(f"theta entries must have unit modulus (max error {err!r})")
+
+
 @dataclass(frozen=True, eq=False)
 class Precoders:
     """Unit-norm beamformers and the unit-modulus reflection phases."""
@@ -64,9 +70,7 @@ class Precoders:
             _check_vector(key, getattr(self, key))
         for key in ("v1", "v2"):
             _check_beamformer(key, getattr(self, key), "v1", np.shape(self.v1)[0])
-        err = float(np.max(np.abs(np.abs(self.theta) - 1.0)))
-        if not err <= 1e-9:
-            raise ValueError(f"theta entries must have unit modulus (max error {err!r})")
+        _check_unit_modulus(self.theta)
 
     def with_beamformer(self, key: str, v: np.ndarray) -> Precoders:
         """These precoders with beamformer key ("v1" or "v2") replaced by v.
@@ -150,29 +154,30 @@ def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np
     return h_b, h_e
 
 
-def phase_maps(dm: DerivedModel) -> dict[str, np.ndarray]:
+def phase_maps(dm: DerivedModel) -> tuple[np.ndarray, ...]:
     """Each side's received streams as an affine map of the phases, t = U
-    theta + c, at the model's beamformers: Bob's (U_B, c_B) and Eve's (U_E,
-    c_E), with U (2K, M) the reflected path and c (2K,) the direct one.
+    theta + c, at the model's beamformers: (U_B, c_B, U_E, c_E), with U (2K,
+    M) the reflected path and c (2K,) the direct one.
 
     Stream i's K rows of t, stream 1 first, are c_i H_B v_i on Bob's side
     and c_i G_E v_i = c_i W H_E v_i on Eve's, c_i the stream's scale
-    (`DerivedModel.scales`): Eve's rows are whitened by the model's W.  The maps
-    depend on the beamformers and the channels, not on theta.
+    (`ChannelTerms.scales`): Eve's rows are whitened by the model's W.  The
+    maps depend on the beamformers and the channel terms, not on theta, and
+    are formed by their only readers, `PhaseProblem` and `nsp.phase_blocks`.
     """
     ch, prec = dm.ch, dm.prec
     beams = (prec.v1, prec.v2)
     at_surface = [ch.H_AI @ v for v in beams]
-    maps = {}
-    for side, h_ir, g_ir, h_a, g_a, w in (("B", ch.H_IB, ch.g_AIB, ch.H_AB, ch.g_AB, None),
-                                         ("E", ch.H_IE, ch.g_AIE, ch.H_AE, ch.g_AE, dm.W)):
+    maps = []
+    for h_ir, g_ir, h_a, g_a, w in ((ch.H_IB, ch.g_AIB, ch.H_AB, ch.g_AB, None),
+                                    (ch.H_IE, ch.g_AIE, ch.H_AE, ch.g_AE, dm.W)):
         h_ir_h, h_a_h = h_ir.conj().T, h_a.conj().T
         u = [c * np.sqrt(g_ir) * (h_ir_h * g[None, :]) for c, g in zip(dm.scales, at_surface)]
         d = [c * np.sqrt(g_a) * (h_a_h @ v) for c, v in zip(dm.scales, beams)]
         if w is not None:
             u, d = [w @ x for x in u], [w @ x for x in d]
-        maps[f"U_{side}"], maps[f"c_{side}"] = np.vstack(u), np.concatenate(d)
-    return maps
+        maps += [np.vstack(u), np.concatenate(d)]
+    return tuple(maps)
 
 
 def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
@@ -208,20 +213,6 @@ def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
     return [v[:w].conj().T for v, w in zip(vh, widths)]
 
 
-def _theta_terms(ch: ChannelSet, w: np.ndarray,
-                 thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, Iterator[dict]]:
-    """The rate model's per-theta layer at a stack of D phase vectors: the
-    unscaled composite channels H_B and H_E, (D, K, N) each, and each draw's
-    terms, formed as the returned iterator reaches the draw: H_B, H_E and
-    Eve's channel whitened by W, G_E = W H_E.
-
-    Every product is taken per draw, as the composites are, so a draw's
-    terms are the same to the bit whatever the stack around it.
-    """
-    h_b, h_e = composite_channels(ch, thetas)
-    return h_b, h_e, (dict(H_B=b, H_E=e, G_E=w @ e) for b, e in zip(h_b, h_e))
-
-
 def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
     """basis^H basis and each channel (K, N) in the coordinates of basis
     (N, r): what `beam_quotient` reads of the channels."""
@@ -229,173 +220,142 @@ def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarra
 
 
 @dataclass(frozen=True, eq=False)
-class DerivedModel:
-    """The rate model at the precoders prec, the state of both optimizers.
-
-    Bob hears both streams through one composite channel H_B and Eve
-    through one H_E; stream i differs only by its scale c_i = sqrt(beta_i
-    ps) / sigma (`scales`), which the rates apply to H_B v_i and G_E v_i.
-    The model holds three layers, each formed only when its own inputs
-    change:
-
-    * channel-only, once per `derived_model` call (once per run, and once
-      for all draws of the random-phase baseline): the AN projector P_AN,
-      the whitener W of Eve's AN-plus-noise covariance B, W^H W = B^-1,
-      from one SVD of the AN's image at Eve (`eve_whitener`), and the two
-      stream scales;
-    * per theta (`_theta_terms`): the unscaled composite channels H_B and
-      H_E, and Eve's whitened channel G_E = W H_E; and, on first read, Q:
-      the orthonormal basis of the joint row space of H_B and H_E plus one
-      direction outside it (`row_basis`), in which GAI solves its
-      beamformer pencils, with the products that every beamformer step
-      reads, Q^H Q, H_B Q and G_E Q;
-    * per beamformer pair, on first read: each side's stacked phase map,
-      (U_B, c_B) and (U_E, c_E) of `phase_maps`.  Only the phase steps read
-      them, so a fixed-phase run never forms them.
-
-    `at_phases` forms the per-theta layer of D draws in one stacked pass;
-    a model from `derived_model` or moved to new phases by `at` forms its
-    own, D = 1, on the first read of any of its terms, so the random-phase
-    baseline's base model, whose phases no draw reads, forms none.
-    """
+class ChannelTerms:
+    """The rate model's terms that depend on the channels alone, formed
+    once per run by `derived_model`: the AN projector P_AN, the whitener W of
+    Eve's AN-plus-noise covariance B, W^H W = B^-1, from one SVD of the AN's
+    image at Eve (`eve_whitener`), and each stream's amplitude over the
+    noise, c_i = sqrt(beta_i ps) / sigma.  Bob hears both streams through
+    one composite channel H_B and Eve through one H_E; the rates apply c_i
+    to H_B v_i and G_E v_i."""
 
     cfg: SystemConfig
     ch: ChannelSet      # with both surface gains zeroed when built without the surface
-    prec: Precoders
     P_AN: np.ndarray
     W: np.ndarray       # (K, K), W^H W = B^-1
-    H_B: np.ndarray     # (K, N) composite channel to Bob
-    H_E: np.ndarray     # (K, N) composite channel to Eve
-    G_E: np.ndarray     # (K, N) W H_E
+    scales: tuple[float, float]
 
-    # what `at` hands on: always, and while theta is unchanged
-    _CHANNEL_TERMS = ("cfg", "ch", "P_AN", "W", "scales")
-    _THETA_LAYER = ("H_B", "H_E", "G_E")
-    _THETA_TERMS = _THETA_LAYER + ("Q", "_Q_products")
-    _MAPS = ("U_B", "c_B", "U_E", "c_E")
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        # reached only for a name the instance lacks: a term of a layer
-        # that is formed on first read
-        if name in DerivedModel._THETA_LAYER:
-            return self._theta_layer()[name]
-        if name in DerivedModel._MAPS:
-            vars(self).update(phase_maps(self))
-            return vars(self)[name]
-        raise AttributeError(name)
+@dataclass(frozen=True, eq=False)
+class ThetaTerms:
+    """The rate model's per-theta terms at a stack of D phase vectors, each
+    of cfg.M entries on the unit circle: the unscaled composite channels
+    H_B and H_E and Eve's whitened channel G_E = W H_E, (D, K, N) each, and
+    each draw's Q, the orthonormal basis of the joint row space of its H_B
+    and H_E plus one direction outside it (`row_basis`), in which GAI solves
+    its beamformer pencils, with the products that every beamformer step
+    reads, Q^H Q, H_B Q and G_E Q.
 
-    def _theta_layer(self) -> dict:
-        """The instance's state, with its per-theta layer formed (D = 1)
-        if it was not yet."""
-        own = vars(self)
-        if "H_B" not in own:
-            _, _, terms = _theta_terms(self.ch, self.W, [self.prec.theta])
-            own.update(next(terms))
-        return own
+    The optimizers' phase moves form one phase vector's terms, D = 1; the
+    random-phase baseline forms all its draws' in one.  Each term is formed
+    for the whole stack on its first read: the composites in one pass
+    (`composite_channels`), the bases in one batched SVD.  A draw's terms
+    are the same to the bit whatever the stack around it.  NSP reads no Q,
+    and nothing reads the composites at NSP's first, all-ones phases.
+    """
 
-    @cached_property
-    def scales(self) -> tuple[float, float]:
-        """Each stream's amplitude over the noise, c_i = sqrt(beta_i ps) / sigma."""
-        cfg = self.cfg
-        return tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
+    terms: ChannelTerms
+    thetas: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        m = self.terms.cfg.M
+        for theta in self.thetas:
+            if np.shape(theta) != (m,):
+                raise ValueError(f"theta has {np.size(theta)} entries; expected M = {m}")
+            _check_unit_modulus(theta)
 
     @cached_property
-    def Q(self) -> np.ndarray:
-        """(N, r) row basis of H_B and H_E, r <= 2K + 1 (`row_basis`)."""
-        return row_basis(self.H_B[None], self.H_E[None])[0]
+    def _channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # G_E is taken per draw, as the composites are
+        h_b, h_e = composite_channels(self.terms.ch, self.thetas)
+        return h_b, h_e, np.stack([self.terms.W @ e for e in h_e])
+
+    H_B = property(lambda self: self._channels[0], doc="(D, K, N) composite channels to Bob.")
+    H_E = property(lambda self: self._channels[1], doc="(D, K, N) composite channels to Eve.")
+    G_E = property(lambda self: self._channels[2], doc="(D, K, N) W H_E.")
 
     @cached_property
-    def _Q_products(self) -> tuple[np.ndarray, ...]:
-        # Q^H Q, then H_B and G_E in the coordinates of Q
-        return _basis_products(self.Q, self.H_B, self.G_E)
+    def Q(self) -> list[np.ndarray]:
+        """Each draw's (N, r) row basis, r <= 2K + 1 (`row_basis`)."""
+        return row_basis(self.H_B, self.H_E)
 
-    def _lend(self, prec: Precoders, names: tuple[str, ...], **terms: np.ndarray) -> DerivedModel:
-        """A model at prec holding this model's terms of the given names
-        that are formed, and terms (`_model`)."""
-        own = vars(self)
-        return _model(prec=prec, **{name: own[name] for name in names if name in own}, **terms)
-
-    def at(self, prec: Precoders) -> DerivedModel:
-        """The rate model at prec, of this model's cfg and ch.
-
-        It lends this model's channel-only terms, and its per-theta terms
-        too, formed here if not yet read, when prec holds this model's own
-        theta array (a beamformer step keeps the array; the phases are never
-        changed in place).  At other phases the new model forms its own
-        per-theta layer on first read, from the model's own cfg and ch, so
-        a model built without the surface stays without it.
-        """
-        if prec.theta is self.prec.theta:
-            self._theta_layer()  # formed once here, not once per successor
-            return self._lend(prec, self._CHANNEL_TERMS + self._THETA_TERMS)
-        return self._lend(prec, self._CHANNEL_TERMS)
-
-    def at_phases(self, thetas: Sequence[np.ndarray]) -> Iterator[DerivedModel]:
-        """The rate models at this model's beamformers and each of the D
-        phase vectors thetas, each checked as `Precoders` checks it.
-
-        They borrow this model's channel-only terms, and their per-theta
-        terms come from one stacked pass (`_theta_terms`), with the row
-        bases Q from one batched SVD (`row_basis`).  Each model equals `at`
-        of its own precoders to the bit, and forms the products with its Q
-        on first read.  The models are made one at a time, as the returned
-        iterator reaches them, so that only the draw being run holds its
-        scaled channels and products.
-        """
-        precs = [Precoders(v1=self.prec.v1, v2=self.prec.v2, theta=theta) for theta in thetas]
-        for prec in precs:
-            _check_sizes(self.cfg, prec)
-        h_b, h_e, terms = _theta_terms(self.ch, self.W, thetas)
-        bases = row_basis(h_b, h_e)
-        return (self._lend(prec, self._CHANNEL_TERMS, **draw, Q=q)
-                for prec, draw, q in zip(precs, terms, bases))
+    @cached_property
+    def Q_products(self) -> list[tuple[np.ndarray, ...]]:
+        """Each draw's Q^H Q, then H_B and G_E in the coordinates of Q."""
+        return [_basis_products(q, b, g) for q, b, g in zip(self.Q, self.H_B, self.G_E)]
 
 
-def _model(**state: object) -> DerivedModel:
-    """A rate model holding state, filled in directly rather than through
-    the constructor, which needs every per-theta term and would rebuild
-    each field on every block step."""
-    dm = object.__new__(DerivedModel)
-    vars(dm).update(state)
-    return dm
+def _of_terms(name: str) -> property:
+    """A model's channel term, read through its theta terms."""
+    return property(lambda dm: getattr(dm.phases.terms, name))
 
 
-def _check_sizes(cfg: SystemConfig, prec: Precoders) -> None:
-    """Raise ValueError unless prec's beamformers have cfg.N entries and its
-    phases cfg.M."""
-    for key, dim in (("v1", "N"), ("v2", "N"), ("theta", "M")):
-        size, expected = getattr(prec, key).size, getattr(cfg, dim)
-        if size != expected:
-            raise ValueError(f"{key} has {size} entries; expected {dim} = {expected}")
+def _of_draw(name: str) -> property:
+    """A model's own draw of a stacked theta term."""
+    return property(lambda dm: getattr(dm.phases, name)[dm.draw])
+
+
+@dataclass(frozen=True, eq=False)
+class DerivedModel:
+    """The rate model at the precoders prec, the state of both optimizers:
+    the theta terms `phases`, whose draw `draw` is at prec's phases, and
+    through them the run's channel terms.  The model reads as its one draw:
+    H_B, H_E and G_E are (K, N), Q is the draw's row basis and Q_products
+    its products, and cfg, ch, P_AN, W and scales are the channel terms.
+
+    A block step moves the model in one of two ways: a beamformer move
+    (`with_beamformer`) keeps the theta terms, and a phase move
+    (`with_theta`) forms new ones from the same channel terms, so a model
+    built without the surface stays without it.
+    """
+
+    phases: ThetaTerms
+    draw: int
+    prec: Precoders
+
+    cfg, ch, P_AN, W, scales = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales"))
+    H_B, H_E, G_E, Q, Q_products = map(_of_draw, ("H_B", "H_E", "G_E", "Q", "Q_products"))
+
+    def with_beamformer(self, key: str, v: np.ndarray) -> DerivedModel:
+        """The model with beamformer key ("v1" or "v2") replaced by v
+        (`Precoders.with_beamformer`), at the same theta terms."""
+        return DerivedModel(self.phases, self.draw, self.prec.with_beamformer(key, v))
+
+    def with_theta(self, theta: np.ndarray) -> DerivedModel:
+        """The model at the phases theta, with their own theta terms."""
+        return DerivedModel(ThetaTerms(self.phases.terms, (theta,)), 0, replace(self.prec, theta=theta))
 
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                   include_irs: bool = True) -> DerivedModel:
-    """A fresh rate model at (v1, v2, theta), with its channel-only layer:
-    the AN projector and, from the AN's image at Eve A = sqrt(beta3 ps g_AE)
-    / sigma H_AE^H P_AN, the whitener W of Eve's B = I + A A^H
-    (`eve_whitener`).  Its per-theta layer is formed on first read;
-    `DerivedModel.at` moves it on, and `DerivedModel.at_phases` to a stack
-    of phase vectors.
+    """A fresh rate model at (v1, v2, theta): its channel terms, the AN
+    projector and, from the AN's image at Eve A = sqrt(beta3 ps g_AE) /
+    sigma H_AE^H P_AN, the whitener W of Eve's B = I + A A^H
+    (`eve_whitener`), and the theta terms of prec's phases.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
     intact.  Raises ValueError if prec's sizes are not cfg's N and M.
     """
-    _check_sizes(cfg, prec)
+    for key in ("v1", "v2"):
+        if (size := getattr(prec, key).size) != cfg.N:
+            raise ValueError(f"{key} has {size} entries; expected N = {cfg.N}")
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
     scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
     w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
-    return _model(cfg=cfg, ch=ch, prec=prec, P_AN=p_an, W=w)
+    scales = tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
+    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales)
+    return DerivedModel(ThetaTerms(terms, (prec.theta,)), 0, prec)
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
-    """Raise ValueError unless prec holds the model's phases: the model's
-    composite channels are those of its own theta."""
-    if prec.theta is not dm.prec.theta and not np.array_equal(prec.theta, dm.prec.theta):
-        raise ValueError("precoders' theta is not the rate model's; move the model there with `at`")
+    """Raise ValueError unless prec, if not the model's own precoders,
+    holds the model's phases: its composite channels are those of its own
+    theta."""
+    if prec is not dm.prec and not np.array_equal(prec.theta, dm.prec.theta):
+        raise ValueError("precoders' theta is not the rate model's; move the model there with `with_theta`")
 
 
 def _det2(t1: np.ndarray, t2: np.ndarray) -> float:
@@ -516,7 +476,7 @@ def beam_quotient(dm: DerivedModel, stream: int,
     """
     c = dm.scales
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    gram, hb, ge = dm._Q_products if basis is None else _basis_products(basis, dm.H_B, dm.G_E)
+    gram, hb, ge = dm.Q_products if basis is None else _basis_products(basis, dm.H_B, dm.G_E)
     num = _downdated_gram(gram, c[stream] * hb, c[1 - stream] * (dm.H_B @ v_other))
     den = _downdated_gram(gram, c[stream] * ge, c[1 - stream] * (dm.G_E @ v_other))
     return _herm(num), _herm(den)
@@ -649,7 +609,7 @@ class PhaseProblem:
     """
 
     def __init__(self, dm: DerivedModel):
-        self.u_b, self.c_b, self.u_e, self.c_e = dm.U_B, dm.c_B, dm.U_E, dm.c_E
+        self.u_b, self.c_b, self.u_e, self.c_e = phase_maps(dm)
 
     def factors(self, theta: np.ndarray) -> tuple[float, float]:
         """Bob and Eve determinant factors (f, g)."""

@@ -165,8 +165,8 @@ def test_random_phase_reports_mean_over_draws():
 
 @pytest.mark.parametrize("d_ab", [50.0, 300.0])
 def test_random_phase_shares_one_model_without_changing_a_draw(d_ab):
-    # every draw runs on the call's one rate model, moved to the draw's
-    # phases, and gives the rate of a run that forms its own
+    # every draw runs on a model of the call's one channel terms and one
+    # stack of theta terms, and gives the rate of a run that forms its own
     cfg = SystemConfig(M=6, d_AB=d_ab)
     ch = _channels(cfg)
     sol = run_scheme(Scheme(kind="random_phase", draws=5), cfg, ch)
@@ -179,17 +179,12 @@ def test_run_gai_rejects_a_model_of_other_inputs():
     cfg = SystemConfig(M=6)
     ch = _channels(cfg)
     e1 = np.eye(cfg.N, dtype=complex)[0]
-    model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
-    theta = np.exp(1j * np.arange(cfg.M))
+    model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.exp(1j * np.arange(cfg.M))))
+    assert run_gai(cfg, ch, fixed_theta=model).sr == run_gai(cfg, ch, fixed_theta=model.prec.theta).sr
     for other_cfg, other_ch in ((dataclasses.replace(cfg, beta1=0.5), ch),
                                 (cfg, dataclasses.replace(ch, g_AIB=0.0))):
         with pytest.raises(ValueError, match="cfg and channels"):
-            run_gai(other_cfg, other_ch, fixed_theta=theta, model=model)
-    # the run's own inputs, but the model is at other phases than the run's
-    # fixed_theta, or the run optimizes the phases
-    for fixed in (theta, None):
-        with pytest.raises(ValueError, match="cfg and channels"):
-            run_gai(cfg, ch, fixed_theta=fixed, model=model)
+            run_gai(other_cfg, other_ch, fixed_theta=model)
 
 
 # the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and

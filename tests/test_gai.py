@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +23,7 @@ from irsdm.gai import (
     update_v2,
 )
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
-from irsdm.rates import Precoders, derived_model, rate_bob, rate_eve, rate_gap
+from irsdm.rates import DerivedModel, Precoders, ThetaTerms, derived_model, rate_bob, rate_eve, rate_gap
 
 
 def _setup(cfg=None):
@@ -179,10 +178,9 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
     rng = np.random.default_rng(5)
     prec = _random_prec(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    zeroed = type(dm)(**{
-        **{f: getattr(dm, f) for f in dm.__dataclass_fields__},
-        "G_E": np.zeros_like(dm.G_E),
-    })
+    # a zero whitener zeroes Eve's channel G_E = W H_E
+    terms = replace(dm.phases.terms, W=np.zeros_like(dm.W))
+    zeroed = DerivedModel(ThetaTerms(terms, (prec.theta,)), 0, prec)
     v1 = update_v1(zeroed)
     (h_b1, h_b2), _ = _stream_channels(dm)
     t2 = h_b2 @ prec.v2
@@ -341,12 +339,15 @@ def test_phase_objective_single_stream():
     assert math.log2(ratio) == pytest.approx(gap, abs=1e-9)
 
 
-def _phase_maps(t_b, h_b, t_e, h_e, w):
-    """A rate model's stacked phase maps from each stream's reflected map T
-    (K, M) and direct part h (K,), stream 1 first: Bob's as they are, Eve's
-    whitened by w."""
-    return SimpleNamespace(U_B=np.vstack(t_b), c_B=np.concatenate(h_b),
-                           U_E=np.vstack([w @ t for t in t_e]), c_E=np.concatenate([w @ h for h in h_e]))
+class _MapsProblem(PhaseProblem):
+    """The phase problem of stacked phase maps given directly rather than
+    formed from a rate model (`rates.phase_maps`): from each stream's
+    reflected map T (K, M) and direct part h (K,), stream 1 first, Bob's as
+    they are and Eve's whitened by w."""
+
+    def __init__(self, t_b, h_b, t_e, h_e, w):
+        self.u_b, self.c_b = np.vstack(t_b), np.concatenate(h_b)
+        self.u_e, self.c_e = np.vstack([w @ t for t in t_e]), np.concatenate([w @ h for h in h_e])
 
 
 def random_phase_instance(rng, k, m):
@@ -360,7 +361,7 @@ def random_phase_instance(rng, k, m):
     t_b1, t_b2, h_b1, h_b2 = cmat(k, m), cmat(k, m), cmat(k), cmat(k)
     t_e1, t_e2, h_e1, h_e2 = cmat(k, m), cmat(k, m), cmat(k), cmat(k)
     w = np.linalg.inv(np.linalg.cholesky(b))  # W^H W = B^-1
-    return _phase_maps((t_b1, t_b2), (h_b1, h_b2), (t_e1, t_e2), (h_e1, h_e2), w)
+    return _MapsProblem((t_b1, t_b2), (h_b1, h_b2), (t_e1, t_e2), (h_e1, h_e2), w)
 
 
 def test_phase_gradient_matches_finite_differences():
@@ -370,8 +371,7 @@ def test_phase_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
     h = 1e-6
     for _ in range(20):
-        dm = random_phase_instance(rng, k, m)
-        pp = PhaseProblem(dm)
+        pp = random_phase_instance(rng, k, m)
         theta = np.exp(1j * rng.uniform(0, 2 * math.pi, m))
         grad = pp.gradient(theta)
         for i in range(m):
@@ -486,7 +486,7 @@ def _los_phase_problem(rng, m, k, u, log_g):
                      for z in (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)])
         maps.append([math.sqrt(g_d) * z * _steer(k, a_d)
                      for z in (rng.standard_normal((2, 2)) @ [1.0, 1j]) / math.sqrt(2)])
-    return PhaseProblem(_phase_maps(*maps, np.linalg.inv(np.linalg.cholesky(b))))  # W^H W = B^-1
+    return _MapsProblem(*maps, np.linalg.inv(np.linalg.cholesky(b)))  # W^H W = B^-1
 
 
 @settings(max_examples=40)
@@ -517,7 +517,7 @@ def test_phase_block_is_the_plain_ascent_above_a_rank_two_span():
     # random full-rank streams span min(4K, M) dimensions: no search runs
     rng = np.random.default_rng(17)
     for m in (3, 8, 20):
-        pp = PhaseProblem(random_phase_instance(rng, 2, m))
+        pp = random_phase_instance(rng, 2, m)
         theta0 = np.exp(2j * math.pi * rng.random(m))
         ascent = gai._ascend(pp, theta0, GaOptions(), gai.GA_TOL)
         assert np.array_equal(ga_optimize_theta(pp, theta0, GaOptions(), gai.GA_TOL), ascent)

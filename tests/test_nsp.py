@@ -24,7 +24,7 @@ from irsdm.nsp import (
     update_w1,
     update_w2,
 )
-from irsdm.rates import Precoders, beam_quotient, derived_model, rate_bob, rate_eve
+from irsdm.rates import Precoders, beam_quotient, derived_model, phase_maps, rate_bob, rate_eve
 
 
 def _setup(cfg=None):
@@ -160,9 +160,10 @@ def test_stream_blocks_match_effective_channels():
     t1, t2, t3 = c1 * (dm.H_B @ prec.v1), c2 * (dm.H_B @ prec.v2), c1 * (dm.H_E @ prec.v1)
     # stream 1 reaches both receivers via the surface only, stream 2 Bob
     # directly only; Eve's maps are whitened by W
-    assert np.linalg.norm(t1 - dm.U_B[:k] @ theta) < 1e-8
-    assert np.linalg.norm(dm.W @ t3 - dm.U_E[:k] @ theta) < 1e-8
-    assert np.linalg.norm(t2 - dm.c_B[k:]) < 1e-8
+    u_b, c_b, u_e, _ = phase_maps(dm)
+    assert np.linalg.norm(t1 - u_b[:k] @ theta) < 1e-8
+    assert np.linalg.norm(dm.W @ t3 - u_e[:k] @ theta) < 1e-8
+    assert np.linalg.norm(t2 - c_b[k:]) < 1e-8
     # stream 2 is invisible to Eve by construction
     assert np.linalg.norm(c2 * (dm.H_E @ prec.v2)) < 1e-8
 

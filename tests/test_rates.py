@@ -16,8 +16,10 @@ from irsdm.gai import run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, dbm_to_watts
 from irsdm.nsp import run_nsp
 from irsdm.rates import (
+    DerivedModel,
     PhaseProblem,
     Precoders,
+    ThetaTerms,
     an_projector,
     derived_model,
     rate_bob,
@@ -153,7 +155,8 @@ def model_calls(monkeypatch):
 
 
 def test_each_run_forms_one_rate_model(model_calls):
-    # every later model is the first one moved on (`DerivedModel.at`)
+    # every later model is the first one moved on by beamformer and phase
+    # moves (`DerivedModel.with_beamformer`, `DerivedModel.with_theta`)
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch)
     assert state.iterations > 1
@@ -164,15 +167,16 @@ def test_each_run_forms_one_rate_model(model_calls):
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert len(model_calls) == 3
-    run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one model for all draws
+    run_scheme(Scheme("random_phase", draws=3), cfg, ch)  # one channel-terms model for all draws
     assert len(model_calls) == 4
 
 
 @pytest.fixture
 def formed(monkeypatch):
     """Counts of the composite channels, their row bases and the phase maps
-    that the rate model forms (`rates.composite_channels`, `rates.row_basis`
-    and `rates.phase_maps`)."""
+    that the rate model and its readers form (`rates.composite_channels`,
+    `rates.row_basis`, and `rates.phase_maps` in `rates.PhaseProblem` and
+    `nsp.phase_blocks`)."""
     counts = {"composite_channels": 0, "row_basis": 0, "phase_maps": 0}
 
     def counter(name):
@@ -186,15 +190,17 @@ def formed(monkeypatch):
 
     for name in counts:
         monkeypatch.setattr(rates, name, counter(name))
+    monkeypatch.setattr(nsp, "phase_maps", rates.phase_maps)
     return counts
 
 
 def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
-    # a beamformer step keeps theta, so the run's first model lends its
-    # composite channels to every later one, and the first beamformer step
-    # its row basis; nothing reads the phase maps.  random_phase's one model
-    # forms no per-theta layer of its own: every draw's composite channels
-    # and row basis come from one stacked pass (`DerivedModel.at_phases`).
+    # a beamformer move keeps the theta terms, so the run's first model's
+    # composite channels serve every later one, and the row basis that the
+    # first beamformer step forms too; nothing reads the phase maps.
+    # random_phase's channel-terms model forms no theta terms of its own:
+    # every draw's composite channels and row basis come from one stack of
+    # theta terms (`rates.ThetaTerms`).
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
@@ -215,8 +221,8 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     formed.update(composite_channels=0, row_basis=0, phase_maps=0)
     # nsp adds one phase step before the alternation; its beamformer steps
     # solve in range(P), not in the row basis.  That first step reads only
-    # the phase maps, so the run's first model, at the all-ones phases,
-    # never forms its composite channels
+    # the phase maps, so the theta terms of the run's first model, at the
+    # all-ones phases, never form their composite channels
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
     steps = 1 + state.iterations
@@ -321,8 +327,8 @@ def test_phase_linearization_identity(seed, k, n, m, ps_dbm, betas, include_irs)
     ch = build_channels(cfg, build_geometry(cfg))
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec, include_irs=include_irs)
-    for side, streams in _scaled_streams(dm, prec).items():
-        u, c = getattr(dm, f"U_{side}"), getattr(dm, f"c_{side}")
+    maps = rates.phase_maps(dm)
+    for (u, c), streams in zip((maps[:2], maps[2:]), _scaled_streams(dm, prec).values()):
         assert u.shape == (2 * k, m) and c.shape == (2 * k,)
         if not include_irs:
             assert not u.any()
@@ -592,10 +598,9 @@ def test_a_nan_in_the_model_raises_instead_of_giving_a_nan_rate(field):
     cfg, ch, rng = _setup()
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec)
-    bad = getattr(dm, field).copy()
-    bad[-1, 0] = np.nan
+    getattr(dm, field)[-1, 0] = np.nan  # the fresh model's own theta terms
     with pytest.raises(ValueError, match="non-finite"):
-        secrecy_rate(replace(dm, **{field: bad}))
+        secrecy_rate(dm)
 
 
 def test_precoders_validation():
@@ -657,8 +662,9 @@ def test_no_irs_variant_drops_reflected_terms():
     prec = _random_precoders(cfg, rng)
     dm = derived_model(cfg, ch, prec, include_irs=False)
     assert np.allclose(dm.H_B, np.sqrt(ch.g_AB) * ch.H_AB.conj().T)
-    assert np.allclose(dm.U_B, 0)
-    assert np.allclose(dm.U_E, 0)
+    u_b, _, u_e, _ = rates.phase_maps(dm)
+    assert np.allclose(u_b, 0)
+    assert np.allclose(u_e, 0)
     # direct-only rate no longer depends on theta
     other = Precoders(v1=prec.v1, v2=prec.v2, theta=-prec.theta)
     dm2 = derived_model(cfg, ch, other, include_irs=False)
@@ -703,37 +709,44 @@ def _random_channel_model(seed, n, m, k, betas, precoders=None):
 _BETAS = st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)])
 
 
-_MODEL_FIELDS = ("P_AN", "W", "scales", "H_B", "H_E", "G_E", "Q", "U_B", "c_B", "U_E", "c_E")
+def _model_terms(dm):
+    """Every term of a model, Q's products and the phase maps included, as bytes."""
+    names = ("P_AN", "W", "scales", "H_B", "H_E", "G_E", "Q")
+    terms = [np.asarray(getattr(dm, name)) for name in names] + list(dm.Q_products) + list(rates.phase_maps(dm))
+    return [(t.shape, t.tobytes()) for t in terms]
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
-       k=st.integers(1, 4), betas=_BETAS, include_irs=st.booleans(), read_first=st.booleans())
-# a model without the surface stays without it after a phase step
-@example(seed=0, n=4, m=6, k=2, betas=(0.4, 0.4), include_irs=False, read_first=False)
-def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, read_first):
-    # a model moved on from its predecessor (`DerivedModel.at`) after a
-    # beamformer step and after a phase step is the fresh model at the same
-    # precoders, to the bit
+       k=st.integers(1, 4), betas=_BETAS, include_irs=st.booleans(),
+       moves=st.lists(st.sampled_from(["v1", "v2", "theta", "read"]), min_size=1, max_size=8))
+# a model without the surface stays without it after a phase move
+@example(seed=0, n=4, m=6, k=2, betas=(0.4, 0.4), include_irs=False, moves=["theta"])
+def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, moves):
+    # every model of a run of beamformer moves and phase moves, with every
+    # term read ("read") between some of them, is the fresh model at the
+    # same precoders, to the bit; a beamformer move keeps the theta terms,
+    # a phase move forms new ones, and both keep the channel terms
     cfg, ch, prec, rng = _random_channels(seed, n, m, k, betas)
-    v1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    steps = [replace(prec, v1=v1 / np.linalg.norm(v1))]
-    steps.append(replace(steps[0], theta=np.exp(2j * math.pi * rng.random(m))))
     dm = derived_model(cfg, ch, prec, include_irs=include_irs)
-    for new in steps:
-        if read_first:  # a predecessor's cached terms must not leak into its successor
-            for name in _MODEL_FIELDS:
-                getattr(dm, name)
-        reused = dm.at(new)
-        # the row basis, once read, goes along with the composite channels
-        assert ("Q" in vars(reused)) == (read_first and new.theta is dm.prec.theta)
-        fresh = derived_model(cfg, ch, new, include_irs=include_irs)
-        for name in _MODEL_FIELDS:
-            assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-        assert rate_gap(reused) == rate_gap(fresh)
-        # the channel-only terms are lent, and the per-theta ones until theta moves
-        assert reused.P_AN is dm.P_AN and reused.W is dm.W
-        assert (reused.H_B is dm.H_B) == (new.theta is dm.prec.theta)
-        dm = reused
+    for move in moves:
+        if move == "read":
+            _model_terms(dm)
+            continue
+        if move == "theta":
+            new = dm.with_theta(np.exp(2j * math.pi * rng.random(m)))
+            assert new.phases is not dm.phases
+        else:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            new = dm.with_beamformer(move, v / np.linalg.norm(v))
+            assert new.phases is dm.phases
+        assert new.phases.terms is dm.phases.terms
+        fresh = derived_model(cfg, ch, new.prec, include_irs=include_irs)
+        assert _model_terms(new) == _model_terms(fresh)
+        assert rate_gap(new) == rate_gap(fresh)
+        if not include_irs:
+            u_b, _, u_e, _ = rates.phase_maps(new)
+            assert not u_b.any() and not u_e.any()
+        dm = new
 
 
 def _stack_case(seed, n, m, k, kind):
@@ -750,27 +763,29 @@ def _stack_case(seed, n, m, k, kind):
 
 
 def _theta_layer(dm):
-    """A model's per-theta terms, Q's cached products included, as bytes."""
+    """A model's theta terms, Q's products included, as bytes."""
     names = ("H_B", "H_E", "G_E", "Q")
-    terms = [getattr(dm, name) for name in names] + list(dm._Q_products)
+    terms = [getattr(dm, name) for name in names] + list(dm.Q_products)
     return [(t.shape, t.tobytes()) for t in terms]
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), k=st.integers(1, 3), n=st.integers(1, 6),
        m=st.integers(1, 8), kind=st.sampled_from(["los", "random", "no surface"]))
 def test_stacked_theta_terms_equal_single_formations_to_the_bit(seed, d, k, n, m, kind):
-    # `DerivedModel.at_phases` forms D draws' terms in one stacked pass; each
-    # draw's equal those of a model formed at its phases alone, fresh or moved
+    # one stack of D phase vectors (`rates.ThetaTerms`) forms every draw's
+    # terms in one pass; each draw's equal those of a model formed at its
+    # phases alone, fresh or moved
     cfg, ch, prec, rng = _stack_case(seed, n, m, k, kind)
-    thetas = [np.exp(2j * math.pi * rng.random(m)) for _ in range(d)]
+    thetas = tuple(np.exp(2j * math.pi * rng.random(m)) for _ in range(d))
     model = derived_model(cfg, ch, prec)
-    stacked = list(model.at_phases(thetas))
-    assert [dm.prec.theta is theta for dm, theta in zip(stacked, thetas)] == [True] * d
+    phases = ThetaTerms(model.phases.terms, thetas)
+    stacked = [DerivedModel(phases, i, replace(prec, theta=theta)) for i, theta in enumerate(thetas)]
+    assert [dm.prec.theta is theta for dm, theta in zip(stacked, phases.thetas)] == [True] * d
     for dm, theta in zip(stacked, thetas):
         alone = replace(prec, theta=theta)
         assert dm.P_AN is model.P_AN and dm.W is model.W
         assert _theta_layer(dm) == _theta_layer(derived_model(cfg, ch, alone))
-        assert _theta_layer(dm) == _theta_layer(model.at(alone))
+        assert _theta_layer(dm) == _theta_layer(model.with_theta(theta))
         assert rate_gap(dm) == rate_gap(derived_model(cfg, ch, alone))
 
 
@@ -782,9 +797,9 @@ def test_a_stack_with_one_phase_vector_off_the_unit_circle_raises():
     thetas[2] = thetas[2].copy()
     thetas[2][5] *= 1.01
     with pytest.raises(ValueError, match="unit modulus"):
-        model.at_phases(thetas)  # before any draw's terms are formed
+        ThetaTerms(model.phases.terms, tuple(thetas))
     with pytest.raises(ValueError, match=rf"theta has {cfg.M + 1} entries"):
-        model.at_phases([np.ones(cfg.M + 1, dtype=complex)])
+        ThetaTerms(model.phases.terms, (np.ones(cfg.M + 1, dtype=complex),))
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(1, 4),
@@ -891,7 +906,7 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
     dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
     f_b, f_e = nsp.phase_blocks(dm)
     theta = prec.theta
-    h_b2 = dm.c_B[k:]  # stream 2's direct part at Bob
+    h_b2 = rates.phase_maps(dm)[1][k:]  # stream 2's direct part at Bob
     det2 = 1.0 + np.vdot(h_b2, h_b2).real
     # theta^H (I/M + F F^H) theta = 1 + |F^H theta|^2 at unit modulus
     quotient = (det2 * (1.0 + np.linalg.norm(f_b.conj().T @ theta) ** 2)
@@ -930,7 +945,6 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
         for _ in range(2):
             w = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
             v = basis @ w
-            trial = replace(prec, **{("v1", "v2")[stream]: v / np.linalg.norm(v)})
             quotients.append(np.vdot(w, num @ w).real / np.vdot(w, den @ w).real)
-            gaps.append(rate_gap(dm.at(trial)))
+            gaps.append(rate_gap(dm.with_beamformer(("v1", "v2")[stream], v / np.linalg.norm(v))))
         assert math.log2(quotients[0] / quotients[1]) == pytest.approx(gaps[0] - gaps[1], abs=1e-9)
