@@ -7,7 +7,6 @@ from .model import (
     build_channels,
     build_geometry,
     dbm_to_watts,
-    irs_line_landmarks,
     parallel_irs_angle,
     path_loss,
     steering_vector,
@@ -55,7 +54,6 @@ __all__ = [
     "convergence_trace",
     "dbm_to_watts",
     "derived_model",
-    "irs_line_landmarks",
     "parallel_irs_angle",
     "path_loss",
     "rate_bob",

@@ -17,7 +17,7 @@ import numpy as np
 from .gai import Solution, check_count, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import run_nsp
-from .rates import DerivedModel, Precoders, ThetaTerms, derived_model
+from .rates import Precoders, derived_model
 
 SCHEME_KINDS = ("gai", "nsp", "no_irs", "random_phase", "single_cbs")
 AN_SHARE_SINGLE = 0.2  # noise budget kept by the single-stream scheme
@@ -57,10 +57,9 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
     Returns the optimizer's `Solution`; random_phase returns its best draw's
     with sr the mean rate, per_draw each draw's rate, iterations the rounded
     mean pass count and converged that of every draw.  Its draws share one
-    rate model's channel terms and one stack of theta terms
-    (`rates.ThetaTerms`: composite channels, Eve's whitened channels, row
-    bases), each draw's formed once: the shared model forms none at its own
-    phases.  Each draw is then one `run_gai` on its own model.
+    rate model's channel terms (`rates.ChannelTerms`: the AN projector,
+    Eve's whitener, the channel basis Q), and each draw is one `run_gai` on
+    that model moved to its phases (`DerivedModel.with_theta`).
     """
     if scheme.kind == "gai":
         return run_gai(cfg, channels)
@@ -74,9 +73,7 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
         thetas = [np.exp(2j * math.pi * rng.random(cfg.M)) for _ in range(scheme.draws)]
         e1 = np.eye(cfg.N, dtype=complex)[0]
         model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=thetas[0]))
-        phases = ThetaTerms(model.phases.terms, tuple(thetas))
-        draws = [run_gai(cfg, channels, fixed_theta=DerivedModel(phases, d, replace(model.prec, theta=theta)))
-                 for d, theta in enumerate(thetas)]
+        draws = [run_gai(cfg, channels, fixed_theta=model.with_theta(theta)) for theta in thetas]
         per_draw = np.array([d.sr for d in draws])
         return replace(
             draws[int(np.argmax(per_draw))],

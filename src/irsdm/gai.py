@@ -2,9 +2,10 @@
 
 Each beamformer update is a generalized Rayleigh quotient problem solved
 exactly by a Hermitian-definite eigensolver, on the pencil compressed to the
-model's row basis Q of the composite channels.  The phase block maximizes the
-determinant ratio f(theta) / g(theta) of `rates.PhaseProblem`, whose base-2
-logarithm equals R_B - R_E at unit-modulus points.  On line-of-sight channels
+model's channel basis Q, which holds the row space of the composite channels
+at every theta.  The phase block maximizes the determinant ratio f(theta) /
+g(theta) of `rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at
+unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
 starts from a grid search over the phase patterns of that span; projected
 gradient ascent then polishes.  `SpanMemo.basis_of` and `SpanMemo.search`
@@ -47,6 +48,7 @@ from .rates import (
     derived_model,
     secrecy_rate,
     unclipped_gap,
+    unit_stack,
 )
 
 
@@ -141,13 +143,15 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
 
 def update_v1(dm: DerivedModel) -> np.ndarray:
     """Best stream-1 beamformer with the model's (v2, theta) held fixed,
-    solved on the pencil compressed to the model's row basis Q."""
+    solved on the pencil compressed to the model's channel basis Q (a
+    channel term, `rates.channel_basis`)."""
     return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 0))
 
 
 def update_v2(dm: DerivedModel) -> np.ndarray:
     """Best stream-2 beamformer with the model's (v1, theta) held fixed,
-    solved on the pencil compressed to the model's row basis Q."""
+    solved on the pencil compressed to the model's channel basis Q (a
+    channel term, `rates.channel_basis`)."""
     return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1))
 
 
@@ -211,12 +215,6 @@ def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np
     return s
 
 
-def _unit_stack(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """The non-zero M-row parts scaled to unit Frobenius norm, side by side."""
-    # the empty M x 0 block keeps the stack defined when every part is zero
-    return np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
-
-
 def _column_basis(cols: np.ndarray) -> np.ndarray:
     """The left singular vectors of cols with singular values above SPAN_CUT."""
     u, svals, _ = np.linalg.svd(cols, full_matrices=False)
@@ -262,7 +260,7 @@ class SpanMemo:
         otherwise the parts' own basis, kept from now on with an empty memo:
         the left singular vectors, with singular values above SPAN_CUT, of
         the scaled parts side by side."""
-        cols = _unit_stack(parts)
+        cols = unit_stack(parts)
         if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
             coef = self.basis.conj().T @ cols
             if (np.linalg.norm(cols - self.basis @ coef) <= SPAN_CUT
@@ -515,10 +513,10 @@ def run_gai(
     without, they start from all ones.  fixed_theta is either the phase
     vector or a rate model of cfg and channels at it, whose channel and
     theta terms the run then reads instead of forming its own (the
-    random-phase baseline hands each draw its model of one stack); a model
-    of other inputs raises ValueError.  Each beamformer step checks only
-    the beamformer it replaced (`Precoders.with_beamformer`).  Returns
-    `alternate`'s `Solution`.
+    random-phase baseline hands each draw a model on the call's one set of
+    channel terms, Q included); a model of other inputs raises ValueError.
+    Each beamformer step checks only the beamformer it replaced
+    (`Precoders.with_beamformer`).  Returns `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
     if isinstance(fixed_theta, DerivedModel):

@@ -167,18 +167,6 @@ def parallel_irs_angle(cfg: SystemConfig) -> float:
     return angle if angle < math.pi else 0.0  # a tiny negative angle rounds up to pi
 
 
-def irs_line_landmarks(cfg: SystemConfig, theta_ai: float) -> tuple[float, float]:
-    """Signed distances along the surface line of the points nearest Eve and Bob.
-
-    Returns (d_near_eve, d_near_bob), the projections of Eve and Bob onto
-    the line through Alice at angle theta_ai: the surface sits right above
-    Eve / Bob when its distance from Alice along the line hits these values.
-    A receiver that projects behind Alice gets a negative distance.
-    """
-    return (cfg.d_AE * math.cos(cfg.theta_AE - theta_ai),
-            cfg.d_AB * math.cos(cfg.theta_AB - theta_ai))
-
-
 def steering_vector(n: int, theta: float, spacing_over_lambda: float = 0.5) -> np.ndarray:
     """ULA steering vector with element i carrying phase -2*pi*i*d*cos(theta)/lambda."""
     if n < 1:

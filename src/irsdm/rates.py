@@ -129,29 +129,12 @@ def eve_whitener(a: np.ndarray) -> np.ndarray:
     return u.conj().T / np.sqrt(lam)[:, None]
 
 
-def composite_channels(ch: ChannelSet, thetas: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Unscaled channels to Bob and to Eve, (D, K, N) each, at a stack of D
-    phase vectors (M,): the direct path plus the path reflected by the
-    surface at each draw's phases.
-
-    Each draw's reflected path is its own K x M by M x N product, formed as
-    it would be alone, so no array grows with D M and a draw's channels are
-    the same to the bit whatever the stack around it: a product over the
-    whole stack can round differently, as numpy's loops for complex
-    products differ in rounding and a broadcast over a stack of K = M = 1
-    runs as one loop of length D.
-    """
-    h_b = np.empty((len(thetas), ch.H_IB.shape[1], ch.H_AI.shape[1]), dtype=complex)
-    h_e = np.empty_like(h_b)
-    hib_h, hie_h = ch.H_IB.conj().T, ch.H_IE.conj().T
-    for theta, b, e in zip(thetas, h_b, h_e):
-        np.matmul(hib_h * theta, ch.H_AI, out=b)
-        np.matmul(hie_h * theta, ch.H_AI, out=e)
-    h_b *= np.sqrt(ch.g_AIB)
-    h_b += np.sqrt(ch.g_AB) * ch.H_AB.conj().T
-    h_e *= np.sqrt(ch.g_AIE)
-    h_e += np.sqrt(ch.g_AE) * ch.H_AE.conj().T
-    return h_b, h_e
+def composite_channels(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unscaled channels to Bob and to Eve, (K, N) each, at the phases theta
+    (M,): the direct path plus the path reflected by the surface."""
+    return tuple(np.sqrt(g_ir) * ((h_ir.conj().T * theta) @ ch.H_AI) + np.sqrt(g_a) * h_a.conj().T
+                 for h_ir, g_ir, h_a, g_a in ((ch.H_IB, ch.g_AIB, ch.H_AB, ch.g_AB),
+                                              (ch.H_IE, ch.g_AIE, ch.H_AE, ch.g_AE)))
 
 
 def phase_maps(dm: DerivedModel) -> tuple[np.ndarray, ...]:
@@ -180,37 +163,41 @@ def phase_maps(dm: DerivedModel) -> tuple[np.ndarray, ...]:
     return tuple(maps)
 
 
-def row_basis(h_b: np.ndarray, h_e: np.ndarray) -> list[np.ndarray]:
-    """For stacks (D, K, N) of composite channels, each draw's orthonormal
-    columns Q (N, r) spanning the joint row space of its h_b and h_e, plus
+def unit_stack(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The non-zero parts, of one row count, scaled to unit Frobenius norm,
+    side by side."""
+    # the empty block with no columns keeps the stack defined when every part is zero
+    return np.hstack([parts[0][:, :0]] + [p / nrm for p in parts if (nrm := np.linalg.norm(p)) > 0])
+
+
+def channel_basis(ch: ChannelSet) -> np.ndarray:
+    """Orthonormal columns Q (N, r) spanning the column space of [H_AB, H_AE,
+    H_AI^H], each part scaled to unit Frobenius norm (`unit_stack`), plus
     one unit direction outside it when that space has fewer than N
     dimensions.
 
-    The rank is numpy's numerical rank (`np.linalg.matrix_rank`): singular
-    values above s_max * max(2K, N) * eps.  Both quotients of
-    `beam_quotient` equal the identity outside the row space, so their
-    pencil compressed to this basis has the maximum of the full N x N
-    pencil, 1 included when Eve beats Bob everywhere inside it.  The
-    projectors' cut, sqrt(PINV_CUTOFF) s_max, would drop directions that
-    still move the maximum: direct paths at 1e-6 of the surface path move
-    it by 8e-5 relative at 80 dB of transmit SNR.
+    Whatever the phases, the rows of both composite channels lie in this
+    space, so it holds the row space of every H_B and H_E of the run.  The
+    rank is numpy's numerical rank (`np.linalg.matrix_rank`) of the stack:
+    singular values above s_max * max(N, 2K + M) * eps.  Both quotients of
+    `beam_quotient` equal the identity outside the space, so their pencil
+    compressed to this basis has the maximum of the full N x N pencil, 1
+    included when Eve beats Bob everywhere inside it.  The projectors' cut,
+    sqrt(PINV_CUTOFF) s_max, would drop directions that still move the
+    maximum: direct paths at 1e-6 of the surface path move it by 8e-5
+    relative at 80 dB of transmit SNR.  The unit scaling keeps the cut
+    independent of each part's size beside the others.
 
-    One batched reduced SVD of the 2K x N stacks serves every draw whose
-    rank leaves room for the extra direction among its 2K rows; only a draw
-    of rank 2K < N takes the full SVD, for its N x N factor.
+    The stack's left singular vectors are the right singular vectors of
+    the QR triangle of its conjugate transpose, at most N x N, so no factor
+    with the stack's 2K + M columns is formed.
     """
-    rows = np.concatenate([h_b, h_e], axis=-2)
-    check_finite(rows)
-    n = rows.shape[-1]
-    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-    ranks = np.sum(svals > svals[:, :1] * max(rows.shape[1:]) * np.finfo(float).eps, axis=-1)
-    widths = np.minimum(ranks + 1, n)
-    vh = list(vh)
-    full = np.flatnonzero(widths > rows.shape[-2])
-    if full.size:
-        for d, v in zip(full, np.linalg.svd(rows[full], full_matrices=True)[2]):
-            vh[d] = v
-    return [v[:w].conj().T for v, w in zip(vh, widths)]
+    cols = unit_stack([ch.H_AB, ch.H_AE, ch.H_AI.conj().T])
+    check_finite(cols)
+    n = cols.shape[0]
+    _, svals, vh = np.linalg.svd(np.linalg.qr(cols.conj().T, mode="r"))
+    rank = int(np.sum(svals > svals[:1] * max(cols.shape) * np.finfo(float).eps))
+    return vh[:min(rank + 1, n)].conj().T
 
 
 def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -224,65 +211,55 @@ class ChannelTerms:
     """The rate model's terms that depend on the channels alone, formed
     once per run by `derived_model`: the AN projector P_AN, the whitener W of
     Eve's AN-plus-noise covariance B, W^H W = B^-1, from one SVD of the AN's
-    image at Eve (`eve_whitener`), and each stream's amplitude over the
-    noise, c_i = sqrt(beta_i ps) / sigma.  Bob hears both streams through
-    one composite channel H_B and Eve through one H_E; the rates apply c_i
-    to H_B v_i and G_E v_i."""
+    image at Eve (`eve_whitener`), each stream's amplitude over the noise,
+    c_i = sqrt(beta_i ps) / sigma, and the channel basis Q
+    (`channel_basis`), in which GAI solves its beamformer pencils.  Bob
+    hears both streams through one composite channel H_B and Eve through
+    one H_E; the rates apply c_i to H_B v_i and G_E v_i."""
 
     cfg: SystemConfig
     ch: ChannelSet      # with both surface gains zeroed when built without the surface
     P_AN: np.ndarray
     W: np.ndarray       # (K, K), W^H W = B^-1
     scales: tuple[float, float]
+    Q: np.ndarray       # (N, r), r <= N
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaTerms:
-    """The rate model's per-theta terms at a stack of D phase vectors, each
-    of cfg.M entries on the unit circle: the unscaled composite channels
-    H_B and H_E and Eve's whitened channel G_E = W H_E, (D, K, N) each, and
-    each draw's Q, the orthonormal basis of the joint row space of its H_B
-    and H_E plus one direction outside it (`row_basis`), in which GAI solves
-    its beamformer pencils, with the products that every beamformer step
-    reads, Q^H Q, H_B Q and G_E Q.
+    """The rate model's terms at one phase vector theta of cfg.M entries on
+    the unit circle: the unscaled composite channels H_B and H_E and Eve's
+    whitened channel G_E = W H_E, (K, N) each, and the products with the
+    channel basis Q that every beamformer step reads, Q^H Q, H_B Q and
+    G_E Q.
 
-    The optimizers' phase moves form one phase vector's terms, D = 1; the
-    random-phase baseline forms all its draws' in one.  Each term is formed
-    for the whole stack on its first read: the composites in one pass
-    (`composite_channels`), the bases in one batched SVD.  A draw's terms
-    are the same to the bit whatever the stack around it.  NSP reads no Q,
-    and nothing reads the composites at NSP's first, all-ones phases.
+    Each term is formed on its first read, so nothing reads the composites
+    at NSP's first, all-ones phases, and NSP, which reads no Q, forms no
+    products.
     """
 
     terms: ChannelTerms
-    thetas: tuple[np.ndarray, ...]
+    theta: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.terms.cfg.M
-        for theta in self.thetas:
-            if np.shape(theta) != (m,):
-                raise ValueError(f"theta has {np.size(theta)} entries; expected M = {m}")
-            _check_unit_modulus(theta)
+        if np.shape(self.theta) != (m,):
+            raise ValueError(f"theta has {np.size(self.theta)} entries; expected M = {m}")
+        _check_unit_modulus(self.theta)
 
     @cached_property
     def _channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # G_E is taken per draw, as the composites are
-        h_b, h_e = composite_channels(self.terms.ch, self.thetas)
-        return h_b, h_e, np.stack([self.terms.W @ e for e in h_e])
+        h_b, h_e = composite_channels(self.terms.ch, self.theta)
+        return h_b, h_e, self.terms.W @ h_e
 
-    H_B = property(lambda self: self._channels[0], doc="(D, K, N) composite channels to Bob.")
-    H_E = property(lambda self: self._channels[1], doc="(D, K, N) composite channels to Eve.")
-    G_E = property(lambda self: self._channels[2], doc="(D, K, N) W H_E.")
-
-    @cached_property
-    def Q(self) -> list[np.ndarray]:
-        """Each draw's (N, r) row basis, r <= 2K + 1 (`row_basis`)."""
-        return row_basis(self.H_B, self.H_E)
+    H_B = property(lambda self: self._channels[0], doc="(K, N) composite channel to Bob.")
+    H_E = property(lambda self: self._channels[1], doc="(K, N) composite channel to Eve.")
+    G_E = property(lambda self: self._channels[2], doc="(K, N) W H_E.")
 
     @cached_property
-    def Q_products(self) -> list[tuple[np.ndarray, ...]]:
-        """Each draw's Q^H Q, then H_B and G_E in the coordinates of Q."""
-        return [_basis_products(q, b, g) for q, b, g in zip(self.Q, self.H_B, self.G_E)]
+    def Q_products(self) -> tuple[np.ndarray, ...]:
+        """Q^H Q, then H_B and G_E in the coordinates of the channel basis Q."""
+        return _basis_products(self.terms.Q, self.H_B, self.G_E)
 
 
 def _of_terms(name: str) -> property:
@@ -290,18 +267,17 @@ def _of_terms(name: str) -> property:
     return property(lambda dm: getattr(dm.phases.terms, name))
 
 
-def _of_draw(name: str) -> property:
-    """A model's own draw of a stacked theta term."""
-    return property(lambda dm: getattr(dm.phases, name)[dm.draw])
+def _of_phases(name: str) -> property:
+    """A model's theta term."""
+    return property(lambda dm: getattr(dm.phases, name))
 
 
 @dataclass(frozen=True, eq=False)
 class DerivedModel:
     """The rate model at the precoders prec, the state of both optimizers:
-    the theta terms `phases`, whose draw `draw` is at prec's phases, and
-    through them the run's channel terms.  The model reads as its one draw:
-    H_B, H_E and G_E are (K, N), Q is the draw's row basis and Q_products
-    its products, and cfg, ch, P_AN, W and scales are the channel terms.
+    the theta terms `phases` of prec's phases, and through them the run's
+    channel terms.  H_B, H_E, G_E and Q_products are the theta terms, and
+    cfg, ch, P_AN, W, scales and Q the channel terms.
 
     A block step moves the model in one of two ways: a beamformer move
     (`with_beamformer`) keeps the theta terms, and a phase move
@@ -310,28 +286,28 @@ class DerivedModel:
     """
 
     phases: ThetaTerms
-    draw: int
     prec: Precoders
 
-    cfg, ch, P_AN, W, scales = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales"))
-    H_B, H_E, G_E, Q, Q_products = map(_of_draw, ("H_B", "H_E", "G_E", "Q", "Q_products"))
+    cfg, ch, P_AN, W, scales, Q = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales", "Q"))
+    H_B, H_E, G_E, Q_products = map(_of_phases, ("H_B", "H_E", "G_E", "Q_products"))
 
     def with_beamformer(self, key: str, v: np.ndarray) -> DerivedModel:
         """The model with beamformer key ("v1" or "v2") replaced by v
         (`Precoders.with_beamformer`), at the same theta terms."""
-        return DerivedModel(self.phases, self.draw, self.prec.with_beamformer(key, v))
+        return DerivedModel(self.phases, self.prec.with_beamformer(key, v))
 
     def with_theta(self, theta: np.ndarray) -> DerivedModel:
         """The model at the phases theta, with their own theta terms."""
-        return DerivedModel(ThetaTerms(self.phases.terms, (theta,)), 0, replace(self.prec, theta=theta))
+        return DerivedModel(ThetaTerms(self.phases.terms, theta), replace(self.prec, theta=theta))
 
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
                   include_irs: bool = True) -> DerivedModel:
-    """A fresh rate model at (v1, v2, theta): its channel terms, the AN
-    projector and, from the AN's image at Eve A = sqrt(beta3 ps g_AE) /
-    sigma H_AE^H P_AN, the whitener W of Eve's B = I + A A^H
-    (`eve_whitener`), and the theta terms of prec's phases.
+    """A fresh rate model at (v1, v2, theta): its channel terms (the AN
+    projector; from the AN's image at Eve, A = sqrt(beta3 ps g_AE) / sigma
+    H_AE^H P_AN, the whitener W of Eve's B = I + A A^H (`eve_whitener`);
+    the stream scales; the channel basis Q, `channel_basis`), and the theta
+    terms of prec's phases.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
@@ -346,8 +322,8 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
     w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
     scales = tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
-    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales)
-    return DerivedModel(ThetaTerms(terms, (prec.theta,)), 0, prec)
+    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales, Q=channel_basis(ch))
+    return DerivedModel(ThetaTerms(terms, prec.theta), prec)
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
@@ -466,9 +442,10 @@ def beam_quotient(dm: DerivedModel, stream: int,
     effective noise on both sides, cov_B = I + t_B t_B^H and cov_E = B +
     t_E t_E^H.  Returns basis^H basis + c^2 (H basis)^H cov^-1 (H basis)
     for each: the identity gives the full N x N pencil, an orthonormal
-    basis of a subspace the pencil restricted to it, and the model's row
-    basis Q, the default, the r x r pencil whose maximum is the full one's.
-    Q's products with the channels are the model's, formed once per theta.
+    basis of a subspace the pencil restricted to it, and the model's
+    channel basis Q, the default, the r x r pencil whose maximum is the
+    full one's.  Q is a channel term, formed once per run; its products
+    with the channels are the model's theta terms, formed once per theta.
     Eve's side is read in the model's whitened channel G_E = W H_E, where
     cov_E becomes I + t t^H with t = W t_E, so both inverses are rank-one
     downdates of the identity (`_downdated_gram`): O(K r^2) per call on Q,

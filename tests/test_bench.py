@@ -165,8 +165,8 @@ def test_random_phase_reports_mean_over_draws():
 
 @pytest.mark.parametrize("d_ab", [50.0, 300.0])
 def test_random_phase_shares_one_model_without_changing_a_draw(d_ab):
-    # every draw runs on a model of the call's one channel terms and one
-    # stack of theta terms, and gives the rate of a run that forms its own
+    # every draw runs on a model of the call's one set of channel terms,
+    # moved to its phases, and gives the rate of a run that forms its own
     cfg = SystemConfig(M=6, d_AB=d_ab)
     ch = _channels(cfg)
     sol = run_scheme(Scheme(kind="random_phase", draws=5), cfg, ch)
@@ -190,15 +190,18 @@ def test_run_gai_rejects_a_model_of_other_inputs():
 # the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and
 # nsp's secrecy rates and pass counts, as the optimizers gave them when the
 # bench was last re-measured; their means are the bench's sr_gai_bits and
-# sr_nsp_bits (21.707789678080086 and 21.54519282039872 at 50 m,
-# 9.243407311407617 and 8.170854360900194 at 300 m)
+# sr_nsp_bits (21.707788126985488 and 21.54519282039872 at 50 m,
+# 9.243389529530893 and 8.170854360900194 at 300 m).  gai's rates at 50 m,
+# M = 50/200 and 300 m, M = 30/80 sit on shallow ridges, where the point
+# the alternation stops at depends on the rounding of its beamformer steps
+# (CHANGES.md gives their limits at epsilon = 1e-9).
 BENCH_SOLVES = {
     (50.0, 10): (16.61066574553327, 4, 16.446399598364714, 2),
-    (50.0, 50): (22.23672599813199, 3, 22.074675275625125, 2),
-    (50.0, 200): (26.275977290574996, 3, 26.114503587206322, 2),
+    (50.0, 50): (22.23672636235742, 3, 22.074675275625125, 2),
+    (50.0, 200): (26.27597227306578, 3, 26.114503587206322, 2),
     (300.0, 10): (8.160985090918745, 6, 6.999419953685313, 2),
-    (300.0, 30): (8.887240010580259, 6, 7.7691566678822825, 2),
-    (300.0, 80): (10.681996832723852, 4, 9.743986461132986, 2),
+    (300.0, 30): (8.88712926971673, 5, 7.7691566678822825, 2),
+    (300.0, 80): (10.682054227957199, 4, 9.743986461132986, 2),
 }
 
 

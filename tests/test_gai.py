@@ -180,7 +180,7 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
     dm = derived_model(cfg, ch, prec)
     # a zero whitener zeroes Eve's channel G_E = W H_E
     terms = replace(dm.phases.terms, W=np.zeros_like(dm.W))
-    zeroed = DerivedModel(ThetaTerms(terms, (prec.theta,)), 0, prec)
+    zeroed = DerivedModel(ThetaTerms(terms, prec.theta), prec)
     v1 = update_v1(zeroed)
     (h_b1, h_b2), _ = _stream_channels(dm)
     t2 = h_b2 @ prec.v2
@@ -232,7 +232,7 @@ def _oracle_channels(rng, n, m, k, kind):
        k=st.integers(1, 8), kind=st.sampled_from(["los", "random"]), eve_gain=st.sampled_from([0.0, 2.0, 100.0]),
        betas=st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)]))
 def test_compressed_beam_steps_reach_the_full_pencil_maximum(seed, n, m, k, kind, eve_gain, betas):
-    # update_v1/update_v2 solve the pencil in the model's row basis Q; their
+    # update_v1/update_v2 solve the pencil in the model's channel basis Q; their
     # beamformer's quotient is the top generalized eigenvalue of the full
     # N x N pencil.  With eve_gain > 0 Eve hears Bob's channels eve_gain
     # times stronger, so she beats him in every direction of the row space

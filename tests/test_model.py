@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from irsdm.model import (
@@ -16,7 +16,6 @@ from irsdm.model import (
     build_channels,
     build_geometry,
     dbm_to_watts,
-    irs_line_landmarks,
     parallel_irs_angle,
     path_loss,
     steering_vector,
@@ -170,7 +169,10 @@ def test_parallel_line_drop_matches_reported_values():
     cfg = SystemConfig()
     theta_line = parallel_irs_angle(cfg)
     assert theta_line == pytest.approx(5 * math.pi / 18, abs=2e-3)
-    d_eve, d_bob = irs_line_landmarks(cfg, theta_line)
+    # the points of the line nearest the receivers: their projections onto it
+    _, bob, eve = _receivers(cfg.d_AB, cfg.d_AE, cfg.theta_AB, cfg.theta_AE)
+    u = np.array([math.cos(theta_line), math.sin(theta_line)])
+    d_eve, d_bob = float(eve @ u), float(bob @ u)
     assert d_eve == pytest.approx(49.2, abs=0.1)
     assert d_bob == pytest.approx(99.6, abs=0.1)
 
@@ -228,19 +230,6 @@ def test_parallel_line_is_parallel_to_bob_eve_segment(d_ab, d_ae, theta_ab, thet
     # the line's unit direction has no component across the segment
     cross = math.cos(theta_line) * seg[1] - math.sin(theta_line) * seg[0]
     assert abs(cross) <= 1e-12 * np.linalg.norm(seg)
-
-
-@given(**_DROP)
-@example(d_ab=100.0, d_ae=50.0, theta_ab=DEFAULT_THETA_AB, theta_ae=DEFAULT_THETA_AE)  # default drop
-def test_landmarks_match_projection_oracle(d_ab, d_ae, theta_ab, theta_ae):
-    # oracle: project Eve/Bob onto the surface line in Cartesian coordinates
-    cfg, bob, eve = _receivers(d_ab, d_ae, theta_ab, theta_ae)
-    assume(np.linalg.norm(bob - eve) >= 1e-9)
-    theta_line = parallel_irs_angle(cfg)
-    u = np.array([math.cos(theta_line), math.sin(theta_line)])
-    d_eve, d_bob = irs_line_landmarks(cfg, theta_line)
-    assert d_eve == pytest.approx(float(eve @ u), rel=1e-9, abs=1e-9 * d_ae)
-    assert d_bob == pytest.approx(float(bob @ u), rel=1e-9, abs=1e-9 * d_ab)
 
 
 def _default_channels() -> tuple[SystemConfig, ChannelSet]:

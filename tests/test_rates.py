@@ -16,7 +16,6 @@ from irsdm.gai import run_gai
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, dbm_to_watts
 from irsdm.nsp import run_nsp
 from irsdm.rates import (
-    DerivedModel,
     PhaseProblem,
     Precoders,
     ThetaTerms,
@@ -173,11 +172,11 @@ def test_each_run_forms_one_rate_model(model_calls):
 
 @pytest.fixture
 def formed(monkeypatch):
-    """Counts of the composite channels, their row bases and the phase maps
-    that the rate model and its readers form (`rates.composite_channels`,
-    `rates.row_basis`, and `rates.phase_maps` in `rates.PhaseProblem` and
-    `nsp.phase_blocks`)."""
-    counts = {"composite_channels": 0, "row_basis": 0, "phase_maps": 0}
+    """Counts of the composite channels, the channel basis and the phase
+    maps that the rate model and its readers form
+    (`rates.composite_channels`, `rates.channel_basis`, and
+    `rates.phase_maps` in `rates.PhaseProblem` and `nsp.phase_blocks`)."""
+    counts = {"composite_channels": 0, "channel_basis": 0, "phase_maps": 0}
 
     def counter(name):
         fn = getattr(rates, name)
@@ -196,19 +195,19 @@ def formed(monkeypatch):
 
 def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
     # a beamformer move keeps the theta terms, so the run's first model's
-    # composite channels serve every later one, and the row basis that the
-    # first beamformer step forms too; nothing reads the phase maps.
-    # random_phase's channel-terms model forms no theta terms of its own:
-    # every draw's composite channels and row basis come from one stack of
-    # theta terms (`rates.ThetaTerms`).
+    # composite channels serve every later one; the channel basis is formed
+    # once per rate model, and nothing reads the phase maps.
+    # random_phase's draws share one model's channel terms, basis included:
+    # each draw forms its own composite channels, and the shared model,
+    # which no draw runs at its own phases, forms none
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
-    assert formed == {"composite_channels": 1, "row_basis": 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1, "channel_basis": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert formed == {"composite_channels": 1 + 1, "row_basis": 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 3, "channel_basis": 1 + 1, "phase_maps": 0}
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert formed == {"composite_channels": 1 + 1 + 1, "row_basis": 1 + 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 3 + 1, "channel_basis": 1 + 1 + 1, "phase_maps": 0}
 
 
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
@@ -216,17 +215,17 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     state = run_gai(cfg, ch)
     assert state.iterations > 1
     passes = state.iterations
-    # the row basis is read by the beamformer steps, which never see the last theta
-    assert formed == {"composite_channels": 1 + passes, "row_basis": passes, "phase_maps": passes}
-    formed.update(composite_channels=0, row_basis=0, phase_maps=0)
+    # the channel basis is formed with the run's one rate model, not per theta
+    assert formed == {"composite_channels": 1 + passes, "channel_basis": 1, "phase_maps": passes}
+    formed.update(composite_channels=0, channel_basis=0, phase_maps=0)
     # nsp adds one phase step before the alternation; its beamformer steps
-    # solve in range(P), not in the row basis.  That first step reads only
-    # the phase maps, so the theta terms of the run's first model, at the
-    # all-ones phases, never form their composite channels
+    # solve in range(P), not in the channel basis.  That first step reads
+    # only the phase maps, so the theta terms of the run's first model, at
+    # the all-ones phases, never form their composite channels
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
     steps = 1 + state.iterations
-    assert formed == {"composite_channels": steps, "row_basis": 0, "phase_maps": steps}
+    assert formed == {"composite_channels": steps, "channel_basis": 1, "phase_maps": steps}
 
 
 def _an_image(cfg, ch):
@@ -749,9 +748,10 @@ def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, move
         dm = new
 
 
-def _stack_case(seed, n, m, k, kind):
+def _basis_case(seed, n, m, k, kind):
     """A config, channel set and precoders: line-of-sight from a random drop,
-    random full-rank, or random with both surface gains zeroed."""
+    random full-rank, random with both surface gains zeroed, or random with
+    direct paths at 1e-6 of the surface path."""
     cfg, ch, prec, rng = _random_channels(seed, n, m, k, (0.4, 0.4))
     if kind == "los":
         cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=0.0, d_AB=float(rng.uniform(20, 300)),
@@ -759,66 +759,44 @@ def _stack_case(seed, n, m, k, kind):
         ch = build_channels(cfg, build_geometry(cfg))
     elif kind == "no surface":
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
+    elif kind == "weak direct":
+        ch = replace(ch, H_AB=1e-6 * ch.H_AB, H_AE=1e-6 * ch.H_AE)
     return cfg, ch, prec, rng
 
 
-def _theta_layer(dm):
-    """A model's theta terms, Q's products included, as bytes."""
-    names = ("H_B", "H_E", "G_E", "Q")
-    terms = [getattr(dm, name) for name in names] + list(dm.Q_products)
-    return [(t.shape, t.tobytes()) for t in terms]
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24), k=st.integers(1, 4),
+       kind=st.sampled_from(["los", "random", "no surface", "weak direct"]))
+def test_channel_basis_spans_the_composite_rows_plus_one_direction_outside(seed, n, m, k, kind):
+    # the model's channel basis Q is orthonormal and spans the rows of both
+    # composite channels at any phases; it has one more column, orthogonal
+    # to all three of Alice's channels, exactly when their rank is below N
+    cfg, ch, prec, rng = _basis_case(seed, n, m, k, kind)
+    dm = derived_model(cfg, ch, prec)
+    q = dm.Q
+    parts = [ch.H_AB, ch.H_AE, ch.H_AI.conj().T]
+    rank = np.linalg.matrix_rank(np.hstack([x / np.linalg.norm(x) for x in parts]))
+    assert q.shape == (n, min(rank + 1, n))
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0.0, atol=1e-12)
+    if rank < n:
+        for x in parts:
+            assert np.linalg.norm(x.conj().T @ q[:, -1]) <= 1e-12 * np.linalg.norm(x)
+    span = q[:, :rank]
+    for _ in range(3):
+        moved = dm.with_theta(np.exp(2j * math.pi * rng.random(m)))
+        for h in (moved.H_B, moved.H_E):
+            assert np.linalg.norm(h - h @ span @ span.conj().T) <= 1e-12 * np.linalg.norm(h)
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), k=st.integers(1, 3), n=st.integers(1, 6),
-       m=st.integers(1, 8), kind=st.sampled_from(["los", "random", "no surface"]))
-def test_stacked_theta_terms_equal_single_formations_to_the_bit(seed, d, k, n, m, kind):
-    # one stack of D phase vectors (`rates.ThetaTerms`) forms every draw's
-    # terms in one pass; each draw's equal those of a model formed at its
-    # phases alone, fresh or moved
-    cfg, ch, prec, rng = _stack_case(seed, n, m, k, kind)
-    thetas = tuple(np.exp(2j * math.pi * rng.random(m)) for _ in range(d))
-    model = derived_model(cfg, ch, prec)
-    phases = ThetaTerms(model.phases.terms, thetas)
-    stacked = [DerivedModel(phases, i, replace(prec, theta=theta)) for i, theta in enumerate(thetas)]
-    assert [dm.prec.theta is theta for dm, theta in zip(stacked, phases.thetas)] == [True] * d
-    for dm, theta in zip(stacked, thetas):
-        alone = replace(prec, theta=theta)
-        assert dm.P_AN is model.P_AN and dm.W is model.W
-        assert _theta_layer(dm) == _theta_layer(derived_model(cfg, ch, alone))
-        assert _theta_layer(dm) == _theta_layer(model.with_theta(theta))
-        assert rate_gap(dm) == rate_gap(derived_model(cfg, ch, alone))
-
-
-def test_a_stack_with_one_phase_vector_off_the_unit_circle_raises():
+def test_theta_terms_reject_a_phase_vector_off_the_unit_circle_or_of_the_wrong_size():
     cfg, ch, rng = _setup()
     e1 = np.eye(cfg.N, dtype=complex)[0]
     model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
-    thetas = [np.exp(2j * math.pi * rng.random(cfg.M)) for _ in range(4)]
-    thetas[2] = thetas[2].copy()
-    thetas[2][5] *= 1.01
+    theta = np.exp(2j * math.pi * rng.random(cfg.M))
+    theta[5] *= 1.01
     with pytest.raises(ValueError, match="unit modulus"):
-        ThetaTerms(model.phases.terms, tuple(thetas))
+        ThetaTerms(model.phases.terms, theta)
     with pytest.raises(ValueError, match=rf"theta has {cfg.M + 1} entries"):
-        ThetaTerms(model.phases.terms, (np.ones(cfg.M + 1, dtype=complex),))
-
-
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), k=st.integers(1, 3), extra=st.integers(1, 4),
-       deficient=st.booleans())
-def test_row_basis_spans_the_rows_plus_one_direction_outside(seed, d, k, extra, deficient):
-    # rank 2K < N takes the full SVD for its extra direction; a rank below
-    # 2K finds it among the reduced SVD's 2K rows
-    rng = np.random.default_rng(seed)
-    n = 2 * k + extra
-    h_b, h_e = (rng.standard_normal((d, k, n)) + 1j * rng.standard_normal((d, k, n)) for _ in range(2))
-    if deficient:  # Eve's rows repeat Bob's: rank K
-        h_e = (1.0 + 2.0j) * h_b
-    rank = k if deficient else 2 * k
-    for q, rows in zip(rates.row_basis(h_b, h_e), np.concatenate([h_b, h_e], axis=1)):
-        assert q.shape == (n, rank + 1)
-        assert np.allclose(q.conj().T @ q, np.eye(rank + 1), atol=1e-12)
-        assert np.linalg.norm(rows @ q[:, -1]) <= 1e-12 * np.linalg.norm(rows)
-        # the first rank columns span the rows
-        assert np.allclose(rows @ q[:, :rank] @ q[:, :rank].conj().T, rows, atol=1e-12 * np.linalg.norm(rows))
+        ThetaTerms(model.phases.terms, np.ones(cfg.M + 1, dtype=complex))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
@@ -918,7 +896,7 @@ def test_nsp_phase_blocks_reproduce_phase_problem_ratio(seed, m, k, extra, betas
        k=st.integers(1, 4), betas=_BETAS, stream=st.integers(0, 1), null_space=st.booleans())
 def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space):
     # with the other stream and theta fixed, log2 of the quotient is the rate
-    # gap up to a constant: in the full space and in the model's row basis Q
+    # gap up to a constant: in the full space and in the model's channel basis Q
     # (rates.beam_quotient) and, at nsp's null-space points, in an
     # orthonormal basis of range(P) (nsp.stream_blocks)
     if null_space:
@@ -933,7 +911,7 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
         q = nsp.range_basis(projectors[stream])
         cases = [(q, nsp.stream_blocks(dm, q, stream))]
     else:
-        # the full pencil, and the one compressed to the model's row basis;
+        # the full pencil, and the one compressed to the model's channel basis;
         # by default, from the model's cached products with Q, the same to the bit
         dm, prec = _random_channel_model(seed, n, m, k, betas)
         cases = [(basis, rates.beam_quotient(dm, stream, basis)) for basis in (np.eye(n), dm.Q)]
