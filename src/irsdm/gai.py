@@ -7,10 +7,11 @@ at every theta.  The phase block maximizes the determinant ratio f(theta) /
 g(theta) of `rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at
 unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
-starts from a grid search over the phase patterns of that span; projected
-gradient ascent then polishes.  `SpanMemo.basis_of` and `SpanMemo.search`
-are the span and the pattern search of both optimizers' phase steps, with one
-span rule and one sizing (the `SEARCH_*` constants); GAI's step adds only
+starts from a grid search over the phase patterns of that span; gradient
+ascent along each phase's circle, with a step that follows the problem's
+scale, then polishes.  `SpanMemo.basis_of` and `SpanMemo.search` are the
+span and the pattern search of both optimizers' phase steps, with one span
+rule and one sizing (the `SEARCH_*` constants); GAI's step adds only
 its rotation axis.  Each step scores the patterns through their coordinates
 s = W^H theta alone, which come in closed form from a fixed M x 4 table of
 the span without forming the patterns.  Both objectives read s through 2 x 2
@@ -52,13 +53,6 @@ from .rates import (
 )
 
 
-# Phase-block line search: a step is tried at LS_ALPHA0 along the unit ascent
-# direction and shrunk by LS_SHRINK until it clears the sufficient-ascent
-# bound with constant LS_C1, at most LS_MAX_TRIALS times (last step 2^-13).
-LS_ALPHA0 = 1.0
-LS_SHRINK = 0.5
-LS_C1 = 1e-4
-LS_MAX_TRIALS = 14
 GA_TOL = 1e-6  # per-step rate gain (bits) that ends a phase block inside run_gai
 # Phase-pattern search of both optimizers: a (psi, chi) grid, times
 # SEARCH_ROTATIONS values of phi in GAI's step; from each of its
@@ -380,7 +374,7 @@ def ga_optimize_theta(
     memo: SpanMemo | None = None,
 ) -> np.ndarray:
     """Best unit-modulus phase vector for f/g: a span search for the start,
-    then projected gradient ascent (`_ascend`) as a polish.
+    then gradient ascent along the circle (`_ascend`) as a polish.
 
     The start is the best phase pattern of the ratio's two-dimensional span
     (`_span_start`) if it beats theta0, else theta0.  When the span is not
@@ -394,40 +388,41 @@ def ga_optimize_theta(
 
 
 def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: float) -> np.ndarray:
-    """Projected gradient ascent on f/g over the unit-modulus phase vector.
+    """Gradient ascent on f/g along each phase's unit circle.
 
-    Steps follow the normalized conjugate gradient and are reprojected onto
-    the unit circle before evaluation; a trial is accepted only if it clears
-    the sufficient-ascent bound, so the objective strictly increases.  Stops
-    when no backtracking step helps, the per-step rate gain drops below
-    epsilon, or after opts.max_ga_iters steps.  Returns theta0 unchanged if
-    no first step is accepted.
+    A step moves theta to theta * exp(j alpha d), d = Im(conj(theta) * g)
+    scaled to unit norm, g the conjugate gradient (`PhaseProblem.gradient`):
+    d is the ratio's gradient in the phase angles, the Riemannian gradient
+    on the circle.  The first step tries alpha = 1, each later one twice the
+    last accepted alpha, at most pi, and alpha halves on each trial that
+    does not strictly raise the ratio, with no cap on the trials.  Stops
+    when an accepted step gains less than epsilon bits, when alpha max|d|
+    falls below 2^-52 (no representable step helps), or after
+    opts.max_ga_iters steps.  Returns theta0 if no step is accepted.
     """
-    theta = theta0.copy()
+    theta = theta0
     f_cur = pp.ratio(theta)
+    alpha = 1.0
     for _ in range(opts.max_ga_iters):
-        grad = pp.gradient(theta)
-        gnorm = np.linalg.norm(grad)
-        if not np.isfinite(gnorm) or gnorm == 0.0:
+        d = np.imag(theta.conj() * pp.gradient(theta))
+        norm = np.linalg.norm(d)
+        if not np.isfinite(norm) or norm == 0.0:
             break
-        direction = grad / gnorm
-        alpha = LS_ALPHA0
-        accepted = False
-        for _ in range(LS_MAX_TRIALS):
-            cand = _project_phases(theta + alpha * direction, theta)
+        d /= norm
+        reach = np.max(np.abs(d))
+        while alpha * reach >= 2.0 ** -52:
+            cand = theta * np.exp(1j * alpha * d)
             f_cand = pp.ratio(cand)
-            # 2*gnorm is the ascent slope of the ratio along the unit direction.
-            if f_cand - f_cur > LS_C1 * alpha * 2.0 * gnorm:
-                theta = cand
-                gain_bits = math.log2(f_cand / f_cur)
-                f_cur = f_cand
-                accepted = True
+            if f_cand > f_cur:
                 break
-            alpha *= LS_SHRINK
-        if not accepted:
+            alpha *= 0.5
+        else:
             break
+        gain_bits = math.log2(f_cand / f_cur)
+        theta, f_cur = cand, f_cand
         if gain_bits < epsilon:
             break
+        alpha = min(2.0 * alpha, math.pi)
     return theta
 
 

@@ -200,29 +200,31 @@ def channel_basis(ch: ChannelSet) -> np.ndarray:
     return vh[:min(rank + 1, n)].conj().T
 
 
-def _basis_products(basis: np.ndarray, *channels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """basis^H basis and each channel (K, N) in the coordinates of basis
-    (N, r): what `beam_quotient` reads of the channels."""
-    return (basis.conj().T @ basis, *(h @ basis for h in channels))
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelTerms:
     """The rate model's terms that depend on the channels alone, formed
-    once per run by `derived_model`: the AN projector P_AN, the whitener W of
-    Eve's AN-plus-noise covariance B, W^H W = B^-1, from one SVD of the AN's
-    image at Eve (`eve_whitener`), each stream's amplitude over the noise,
-    c_i = sqrt(beta_i ps) / sigma, and the channel basis Q
-    (`channel_basis`), in which GAI solves its beamformer pencils.  Bob
-    hears both streams through one composite channel H_B and Eve through
-    one H_E; the rates apply c_i to H_B v_i and G_E v_i."""
+    once per run: the AN projector P_AN, the whitener W of Eve's
+    AN-plus-noise covariance B, W^H W = B^-1, from one SVD of the AN's image
+    at Eve (`eve_whitener`), each stream's amplitude over the noise, c_i =
+    sqrt(beta_i ps) / sigma, and, on first read, the channel basis Q
+    (`channel_basis`), in which GAI solves its beamformer pencils, and Q^H Q
+    (NSP forms neither).  Bob hears both streams through one composite
+    channel H_B and Eve through one H_E; the rates apply c_i to H_B v_i and
+    G_E v_i."""
 
     cfg: SystemConfig
     ch: ChannelSet      # with both surface gains zeroed when built without the surface
     P_AN: np.ndarray
     W: np.ndarray       # (K, K), W^H W = B^-1
     scales: tuple[float, float]
-    Q: np.ndarray       # (N, r), r <= N
+
+    @cached_property
+    def Q(self) -> np.ndarray:  # (N, r), r <= N
+        return channel_basis(self.ch)
+
+    @cached_property
+    def Q_gram(self) -> np.ndarray:  # Q^H Q
+        return self.Q.conj().T @ self.Q
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +232,8 @@ class ThetaTerms:
     """The rate model's terms at one phase vector theta of cfg.M entries on
     the unit circle: the unscaled composite channels H_B and H_E and Eve's
     whitened channel G_E = W H_E, (K, N) each, and the products with the
-    channel basis Q that every beamformer step reads, Q^H Q, H_B Q and
-    G_E Q.
+    channel basis Q that every beamformer step reads, H_B Q and G_E Q
+    (beside the channel terms' Q^H Q).
 
     Each term is formed on its first read, so nothing reads the composites
     at NSP's first, all-ones phases, and NSP, which reads no Q, forms no
@@ -259,7 +261,8 @@ class ThetaTerms:
     @cached_property
     def Q_products(self) -> tuple[np.ndarray, ...]:
         """Q^H Q, then H_B and G_E in the coordinates of the channel basis Q."""
-        return _basis_products(self.terms.Q, self.H_B, self.G_E)
+        q = self.terms.Q
+        return self.terms.Q_gram, self.H_B @ q, self.G_E @ q
 
 
 def _of_terms(name: str) -> property:
@@ -306,8 +309,8 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     """A fresh rate model at (v1, v2, theta): its channel terms (the AN
     projector; from the AN's image at Eve, A = sqrt(beta3 ps g_AE) / sigma
     H_AE^H P_AN, the whitener W of Eve's B = I + A A^H (`eve_whitener`);
-    the stream scales; the channel basis Q, `channel_basis`), and the theta
-    terms of prec's phases.
+    the stream scales; the channel basis Q, `channel_basis`, on first
+    read), and the theta terms of prec's phases.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
@@ -322,7 +325,7 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
     w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
     scales = tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
-    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales, Q=channel_basis(ch))
+    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales)
     return DerivedModel(ThetaTerms(terms, prec.theta), prec)
 
 
@@ -444,8 +447,8 @@ def beam_quotient(dm: DerivedModel, stream: int,
     for each: the identity gives the full N x N pencil, an orthonormal
     basis of a subspace the pencil restricted to it, and the model's
     channel basis Q, the default, the r x r pencil whose maximum is the
-    full one's.  Q is a channel term, formed once per run; its products
-    with the channels are the model's theta terms, formed once per theta.
+    full one's.  Q and Q^H Q are channel terms, formed once per run, and
+    Q's products with the channels theta terms, formed once per theta.
     Eve's side is read in the model's whitened channel G_E = W H_E, where
     cov_E becomes I + t t^H with t = W t_E, so both inverses are rank-one
     downdates of the identity (`_downdated_gram`): O(K r^2) per call on Q,
@@ -453,7 +456,8 @@ def beam_quotient(dm: DerivedModel, stream: int,
     """
     c = dm.scales
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    gram, hb, ge = dm.Q_products if basis is None else _basis_products(basis, dm.H_B, dm.G_E)
+    gram, hb, ge = dm.Q_products if basis is None else (
+        basis.conj().T @ basis, dm.H_B @ basis, dm.G_E @ basis)
     num = _downdated_gram(gram, c[stream] * hb, c[1 - stream] * (dm.H_B @ v_other))
     den = _downdated_gram(gram, c[stream] * ge, c[1 - stream] * (dm.G_E @ v_other))
     return _herm(num), _herm(den)

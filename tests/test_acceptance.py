@@ -558,3 +558,42 @@ def test_criterion_11_rerun_determinism(tmp_path):
         if before != after:
             failures.append(f"{name}: rerun CSV differs from the original")
     assert not failures, "determinism sub-checks failed:\n" + "\n".join(failures)
+
+
+# ------------------------------------------------------------ criterion 12
+
+
+def test_criterion_12_high_snr_slope_doubles():
+    """The abstract's "approximately double" at high SNR with a massive
+    surface, in measurable form: two streams gain 2 log2 10 = 6.644 bits
+    per 10 dB of transmit power, one stream log2 10 = 3.322.
+
+    At M = 1000 on both link ranges, from 80 to 110 dBm: each 10 dB step
+    gains 6.644 +- 0.01 bits for gai and nsp and 3.322 +- 0.01 for
+    single_cbs, and gai >= nsp - 1e-9 at each point (nsp is gai with
+    extra constraints).
+    """
+    start = time.perf_counter()
+    slopes = {"gai": 2.0 * math.log2(10.0), "nsp": 2.0 * math.log2(10.0),
+              "single_cbs": math.log2(10.0)}
+    powers = (80.0, 90.0, 100.0, 110.0)
+    failures = []
+    for d_ab in (50.0, 300.0):
+        rates = {kind: [] for kind in slopes}
+        for ps in powers:
+            cfg = SystemConfig(M=1000, d_AB=d_ab, ps_dbm=ps)
+            ch = _channels(cfg)
+            for kind in slopes:
+                rates[kind].append(run_scheme(Scheme(kind), cfg, ch).sr)
+        tag = f"d_AB={d_ab:g}"
+        for kind, slope in slopes.items():
+            for ps, gain in zip(powers[1:], np.diff(rates[kind])):
+                if abs(gain - slope) > 0.01:
+                    failures.append(f"{tag} {kind}: {ps - 10:g} -> {ps:g} dBm gains "
+                                    f"{gain:.4f} bits, expected {slope:.3f} +- 0.01")
+        for ps, gai, nsp in zip(powers, rates["gai"], rates["nsp"]):
+            if not gai >= nsp - 1e-9:
+                failures.append(f"{tag} {ps:g} dBm: gai {gai:.4f} < nsp {nsp:.4f}")
+    elapsed = time.perf_counter() - start
+    assert not failures, "high-SNR slope sub-checks failed:\n" + "\n".join(failures)
+    assert elapsed < 600.0, f"runtime budget exceeded: {elapsed:.1f}s >= 600s"

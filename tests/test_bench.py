@@ -190,18 +190,18 @@ def test_run_gai_rejects_a_model_of_other_inputs():
 # the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and
 # nsp's secrecy rates and pass counts, as the optimizers gave them when the
 # bench was last re-measured; their means are the bench's sr_gai_bits and
-# sr_nsp_bits (21.707788126985488 and 21.54519282039872 at 50 m,
-# 9.243389529530893 and 8.170854360900194 at 300 m).  gai's rates at 50 m,
+# sr_nsp_bits (21.707788256857736 and 21.54519282039872 at 50 m,
+# 9.243394976510048 and 8.170854360900194 at 300 m).  gai's rates at 50 m,
 # M = 50/200 and 300 m, M = 30/80 sit on shallow ridges, where the point
 # the alternation stops at depends on the rounding of its beamformer steps
 # (CHANGES.md gives their limits at epsilon = 1e-9).
 BENCH_SOLVES = {
-    (50.0, 10): (16.61066574553327, 4, 16.446399598364714, 2),
-    (50.0, 50): (22.23672636235742, 3, 22.074675275625125, 2),
-    (50.0, 200): (26.27597227306578, 3, 26.114503587206322, 2),
-    (300.0, 10): (8.160985090918745, 6, 6.999419953685313, 2),
-    (300.0, 30): (8.88712926971673, 5, 7.7691566678822825, 2),
-    (300.0, 80): (10.682054227957199, 4, 9.743986461132986, 2),
+    (50.0, 10): (16.61066588144423, 4, 16.446399598364714, 2),
+    (50.0, 50): (22.23672630042443, 3, 22.074675275625125, 2),
+    (50.0, 200): (26.275972588704555, 3, 26.114503587206322, 2),
+    (300.0, 10): (8.160984910956113, 6, 6.999419953685313, 2),
+    (300.0, 30): (8.887144500885277, 5, 7.7691566678822825, 2),
+    (300.0, 80): (10.682055517688758, 4, 9.743986461132986, 2),
 }
 
 
@@ -243,7 +243,7 @@ def test_single_stream_scheme_runs_both_streams():
 
 def test_dual_stream_gain_rises_with_transmit_power():
     # the abstract's high-SNR claim: the gai over single_cbs ratio at M = 50
-    # on the 50 m link grows with power (1.470 at 30 dBm, 1.772 at 90 dBm;
+    # on the 50 m link grows with power (1.470 at 30 dBm, 1.771 at 90 dBm;
     # README, criterion 9), slowly, as [log(1+x) + log(1+y)] / log(1+x+y) does
     ratios = []
     for ps in (30.0, 40.0, 50.0, 60.0, 70.0, 90.0):

@@ -771,6 +771,29 @@ def test_run_gai_converges_at_m80(kind, overrides, max_passes):
     assert np.all(np.diff(sol.rs_trace) >= -1e-9)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"d_AB": 50.0, "M": 10}, {"d_AB": 50.0, "M": 50}, {"d_AB": 50.0, "M": 200},
+    {"d_AB": 300.0, "M": 10}, {"d_AB": 300.0, "M": 30}, {"d_AB": 300.0, "M": 80},
+    {"d_AB": 50.0, "M": 2000, "ps_dbm": 90.0}, {"d_AB": 50.0, "M": 4000, "ps_dbm": 90.0},
+    {"d_AB": 50.0, "M": 1000, "ps_dbm": 110.0},
+    {"d_AB": 300.0, "M": 1000, "ps_dbm": 100.0, "beta1": 0.0, "beta2": 0.8},
+], ids=lambda o: " ".join(f"{k}={v:g}" for k, v in o.items()))
+def test_run_gai_ends_at_a_stationary_phase_vector(overrides):
+    # no step theta exp(j 2^-k d) along the unit tangent gradient d, at any
+    # length from 1 down to 2^-60, raises the final phase ratio by more than
+    # 1e-5 bits: the six bench points, the headline points at 90 dBm, and
+    # high-power points where a phase block that gave up on its line search
+    # after a fixed number of halvings left 0.19 to 2.84 bits
+    cfg, ch = _setup(SystemConfig(**overrides))
+    sol = run_gai(cfg, ch)
+    pp = PhaseProblem(derived_model(cfg, ch, Precoders(v1=sol.v1, v2=sol.v2, theta=sol.theta)))
+    d = np.imag(sol.theta.conj() * pp.gradient(sol.theta))
+    d /= np.linalg.norm(d)
+    f0 = pp.ratio(sol.theta)
+    gain = max(math.log2(pp.ratio(sol.theta * np.exp(1j * 2.0 ** -k * d)) / f0) for k in range(61))
+    assert gain <= 1e-5
+
+
 # ---------------------------------------------------------------- full runs
 
 

@@ -219,13 +219,13 @@ def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed)
     assert formed == {"composite_channels": 1 + passes, "channel_basis": 1, "phase_maps": passes}
     formed.update(composite_channels=0, channel_basis=0, phase_maps=0)
     # nsp adds one phase step before the alternation; its beamformer steps
-    # solve in range(P), not in the channel basis.  That first step reads
+    # solve in range(P), so it never forms the channel basis.  That first step reads
     # only the phase maps, so the theta terms of the run's first model, at
     # the all-ones phases, never form their composite channels
     state = run_nsp(cfg, ch)
     assert state.iterations > 1
     steps = 1 + state.iterations
-    assert formed == {"composite_channels": steps, "channel_basis": 1, "phase_maps": steps}
+    assert formed == {"composite_channels": steps, "channel_basis": 0, "phase_maps": steps}
 
 
 def _an_image(cfg, ch):
