@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gai import Solution, check_count, run_gai
+from .gai import GaOptions, Solution, check_count, fixed_phase_runs, fold_draws, run_gai
 from .model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from .nsp import run_nsp
-from .rates import Precoders, derived_model
+from .rates import derived_model  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 SCHEME_KINDS = ("gai", "nsp", "no_irs", "random_phase", "single_cbs")
 AN_SHARE_SINGLE = 0.2  # noise budget kept by the single-stream scheme
@@ -54,12 +54,13 @@ class ExperimentResult:
 def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solution:
     """Run one benchmark scheme on a fixed channel realization.
 
-    Returns the optimizer's `Solution`; random_phase returns its best draw's
-    with sr the mean rate, per_draw each draw's rate, iterations the rounded
-    mean pass count and converged that of every draw.  Its draws share one
-    rate model's channel terms (`rates.ChannelTerms`: the AN projector,
-    Eve's whitener, the channel basis Q), and each draw is one `run_gai` on
-    that model moved to its phases (`DerivedModel.with_theta`).
+    Returns the optimizer's `Solution`.  no_irs is run_gai at all-ones
+    fixed phases with both surface gains zeroed.  random_phase runs the
+    stack (D, M) of its seeded draws as one fixed-phase alternation on one
+    rate model's channel terms (`gai.fixed_phase_runs`), and returns the
+    best draw's record with sr the mean rate, per_draw each draw's rate,
+    iterations the rounded mean pass count and converged that of every draw
+    (`gai.fold_draws`).
     """
     if scheme.kind == "gai":
         return run_gai(cfg, channels)
@@ -70,18 +71,12 @@ def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solut
         return run_gai(cfg, no_surface, fixed_theta=np.ones(cfg.M, dtype=complex))
     if scheme.kind == "random_phase":
         rng = np.random.default_rng(cfg.seed)
-        thetas = [np.exp(2j * math.pi * rng.random(cfg.M)) for _ in range(scheme.draws)]
-        e1 = np.eye(cfg.N, dtype=complex)[0]
-        model = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=thetas[0]))
-        draws = [run_gai(cfg, channels, fixed_theta=model.with_theta(theta)) for theta in thetas]
-        per_draw = np.array([d.sr for d in draws])
-        return replace(
-            draws[int(np.argmax(per_draw))],
-            sr=float(per_draw.mean()),
-            per_draw=per_draw,
-            iterations=int(round(np.mean([d.iterations for d in draws]))),
-            converged=all(d.converged for d in draws),
-        )
+        thetas = np.exp(2j * math.pi * rng.random((scheme.draws, cfg.M)))
+        runs = fixed_phase_runs(cfg, channels, thetas, GaOptions().max_outer)
+        # each draw's finished run goes through one run_gai call, which hands
+        # it back as it is: perfbench/tracing.py counts the draws as calls of
+        # this module's run_gai
+        return fold_draws([run_gai(cfg, channels, fixed_theta=run) for run in runs])
     # single_cbs: one confidential stream with the whole non-AN budget
     share = 1.0 - AN_SHARE_SINGLE
     if scheme.active_stream == 2:

@@ -28,14 +28,19 @@ leaves lower, so the secrecy-rate trace is non-decreasing.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.  Each block step maps the rate model
 (`rates.DerivedModel`) to the next: a beamformer step keeps its theta terms
-and a phase step forms new ones.
+and a phase step forms new ones.  The fixed-phase baselines (no_irs, and
+random_phase's draws) hold the phases and run only the beamformer blocks,
+at a stack of phase vectors as one alternation (`fixed_phase_runs`): the
+beamformer pencils and the rates of every draw still climbing are solved
+in batched kernels that give each draw its own run's result to the bit,
+and `_settle`, `alternate`'s stop-and-undo rule, stops each draw.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,11 +49,17 @@ from .rates import (
     DerivedModel,
     PhaseProblem,
     Precoders,
+    ThetaTerms,
+    _downdated_gram,
+    _herm,
+    _log2_det2,
     beam_quotient,
     check_finite,
+    check_unit_rows,
     derived_model,
     secrecy_rate,
     unclipped_gap,
+    unit_rows,
     unit_stack,
 )
 
@@ -118,21 +129,22 @@ class Solution:
 
 
 def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
-    """Unit-norm maximizer of (x^H A x) / (x^H B x) for Hermitian A, B with B > 0.
+    """Unit-norm maximizer of (x^H A x) / (x^H B x) for Hermitian A, B with B > 0,
+    or of each slice of stacks (D, r, r), as a stack (D, r).
 
     B = U diag(lam) U^H gives the whitening S = U diag(lam)^-1/2, which turns
     the pencil into the ordinary eigenproblem of S^H A S; x is S times its
-    top eigenvector.  Raises ValueError on non-finite entries or a B with
-    an eigenvalue below 1e-12.
+    top eigenvector.  numpy's eigh runs one LAPACK call per slice, so each
+    slice's x equals its own call's to the bit.  Raises ValueError on
+    non-finite entries or a B with an eigenvalue below 1e-12.
     """
     check_finite(a_num, b_den)
     lam, u = np.linalg.eigh(b_den)
-    if lam[0] < 1e-12:
+    if min(lam[..., :1].flat) < 1e-12:
         raise ValueError("denominator matrix is numerically singular")
-    s = u / np.sqrt(lam)
-    _, vecs = np.linalg.eigh(s.conj().T @ a_num @ s)
-    v = s @ vecs[:, -1]
-    return v / np.linalg.norm(v)
+    s = u / np.sqrt(lam)[..., None, :]
+    _, vecs = np.linalg.eigh(s.conj().mT @ a_num @ s)
+    return unit_rows(np.matvec(s, vecs[..., -1]))
 
 
 def update_v1(dm: DerivedModel) -> np.ndarray:
@@ -426,24 +438,37 @@ def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: floa
     return theta
 
 
-def initial_beamformers(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Top two right singular directions of the model's composite channel to
-    Bob, H_B at the model's theta.
+def initial_beamformers(terms: DerivedModel | ThetaTerms) -> tuple[np.ndarray, np.ndarray]:
+    """Top two right singular directions of the composite channel to Bob,
+    H_B of a rate model or of theta terms, or of each slice of a stack
+    (D, K, N) of them, from one batched SVD.
 
     Falls back to canonical basis vectors when the channel does not expose
     two usable directions (e.g. K = 1 leaves the second singular value at 0),
     and to v2 = v1 when N = 1.
     """
-    n = dm.H_B.shape[1]
-    _, svals, vh = np.linalg.svd(dm.H_B, full_matrices=False)
-    v1 = vh[0].conj() if svals[0] > 0 else np.eye(n)[0].astype(complex)
-    if len(svals) > 1 and svals[1] > 1e-12 * svals[0]:
-        v2 = vh[1].conj()
-    elif n > 1:
-        v2 = np.eye(n)[1].astype(complex)
-    else:  # one antenna: both streams share its only direction
-        v2 = v1
-    return v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2)
+    n = terms.H_B.shape[-1]
+    _, svals, vh = np.linalg.svd(terms.H_B, full_matrices=False)
+    eye = np.eye(n, dtype=complex)
+    v1 = np.where(svals[..., :1] > 0, vh[..., 0, :].conj(), eye[0])
+    if svals.shape[-1] > 1:
+        v2 = np.where(svals[..., 1:2] > 1e-12 * svals[..., :1], vh[..., 1, :].conj(), eye[1])
+    else:  # K = 1 or one antenna: a second canonical direction, or its only one
+        v2 = np.broadcast_to(eye[1], v1.shape) if n > 1 else v1
+    return unit_rows(v1), unit_rows(v2)
+
+
+def _settle(gap: float | np.ndarray, gap_new: float | np.ndarray, epsilon: float) -> tuple:
+    """The stop-and-undo rule of one pass from gap to gap_new, entry by
+    entry for a stack of runs.
+
+    A pass that lowers the gap (each block raises it, but solves of pencils
+    with entries near 1e8 lose digits) is undone: the run keeps its previous
+    state and gap.  A run stops as converged once a pass gains at most
+    epsilon, so an undone pass ends it.  Returns (undone, stopped, the gap
+    kept)."""
+    kept = np.maximum(gap, gap_new)
+    return gap_new < gap, kept - gap <= epsilon, kept
 
 
 def alternate(
@@ -460,10 +485,9 @@ def alternate(
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
-    A pass that lowers the gap (each block raises it, but solves of pencils
-    with entries near 1e8 lose digits) is undone: the run keeps the previous
-    rate model, repeats the previous rate in the trace and stops as
-    converged.  The trace is therefore non-decreasing.
+    A pass that lowers the gap is undone (`_settle`): the run keeps the
+    previous rate model, repeats the previous rate in the trace and stops
+    as converged.  The trace is therefore non-decreasing.
 
     Returns the run's `Solution`: the last model's precoders and AN
     projector, sr = rs_trace[-1], and per_draw None.
@@ -476,12 +500,11 @@ def alternate(
         for step in steps:
             dm = step(dm)
         sr = secrecy_rate(dm)
-        gap_new = unclipped_gap(sr, dm)
-        if gap_new < gap:
-            dm, sr, gap_new = dm_prev, trace[-1], gap
+        undone, stopped, gap = _settle(gap, unclipped_gap(sr, dm), dm.cfg.epsilon)
+        if undone:
+            dm, sr = dm_prev, trace[-1]
         trace.append(sr)
-        gap, gap_prev = gap_new, gap
-        if gap - gap_prev <= dm.cfg.epsilon:
+        if stopped:
             converged = True
             break
     return Solution(
@@ -496,34 +519,121 @@ def alternate(
     )
 
 
+def fixed_phase_runs(cfg: SystemConfig, channels: ChannelSet, thetas: np.ndarray,
+                     max_outer: int) -> list[Solution]:
+    """run_gai's beamformer alternation at each fixed phase vector of the
+    stack thetas (D, M), run as one alternation over the stack: one
+    `Solution` per row, each its own run's to the bit.
+
+    One rate model holds the channel terms, and the stack's theta terms
+    (`rates.ThetaTerms`) every draw's H_B, G_E and Q products, each formed
+    in one broadcast product; the initial beamformers come from one batched
+    SVD.  Each pass updates v1, then v2, of the runs still climbing, with
+    batched pencils (`rates._downdated_gram`) and eigensolves
+    (`rayleigh_ritz_max`) and batched rates; `_settle` stops or undoes each
+    run, and a run that stops leaves the stack.  Every row is checked as a
+    single run is: unit-modulus phases, finite pencils, a non-singular
+    denominator and unit-norm beamformers.
+    """
+    e1 = np.eye(cfg.N, dtype=complex)[0]
+    dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=thetas[0]))
+    stack = ThetaTerms(dm.phases.terms, thetas)
+    c, q = dm.scales, dm.Q
+    gram, hbq, geq = stack.Q_products
+    h_b, g_e = stack.H_B, stack.G_E
+    parts = [(c[s] * hbq, c[s] * geq) for s in (0, 1)]  # each stream's scaled channels in Q
+    beams = list(initial_beamformers(stack))
+
+    def gaps(h_b, g_e, beams):
+        r_b, r_e = (_log2_det2(*(ci * np.matvec(h, v) for ci, v in zip(c, beams))) for h in (h_b, g_e))
+        return r_b - r_e
+
+    def step(s, key, h_b, g_e, beams, parts):
+        v, c_other = beams[1 - s], c[1 - s]
+        w = rayleigh_ritz_max(_herm(_downdated_gram(gram, parts[s][0], c_other * np.matvec(h_b, v))),
+                              _herm(_downdated_gram(gram, parts[s][1], c_other * np.matvec(g_e, v))))
+        if np.shape(w) != (len(v), q.shape[1]):
+            raise ValueError(f"{key} must be a vector per draw, got coefficients of shape {np.shape(w)}")
+        v = np.matvec(q, w)
+        check_unit_rows(key, v)
+        return v
+
+    d = len(thetas)
+    live = np.arange(d)
+    gap = gaps(h_b, g_e, beams)
+    traces = np.empty((d, max_outer + 1))
+    traces[:, 0] = np.maximum(gap, 0.0)
+    passes = np.full(d, max_outer)
+    converged = np.zeros(d, dtype=bool)
+    final = [np.empty((d, cfg.N), dtype=complex) for _ in beams]
+    for k in range(1, max_outer + 1):
+        prev = list(beams)
+        for s, key in enumerate(("v1", "v2")):
+            if (cfg.beta1, cfg.beta2)[s] > 0:
+                beams[s] = step(s, key, h_b, g_e, beams, parts)
+        undone, stopped, gap = _settle(gap, gaps(h_b, g_e, beams), cfg.epsilon)
+        beams = [np.where(undone[:, None], old, new) for old, new in zip(prev, beams)]
+        traces[live, k] = np.where(undone, traces[live, k - 1], np.maximum(gap, 0.0))
+        leaving = stopped if k < max_outer else np.ones_like(stopped)
+        if leaving.any():
+            rows = live[leaving]
+            passes[rows], converged[rows] = k, stopped[leaving]
+            for out, v in zip(final, beams):
+                out[rows] = v[leaving]
+            stay = ~leaving
+            if not stay.any():
+                break
+            live, gap, h_b, g_e = live[stay], gap[stay], h_b[stay], g_e[stay]
+            beams = [v[stay] for v in beams]
+            parts = [(hb[stay], ge[stay]) for hb, ge in parts]
+    return [Solution(v1=final[0][i], v2=final[1][i], theta=thetas[i], p_an=dm.P_AN,
+                     sr=float(traces[i, passes[i]]), rs_trace=traces[i, :passes[i] + 1].copy(),
+                     iterations=int(passes[i]), converged=bool(converged[i])) for i in range(d)]
+
+
+def fold_draws(runs: Sequence[Solution]) -> Solution:
+    """The random-phase record of the draws' runs: the best draw's run, with
+    sr the mean rate, per_draw each draw's rate, iterations the rounded mean
+    pass count and converged that of every draw."""
+    per_draw = np.array([r.sr for r in runs])
+    return replace(runs[int(np.argmax(per_draw))], sr=float(per_draw.mean()), per_draw=per_draw,
+                   iterations=int(round(np.mean([r.iterations for r in runs]))),
+                   converged=all(r.converged for r in runs))
+
+
 def run_gai(
     cfg: SystemConfig,
     channels: ChannelSet,
     opts: GaOptions | None = None,
-    fixed_theta: np.ndarray | DerivedModel | None = None,
+    fixed_theta: np.ndarray | Solution | None = None,
 ) -> Solution:
     """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
 
-    With fixed_theta the phases stay fixed and only the beamformers move;
-    without, they start from all ones.  fixed_theta is either the phase
-    vector or a rate model of cfg and channels at it, whose channel and
-    theta terms the run then reads instead of forming its own (the
-    random-phase baseline hands each draw a model on the call's one set of
-    channel terms, Q included); a model of other inputs raises ValueError.
-    Each beamformer step checks only the beamformer it replaced
-    (`Precoders.with_beamformer`).  Returns `alternate`'s `Solution`.
+    Without fixed_theta the phases start from all ones.  With fixed_theta
+    the phases stay fixed and only the beamformers move: a phase vector
+    (M,) gives its run's `Solution`, and a stack (D, M) runs every row at
+    once (`fixed_phase_runs`) and gives the random-phase record of the
+    rows: the best row's run, with sr the mean rate, per_draw each row's
+    rate, iterations the rounded mean pass count and converged that of
+    every row (`fold_draws`).  Any other shape raises ValueError.  A
+    finished run (a `Solution`, such as a row of `fixed_phase_runs`) is
+    handed back as it is: the random-phase baseline reports each draw of
+    its stacked run through one call, because perfbench/tracing.py counts
+    the draws as calls of `bench.run_gai`.  Each beamformer step
+    checks only the beamformer it replaced (`Precoders.with_beamformer`).
+    Returns `alternate`'s `Solution`.
     """
     opts = opts or GaOptions()
-    if isinstance(fixed_theta, DerivedModel):
-        dm = fixed_theta
-        if dm.cfg != cfg or dm.ch is not channels:
-            raise ValueError("the rate model handed to run_gai is not of its cfg and channels")
-    else:
-        theta = np.ones(cfg.M, dtype=complex) if fixed_theta is None else np.asarray(fixed_theta, dtype=complex)
-        if theta.shape != (cfg.M,):
-            raise ValueError(f"fixed_theta has shape {theta.shape}; expected ({cfg.M},) for M = {cfg.M}")
-        e1 = np.eye(cfg.N, dtype=complex)[0]
-        dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
+    if isinstance(fixed_theta, Solution):
+        return fixed_theta
+    if fixed_theta is not None:
+        thetas = np.asarray(fixed_theta, dtype=complex)
+        if thetas.ndim not in (1, 2) or thetas.shape[-1] != cfg.M or thetas.size == 0:
+            raise ValueError(f"fixed_theta has shape {thetas.shape}; expected ({cfg.M},) or (D, {cfg.M}) for M = {cfg.M}")
+        runs = fixed_phase_runs(cfg, channels, thetas.reshape(-1, cfg.M), opts.max_outer)
+        return runs[0] if thetas.ndim == 1 else fold_draws(runs)
+    e1 = np.eye(cfg.N, dtype=complex)[0]
+    dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
     v1, v2 = initial_beamformers(dm)
     dm = dm.with_beamformer("v1", v1).with_beamformer("v2", v2)
     steps = []
@@ -531,11 +641,10 @@ def run_gai(
         steps.append(lambda dm: dm.with_beamformer("v1", update_v1(dm)))
     if cfg.beta2 > 0:
         steps.append(lambda dm: dm.with_beamformer("v2", update_v2(dm)))
-    if fixed_theta is None:
-        memo = SpanMemo()
-        # solve the phase block well below the outer tolerance: stopping
-        # the ascent at the outer epsilon meters a shallow-ridge climb out
-        # over many outer passes instead of finishing it in one
-        steps.append(lambda dm: dm.with_theta(
-            ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
+    memo = SpanMemo()
+    # solve the phase block well below the outer tolerance: stopping
+    # the ascent at the outer epsilon meters a shallow-ridge climb out
+    # over many outer passes instead of finishing it in one
+    steps.append(lambda dm: dm.with_theta(
+        ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
     return alternate(dm, steps, opts.max_outer)

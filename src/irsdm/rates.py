@@ -23,7 +23,22 @@ PINV_CUTOFF = 1e-10  # relative cutoff on squared singular values when forming p
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().mT)
+
+
+def _hypot(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+# The scalar operations of the broadcast kernels below (`_det2`,
+# `_downdated_gram`, `unit_rows`), for one vector and for a stack of them on
+# a leading axis.  Each pair rounds alike: np.vdot and np.vecdot make one
+# BLAS product, abs and np.hypot take libm's hypot, math.sqrt and np.sqrt
+# the correctly rounded root; numpy's absolute value of a complex array is
+# not libm's.  The vector forms cost less per call, and a stack's rows equal
+# their own calls to the bit.
+_ONE = (np.vdot, math.sqrt, abs)
+_STACK = (np.vecdot, np.sqrt, _hypot)
 
 
 def check_finite(*arrays: np.ndarray) -> None:
@@ -49,6 +64,16 @@ def _check_beamformer(key: str, v: np.ndarray, other: str, size: int) -> None:
     nrm = math.sqrt(np.vdot(v, v).real)
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"{key} must have unit norm, got {nrm!r}")
+
+
+def check_unit_rows(key: str, v: np.ndarray) -> None:
+    """Raise ValueError unless every row of the stack v (D, n) has unit
+    norm, as `_check_beamformer` checks one beamformer."""
+    nrm = np.sqrt(np.vecdot(v, v).real)
+    # written so that NaN fails: every comparison with NaN is False
+    off = ~(np.abs(nrm - 1.0) <= 1e-9)
+    if off.any():
+        raise ValueError(f"{key} must have unit norm, got {float(nrm[off][0])!r}")
 
 
 def _check_unit_modulus(theta: np.ndarray) -> None:
@@ -131,8 +156,9 @@ def eve_whitener(a: np.ndarray) -> np.ndarray:
 
 def composite_channels(ch: ChannelSet, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unscaled channels to Bob and to Eve, (K, N) each, at the phases theta
-    (M,): the direct path plus the path reflected by the surface."""
-    return tuple(np.sqrt(g_ir) * ((h_ir.conj().T * theta) @ ch.H_AI) + np.sqrt(g_a) * h_a.conj().T
+    (M,), or stacks (D, K, N) at a stack (D, M): the direct path plus the
+    path reflected by the surface."""
+    return tuple(np.sqrt(g_ir) * ((h_ir.conj().T * theta[..., None, :]) @ ch.H_AI) + np.sqrt(g_a) * h_a.conj().T
                  for h_ir, g_ir, h_a, g_a in ((ch.H_IB, ch.g_AIB, ch.H_AB, ch.g_AB),
                                               (ch.H_IE, ch.g_AIE, ch.H_AE, ch.g_AE)))
 
@@ -233,7 +259,10 @@ class ThetaTerms:
     the unit circle: the unscaled composite channels H_B and H_E and Eve's
     whitened channel G_E = W H_E, (K, N) each, and the products with the
     channel basis Q that every beamformer step reads, H_B Q and G_E Q
-    (beside the channel terms' Q^H Q).
+    (beside the channel terms' Q^H Q).  At a stack theta (D, M) of phase
+    vectors, each term is the stack of theirs on a leading axis, every
+    slice equal to the term of its own phases to the bit, so that
+    `gai.fixed_phase_runs` runs its alternation at every draw at once.
 
     Each term is formed on its first read, so nothing reads the composites
     at NSP's first, all-ones phases, and NSP, which reads no Q, forms no
@@ -245,8 +274,9 @@ class ThetaTerms:
 
     def __post_init__(self) -> None:
         m = self.terms.cfg.M
-        if np.shape(self.theta) != (m,):
-            raise ValueError(f"theta has {np.size(self.theta)} entries; expected M = {m}")
+        shape = np.shape(self.theta)
+        if len(shape) not in (1, 2) or shape[-1] != m:
+            raise ValueError(f"theta has {shape[-1] if shape else 0} entries; expected M = {m}")
         _check_unit_modulus(self.theta)
 
     @cached_property
@@ -337,29 +367,37 @@ def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
         raise ValueError("precoders' theta is not the rate model's; move the model there with `with_theta`")
 
 
-def _det2(t1: np.ndarray, t2: np.ndarray) -> float:
-    """det(I_2 + [t1 t2]^H [t1 t2]) of two streams, in a form with no
-    subtraction: (1 + |t1|^2)(1 + |p|^2) + |t1^H t2|^2 / |t1|^2, p = t2
-    minus its projection onto t1.
+def _det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
+    """det(I_2 + [t1 t2]^H [t1 t2]) of two streams (K,), or of each pair of
+    rows of stacks (D, K), in a form with no subtraction: (1 + |t1|^2)(1 +
+    |p|^2) + |t1^H t2|^2 / |t1|^2, p = t2 minus its projection onto t1.
 
     The Gram form a11 a22 - |a12|^2 cancels when the streams are near
     collinear at high SNR, and so does a K x K factorization of I + t1 t1^H
     + t2 t2^H: both lose about eps |t|^2 relative.  Here every term keeps
-    its relative accuracy.  A NaN anywhere gives NaN.
+    its relative accuracy.  A silent t1 (|t1| = 0, so t1^H t2 = 0) divides
+    by 1 instead, which leaves p = t2 and the last term 0.  A NaN anywhere
+    gives NaN.
     """
-    n1 = np.vdot(t1, t1).real
-    if n1 == 0.0:
-        return 1.0 + np.vdot(t2, t2).real
-    a12 = np.vdot(t1, t2)
-    p = t2 - (a12 / n1) * t1
-    return (1.0 + n1) * (1.0 + np.vdot(p, p).real) + abs(a12) ** 2 / n1
+    dot, _, mag = _ONE if t1.ndim == 1 else _STACK
+    n1 = dot(t1, t1).real
+    a12 = dot(t1, t2)
+    safe = n1 + (n1 == 0.0)
+    p = t2 - (a12 / safe * t1.T).T
+    m12 = mag(a12)
+    return (1.0 + n1) * (1.0 + dot(p, p).real) + m12 * m12 / safe
 
 
-def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float:
-    det = float(_det2(t1, t2))
-    if not math.isfinite(det):
+def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
+    """log2 of `_det2`, a float for one pair of streams and an array for
+    stacks, each entry by math.log2 (numpy's log2 differs from it in the last
+    bit on some inputs).  Raises ValueError if a factor is not finite."""
+    det = _det2(t1, t2)
+    dets = [float(det)] if t1.ndim == 1 else det.tolist()
+    if not all(map(math.isfinite, dets)):
         raise ValueError("matrix has non-finite entries")
-    return math.log2(det)
+    logs = [math.log2(x) for x in dets]
+    return logs[0] if t1.ndim == 1 else np.array(logs)
 
 
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
@@ -404,19 +442,28 @@ def unclipped_gap(sr: float, dm: DerivedModel) -> float:
 
 
 def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """gram + h^H (I + t t^H)^-1 h for h (K, r) and the stream t (K,), with
-    the inverse as a rank-one downdate of the identity (Sherman-Morrison):
-    I - e e^H + e e^H / (1 + |t|^2), e = t / |t|.  Written as gram +
-    (P h)^H (P h) + c^H c / (1 + |t|^2), P = I - e e^H and c = e^H h, it
-    subtracts no two Gram terms, so the directions along t keep their
-    relative accuracy at high SNR; O(K r^2), no solve."""
-    n = np.vdot(t, t).real
-    if n == 0.0:
-        return gram + h.conj().T @ h
-    e = t / math.sqrt(n)
-    c = e.conj() @ h
-    ph = h - e[:, None] * c
-    return gram + ph.conj().T @ ph + c.conj()[:, None] * (c / (1.0 + n))
+    """gram + h^H (I + t t^H)^-1 h for h (K, r) and the stream t (K,), or for
+    each slice of stacks h (D, K, r) and t (D, K), with the inverse as a
+    rank-one downdate of the identity (Sherman-Morrison): I - e e^H + e e^H
+    / (1 + |t|^2), e = t / |t|.  Written as gram + (P h)^H (P h) + c^H c /
+    (1 + |t|^2), P = I - e e^H and c = e^H h, it subtracts no two Gram terms,
+    so the directions along t keep their relative accuracy at high SNR;
+    O(K r^2), no solve.  A silent t (|t| = 0) takes e = t = 0, which leaves
+    gram + h^H h."""
+    dot, sqrt, _ = _ONE if t.ndim == 1 else _STACK
+    n = dot(t, t).real
+    e = (t.T / sqrt(n + (n == 0.0))).T
+    c = e.conj()[..., None, :] @ h
+    ph = h - e[..., None] * c
+    return gram + ph.conj().mT @ ph + c.conj().mT * (c.T / (1.0 + n)).T
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """v / ||v||, for a vector or for each row of a stack (D, n); the norm is
+    np.linalg.norm's, sqrt(Re v . Re v + Im v . Im v), to the bit."""
+    dot, sqrt, _ = _ONE if v.ndim == 1 else _STACK
+    re, im = v.real, v.imag
+    return (v.T / sqrt(dot(re, re) + dot(im, im))).T
 
 
 def whiten_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from irsdm.bench import (
 from irsdm.gai import Solution, run_gai
 from irsdm.model import SystemConfig, build_channels, build_geometry, parallel_irs_angle
 from irsdm.nsp import NspOptions, run_nsp
-from irsdm.rates import Precoders, derived_model
 
 
 def _channels(cfg):
@@ -173,18 +172,6 @@ def test_random_phase_shares_one_model_without_changing_a_draw(d_ab):
     rng = np.random.default_rng(cfg.seed)
     alone = [run_gai(cfg, ch, fixed_theta=np.exp(2j * np.pi * rng.random(cfg.M))).sr for _ in range(5)]
     assert np.array_equal(sol.per_draw, alone)
-
-
-def test_run_gai_rejects_a_model_of_other_inputs():
-    cfg = SystemConfig(M=6)
-    ch = _channels(cfg)
-    e1 = np.eye(cfg.N, dtype=complex)[0]
-    model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.exp(1j * np.arange(cfg.M))))
-    assert run_gai(cfg, ch, fixed_theta=model).sr == run_gai(cfg, ch, fixed_theta=model.prec.theta).sr
-    for other_cfg, other_ch in ((dataclasses.replace(cfg, beta1=0.5), ch),
-                                (cfg, dataclasses.replace(ch, g_AIB=0.0))):
-        with pytest.raises(ValueError, match="cfg and channels"):
-            run_gai(other_cfg, other_ch, fixed_theta=model)
 
 
 # the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and

@@ -839,6 +839,95 @@ def test_run_gai_fixed_theta_keeps_theta():
     assert np.allclose(state.theta, theta0)
 
 
+def _fixed_phase_case(seed, d, m, k, n, betas, ps_dbm, d_ab, epsilon):
+    cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=ps_dbm, beta1=betas[0], beta2=betas[1], d_AB=d_ab,
+                       epsilon=epsilon)
+    thetas = np.exp(2j * math.pi * np.random.default_rng(seed).random((d, m)))
+    return cfg, build_channels(cfg, build_geometry(cfg)), thetas
+
+
+def _same_run(a, b):
+    return (a.sr == b.sr and a.iterations == b.iterations and a.converged == b.converged
+            and all(np.array_equal(getattr(a, key), getattr(b, key)) for key in ("v1", "v2", "theta", "rs_trace")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.integers(1, 8), m=st.integers(1, 40),
+       k=st.sampled_from([1, 2, 4]), n=st.sampled_from([1, 2, 16]),
+       betas=st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)]), ps_dbm=st.floats(0.0, 90.0),
+       d_ab=st.sampled_from([50.0, 300.0]), epsilon=st.sampled_from([1e-4, 1e-2, 0.1]))
+# draws that stop at pass 1 beside ones that take 31 passes, or that stop at
+# the 50-pass cap; and draws whose last pass is undone beside ones that go on
+@example(seed=746, d=8, m=12, k=2, n=2, betas=(0.4, 0.4), ps_dbm=73.95392765371376, d_ab=50.0, epsilon=0.1)
+@example(seed=342, d=8, m=29, k=4, n=2, betas=(0.4, 0.4), ps_dbm=82.7269539307869, d_ab=50.0, epsilon=1e-4)
+@example(seed=744, d=8, m=9, k=1, n=2, betas=(0.4, 0.4), ps_dbm=50.550734592554996, d_ab=50.0, epsilon=1e-4)
+def test_a_phase_stack_runs_each_draw_as_its_own_run(seed, d, m, k, n, betas, ps_dbm, d_ab, epsilon):
+    # each row of the stacked alternation is the row's own fixed-phase run
+    # to the bit, and permuting the rows permutes the runs: no row depends
+    # on its neighbours or on which of them are still climbing
+    cfg, ch, thetas = _fixed_phase_case(seed, d, m, k, n, betas, ps_dbm, d_ab, epsilon)
+    runs = gai.fixed_phase_runs(cfg, ch, thetas, GaOptions().max_outer)
+    assert len(runs) == d
+    for theta, run in zip(thetas, runs):
+        assert _same_run(run, run_gai(cfg, ch, fixed_theta=theta))
+    perm = np.random.default_rng(seed + 1).permutation(d)
+    for i, run in zip(perm, gai.fixed_phase_runs(cfg, ch, thetas[perm], GaOptions().max_outer)):
+        assert _same_run(run, runs[i])
+    folded = run_gai(cfg, ch, fixed_theta=thetas)
+    assert np.array_equal(folded.per_draw, [r.sr for r in runs])
+    assert folded.sr == float(np.mean(folded.per_draw))
+    assert folded.converged == all(r.converged for r in runs)
+
+
+def test_the_stack_examples_reach_their_cases(monkeypatch):
+    # the property's examples keep the cases they are there for
+    cap = GaOptions().max_outer
+    cases = {746: [2, 2, 31, 2, 2, 2, 2, 1], 342: [2, 2, 2, 2, 2, 1, 2, cap]}
+    for seed, m, k, ps, eps in ((746, 12, 2, 73.95392765371376, 0.1), (342, 29, 4, 82.7269539307869, 1e-4)):
+        runs = gai.fixed_phase_runs(*_fixed_phase_case(seed, 8, m, k, 2, (0.4, 0.4), ps, 50.0, eps), cap)
+        assert [r.iterations for r in runs] == cases[seed]
+    assert not runs[-1].converged
+    undone = []
+    settle = gai._settle
+
+    def counted(gap, gap_new, epsilon):
+        out = settle(gap, gap_new, epsilon)
+        undone.append(np.asarray(out[0]).copy())
+        return out
+
+    monkeypatch.setattr(gai, "_settle", counted)
+    gai.fixed_phase_runs(*_fixed_phase_case(744, 8, 9, 1, 2, (0.4, 0.4), 50.550734592554996, 50.0, 1e-4), cap)
+    assert any(u.any() and not u.all() for u in undone)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda thetas: thetas * np.where(np.arange(len(thetas)) == 2, 1.5, 1.0)[:, None], "unit modulus"),
+    (lambda thetas: np.where(np.arange(len(thetas))[:, None] == 1, np.nan, thetas), "unit modulus"),
+], ids=["one row off the circle", "one row NaN"])
+def test_a_phase_stack_checks_every_row(spoil, message):
+    cfg, ch = _setup(SystemConfig(M=6))
+    thetas = spoil(np.exp(2j * math.pi * np.random.default_rng(0).random((4, cfg.M))))
+    with pytest.raises(ValueError, match=message):
+        run_gai(cfg, ch, fixed_theta=thetas)
+
+
+def test_a_phase_stack_checks_each_rows_pencils(monkeypatch):
+    # a row whose denominator turns singular, or whose pencil turns
+    # non-finite, fails the stack as it fails its own run
+    cfg, ch = _setup(SystemConfig(M=6))
+    thetas = np.exp(2j * math.pi * np.random.default_rng(0).random((4, cfg.M)))
+    solve = gai.rayleigh_ritz_max
+    for value, message in ((0.0, "numerically singular"), (np.inf, "non-finite")):
+        def spoiled(num, den, value=value):
+            den = den.copy()
+            den[-1] = 0.0
+            den[-1, 0, 0] = value
+            return solve(num, den)
+        monkeypatch.setattr(gai, "rayleigh_ritz_max", spoiled)
+        with pytest.raises(ValueError, match=message):
+            run_gai(cfg, ch, fixed_theta=thetas)
+
+
 @pytest.mark.parametrize("d_ab", [50.0, 300.0])
 def test_dead_elements_neither_stall_a_run_nor_move_its_rate(d_ab):
     # elements 3 and 11 receive nothing from Alice, so no rate reads their

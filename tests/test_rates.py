@@ -194,20 +194,20 @@ def formed(monkeypatch):
 
 
 def test_fixed_phase_runs_form_the_channels_once_and_no_phase_maps(formed):
-    # a beamformer move keeps the theta terms, so the run's first model's
-    # composite channels serve every later one; the channel basis is formed
-    # once per rate model, and nothing reads the phase maps.
-    # random_phase's draws share one model's channel terms, basis included:
-    # each draw forms its own composite channels, and the shared model,
-    # which no draw runs at its own phases, forms none
+    # the fixed phases' theta terms serve every pass, so a run forms its
+    # composite channels once; the channel basis is formed once per rate
+    # model, and nothing reads the phase maps.  random_phase runs its draws
+    # as one stack on one model: one broadcast product forms every draw's
+    # composite channels, and the model's own theta terms, which no pass
+    # reads, form none
     cfg, ch, rng = _setup()
     state = run_gai(cfg, ch, fixed_theta=np.exp(2j * math.pi * rng.random(cfg.M)))
     assert state.iterations > 1
     assert formed == {"composite_channels": 1, "channel_basis": 1, "phase_maps": 0}
     run_scheme(Scheme("random_phase", draws=3), cfg, ch)
-    assert formed == {"composite_channels": 1 + 3, "channel_basis": 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 1, "channel_basis": 1 + 1, "phase_maps": 0}
     run_scheme(Scheme("no_irs"), cfg, ch)
-    assert formed == {"composite_channels": 1 + 3 + 1, "channel_basis": 1 + 1 + 1, "phase_maps": 0}
+    assert formed == {"composite_channels": 1 + 1 + 1, "channel_basis": 1 + 1 + 1, "phase_maps": 0}
 
 
 def test_optimizers_form_the_channels_and_phase_maps_once_per_phase_step(formed):
@@ -926,3 +926,46 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
             quotients.append(np.vdot(w, num @ w).real / np.vdot(w, den @ w).real)
             gaps.append(rate_gap(dm.with_beamformer(("v1", "v2")[stream], v / np.linalg.norm(v))))
         assert math.log2(quotients[0] / quotients[1]) == pytest.approx(gaps[0] - gaps[1], abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.integers(1, 8), k=st.integers(1, 8), r=st.integers(1, 16),
+       log_scale=st.floats(-3.0, 5.0), silent=st.integers(0, 8))
+def test_stacked_kernels_equal_their_slices(seed, d, k, r, log_scale, silent):
+    # the kernels of the fixed-phase stack (`gai.fixed_phase_runs`) read a
+    # stack of D slices on a leading axis, and each slice's output equals
+    # the kernel's own call on it to the bit; row `silent` (if any) carries
+    # a zero other-stream t, the n = 0 case
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return 10.0 ** log_scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    h, t, t2 = draw(d, k, r), draw(d, k), draw(d, k)
+    if silent < d:
+        t[silent] = 0.0
+    gram = np.eye(r) + draw(r, r) @ draw(r, r).conj().T * 1e-2
+    a = draw(d, r, r)
+    b = a @ a.conj().mT + np.eye(r)
+    a = a + a.conj().mT
+    checks = [
+        (rates._downdated_gram(gram, h, t), [rates._downdated_gram(gram, h[i], t[i]) for i in range(d)]),
+        (rates._herm(a), [rates._herm(a[i]) for i in range(d)]),
+        (rates._det2(t, t2), [rates._det2(t[i], t2[i]) for i in range(d)]),
+        (rates.unit_rows(t2), [rates.unit_rows(t2[i]) for i in range(d)]),
+        (gai.rayleigh_ritz_max(a, b), [gai.rayleigh_ritz_max(a[i], b[i]) for i in range(d)]),
+    ]
+    for stacked, slices in checks:
+        assert np.array_equal(stacked, np.array(slices))
+    # one vector's norm is np.linalg.norm's, and a zero t leaves gram + h^H h
+    assert np.array_equal(rates.unit_rows(t2[0]), t2[0] / np.linalg.norm(t2[0]))
+    zero = np.zeros(k, dtype=complex)
+    assert np.array_equal(rates._downdated_gram(gram, h[0], zero), gram + h[0].conj().T @ h[0])
+    assert rates._det2(zero, t2[0]) == 1.0 + np.vdot(t2[0], t2[0]).real
+
+
+def test_run_gai_rejects_a_phase_stack_of_another_shape():
+    cfg, ch, _ = _setup()
+    for shape in ((3, cfg.M - 1), (2, 3, cfg.M), (0, cfg.M), ()):
+        with pytest.raises(ValueError, match=r"fixed_theta has shape .*; expected \(\d+,\) or \(D, \d+\)"):
+            run_gai(cfg, ch, fixed_theta=np.ones(shape, dtype=complex))
