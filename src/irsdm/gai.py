@@ -24,7 +24,11 @@ one or a start's patch, is formed once per run, so a later step forms only
 the patches that no earlier step reached.  Each
 step keeps its incumbent unless its own objective improves.  Every block can
 only increase the rate gap, and `alternate` undoes a pass that rounding
-leaves lower, so the secrecy-rate trace is non-decreasing.
+leaves lower, so the secrecy-rate trace is non-decreasing.  Where the
+blocks, each at its own optimum, creep along a ridge, a pass from the third
+on that does not stop ends with an extrapolated step (Xu and Yin, SIAM J.
+Imaging Sci. 2013): the points x_k + t (x_k - x_{k-1}), t = 1, 2, 4, 8, 16,
+phases moved in angle, each kept only while it raises the gap.
 `alternate` is the outer loop of both optimizers; nsp runs it with its own,
 null-space-constrained blocks.  Each block step maps the rate model
 (`rates.DerivedModel`) to the next: a beamformer step keeps its theta terms
@@ -33,7 +37,8 @@ random_phase's draws) hold the phases and run only the beamformer blocks,
 at a stack of phase vectors as one alternation (`fixed_phase_runs`): the
 beamformer pencils and the rates of every draw still climbing are solved
 in batched kernels that give each draw its own run's result to the bit,
-and `_settle`, `alternate`'s stop-and-undo rule, stops each draw.
+and `_settle`, `alternate`'s stop-and-undo rule, stops each draw; each
+draw takes the extrapolated step of its own run.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from .rates import (
     Precoders,
     ThetaTerms,
     _downdated_gram,
+    _ONE,
+    _STACK,
     _herm,
     _log2_det2,
     beam_quotient,
@@ -84,6 +91,12 @@ SPAN_CUT = 1e-10
 # The memo holds one small array per grid (37 KB for the full grid, 1.5 KB
 # for a patch), below the threshold too.
 SEARCH_CHUNK = 8000
+# The extrapolated step of both alternations (Xu and Yin, SIAM J. Imaging
+# Sci. 2013): after each plain pass k >= EXTRAPOLATE_FROM that does not meet
+# the stop test, the points x_k + t (x_k - x_{k-1}) for t in
+# EXTRAPOLATION_STEPS, in turn, while each raises the gap.
+EXTRAPOLATE_FROM = 3
+EXTRAPOLATION_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 @dataclass(frozen=True)
@@ -252,12 +265,16 @@ class SpanMemo:
     A run keeps one SpanMemo from one phase step to the next: on
     line-of-sight links the span of a step's parts depends only on the
     channels, so every step can search one basis and read the patterns that
-    earlier steps formed on it.
+    earlier steps formed on it.  It also holds the phase state of GAI's
+    ascent, the step length `_ascend` tries next, which the next block's
+    first step takes up: the memo is the one object that lives exactly as
+    long as a run's phase blocks.
     """
 
     def __init__(self, basis: np.ndarray | None = None) -> None:
         self.basis = np.zeros((0, 0), dtype=complex) if basis is None else basis
         self.formed: dict = {}
+        self.alpha = 1.0  # the step length `_ascend` tries next in the run
 
     def basis_of(self, *parts: np.ndarray) -> np.ndarray:
         """The kept basis if it has two columns and the non-zero parts,
@@ -393,28 +410,31 @@ def ga_optimize_theta(
     two dimensional (a silent surface, channels that are not line of sight,
     or Bob and Eve on one line from the surface), the block is the ascent
     from theta0 alone.  memo, the run's `SpanMemo`, lends the search the
-    basis and coordinates of earlier blocks; without it the block searches
-    cold.
+    basis and coordinates of earlier blocks, and the ascent the step length
+    they left to try next; without it the block starts cold.
     """
-    return _ascend(pp, _span_start(pp, theta0, memo or SpanMemo()), opts, epsilon)
+    memo = memo or SpanMemo()
+    return _ascend(pp, _span_start(pp, theta0, memo), opts, epsilon, memo)
 
 
-def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: float) -> np.ndarray:
+def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: float,
+            memo: SpanMemo) -> np.ndarray:
     """Gradient ascent on f/g along each phase's unit circle.
 
     A step moves theta to theta * exp(j alpha d), d = Im(conj(theta) * g)
     scaled to unit norm, g the conjugate gradient (`PhaseProblem.gradient`):
     d is the ratio's gradient in the phase angles, the Riemannian gradient
-    on the circle.  The first step tries alpha = 1, each later one twice the
-    last accepted alpha, at most pi, and alpha halves on each trial that
-    does not strictly raise the ratio, with no cap on the trials.  Stops
-    when an accepted step gains less than epsilon bits, when alpha max|d|
-    falls below 2^-52 (no representable step helps), or after
-    opts.max_ga_iters steps.  Returns theta0 if no step is accepted.
+    on the circle.  Each step, a block's first included, tries memo.alpha:
+    twice the run's last accepted alpha, at most pi (1 in a fresh memo),
+    and alpha halves on each trial that does not strictly raise the ratio,
+    with no cap on the trials.  Stops when an accepted step gains less than
+    epsilon bits, when alpha max|d| falls below 2^-52 (no representable step
+    helps), or after opts.max_ga_iters steps.  Returns theta0 if no step is
+    accepted.
     """
     theta = theta0
     f_cur = pp.ratio(theta)
-    alpha = 1.0
+    alpha = memo.alpha
     for _ in range(opts.max_ga_iters):
         d = np.imag(theta.conj() * pp.gradient(theta))
         norm = np.linalg.norm(d)
@@ -432,9 +452,9 @@ def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: floa
             break
         gain_bits = math.log2(f_cand / f_cur)
         theta, f_cur = cand, f_cand
+        alpha = memo.alpha = min(2.0 * alpha, math.pi)
         if gain_bits < epsilon:
             break
-        alpha = min(2.0 * alpha, math.pi)
     return theta
 
 
@@ -471,6 +491,69 @@ def _settle(gap: float | np.ndarray, gap_new: float | np.ndarray, epsilon: float
     return gap_new < gap, kept - gap <= epsilon, kept
 
 
+def _aligned_step(v: np.ndarray, v_prev: np.ndarray, t: float) -> np.ndarray:
+    """v + t (v - e^{j phi} v_prev) at unit norm, phi = arg(v_prev^H v)
+    aligning v_prev to v (phi = 0 where the two are orthogonal), for one
+    beamformer or for each row of stacks (D, N).  The step is a sum of v
+    and v_prev, so it stays in any subspace that holds both."""
+    dot, _, mag = _ONE if v.ndim == 1 else _STACK
+    z = dot(v_prev, v)
+    size = mag(z)
+    turn = z / (size + (size == 0.0)) + (size == 0.0)
+    return unit_rows(v + t * (v - (turn * v_prev.T).T))
+
+
+def _extrapolate(dm_prev: DerivedModel, dm: DerivedModel, sr: float, gap: float) -> tuple:
+    """The extrapolated step from the model dm_prev, before a pass, and dm
+    after it, with secrecy rate sr and unclipped gap gap.
+
+    For t in EXTRAPOLATION_STEPS in turn, the trial point moves the phases
+    in angle, theta * exp(j t arg(theta * conj(theta_prev))), and each
+    beamformer that the pass moved by `_aligned_step`; the first t whose
+    trial does not raise the best gap so far ends the step.  Returns the
+    best of dm and the trials, with its secrecy rate and gap.
+    """
+    best = dm, sr, gap
+    angle = np.angle(dm.prec.theta * dm_prev.prec.theta.conj())
+    moved = [key for key in ("v1", "v2") if getattr(dm.prec, key) is not getattr(dm_prev.prec, key)]
+    for t in EXTRAPOLATION_STEPS:
+        trial = dm.with_theta(dm.prec.theta * np.exp(1j * t * angle))
+        for key in moved:
+            trial = trial.with_beamformer(key, _aligned_step(getattr(dm.prec, key), getattr(dm_prev.prec, key), t))
+        sr_t = secrecy_rate(trial)
+        gap_t = unclipped_gap(sr_t, trial)
+        if not gap_t > best[2]:
+            break
+        best = trial, sr_t, gap_t
+    return best
+
+
+def _extrapolate_rows(rows: np.ndarray, gap: np.ndarray, beams: list, prev: list,
+                      moving: Sequence[bool], gap_of: Callable) -> list:
+    """`_extrapolate` at the rows of a stack of fixed-phase runs, whose
+    beamformers (D, N) were prev before the pass and are beams after it,
+    with gaps gap.  Only the beamformers whose stream moves (moving[s])
+    take `_aligned_step`; gap_of(rows, trial) gives the gaps of trial
+    beamformers, one stack per stream, at those rows.  Each row ends the
+    step at its own first t that does not raise its best gap, so a row's
+    step is its own run's.  Raises gap in place; returns the kept
+    beamformers.
+    """
+    best = [v.copy() for v in beams]
+    for t in EXTRAPOLATION_STEPS:
+        trial = [_aligned_step(v[rows], p[rows], t) if moves else v[rows]
+                 for v, p, moves in zip(beams, prev, moving)]
+        gap_t = gap_of(rows, trial)
+        up = gap_t > gap[rows]
+        rows = rows[up]
+        if not rows.size:
+            break
+        gap[rows] = gap_t[up]
+        for out, v in zip(best, trial):
+            out[rows] = v[up]
+    return best
+
+
 def alternate(
     dm: DerivedModel,
     steps: Sequence[Callable[[DerivedModel], DerivedModel]],
@@ -487,7 +570,10 @@ def alternate(
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
     A pass that lowers the gap is undone (`_settle`): the run keeps the
     previous rate model, repeats the previous rate in the trace and stops
-    as converged.  The trace is therefore non-decreasing.
+    as converged.  A pass k >= EXTRAPOLATE_FROM that does not stop ends
+    with the extrapolated step (`_extrapolate`), which keeps a trial point
+    only if it raises the gap, so the stop test sees the pass's whole gain.
+    The trace is therefore non-decreasing.
 
     Returns the run's `Solution`: the last model's precoders and AN
     projector, sr = rs_trace[-1], and per_draw None.
@@ -503,6 +589,8 @@ def alternate(
         undone, stopped, gap = _settle(gap, unclipped_gap(sr, dm), dm.cfg.epsilon)
         if undone:
             dm, sr = dm_prev, trace[-1]
+        elif not stopped and iterations >= EXTRAPOLATE_FROM:
+            dm, sr, gap = _extrapolate(dm_prev, dm, sr, gap)
         trace.append(sr)
         if stopped:
             converged = True
@@ -531,7 +619,8 @@ def fixed_phase_runs(cfg: SystemConfig, channels: ChannelSet, thetas: np.ndarray
     SVD.  Each pass updates v1, then v2, of the runs still climbing, with
     batched pencils (`rates._downdated_gram`) and eigensolves
     (`rayleigh_ritz_max`) and batched rates; `_settle` stops or undoes each
-    run, and a run that stops leaves the stack.  Every row is checked as a
+    run, the runs that go on from the third pass take the extrapolated step
+    (`_extrapolate_rows`), and a run that stops leaves the stack.  Every row is checked as a
     single run is: unit-modulus phases, finite pencils, a non-singular
     denominator and unit-norm beamformers.
     """
@@ -558,6 +647,7 @@ def fixed_phase_runs(cfg: SystemConfig, channels: ChannelSet, thetas: np.ndarray
         check_unit_rows(key, v)
         return v
 
+    moving = (cfg.beta1 > 0, cfg.beta2 > 0)
     d = len(thetas)
     live = np.arange(d)
     gap = gaps(h_b, g_e, beams)
@@ -569,10 +659,13 @@ def fixed_phase_runs(cfg: SystemConfig, channels: ChannelSet, thetas: np.ndarray
     for k in range(1, max_outer + 1):
         prev = list(beams)
         for s, key in enumerate(("v1", "v2")):
-            if (cfg.beta1, cfg.beta2)[s] > 0:
+            if moving[s]:
                 beams[s] = step(s, key, h_b, g_e, beams, parts)
         undone, stopped, gap = _settle(gap, gaps(h_b, g_e, beams), cfg.epsilon)
         beams = [np.where(undone[:, None], old, new) for old, new in zip(prev, beams)]
+        if k >= EXTRAPOLATE_FROM and not stopped.all():
+            beams = _extrapolate_rows(np.flatnonzero(~stopped), gap, beams, prev, moving,
+                                      lambda rows, trial: gaps(h_b[rows], g_e[rows], trial))
         traces[live, k] = np.where(undone, traces[live, k - 1], np.maximum(gap, 0.0))
         leaving = stopped if k < max_outer else np.ones_like(stopped)
         if leaving.any():

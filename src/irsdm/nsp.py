@@ -335,7 +335,9 @@ def run_nsp(
     opts: NspOptions | None = None,
 ) -> Solution:
     """GAI's alternation over the null-space-constrained v1, v2 and theta
-    blocks; returns `alternate`'s `Solution`."""
+    blocks; returns `alternate`'s `Solution`.  The alternation's
+    extrapolated step moves each beamformer by a sum of two vectors of its
+    range(P), so it stays there."""
     opts = opts or NspOptions()
     q1, q2 = map(range_basis, ns_projectors(channels))
     theta = np.ones(cfg.M, dtype=complex)

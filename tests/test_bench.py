@@ -177,18 +177,18 @@ def test_random_phase_shares_one_model_without_changing_a_draw(d_ab):
 # the bench's six points (`perfbench/workloads.py`): (d_AB, M) -> gai's and
 # nsp's secrecy rates and pass counts, as the optimizers gave them when the
 # bench was last re-measured; their means are the bench's sr_gai_bits and
-# sr_nsp_bits (21.707788256857736 and 21.54519282039872 at 50 m,
-# 9.243394976510048 and 8.170854360900194 at 300 m).  gai's rates at 50 m,
+# sr_nsp_bits (21.707788256598963 and 21.54519282039872 at 50 m,
+# 9.2433932111609 and 8.170854360900194 at 300 m).  gai's rates at 50 m,
 # M = 50/200 and 300 m, M = 30/80 sit on shallow ridges, where the point
 # the alternation stops at depends on the rounding of its beamformer steps
 # (CHANGES.md gives their limits at epsilon = 1e-9).
 BENCH_SOLVES = {
     (50.0, 10): (16.61066588144423, 4, 16.446399598364714, 2),
-    (50.0, 50): (22.23672630042443, 3, 22.074675275625125, 2),
-    (50.0, 200): (26.275972588704555, 3, 26.114503587206322, 2),
-    (300.0, 10): (8.160984910956113, 6, 6.999419953685313, 2),
-    (300.0, 30): (8.887144500885277, 5, 7.7691566678822825, 2),
-    (300.0, 80): (10.682055517688758, 4, 9.743986461132986, 2),
+    (50.0, 50): (22.23672629985158, 3, 22.074675275625125, 2),
+    (50.0, 200): (26.27597258850109, 3, 26.114503587206322, 2),
+    (300.0, 10): (8.160979702843214, 5, 6.999419953685313, 2),
+    (300.0, 30): (8.88714441373783, 5, 7.7691566678822825, 2),
+    (300.0, 80): (10.682055516901654, 4, 9.743986461132986, 2),
 }
 
 

@@ -509,7 +509,7 @@ def test_phase_block_matches_multistart_ascent_on_line_of_sight_links(seed, m, k
     # angular distance in u = cos(angle), which the steering vectors wrap mod 2;
     # 2 / M is the first null of the surface's beam
     if abs((u[1] - u[2] + 1.0) % 2.0 - 1.0) >= 2.0 / m:
-        oracle = max(pp.ratio(gai._ascend(pp, t, GaOptions(max_ga_iters=1000), 1e-13)) for t in starts)
+        oracle = max(pp.ratio(gai._ascend(pp, t, GaOptions(max_ga_iters=1000), 1e-13, gai.SpanMemo())) for t in starts)
         assert math.log2(oracle / pp.ratio(theta)) <= SPAN_TOL_BITS
 
 
@@ -519,7 +519,7 @@ def test_phase_block_is_the_plain_ascent_above_a_rank_two_span():
     for m in (3, 8, 20):
         pp = random_phase_instance(rng, 2, m)
         theta0 = np.exp(2j * math.pi * rng.random(m))
-        ascent = gai._ascend(pp, theta0, GaOptions(), gai.GA_TOL)
+        ascent = gai._ascend(pp, theta0, GaOptions(), gai.GA_TOL, gai.SpanMemo())
         assert np.array_equal(ga_optimize_theta(pp, theta0, GaOptions(), gai.GA_TOL), ascent)
         assert not np.array_equal(ascent, theta0)
 
@@ -757,13 +757,20 @@ def test_lowest_matches_a_stable_full_sort(values, count):
 @pytest.mark.parametrize("kind, overrides, max_passes", [
     ("gai", {"d_AB": 300.0}, 10),
     ("single_cbs", {"d_AB": 300.0}, 10),
-    ("gai", {"d_AI": 50.0, "theta_AI": parallel_irs_angle(SystemConfig())}, 40),  # on the placement line
-], ids=["d_AB=300 gai", "d_AB=300 single_cbs", "d_AI=50 placement"])
+    # on the placement line, just past Eve's drop
+    ("gai", {"d_AI": 47.5, "theta_AI": parallel_irs_angle(SystemConfig())}, 7),
+    ("gai", {"d_AI": 50.0, "theta_AI": parallel_irs_angle(SystemConfig())}, 7),
+    ("gai", {"d_AI": 55.0, "theta_AI": parallel_irs_angle(SystemConfig())}, 10),
+    ("gai", {"d_AI": 57.5, "theta_AI": parallel_irs_angle(SystemConfig())}, 15),
+], ids=["d_AB=300 gai", "d_AB=300 single_cbs", "d_AI=47.5 placement", "d_AI=50 placement",
+        "d_AI=55 placement", "d_AI=57.5 placement"])
 def test_run_gai_converges_at_m80(kind, overrides, max_passes):
     # with an ascent-only phase block both d_AB = 300 m solves stopped at the
-    # 50-pass cap, and the placement solve took 38 passes and about 19 s; it
-    # still takes 34, because the beamformer and phase blocks, each at its
-    # own optimum, creep along a ridge there
+    # 50-pass cap, and the d_AI = 50 m placement solve took 38 passes and
+    # about 19 s.  On the placement line the beamformer and phase blocks,
+    # each at its own optimum, creep along a ridge: the plain alternation
+    # took 29/34/41/39 passes at d_AI = 47.5/50/55/57.5 m, and the
+    # extrapolated step cuts the climb to the bounds here
     cfg = SystemConfig(M=80, **overrides)
     sol = run_scheme(Scheme(kind), cfg, build_channels(cfg, build_geometry(cfg)))
     assert sol.converged
@@ -839,6 +846,99 @@ def test_run_gai_fixed_theta_keeps_theta():
     assert np.allclose(state.theta, theta0)
 
 
+def _climbing_drop(seed, m, ps_dbm, fading, epsilon):
+    """A drop of the three nodes and the surface drawn from seed, with M = m,
+    and its channels: line of sight, or, when fading, Rayleigh channels at
+    the same path gains with K = 1 and N = M + 3, so that nsp keeps two
+    directions for stream 2 and its alternation climbs for many passes (on
+    line-of-sight links every nsp solve stops at pass 2)."""
+    rng = np.random.default_rng(seed)
+    angles = rng.permutation(np.sort(rng.uniform(0.08, math.pi - 0.08, size=3)))
+    k = 1 if fading else int(rng.integers(1, 9))
+    n = m + 3 if fading else int(rng.integers(3, 33))
+    d_ai, d_ab, d_ae = rng.uniform(5.0, 300.0, size=3)
+    cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=ps_dbm, epsilon=epsilon, d_AI=d_ai, d_AB=d_ab, d_AE=d_ae,
+                       theta_AI=angles[0], theta_AB=angles[1], theta_AE=angles[2])
+    ch = build_channels(cfg, build_geometry(cfg))
+    if fading:
+        def gauss(*shape):
+            return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(2.0)
+        ch = replace(ch, H_AI=gauss(m, n), H_AB=gauss(n, 1), H_AE=gauss(n, 1), H_IB=gauss(m, 1), H_IE=gauss(m, 1))
+    return cfg, ch
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 40), ps_dbm=st.floats(0.0, 90.0),
+       fading=st.booleans(), epsilon=st.sampled_from([1e-4, 1e-9]))
+# drops where gai keeps an extrapolated step on line-of-sight links, and
+# where gai and nsp keep one on fading links
+@example(seed=5040, m=39, ps_dbm=26.85611007151881, fading=False, epsilon=1e-4)
+@example(seed=40712, m=20, ps_dbm=14.37650231733707, fading=True, epsilon=1e-9)
+def test_an_extrapolated_step_keeps_only_points_that_raise_the_gap(seed, m, ps_dbm, fading, epsilon):
+    # every kept trial point of `alternate` (gai, single_cbs, nsp) and of the
+    # fixed-phase stack raised the gap above the plain pass's, by its own
+    # model's rate gap; every trace is non-decreasing; and nsp's
+    # beamformers, extrapolated ones included, stay in their null spaces
+    cfg, ch = _climbing_drop(seed, m, ps_dbm, fading, epsilon)
+    accepted = []
+    extrapolate, extrapolate_rows = gai._extrapolate, gai._extrapolate_rows
+
+    def checked(dm_prev, dm, sr, gap):
+        out = extrapolate(dm_prev, dm, sr, gap)
+        if out[0] is dm:
+            assert out[1:] == (sr, gap)
+        else:
+            assert out[2] > gap and out[2] == rate_gap(out[0]) and out[1] == max(out[2], 0.0)
+            accepted.append(out[0].prec)
+        return out
+
+    def checked_rows(rows, gap, beams, prev, moving, gap_of):
+        before = gap.copy()
+        out = extrapolate_rows(rows, gap, beams, prev, moving, gap_of)
+        moved = np.array([any(not np.array_equal(v[i], w[i]) for v, w in zip(out, beams)) for i in rows])
+        assert np.all(gap[rows][moved] > before[rows][moved])
+        assert np.array_equal(gap[rows][~moved], before[rows][~moved])
+        assert np.array_equal(gap_of(rows, [v[rows] for v in out]), gap[rows])
+        return out
+
+    with mock.patch.object(gai, "_extrapolate", checked), mock.patch.object(gai, "_extrapolate_rows", checked_rows):
+        thetas = np.exp(2j * math.pi * np.random.default_rng(seed).random((4, m)))
+        for run in gai.fixed_phase_runs(cfg, ch, thetas, GaOptions().max_outer):
+            assert np.all(np.diff(run.rs_trace) >= 0)
+        for kind in ("gai", "single_cbs", "nsp"):
+            accepted.clear()
+            sol = run_scheme(Scheme(kind), cfg, ch)
+            assert np.all(np.diff(sol.rs_trace) >= 0), kind
+    # nsp ran last: its kept trial points and its solution
+    h1 = np.vstack([ch.H_AB.conj().T, ch.H_AE.conj().T])
+    h2 = np.vstack([ch.H_AI, ch.H_AE.conj().T])
+    for prec in accepted + [sol]:
+        assert np.linalg.norm(h1 @ prec.v1) <= 1e-8 * np.linalg.norm(h1, 2)
+        assert np.linalg.norm(h2 @ prec.v2) <= 1e-8 * np.linalg.norm(h2, 2)
+
+
+def test_the_extrapolation_examples_keep_a_step(monkeypatch):
+    # the property's examples keep their cases: (kept steps, steps tried)
+    # per scheme, so the accepting path always runs
+    kept = []
+    extrapolate = gai._extrapolate
+
+    def counted(dm_prev, dm, sr, gap):
+        out = extrapolate(dm_prev, dm, sr, gap)
+        kept.append(out[0] is not dm)
+        return out
+
+    monkeypatch.setattr(gai, "_extrapolate", counted)
+    cases = {(5040, 39, 26.85611007151881, False, 1e-4): {"gai": (4, 8), "nsp": (0, 0)},
+             (40712, 20, 14.37650231733707, True, 1e-9): {"gai": (0, 7), "nsp": (5, 7)}}
+    for drop, counts in cases.items():
+        cfg, ch = _climbing_drop(*drop)
+        for kind, count in counts.items():
+            kept.clear()
+            run_scheme(Scheme(kind), cfg, ch)
+            assert (sum(kept), len(kept)) == count, (drop, kind)
+
+
 def _fixed_phase_case(seed, d, m, k, n, betas, ps_dbm, d_ab, epsilon):
     cfg = SystemConfig(N=n, M=m, K=k, ps_dbm=ps_dbm, beta1=betas[0], beta2=betas[1], d_AB=d_ab,
                        epsilon=epsilon)
@@ -856,11 +956,14 @@ def _same_run(a, b):
        k=st.sampled_from([1, 2, 4]), n=st.sampled_from([1, 2, 16]),
        betas=st.sampled_from([(0.4, 0.4), (0.0, 0.8), (0.8, 0.0)]), ps_dbm=st.floats(0.0, 90.0),
        d_ab=st.sampled_from([50.0, 300.0]), epsilon=st.sampled_from([1e-4, 1e-2, 0.1]))
-# draws that stop at pass 1 beside ones that take 31 passes, or that stop at
-# the 50-pass cap; and draws whose last pass is undone beside ones that go on
+# draws that stop at pass 1 beside ones that climb for 8 passes, or that
+# stop at the 50-pass cap; draws whose last pass is undone beside ones that
+# go on; and draws that climb for 23 and 33 passes, where an extrapolated
+# step that one draw keeps is dropped by another in the same pass
 @example(seed=746, d=8, m=12, k=2, n=2, betas=(0.4, 0.4), ps_dbm=73.95392765371376, d_ab=50.0, epsilon=0.1)
 @example(seed=342, d=8, m=29, k=4, n=2, betas=(0.4, 0.4), ps_dbm=82.7269539307869, d_ab=50.0, epsilon=1e-4)
 @example(seed=744, d=8, m=9, k=1, n=2, betas=(0.4, 0.4), ps_dbm=50.550734592554996, d_ab=50.0, epsilon=1e-4)
+@example(seed=24122, d=8, m=3, k=2, n=2, betas=(0.4, 0.4), ps_dbm=76.73695546325911, d_ab=50.0, epsilon=0.01)
 def test_a_phase_stack_runs_each_draw_as_its_own_run(seed, d, m, k, n, betas, ps_dbm, d_ab, epsilon):
     # each row of the stacked alternation is the row's own fixed-phase run
     # to the bit, and permuting the rows permutes the runs: no row depends
@@ -882,11 +985,24 @@ def test_a_phase_stack_runs_each_draw_as_its_own_run(seed, d, m, k, n, betas, ps
 def test_the_stack_examples_reach_their_cases(monkeypatch):
     # the property's examples keep the cases they are there for
     cap = GaOptions().max_outer
-    cases = {746: [2, 2, 31, 2, 2, 2, 2, 1], 342: [2, 2, 2, 2, 2, 1, 2, cap]}
-    for seed, m, k, ps, eps in ((746, 12, 2, 73.95392765371376, 0.1), (342, 29, 4, 82.7269539307869, 1e-4)):
+    cases = {746: [2, 2, 8, 2, 2, 2, 2, 1], 342: [2, 2, 2, 2, 2, 1, 2, cap], 24122: [23, 2, 2, 2, 2, 2, 2, 33]}
+    kept = []
+    extrapolate = gai._extrapolate_rows
+
+    def counted(rows, gap, *args):
+        before = gap[rows].copy()
+        out = extrapolate(rows, gap, *args)
+        kept.append(gap[rows] > before)
+        return out
+
+    monkeypatch.setattr(gai, "_extrapolate_rows", counted)
+    for seed, m, k, ps, eps in ((746, 12, 2, 73.95392765371376, 0.1), (342, 29, 4, 82.7269539307869, 1e-4),
+                                (24122, 3, 2, 76.73695546325911, 0.01)):
+        kept.clear()
         runs = gai.fixed_phase_runs(*_fixed_phase_case(seed, 8, m, k, 2, (0.4, 0.4), ps, 50.0, eps), cap)
         assert [r.iterations for r in runs] == cases[seed]
-    assert not runs[-1].converged
+        assert runs[-1].converged == (seed != 342)
+    assert any(step.any() and not step.all() for step in kept)
     undone = []
     settle = gai._settle
 
