@@ -206,6 +206,32 @@ def test_bench_points_keep_their_rates_and_pass_counts(point):
     assert nsp.iterations == nsp_passes
 
 
+# the baselines at the same points, seed 0: (secrecy rate, passes) of
+# single_cbs, no_irs and random_phase (50 draws: the mean rate and the
+# rounded mean pass count)
+BASELINE_SOLVES = {
+    (50.0, 10): (13.270433601141347, 5, 13.132272627447923, 3, 13.202877077799531, 4),
+    (50.0, 50): (15.125015877918683, 3, 13.132272627447923, 3, 13.309371498142685, 4),
+    (50.0, 200): (18.656755281800166, 4, 13.132272627447923, 3, 13.633715622450131, 4),
+    (300.0, 10): (8.160937078499865, 4, 7.967704252766152, 3, 7.951430248812166, 3),
+    (300.0, 30): (8.88805957185122, 5, 7.967704252766152, 3, 7.948064216256792, 3),
+    (300.0, 80): (10.681925364478, 4, 7.967704252766152, 3, 7.947563513989311, 3),
+}
+
+
+@pytest.mark.parametrize("point", list(BASELINE_SOLVES), ids=lambda p: f"d_AB={p[0]:g} M={p[1]}")
+def test_bench_points_keep_their_baseline_rates_and_pass_counts(point):
+    # a change that moves a baseline's bench rate by more than 1e-9 bits says why
+    d_ab, m = point
+    cfg = dataclasses.replace(SystemConfig(), d_AB=d_ab, M=m, seed=0)
+    ch = _channels(cfg)
+    pins = BASELINE_SOLVES[point]
+    for i, kind in enumerate(("single_cbs", "no_irs", "random_phase")):
+        sol = run_scheme(Scheme(kind), cfg, ch)
+        assert sol.sr == pytest.approx(pins[2 * i], rel=0.0, abs=1e-9), kind
+        assert sol.iterations == pins[2 * i + 1], kind
+
+
 def test_optimized_schemes_dominate_baselines():
     cfg = SystemConfig(M=10)
     ch = _channels(cfg)
