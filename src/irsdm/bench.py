@@ -54,13 +54,11 @@ class ExperimentResult:
 def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solution:
     """Run one benchmark scheme on a fixed channel realization.
 
-    Returns the optimizer's `Solution`.  no_irs is run_gai at all-ones
-    fixed phases with both surface gains zeroed.  random_phase runs the
-    stack (D, M) of its seeded draws as one fixed-phase alternation on one
-    rate model's channel terms (`gai.fixed_phase_runs`), and returns the
-    best draw's record with sr the mean rate, per_draw each draw's rate,
-    iterations the rounded mean pass count and converged that of every draw
-    (`gai.fold_draws`).
+    Every scheme runs the one alternation, `gai.alternate`, and returns its
+    `Solution`.  no_irs is run_gai at all-ones fixed phases with both
+    surface gains zeroed.  random_phase runs its seeded draws as the rows
+    of one fixed-phase alternation (`gai.fixed_phase_runs`) and returns the
+    best draw's record with the mean rate (`gai.fold_draws`).
     """
     if scheme.kind == "gai":
         return run_gai(cfg, channels)

@@ -29,16 +29,13 @@ blocks, each at its own optimum, creep along a ridge, a pass from the third
 on that does not stop ends with an extrapolated step (Xu and Yin, SIAM J.
 Imaging Sci. 2013): the points x_k + t (x_k - x_{k-1}), t = 1, 2, 4, 8, 16,
 phases moved in angle, each kept only while it raises the gap.
-`alternate` is the outer loop of both optimizers; nsp runs it with its own,
-null-space-constrained blocks.  Each block step maps the rate model
-(`rates.DerivedModel`) to the next: a beamformer step keeps its theta terms
-and a phase step forms new ones.  The fixed-phase baselines (no_irs, and
-random_phase's draws) hold the phases and run only the beamformer blocks,
-at a stack of phase vectors as one alternation (`fixed_phase_runs`): the
-beamformer pencils and the rates of every draw still climbing are solved
-in batched kernels that give each draw its own run's result to the bit,
-and `_settle`, `alternate`'s stop-and-undo rule, stops each draw; each
-draw takes the extrapolated step of its own run.
+`alternate` is the one outer loop of every scheme.  Each block step maps
+the rate model (`rates.DerivedModel`) to the next: a beamformer step keeps
+its theta terms and a phase step forms new ones.  gai and single_cbs run
+it on one row with the phase step, nsp with its own, null-space-constrained
+blocks, and the fixed-phase baselines (no_irs, and random_phase's draws)
+with the beamformer steps alone, on a stack of phase vectors whose rows
+are each its own run (`fixed_phase_runs`).
 """
 
 from __future__ import annotations
@@ -54,15 +51,9 @@ from .rates import (
     DerivedModel,
     PhaseProblem,
     Precoders,
-    ThetaTerms,
-    _downdated_gram,
-    _ONE,
-    _STACK,
-    _herm,
-    _log2_det2,
+    _hypot,
     beam_quotient,
     check_finite,
-    check_unit_rows,
     derived_model,
     secrecy_rate,
     unclipped_gap,
@@ -160,18 +151,28 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
     return unit_rows(np.matvec(s, vecs[..., -1]))
 
 
+def _best_beamformer(dm: DerivedModel, stream: int) -> np.ndarray:
+    """Best beamformer of the stream (0 or 1) with the model's other
+    beamformer and theta held fixed, or of each row of a stack, solved on
+    the pencil compressed to the model's channel basis Q (a channel term,
+    `rates.channel_basis`).  Raises ValueError unless the solve gives one
+    coefficient vector per row."""
+    w = rayleigh_ritz_max(*beam_quotient(dm, stream))
+    if np.shape(w) != np.shape(dm.prec.theta)[:-1] + dm.Q.shape[1:]:
+        raise ValueError(f"v{stream + 1} must be a vector per row, got coefficients of shape {np.shape(w)}")
+    return np.matvec(dm.Q, w)
+
+
 def update_v1(dm: DerivedModel) -> np.ndarray:
-    """Best stream-1 beamformer with the model's (v2, theta) held fixed,
-    solved on the pencil compressed to the model's channel basis Q (a
-    channel term, `rates.channel_basis`)."""
-    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 0))
+    """Best stream-1 beamformer with the model's (v2, theta) held fixed
+    (`_best_beamformer`)."""
+    return _best_beamformer(dm, 0)
 
 
 def update_v2(dm: DerivedModel) -> np.ndarray:
-    """Best stream-2 beamformer with the model's (v1, theta) held fixed,
-    solved on the pencil compressed to the model's channel basis Q (a
-    channel term, `rates.channel_basis`)."""
-    return dm.Q @ rayleigh_ritz_max(*beam_quotient(dm, 1))
+    """Best stream-2 beamformer with the model's (v1, theta) held fixed
+    (`_best_beamformer`)."""
+    return _best_beamformer(dm, 1)
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray | float) -> np.ndarray:
@@ -458,17 +459,16 @@ def _ascend(pp: PhaseProblem, theta0: np.ndarray, opts: GaOptions, epsilon: floa
     return theta
 
 
-def initial_beamformers(terms: DerivedModel | ThetaTerms) -> tuple[np.ndarray, np.ndarray]:
-    """Top two right singular directions of the composite channel to Bob,
-    H_B of a rate model or of theta terms, or of each slice of a stack
-    (D, K, N) of them, from one batched SVD.
+def initial_beamformers(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Top two right singular directions of the model's composite channel
+    to Bob, or of each row's of a stack, from one batched SVD.
 
     Falls back to canonical basis vectors when the channel does not expose
     two usable directions (e.g. K = 1 leaves the second singular value at 0),
     and to v2 = v1 when N = 1.
     """
-    n = terms.H_B.shape[-1]
-    _, svals, vh = np.linalg.svd(terms.H_B, full_matrices=False)
+    n = dm.H_B.shape[-1]
+    _, svals, vh = np.linalg.svd(dm.H_B, full_matrices=False)
     eye = np.eye(n, dtype=complex)
     v1 = np.where(svals[..., :1] > 0, vh[..., 0, :].conj(), eye[0])
     if svals.shape[-1] > 1:
@@ -496,75 +496,56 @@ def _aligned_step(v: np.ndarray, v_prev: np.ndarray, t: float) -> np.ndarray:
     aligning v_prev to v (phi = 0 where the two are orthogonal), for one
     beamformer or for each row of stacks (D, N).  The step is a sum of v
     and v_prev, so it stays in any subspace that holds both."""
-    dot, _, mag = _ONE if v.ndim == 1 else _STACK
-    z = dot(v_prev, v)
-    size = mag(z)
+    z = np.vecdot(v_prev, v)
+    size = _hypot(z)
     turn = z / (size + (size == 0.0)) + (size == 0.0)
     return unit_rows(v + t * (v - (turn * v_prev.T).T))
 
 
-def _extrapolate(dm_prev: DerivedModel, dm: DerivedModel, sr: float, gap: float) -> tuple:
-    """The extrapolated step from the model dm_prev, before a pass, and dm
-    after it, with secrecy rate sr and unclipped gap gap.
+def _extrapolate(dm_prev: DerivedModel, dm: DerivedModel, gap: float | np.ndarray,
+                 rows: np.bool_ | np.ndarray) -> tuple:
+    """The extrapolated step from the model dm_prev, before a pass, to dm
+    after it, with unclipped gap gap, at the rows where rows holds.
 
-    For t in EXTRAPOLATION_STEPS in turn, the trial point moves the phases
-    in angle, theta * exp(j t arg(theta * conj(theta_prev))), and each
-    beamformer that the pass moved by `_aligned_step`; the first t whose
-    trial does not raise the best gap so far ends the step.  Returns the
-    best of dm and the trials, with its secrecy rate and gap.
+    For t in EXTRAPOLATION_STEPS in turn, the trial point moves the phases,
+    if the pass moved them, in angle, theta * exp(j t arg(theta *
+    conj(theta_prev))), and each beamformer that the pass moved by
+    `_aligned_step`.  A row's first t whose trial does not raise its best
+    gap so far ends its step, so each row of a stack takes its own run's
+    step.  Returns the model at each row's best of dm and its trials, and
+    their gaps.
     """
-    best = dm, sr, gap
-    angle = np.angle(dm.prec.theta * dm_prev.prec.theta.conj())
-    moved = [key for key in ("v1", "v2") if getattr(dm.prec, key) is not getattr(dm_prev.prec, key)]
+    best = dm
+    beams = [key for key in ("v1", "v2") if getattr(dm.prec, key) is not getattr(dm_prev.prec, key)]
+    turned = dm.prec.theta is not dm_prev.prec.theta
+    angle = np.angle(dm.prec.theta * dm_prev.prec.theta.conj()) if turned else None
     for t in EXTRAPOLATION_STEPS:
-        trial = dm.with_theta(dm.prec.theta * np.exp(1j * t * angle))
-        for key in moved:
+        if not rows.any():
+            break
+        trial = dm if angle is None else dm.with_theta(dm.prec.theta * np.exp(1j * t * angle))
+        for key in beams:
             trial = trial.with_beamformer(key, _aligned_step(getattr(dm.prec, key), getattr(dm_prev.prec, key), t))
-        sr_t = secrecy_rate(trial)
-        gap_t = unclipped_gap(sr_t, trial)
-        if not gap_t > best[2]:
-            break
-        best = trial, sr_t, gap_t
-    return best
-
-
-def _extrapolate_rows(rows: np.ndarray, gap: np.ndarray, beams: list, prev: list,
-                      moving: Sequence[bool], gap_of: Callable) -> list:
-    """`_extrapolate` at the rows of a stack of fixed-phase runs, whose
-    beamformers (D, N) were prev before the pass and are beams after it,
-    with gaps gap.  Only the beamformers whose stream moves (moving[s])
-    take `_aligned_step`; gap_of(rows, trial) gives the gaps of trial
-    beamformers, one stack per stream, at those rows.  Each row ends the
-    step at its own first t that does not raise its best gap, so a row's
-    step is its own run's.  Raises gap in place; returns the kept
-    beamformers.
-    """
-    best = [v.copy() for v in beams]
-    for t in EXTRAPOLATION_STEPS:
-        trial = [_aligned_step(v[rows], p[rows], t) if moves else v[rows]
-                 for v, p, moves in zip(beams, prev, moving)]
-        gap_t = gap_of(rows, trial)
-        up = gap_t > gap[rows]
-        rows = rows[up]
-        if not rows.size:
-            break
-        gap[rows] = gap_t[up]
-        for out, v in zip(best, trial):
-            out[rows] = v[up]
-    return best
+        gap_t = unclipped_gap(secrecy_rate(trial), trial)
+        rows = rows & (gap_t > gap)
+        best, gap = trial.where(rows, best), np.where(rows, gap_t, gap)
+    return best, gap
 
 
 def alternate(
     dm: DerivedModel,
     steps: Sequence[Callable[[DerivedModel], DerivedModel]],
     max_outer: int,
-) -> Solution:
+) -> list[Solution]:
     """Run the block steps in turn from the rate model dm until one pass
-    gains at most dm.cfg.epsilon in the rate gap.
+    gains at most dm.cfg.epsilon in the rate gap, for each row of a stack
+    model on its own: the outer loop of every scheme.
 
     The model is the run's one state, and each step moves it: a beamformer
     step keeps its theta terms (`DerivedModel.with_beamformer`), and a phase
-    step forms new ones (`DerivedModel.with_theta`).
+    step forms new ones (`DerivedModel.with_theta`).  The optimizers run one
+    row, with a phase step; the fixed-phase baselines run a stack of phase
+    vectors (`fixed_phase_runs`) with the beamformer steps alone, whose
+    batched kernels give each row its own run's result to the bit.
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.
@@ -573,115 +554,67 @@ def alternate(
     as converged.  A pass k >= EXTRAPOLATE_FROM that does not stop ends
     with the extrapolated step (`_extrapolate`), which keeps a trial point
     only if it raises the gap, so the stop test sees the pass's whole gain.
-    The trace is therefore non-decreasing.
+    The trace is therefore non-decreasing.  A row that stops, or reaches
+    max_outer passes, leaves the stack.
 
-    Returns the run's `Solution`: the last model's precoders and AN
-    projector, sr = rs_trace[-1], and per_draw None.
+    Returns one `Solution` per row (one for a model without a row axis):
+    the row's last precoders, the run's AN projector, sr = rs_trace[-1],
+    and per_draw None.
     """
-    trace = [secrecy_rate(dm)]
-    gap = unclipped_gap(trace[-1], dm)
-    converged, iterations = False, 0
-    for iterations in range(1, max_outer + 1):
+    sr = secrecy_rate(dm)
+    gap = unclipped_gap(sr, dm)
+    rows = np.arange(np.size(gap)).reshape(np.shape(gap))  # each live row's index in the first stack
+    traces = np.empty((rows.size, max_outer + 1))
+    traces[rows, 0] = sr
+    passes = np.zeros(rows.size, dtype=int)
+    converged = np.zeros(rows.size, dtype=bool)
+    final = {key: np.empty((rows.size, np.shape(getattr(dm.prec, key))[-1]), dtype=complex)
+             for key in ("v1", "v2", "theta")}
+    for k in range(1, max_outer + 1):
         dm_prev = dm
         for step in steps:
             dm = step(dm)
-        sr = secrecy_rate(dm)
-        undone, stopped, gap = _settle(gap, unclipped_gap(sr, dm), dm.cfg.epsilon)
-        if undone:
-            dm, sr = dm_prev, trace[-1]
-        elif not stopped and iterations >= EXTRAPOLATE_FROM:
-            dm, sr, gap = _extrapolate(dm_prev, dm, sr, gap)
-        trace.append(sr)
-        if stopped:
-            converged = True
-            break
-    return Solution(
-        v1=dm.prec.v1,
-        v2=dm.prec.v2,
-        theta=dm.prec.theta,
-        p_an=dm.P_AN,
-        sr=float(trace[-1]),
-        rs_trace=np.array(trace),
-        iterations=iterations,
-        converged=converged,
-    )
+        undone, stopped, gap = _settle(gap, unclipped_gap(secrecy_rate(dm), dm), dm.cfg.epsilon)
+        if k >= EXTRAPOLATE_FROM:
+            dm, gap = _extrapolate(dm_prev, dm, gap, ~stopped)
+        dm = dm_prev.where(undone, dm)
+        traces[rows, k] = np.maximum(gap, 0.0)
+        leaving = stopped | (k == max_outer)
+        if leaving.any():
+            passes[rows[leaving]], converged[rows[leaving]] = k, stopped[leaving]
+            for key, out in final.items():
+                out[rows[leaving]] = getattr(dm.prec, key)[leaving]
+            if leaving.all():
+                break
+            dm, gap, rows = dm.rows(~leaving), gap[~leaving], rows[~leaving]
+    return [Solution(v1=final["v1"][i], v2=final["v2"][i], theta=final["theta"][i], p_an=dm.P_AN,
+                     sr=float(traces[i, passes[i]]), rs_trace=traces[i, :passes[i] + 1].copy(),
+                     iterations=int(passes[i]), converged=bool(converged[i])) for i in range(len(passes))]
+
+
+def _beamformer_run(cfg: SystemConfig, channels: ChannelSet, theta: np.ndarray) -> tuple:
+    """The rate model at the phases theta, (M,) or a stack (D, M), and at
+    each row's initial beamformers (`initial_beamformers`), and the
+    beamformer steps of the streams that carry power."""
+    e1 = np.broadcast_to(np.eye(cfg.N, dtype=complex)[0], np.shape(theta)[:-1] + (cfg.N,))
+    dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=theta))
+    v1, v2 = initial_beamformers(dm)
+    steps = []
+    if cfg.beta1 > 0:
+        steps.append(lambda dm: dm.with_beamformer("v1", update_v1(dm)))
+    if cfg.beta2 > 0:
+        steps.append(lambda dm: dm.with_beamformer("v2", update_v2(dm)))
+    return dm.with_beamformer("v1", v1).with_beamformer("v2", v2), steps
 
 
 def fixed_phase_runs(cfg: SystemConfig, channels: ChannelSet, thetas: np.ndarray,
                      max_outer: int) -> list[Solution]:
     """run_gai's beamformer alternation at each fixed phase vector of the
-    stack thetas (D, M), run as one alternation over the stack: one
-    `Solution` per row, each its own run's to the bit.
-
-    One rate model holds the channel terms, and the stack's theta terms
-    (`rates.ThetaTerms`) every draw's H_B, G_E and Q products, each formed
-    in one broadcast product; the initial beamformers come from one batched
-    SVD.  Each pass updates v1, then v2, of the runs still climbing, with
-    batched pencils (`rates._downdated_gram`) and eigensolves
-    (`rayleigh_ritz_max`) and batched rates; `_settle` stops or undoes each
-    run, the runs that go on from the third pass take the extrapolated step
-    (`_extrapolate_rows`), and a run that stops leaves the stack.  Every row is checked as a
-    single run is: unit-modulus phases, finite pencils, a non-singular
-    denominator and unit-norm beamformers.
+    stack thetas (D, M): `alternate` over the rows of one rate model, whose
+    theta terms and batched kernels serve every row still climbing at once,
+    with one `Solution` per row, each its own run's to the bit.
     """
-    e1 = np.eye(cfg.N, dtype=complex)[0]
-    dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=thetas[0]))
-    stack = ThetaTerms(dm.phases.terms, thetas)
-    c, q = dm.scales, dm.Q
-    gram, hbq, geq = stack.Q_products
-    h_b, g_e = stack.H_B, stack.G_E
-    parts = [(c[s] * hbq, c[s] * geq) for s in (0, 1)]  # each stream's scaled channels in Q
-    beams = list(initial_beamformers(stack))
-
-    def gaps(h_b, g_e, beams):
-        r_b, r_e = (_log2_det2(*(ci * np.matvec(h, v) for ci, v in zip(c, beams))) for h in (h_b, g_e))
-        return r_b - r_e
-
-    def step(s, key, h_b, g_e, beams, parts):
-        v, c_other = beams[1 - s], c[1 - s]
-        w = rayleigh_ritz_max(_herm(_downdated_gram(gram, parts[s][0], c_other * np.matvec(h_b, v))),
-                              _herm(_downdated_gram(gram, parts[s][1], c_other * np.matvec(g_e, v))))
-        if np.shape(w) != (len(v), q.shape[1]):
-            raise ValueError(f"{key} must be a vector per draw, got coefficients of shape {np.shape(w)}")
-        v = np.matvec(q, w)
-        check_unit_rows(key, v)
-        return v
-
-    moving = (cfg.beta1 > 0, cfg.beta2 > 0)
-    d = len(thetas)
-    live = np.arange(d)
-    gap = gaps(h_b, g_e, beams)
-    traces = np.empty((d, max_outer + 1))
-    traces[:, 0] = np.maximum(gap, 0.0)
-    passes = np.full(d, max_outer)
-    converged = np.zeros(d, dtype=bool)
-    final = [np.empty((d, cfg.N), dtype=complex) for _ in beams]
-    for k in range(1, max_outer + 1):
-        prev = list(beams)
-        for s, key in enumerate(("v1", "v2")):
-            if moving[s]:
-                beams[s] = step(s, key, h_b, g_e, beams, parts)
-        undone, stopped, gap = _settle(gap, gaps(h_b, g_e, beams), cfg.epsilon)
-        beams = [np.where(undone[:, None], old, new) for old, new in zip(prev, beams)]
-        if k >= EXTRAPOLATE_FROM and not stopped.all():
-            beams = _extrapolate_rows(np.flatnonzero(~stopped), gap, beams, prev, moving,
-                                      lambda rows, trial: gaps(h_b[rows], g_e[rows], trial))
-        traces[live, k] = np.where(undone, traces[live, k - 1], np.maximum(gap, 0.0))
-        leaving = stopped if k < max_outer else np.ones_like(stopped)
-        if leaving.any():
-            rows = live[leaving]
-            passes[rows], converged[rows] = k, stopped[leaving]
-            for out, v in zip(final, beams):
-                out[rows] = v[leaving]
-            stay = ~leaving
-            if not stay.any():
-                break
-            live, gap, h_b, g_e = live[stay], gap[stay], h_b[stay], g_e[stay]
-            beams = [v[stay] for v in beams]
-            parts = [(hb[stay], ge[stay]) for hb, ge in parts]
-    return [Solution(v1=final[0][i], v2=final[1][i], theta=thetas[i], p_an=dm.P_AN,
-                     sr=float(traces[i, passes[i]]), rs_trace=traces[i, :passes[i] + 1].copy(),
-                     iterations=int(passes[i]), converged=bool(converged[i])) for i in range(d)]
+    return alternate(*_beamformer_run(cfg, channels, thetas), max_outer)
 
 
 def fold_draws(runs: Sequence[Solution]) -> Solution:
@@ -700,21 +633,19 @@ def run_gai(
     opts: GaOptions | None = None,
     fixed_theta: np.ndarray | Solution | None = None,
 ) -> Solution:
-    """Alternate the v1, v2 and theta blocks until the rate-gap gain falls below epsilon.
+    """Alternate the v1, v2 and theta blocks until the rate-gap gain falls
+    below epsilon: `alternate` on one row, from all-ones phases.
 
-    Without fixed_theta the phases start from all ones.  With fixed_theta
-    the phases stay fixed and only the beamformers move: a phase vector
-    (M,) gives its run's `Solution`, and a stack (D, M) runs every row at
-    once (`fixed_phase_runs`) and gives the random-phase record of the
-    rows: the best row's run, with sr the mean rate, per_draw each row's
-    rate, iterations the rounded mean pass count and converged that of
-    every row (`fold_draws`).  Any other shape raises ValueError.  A
-    finished run (a `Solution`, such as a row of `fixed_phase_runs`) is
-    handed back as it is: the random-phase baseline reports each draw of
-    its stacked run through one call, because perfbench/tracing.py counts
-    the draws as calls of `bench.run_gai`.  Each beamformer step
-    checks only the beamformer it replaced (`Precoders.with_beamformer`).
-    Returns `alternate`'s `Solution`.
+    With fixed_theta the phases stay fixed and only the beamformer blocks
+    run, in the same loop (`fixed_phase_runs`): a phase vector (M,) gives
+    its run's `Solution`, and a stack (D, M), whose rows run as one
+    alternation, the random-phase record of the rows (`fold_draws`).  Any
+    other shape raises ValueError.  A finished run (a `Solution`, such as a
+    row of `fixed_phase_runs`) is handed back as it is: the random-phase
+    baseline reports each draw of its stacked run through one call, because
+    perfbench/tracing.py counts the draws as calls of `bench.run_gai`.
+    Each beamformer step checks only the beamformer it replaced
+    (`Precoders.with_beamformer`).
     """
     opts = opts or GaOptions()
     if isinstance(fixed_theta, Solution):
@@ -723,21 +654,12 @@ def run_gai(
         thetas = np.asarray(fixed_theta, dtype=complex)
         if thetas.ndim not in (1, 2) or thetas.shape[-1] != cfg.M or thetas.size == 0:
             raise ValueError(f"fixed_theta has shape {thetas.shape}; expected ({cfg.M},) or (D, {cfg.M}) for M = {cfg.M}")
-        runs = fixed_phase_runs(cfg, channels, thetas.reshape(-1, cfg.M), opts.max_outer)
+        runs = fixed_phase_runs(cfg, channels, thetas, opts.max_outer)
         return runs[0] if thetas.ndim == 1 else fold_draws(runs)
-    e1 = np.eye(cfg.N, dtype=complex)[0]
-    dm = derived_model(cfg, channels, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
-    v1, v2 = initial_beamformers(dm)
-    dm = dm.with_beamformer("v1", v1).with_beamformer("v2", v2)
-    steps = []
-    if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.with_beamformer("v1", update_v1(dm)))
-    if cfg.beta2 > 0:
-        steps.append(lambda dm: dm.with_beamformer("v2", update_v2(dm)))
     memo = SpanMemo()
     # solve the phase block well below the outer tolerance: stopping
     # the ascent at the outer epsilon meters a shallow-ridge climb out
     # over many outer passes instead of finishing it in one
-    steps.append(lambda dm: dm.with_theta(
-        ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
-    return alternate(dm, steps, opts.max_outer)
+    dm, steps = _beamformer_run(cfg, channels, np.ones(cfg.M, dtype=complex))
+    steps.append(lambda dm: dm.with_theta(ga_optimize_theta(PhaseProblem(dm), dm.prec.theta, opts, GA_TOL, memo)))
+    return alternate(dm, steps, opts.max_outer)[0]

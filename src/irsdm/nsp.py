@@ -356,4 +356,4 @@ def run_nsp(
         # cascade hurts Bob less than it leaks to Eve), after which the
         # phase block sees a dead quotient and the alternation stalls
         dm = steps[-1](dm)
-    return alternate(dm, steps, opts.max_outer)
+    return alternate(dm, steps, opts.max_outer)[0]

@@ -30,17 +30,6 @@ def _hypot(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-# The scalar operations of the broadcast kernels below (`_det2`,
-# `_downdated_gram`, `unit_rows`), for one vector and for a stack of them on
-# a leading axis.  Each pair rounds alike: np.vdot and np.vecdot make one
-# BLAS product, abs and np.hypot take libm's hypot, math.sqrt and np.sqrt
-# the correctly rounded root; numpy's absolute value of a complex array is
-# not libm's.  The vector forms cost less per call, and a stack's rows equal
-# their own calls to the bit.
-_ONE = (np.vdot, math.sqrt, abs)
-_STACK = (np.vecdot, np.sqrt, _hypot)
-
-
 def check_finite(*arrays: np.ndarray) -> None:
     """Raise ValueError if any entry of the arrays is NaN or infinite
     (numpy's factorizations would pass such entries on or ignore them)."""
@@ -48,32 +37,25 @@ def check_finite(*arrays: np.ndarray) -> None:
         raise ValueError("matrix has non-finite entries")
 
 
-def _check_vector(key: str, value: np.ndarray) -> None:
+def _check_vector(key: str, value: np.ndarray, rows: tuple[int, ...] = ()) -> None:
+    """Raise ValueError unless value is a vector with at least one entry,
+    or a stack of them with the leading shape rows."""
     shape = np.shape(value)
-    if len(shape) != 1 or shape[0] == 0:
-        raise ValueError(f"{key} must be a vector with at least one entry, got shape {shape}")
+    if len(shape) != len(rows) + 1 or shape[:-1] != rows or shape[-1] == 0:
+        per_row = " per phase vector" if rows else ""
+        raise ValueError(f"{key} must be a vector with at least one entry{per_row}, got shape {shape}")
 
 
 def _check_beamformer(key: str, v: np.ndarray, other: str, size: int) -> None:
-    """Raise ValueError unless v is a unit-norm vector of the size entries of
-    the other beamformer."""
-    _check_vector(key, v)
-    if np.shape(v)[0] != size:
-        raise ValueError(f"{key} must have the {size} entries of {other}, got {np.shape(v)[0]}")
-    # written so that NaN fails: every comparison with NaN is False
-    nrm = math.sqrt(np.vdot(v, v).real)
-    if not abs(nrm - 1.0) <= 1e-9:
-        raise ValueError(f"{key} must have unit norm, got {nrm!r}")
-
-
-def check_unit_rows(key: str, v: np.ndarray) -> None:
-    """Raise ValueError unless every row of the stack v (D, n) has unit
-    norm, as `_check_beamformer` checks one beamformer."""
+    """Raise ValueError unless the beamformer v, or every row of a stack of
+    them, has unit norm and the size entries of the other beamformer."""
+    if np.shape(v)[-1] != size:
+        raise ValueError(f"{key} must have the {size} entries of {other}, got {np.shape(v)[-1]}")
     nrm = np.sqrt(np.vecdot(v, v).real)
     # written so that NaN fails: every comparison with NaN is False
-    off = ~(np.abs(nrm - 1.0) <= 1e-9)
-    if off.any():
-        raise ValueError(f"{key} must have unit norm, got {float(nrm[off][0])!r}")
+    unit = np.abs(nrm - 1.0) <= 1e-9
+    if not unit.all():
+        raise ValueError(f"{key} must have unit norm, got {float(nrm[~unit][0])!r}")
 
 
 def _check_unit_modulus(theta: np.ndarray) -> None:
@@ -84,17 +66,19 @@ def _check_unit_modulus(theta: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Precoders:
-    """Unit-norm beamformers and the unit-modulus reflection phases."""
+    """Unit-norm beamformers and the unit-modulus reflection phases, or a
+    stack of them: one row each per phase vector of a stack theta (D, M)."""
 
-    v1: np.ndarray      # (N,)
-    v2: np.ndarray      # (N,)
-    theta: np.ndarray   # (M,), entries on the unit circle
+    v1: np.ndarray      # (N,), or (D, N)
+    v2: np.ndarray      # (N,), or (D, N)
+    theta: np.ndarray   # (M,), or (D, M), entries on the unit circle
 
     def __post_init__(self) -> None:
+        rows = np.shape(self.theta)[:-1][:1]  # at most one row axis
         for key in ("v1", "v2", "theta"):
-            _check_vector(key, getattr(self, key))
+            _check_vector(key, getattr(self, key), rows)
         for key in ("v1", "v2"):
-            _check_beamformer(key, getattr(self, key), "v1", np.shape(self.v1)[0])
+            _check_beamformer(key, getattr(self, key), "v1", np.shape(self.v1)[-1])
         _check_unit_modulus(self.theta)
 
     def with_beamformer(self, key: str, v: np.ndarray) -> Precoders:
@@ -105,9 +89,15 @@ class Precoders:
         changed in place, so a beamformer step skips the O(M) scan of theta.
         """
         other = "v2" if key == "v1" else "v1"
-        _check_beamformer(key, v, other, np.shape(getattr(self, other))[0])
+        _check_vector(key, v, np.shape(self.theta)[:-1])
+        _check_beamformer(key, v, other, np.shape(getattr(self, other))[-1])
+        return self._with(**{key: v})
+
+    def _with(self, **fields: np.ndarray) -> Precoders:
+        """These precoders with fields replaced by values that need no new
+        check: a checked beamformer, or rows of checked precoders."""
         new = object.__new__(Precoders)
-        vars(new).update(vars(self), **{key: v})
+        vars(new).update(vars(self), **fields)
         return new
 
 
@@ -260,9 +250,9 @@ class ThetaTerms:
     whitened channel G_E = W H_E, (K, N) each, and the products with the
     channel basis Q that every beamformer step reads, H_B Q and G_E Q
     (beside the channel terms' Q^H Q).  At a stack theta (D, M) of phase
-    vectors, each term is the stack of theirs on a leading axis, every
-    slice equal to the term of its own phases to the bit, so that
-    `gai.fixed_phase_runs` runs its alternation at every draw at once.
+    vectors, the rows of a fixed-phase alternation (`gai.fixed_phase_runs`),
+    each term is the stack of theirs on a leading axis, every slice equal
+    to the term of its own phases to the bit.
 
     Each term is formed on its first read, so nothing reads the composites
     at NSP's first, all-ones phases, and NSP, which reads no Q, forms no
@@ -289,10 +279,20 @@ class ThetaTerms:
     G_E = property(lambda self: self._channels[2], doc="(K, N) W H_E.")
 
     @cached_property
-    def Q_products(self) -> tuple[np.ndarray, ...]:
-        """Q^H Q, then H_B and G_E in the coordinates of the channel basis Q."""
+    def Q_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """H_B and G_E in the coordinates of the channel basis Q."""
         q = self.terms.Q
-        return self.terms.Q_gram, self.H_B @ q, self.G_E @ q
+        return self.H_B @ q, self.G_E @ q
+
+    def rows(self, keep: np.ndarray) -> ThetaTerms:
+        """The terms of the rows of a stack where keep holds; the terms
+        already formed are sliced, not formed again."""
+        out = object.__new__(ThetaTerms)  # rows of checked phases: not checked again
+        vars(out).update(terms=self.terms, theta=self.theta[keep])
+        for name in ("_channels", "Q_products"):
+            if name in vars(self):
+                vars(out)[name] = tuple(x[keep] for x in vars(self)[name])
+        return out
 
 
 def _of_terms(name: str) -> property:
@@ -310,7 +310,10 @@ class DerivedModel:
     """The rate model at the precoders prec, the state of both optimizers:
     the theta terms `phases` of prec's phases, and through them the run's
     channel terms.  H_B, H_E, G_E and Q_products are the theta terms, and
-    cfg, ch, P_AN, W, scales and Q the channel terms.
+    cfg, ch, P_AN, W, scales, Q and Q_gram the channel terms.  At a stack of
+    precoders, one row per phase vector of a stack theta (D, M), every
+    term but the channel terms is a stack too, and the model holds the rows
+    of one alternation (`gai.alternate`), each its own run.
 
     A block step moves the model in one of two ways: a beamformer move
     (`with_beamformer`) keeps the theta terms, and a phase move
@@ -321,7 +324,7 @@ class DerivedModel:
     phases: ThetaTerms
     prec: Precoders
 
-    cfg, ch, P_AN, W, scales, Q = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales", "Q"))
+    cfg, ch, P_AN, W, scales, Q, Q_gram = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales", "Q", "Q_gram"))
     H_B, H_E, G_E, Q_products = map(_of_phases, ("H_B", "H_E", "G_E", "Q_products"))
 
     def with_beamformer(self, key: str, v: np.ndarray) -> DerivedModel:
@@ -332,6 +335,28 @@ class DerivedModel:
     def with_theta(self, theta: np.ndarray) -> DerivedModel:
         """The model at the phases theta, with their own theta terms."""
         return DerivedModel(ThetaTerms(self.phases.terms, theta), replace(self.prec, theta=theta))
+
+    def rows(self, keep: np.ndarray) -> DerivedModel:
+        """The model at the rows of its stack where keep holds, its formed
+        theta terms sliced (`ThetaTerms.rows`)."""
+        prec = self.prec._with(**{key: x[keep] for key, x in vars(self.prec).items()})
+        return DerivedModel(self.phases.rows(keep), prec)
+
+    def where(self, keep: np.ndarray, other: DerivedModel) -> DerivedModel:
+        """This model at the rows where keep holds and other at the rest.
+
+        A model of one row is one or the other.  Rows of a stack mix only
+        at one stack of theta terms, as the beamformer moves of a
+        fixed-phase alternation leave them, so only the beamformers are
+        picked row by row.
+        """
+        if keep.all():
+            return self
+        if not keep.any():
+            return other
+        pick = {key: np.where(keep[:, None], getattr(self.prec, key), getattr(other.prec, key))
+                for key in ("v1", "v2")}
+        return DerivedModel(self.phases, self.prec._with(**pick))
 
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
@@ -347,7 +372,7 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     intact.  Raises ValueError if prec's sizes are not cfg's N and M.
     """
     for key in ("v1", "v2"):
-        if (size := getattr(prec, key).size) != cfg.N:
+        if (size := np.shape(getattr(prec, key))[-1]) != cfg.N:
             raise ValueError(f"{key} has {size} entries; expected N = {cfg.N}")
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
@@ -379,13 +404,12 @@ def _det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     by 1 instead, which leaves p = t2 and the last term 0.  A NaN anywhere
     gives NaN.
     """
-    dot, _, mag = _ONE if t1.ndim == 1 else _STACK
-    n1 = dot(t1, t1).real
-    a12 = dot(t1, t2)
+    n1 = np.vecdot(t1, t1).real
+    a12 = np.vecdot(t1, t2)
     safe = n1 + (n1 == 0.0)
     p = t2 - (a12 / safe * t1.T).T
-    m12 = mag(a12)
-    return (1.0 + n1) * (1.0 + dot(p, p).real) + m12 * m12 / safe
+    m12 = _hypot(a12)
+    return (1.0 + n1) * (1.0 + np.vecdot(p, p).real) + m12 * m12 / safe
 
 
 def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
@@ -393,28 +417,29 @@ def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     stacks, each entry by math.log2 (numpy's log2 differs from it in the last
     bit on some inputs).  Raises ValueError if a factor is not finite."""
     det = _det2(t1, t2)
-    dets = [float(det)] if t1.ndim == 1 else det.tolist()
+    dets = np.ravel(det).tolist()
     if not all(map(math.isfinite, dets)):
         raise ValueError("matrix has non-finite entries")
-    logs = [math.log2(x) for x in dets]
-    return logs[0] if t1.ndim == 1 else np.array(logs)
+    return np.array(list(map(math.log2, dets))).reshape(np.shape(det))[()]
 
 
-def rate_bob(dm: DerivedModel, prec: Precoders) -> float:
+def rate_bob(dm: DerivedModel, prec: Precoders) -> float | np.ndarray:
     """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
-    beamformers at the model's phases, which prec must hold.
+    beamformers at the model's phases, which prec must hold; one per row of
+    a stack.
 
     log2 det(I + t1 t1^H + t2 t2^H), t_i = c_i H_B v_i, is the two streams'
     2 x 2 determinant det(I_2 + [t1 t2]^H [t1 t2]) (`_det2`), at O(K N).
     """
     _check_phases(dm, prec)
     c1, c2 = dm.scales
-    return _log2_det2(c1 * (dm.H_B @ prec.v1), c2 * (dm.H_B @ prec.v2))
+    return _log2_det2(c1 * np.matvec(dm.H_B, prec.v1), c2 * np.matvec(dm.H_B, prec.v2))
 
 
-def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
+def rate_eve(dm: DerivedModel, prec: Precoders) -> float | np.ndarray:
     """Eve's rate with the artificial noise folded into her noise covariance,
-    for prec's beamformers at the model's phases, which prec must hold.
+    for prec's beamformers at the model's phases, which prec must hold; one
+    per row of a stack.
 
     log2 det(I + S B^-1) = log2 det(B + S) - log2 det B is the 2 x 2
     determinant det(I_2 + T^H T) (`_det2`) of her streams whitened by the
@@ -423,22 +448,24 @@ def rate_eve(dm: DerivedModel, prec: Precoders) -> float:
     """
     _check_phases(dm, prec)
     c1, c2 = dm.scales
-    return _log2_det2(c1 * (dm.G_E @ prec.v1), c2 * (dm.G_E @ prec.v2))
+    return _log2_det2(c1 * np.matvec(dm.G_E, prec.v1), c2 * np.matvec(dm.G_E, prec.v2))
 
 
-def rate_gap(dm: DerivedModel) -> float:
-    """R_B - R_E at the model's precoders."""
+def rate_gap(dm: DerivedModel) -> float | np.ndarray:
+    """R_B - R_E at the model's precoders, one per row of a stack."""
     return rate_bob(dm, dm.prec) - rate_eve(dm, dm.prec)
 
 
-def secrecy_rate(dm: DerivedModel) -> float:
-    """Clipped rate advantage max(0, R_B - R_E) in bits/s/Hz at the model's precoders."""
-    return max(0.0, rate_gap(dm))
+def secrecy_rate(dm: DerivedModel) -> float | np.ndarray:
+    """Clipped rate advantage max(0, R_B - R_E) in bits/s/Hz at the model's
+    precoders, one per row of a stack."""
+    return np.maximum(0.0, rate_gap(dm))
 
 
-def unclipped_gap(sr: float, dm: DerivedModel) -> float:
-    """R_B - R_E from the secrecy rate sr of the same model, recomputed only if clipped."""
-    return sr if sr > 0 else rate_gap(dm)
+def unclipped_gap(sr: float | np.ndarray, dm: DerivedModel) -> float | np.ndarray:
+    """R_B - R_E from the secrecy rate sr of the same model, recomputed only
+    if a row's rate is clipped."""
+    return sr if np.all(sr > 0) else rate_gap(dm)
 
 
 def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -450,9 +477,8 @@ def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarra
     so the directions along t keep their relative accuracy at high SNR;
     O(K r^2), no solve.  A silent t (|t| = 0) takes e = t = 0, which leaves
     gram + h^H h."""
-    dot, sqrt, _ = _ONE if t.ndim == 1 else _STACK
-    n = dot(t, t).real
-    e = (t.T / sqrt(n + (n == 0.0))).T
+    n = np.vecdot(t, t).real
+    e = (t.T / np.sqrt(n + (n == 0.0))).T
     c = e.conj()[..., None, :] @ h
     ph = h - e[..., None] * c
     return gram + ph.conj().mT @ ph + c.conj().mT * (c.T / (1.0 + n)).T
@@ -461,9 +487,8 @@ def _downdated_gram(gram: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarra
 def unit_rows(v: np.ndarray) -> np.ndarray:
     """v / ||v||, for a vector or for each row of a stack (D, n); the norm is
     np.linalg.norm's, sqrt(Re v . Re v + Im v . Im v), to the bit."""
-    dot, sqrt, _ = _ONE if v.ndim == 1 else _STACK
     re, im = v.real, v.imag
-    return (v.T / sqrt(dot(re, re) + dot(im, im))).T
+    return (v.T / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))).T
 
 
 def whiten_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -485,6 +510,7 @@ def beam_quotient(dm: DerivedModel, stream: int,
     """Numerator and denominator of the rate gap as a function of one stream's
     beamformer (stream 0 or 1), with the model's other beamformer and theta
     held fixed, in the coordinates of basis (N, r): the beamformer is basis w.
+    At a stack of precoders, the pencils (D, r, r) of every row.
 
     R_B - R_E equals a constant plus log2 of v^H num v / v^H den v at unit
     norm, num = I + c^2 H_B^H cov_B^-1 H_B and den = I + c^2 H_E^H cov_E^-1
@@ -503,10 +529,10 @@ def beam_quotient(dm: DerivedModel, stream: int,
     """
     c = dm.scales
     v_other = (dm.prec.v1, dm.prec.v2)[1 - stream]
-    gram, hb, ge = dm.Q_products if basis is None else (
+    gram, hb, ge = (dm.Q_gram, *dm.Q_products) if basis is None else (
         basis.conj().T @ basis, dm.H_B @ basis, dm.G_E @ basis)
-    num = _downdated_gram(gram, c[stream] * hb, c[1 - stream] * (dm.H_B @ v_other))
-    den = _downdated_gram(gram, c[stream] * ge, c[1 - stream] * (dm.G_E @ v_other))
+    num = _downdated_gram(gram, c[stream] * hb, c[1 - stream] * np.matvec(dm.H_B, v_other))
+    den = _downdated_gram(gram, c[stream] * ge, c[1 - stream] * np.matvec(dm.G_E, v_other))
     return _herm(num), _herm(den)
 
 

@@ -875,33 +875,28 @@ def _climbing_drop(seed, m, ps_dbm, fading, epsilon):
 @example(seed=5040, m=39, ps_dbm=26.85611007151881, fading=False, epsilon=1e-4)
 @example(seed=40712, m=20, ps_dbm=14.37650231733707, fading=True, epsilon=1e-9)
 def test_an_extrapolated_step_keeps_only_points_that_raise_the_gap(seed, m, ps_dbm, fading, epsilon):
-    # every kept trial point of `alternate` (gai, single_cbs, nsp) and of the
-    # fixed-phase stack raised the gap above the plain pass's, by its own
-    # model's rate gap; every trace is non-decreasing; and nsp's
-    # beamformers, extrapolated ones included, stay in their null spaces
+    # every kept trial point of `alternate`, in one row (gai, single_cbs,
+    # nsp) and in each row of the fixed-phase stack, raised the gap above
+    # the plain pass's, by its own model's rate gap; every trace is
+    # non-decreasing; and nsp's beamformers, extrapolated ones included,
+    # stay in their null spaces
     cfg, ch = _climbing_drop(seed, m, ps_dbm, fading, epsilon)
     accepted = []
-    extrapolate, extrapolate_rows = gai._extrapolate, gai._extrapolate_rows
+    extrapolate = gai._extrapolate
 
-    def checked(dm_prev, dm, sr, gap):
-        out = extrapolate(dm_prev, dm, sr, gap)
-        if out[0] is dm:
-            assert out[1:] == (sr, gap)
-        else:
-            assert out[2] > gap and out[2] == rate_gap(out[0]) and out[1] == max(out[2], 0.0)
-            accepted.append(out[0].prec)
-        return out
+    def checked(dm_prev, dm, gap, rows):
+        best, out = extrapolate(dm_prev, dm, gap, rows)
+        moved = ~np.all([np.all(getattr(best.prec, key) == getattr(dm.prec, key), axis=-1)
+                         for key in ("v1", "v2", "theta")], axis=0)
+        assert np.all(rows | ~moved)
+        assert np.all(np.asarray(out)[moved] > np.asarray(gap)[moved])
+        assert np.array_equal(np.asarray(out)[~moved], np.asarray(gap)[~moved])
+        assert np.array_equal(np.asarray(rate_gap(best))[rows], np.asarray(out)[rows])
+        if np.ndim(rows) == 0 and moved:
+            accepted.append(best.prec)
+        return best, out
 
-    def checked_rows(rows, gap, beams, prev, moving, gap_of):
-        before = gap.copy()
-        out = extrapolate_rows(rows, gap, beams, prev, moving, gap_of)
-        moved = np.array([any(not np.array_equal(v[i], w[i]) for v, w in zip(out, beams)) for i in rows])
-        assert np.all(gap[rows][moved] > before[rows][moved])
-        assert np.array_equal(gap[rows][~moved], before[rows][~moved])
-        assert np.array_equal(gap_of(rows, [v[rows] for v in out]), gap[rows])
-        return out
-
-    with mock.patch.object(gai, "_extrapolate", checked), mock.patch.object(gai, "_extrapolate_rows", checked_rows):
+    with mock.patch.object(gai, "_extrapolate", checked):
         thetas = np.exp(2j * math.pi * np.random.default_rng(seed).random((4, m)))
         for run in gai.fixed_phase_runs(cfg, ch, thetas, GaOptions().max_outer):
             assert np.all(np.diff(run.rs_trace) >= 0)
@@ -923,9 +918,10 @@ def test_the_extrapolation_examples_keep_a_step(monkeypatch):
     kept = []
     extrapolate = gai._extrapolate
 
-    def counted(dm_prev, dm, sr, gap):
-        out = extrapolate(dm_prev, dm, sr, gap)
-        kept.append(out[0] is not dm)
+    def counted(dm_prev, dm, gap, rows):
+        out = extrapolate(dm_prev, dm, gap, rows)
+        if rows:  # a pass that does not stop tries the step
+            kept.append(out[0] is not dm)
         return out
 
     monkeypatch.setattr(gai, "_extrapolate", counted)
@@ -987,15 +983,15 @@ def test_the_stack_examples_reach_their_cases(monkeypatch):
     cap = GaOptions().max_outer
     cases = {746: [2, 2, 8, 2, 2, 2, 2, 1], 342: [2, 2, 2, 2, 2, 1, 2, cap], 24122: [23, 2, 2, 2, 2, 2, 2, 33]}
     kept = []
-    extrapolate = gai._extrapolate_rows
+    extrapolate = gai._extrapolate
 
-    def counted(rows, gap, *args):
-        before = gap[rows].copy()
-        out = extrapolate(rows, gap, *args)
-        kept.append(gap[rows] > before)
+    def counted(dm_prev, dm, gap, rows):
+        out = extrapolate(dm_prev, dm, gap, rows)
+        if rows.any():  # some draw's pass does not stop and tries the step
+            kept.append((out[1] > gap)[rows])
         return out
 
-    monkeypatch.setattr(gai, "_extrapolate_rows", counted)
+    monkeypatch.setattr(gai, "_extrapolate", counted)
     for seed, m, k, ps, eps in ((746, 12, 2, 73.95392765371376, 0.1), (342, 29, 4, 82.7269539307869, 1e-4),
                                 (24122, 3, 2, 76.73695546325911, 0.01)):
         kept.clear()
