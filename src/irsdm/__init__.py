@@ -15,7 +15,6 @@ from .rates import (
     ChannelTerms,
     DerivedModel,
     Precoders,
-    ThetaTerms,
     an_projector,
     derived_model,
     rate_bob,
@@ -47,7 +46,6 @@ __all__ = [
     "Scheme",
     "Solution",
     "SystemConfig",
-    "ThetaTerms",
     "an_projector",
     "build_channels",
     "build_geometry",

@@ -30,12 +30,12 @@ on that does not stop ends with an extrapolated step (Xu and Yin, SIAM J.
 Imaging Sci. 2013): the points x_k + t (x_k - x_{k-1}), t = 1, 2, 4, 8, 16,
 phases moved in angle, each kept only while it raises the gap.
 `alternate` is the one outer loop of every scheme.  Each block step maps
-the rate model (`rates.DerivedModel`) to the next: a beamformer step keeps
-its theta terms and a phase step forms new ones.  gai and single_cbs run
-it on one row with the phase step, nsp with its own, null-space-constrained
-blocks, and the fixed-phase baselines (no_irs, and random_phase's draws)
-with the beamformer steps alone, on a stack of phase vectors whose rows
-are each its own run (`fixed_phase_runs`).
+the rate model (`rates.DerivedModel`) to the next: a beamformer step
+carries the theta terms already formed and a phase step starts with none.
+gai and single_cbs run it on one row with the phase step, nsp with its own,
+null-space-constrained blocks, and the fixed-phase baselines (no_irs, and
+random_phase's draws) with the beamformer steps alone, on a stack of phase
+vectors whose rows are each its own run (`fixed_phase_runs`).
 """
 
 from __future__ import annotations
@@ -541,11 +541,12 @@ def alternate(
     model on its own: the outer loop of every scheme.
 
     The model is the run's one state, and each step moves it: a beamformer
-    step keeps its theta terms (`DerivedModel.with_beamformer`), and a phase
-    step forms new ones (`DerivedModel.with_theta`).  The optimizers run one
-    row, with a phase step; the fixed-phase baselines run a stack of phase
-    vectors (`fixed_phase_runs`) with the beamformer steps alone, whose
-    batched kernels give each row its own run's result to the bit.
+    step carries the theta terms already formed
+    (`DerivedModel.with_beamformer`), and a phase step starts with none
+    (`DerivedModel.with_theta`).  The optimizers run one row, with a phase
+    step; the fixed-phase baselines run a stack of phase vectors
+    (`fixed_phase_runs`) with the beamformer steps alone, whose batched
+    kernels give each row its own run's result to the bit.
 
     The stop test uses the unclipped gap R_B - R_E, so a run whose gap is
     still negative keeps climbing; rs_trace holds the clipped secrecy rate.

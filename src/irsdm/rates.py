@@ -95,7 +95,7 @@ class Precoders:
 
     def _with(self, **fields: np.ndarray) -> Precoders:
         """These precoders with fields replaced by values that need no new
-        check: a checked beamformer, or rows of checked precoders."""
+        check: a checked beamformer or theta, or rows of checked precoders."""
         new = object.__new__(Precoders)
         vars(new).update(vars(self), **fields)
         return new
@@ -243,36 +243,41 @@ class ChannelTerms:
         return self.Q.conj().T @ self.Q
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaTerms:
-    """The rate model's terms at one phase vector theta of cfg.M entries on
-    the unit circle: the unscaled composite channels H_B and H_E and Eve's
-    whitened channel G_E = W H_E, (K, N) each, and the products with the
-    channel basis Q that every beamformer step reads, H_B Q and G_E Q
-    (beside the channel terms' Q^H Q).  At a stack theta (D, M) of phase
-    vectors, the rows of a fixed-phase alternation (`gai.fixed_phase_runs`),
-    each term is the stack of theirs on a leading axis, every slice equal
-    to the term of its own phases to the bit.
+def _of_terms(name: str) -> property:
+    """A model's channel term."""
+    return property(lambda dm: getattr(dm.terms, name))
 
-    Each term is formed on its first read, so nothing reads the composites
-    at NSP's first, all-ones phases, and NSP, which reads no Q, forms no
-    products.
+
+@dataclass(frozen=True, eq=False)
+class DerivedModel:
+    """The rate model at the precoders prec, the state of both optimizers:
+    the run's channel terms, cfg, ch, P_AN, W, scales, Q and Q_gram, and its
+    theta terms, at prec's phases theta of cfg.M entries on the unit circle:
+    the unscaled composite channels H_B and H_E and Eve's whitened channel
+    G_E = W H_E, (K, N) each, and the products with the channel basis Q that
+    every beamformer step reads, Q_products = (H_B Q, G_E Q).  At a stack of
+    precoders, one row per phase vector of a stack theta (D, M), the rows
+    of one alternation (`gai.alternate`), each its own run, every term but
+    the channel terms is the stack of the rows' terms on a leading axis,
+    every slice equal to the term of its own phases to the bit.
+
+    The theta terms are formed on their first read, so nothing reads the
+    composites at NSP's first, all-ones phases, and NSP, which reads no Q,
+    forms no products.  A block step moves the model in one of two ways: a
+    beamformer move (`with_beamformer`) carries the theta terms already
+    formed, and a phase move (`with_theta`) starts with none, at the same
+    channel terms, so a model built without the surface stays without it.
     """
 
     terms: ChannelTerms
-    theta: np.ndarray
+    prec: Precoders
 
-    def __post_init__(self) -> None:
-        m = self.terms.cfg.M
-        shape = np.shape(self.theta)
-        if len(shape) not in (1, 2) or shape[-1] != m:
-            raise ValueError(f"theta has {shape[-1] if shape else 0} entries; expected M = {m}")
-        _check_unit_modulus(self.theta)
+    cfg, ch, P_AN, W, scales, Q, Q_gram = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales", "Q", "Q_gram"))
 
     @cached_property
     def _channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h_b, h_e = composite_channels(self.terms.ch, self.theta)
-        return h_b, h_e, self.terms.W @ h_e
+        h_b, h_e = composite_channels(self.ch, self.prec.theta)
+        return h_b, h_e, self.W @ h_e
 
     H_B = property(lambda self: self._channels[0], doc="(K, N) composite channel to Bob.")
     H_E = property(lambda self: self._channels[1], doc="(K, N) composite channel to Eve.")
@@ -281,74 +286,47 @@ class ThetaTerms:
     @cached_property
     def Q_products(self) -> tuple[np.ndarray, np.ndarray]:
         """H_B and G_E in the coordinates of the channel basis Q."""
-        q = self.terms.Q
-        return self.H_B @ q, self.G_E @ q
+        return self.H_B @ self.Q, self.G_E @ self.Q
 
-    def rows(self, keep: np.ndarray) -> ThetaTerms:
-        """The terms of the rows of a stack where keep holds; the terms
-        already formed are sliced, not formed again."""
-        out = object.__new__(ThetaTerms)  # rows of checked phases: not checked again
-        vars(out).update(terms=self.terms, theta=self.theta[keep])
+    def _at(self, prec: Precoders, keep: np.ndarray | None = None) -> DerivedModel:
+        """The model at prec, which holds this model's phases (the rows of
+        its stack where keep holds, if given), with the theta terms already
+        formed here (sliced to those rows), not formed again."""
+        new = DerivedModel(self.terms, prec)
         for name in ("_channels", "Q_products"):
             if name in vars(self):
-                vars(out)[name] = tuple(x[keep] for x in vars(self)[name])
-        return out
-
-
-def _of_terms(name: str) -> property:
-    """A model's channel term, read through its theta terms."""
-    return property(lambda dm: getattr(dm.phases.terms, name))
-
-
-def _of_phases(name: str) -> property:
-    """A model's theta term."""
-    return property(lambda dm: getattr(dm.phases, name))
-
-
-@dataclass(frozen=True, eq=False)
-class DerivedModel:
-    """The rate model at the precoders prec, the state of both optimizers:
-    the theta terms `phases` of prec's phases, and through them the run's
-    channel terms.  H_B, H_E, G_E and Q_products are the theta terms, and
-    cfg, ch, P_AN, W, scales, Q and Q_gram the channel terms.  At a stack of
-    precoders, one row per phase vector of a stack theta (D, M), every
-    term but the channel terms is a stack too, and the model holds the rows
-    of one alternation (`gai.alternate`), each its own run.
-
-    A block step moves the model in one of two ways: a beamformer move
-    (`with_beamformer`) keeps the theta terms, and a phase move
-    (`with_theta`) forms new ones from the same channel terms, so a model
-    built without the surface stays without it.
-    """
-
-    phases: ThetaTerms
-    prec: Precoders
-
-    cfg, ch, P_AN, W, scales, Q, Q_gram = map(_of_terms, ("cfg", "ch", "P_AN", "W", "scales", "Q", "Q_gram"))
-    H_B, H_E, G_E, Q_products = map(_of_phases, ("H_B", "H_E", "G_E", "Q_products"))
+                vars(new)[name] = vars(self)[name] if keep is None else tuple(x[keep] for x in vars(self)[name])
+        return new
 
     def with_beamformer(self, key: str, v: np.ndarray) -> DerivedModel:
         """The model with beamformer key ("v1" or "v2") replaced by v
-        (`Precoders.with_beamformer`), at the same theta terms."""
-        return DerivedModel(self.phases, self.prec.with_beamformer(key, v))
+        (`Precoders.with_beamformer`), with the theta terms already formed."""
+        return self._at(self.prec.with_beamformer(key, v))
 
     def with_theta(self, theta: np.ndarray) -> DerivedModel:
-        """The model at the phases theta, with their own theta terms."""
-        return DerivedModel(ThetaTerms(self.phases.terms, theta), replace(self.prec, theta=theta))
+        """The model at the phases theta, with the same beamformers.
+
+        theta is checked here, once: it must have the shape of the model's
+        phases and unit modulus.  The beamformers are this model's, checked
+        when they were made, so they are not checked again.
+        """
+        if np.shape(theta) != np.shape(self.prec.theta):
+            raise ValueError(f"theta has shape {np.shape(theta)}; expected {np.shape(self.prec.theta)}")
+        _check_unit_modulus(theta)
+        return DerivedModel(self.terms, self.prec._with(theta=theta))
 
     def rows(self, keep: np.ndarray) -> DerivedModel:
         """The model at the rows of its stack where keep holds, its formed
-        theta terms sliced (`ThetaTerms.rows`)."""
-        prec = self.prec._with(**{key: x[keep] for key, x in vars(self.prec).items()})
-        return DerivedModel(self.phases.rows(keep), prec)
+        theta terms sliced."""
+        return self._at(self.prec._with(**{key: x[keep] for key, x in vars(self.prec).items()}), keep)
 
     def where(self, keep: np.ndarray, other: DerivedModel) -> DerivedModel:
         """This model at the rows where keep holds and other at the rest.
 
         A model of one row is one or the other.  Rows of a stack mix only
-        at one stack of theta terms, as the beamformer moves of a
-        fixed-phase alternation leave them, so only the beamformers are
-        picked row by row.
+        at one stack of phases, as the beamformer moves of a fixed-phase
+        alternation leave them, so only the beamformers are picked row by
+        row.
         """
         if keep.all():
             return self
@@ -356,7 +334,7 @@ class DerivedModel:
             return other
         pick = {key: np.where(keep[:, None], getattr(self.prec, key), getattr(other.prec, key))
                 for key in ("v1", "v2")}
-        return DerivedModel(self.phases, self.prec._with(**pick))
+        return self._at(self.prec._with(**pick))
 
 
 def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
@@ -365,23 +343,22 @@ def derived_model(cfg: SystemConfig, ch: ChannelSet, prec: Precoders,
     projector; from the AN's image at Eve, A = sqrt(beta3 ps g_AE) / sigma
     H_AE^H P_AN, the whitener W of Eve's B = I + A A^H (`eve_whitener`);
     the stream scales; the channel basis Q, `channel_basis`, on first
-    read), and the theta terms of prec's phases.
+    read), and the theta terms of prec's phases, on first read.
 
     With include_irs=False both surface path gains are zeroed, which models
     a system without the surface while keeping the rest of the pipeline
     intact.  Raises ValueError if prec's sizes are not cfg's N and M.
     """
-    for key in ("v1", "v2"):
-        if (size := np.shape(getattr(prec, key))[-1]) != cfg.N:
-            raise ValueError(f"{key} has {size} entries; expected N = {cfg.N}")
+    for key, dim in (("v1", "N"), ("v2", "N"), ("theta", "M")):
+        if (size := np.shape(getattr(prec, key))[-1]) != getattr(cfg, dim):
+            raise ValueError(f"{key} has {size} entries; expected {dim} = {getattr(cfg, dim)}")
     if not include_irs:
         ch = replace(ch, g_AIB=0.0, g_AIE=0.0)
     p_an = an_projector(ch.H_AI, ch.H_AB)
     scale = math.sqrt(cfg.beta3 * cfg.ps_watts * ch.g_AE) / cfg.sigma_watts_sqrt
     w = eve_whitener(scale * (ch.H_AE.conj().T @ p_an))
     scales = tuple(np.sqrt(beta * cfg.ps_watts) / cfg.sigma_watts_sqrt for beta in (cfg.beta1, cfg.beta2))
-    terms = ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales)
-    return DerivedModel(ThetaTerms(terms, prec.theta), prec)
+    return DerivedModel(ChannelTerms(cfg=cfg, ch=ch, P_AN=p_an, W=w, scales=scales), prec)
 
 
 def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
@@ -392,10 +369,12 @@ def _check_phases(dm: DerivedModel, prec: Precoders) -> None:
         raise ValueError("precoders' theta is not the rate model's; move the model there with `with_theta`")
 
 
-def _det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
+def _det2(t1: np.ndarray, t2: np.ndarray, n1: np.ndarray | None = None,
+          a12: np.ndarray | None = None) -> float | np.ndarray:
     """det(I_2 + [t1 t2]^H [t1 t2]) of two streams (K,), or of each pair of
     rows of stacks (D, K), in a form with no subtraction: (1 + |t1|^2)(1 +
     |p|^2) + |t1^H t2|^2 / |t1|^2, p = t2 minus its projection onto t1.
+    n1 = |t1|^2 and a12 = t1^H t2 are formed here unless given.
 
     The Gram form a11 a22 - |a12|^2 cancels when the streams are near
     collinear at high SNR, and so does a K x K factorization of I + t1 t1^H
@@ -404,8 +383,8 @@ def _det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     by 1 instead, which leaves p = t2 and the last term 0.  A NaN anywhere
     gives NaN.
     """
-    n1 = np.vecdot(t1, t1).real
-    a12 = np.vecdot(t1, t2)
+    n1 = np.vecdot(t1, t1).real if n1 is None else n1
+    a12 = np.vecdot(t1, t2) if a12 is None else a12
     safe = n1 + (n1 == 0.0)
     p = t2 - (a12 / safe * t1.T).T
     m12 = _hypot(a12)
@@ -521,7 +500,8 @@ def beam_quotient(dm: DerivedModel, stream: int,
     basis of a subspace the pencil restricted to it, and the model's
     channel basis Q, the default, the r x r pencil whose maximum is the
     full one's.  Q and Q^H Q are channel terms, formed once per run, and
-    Q's products with the channels theta terms, formed once per theta.
+    Q's products with the composite channels are theta terms, formed on
+    first read after a phase move and carried by beamformer moves.
     Eve's side is read in the model's whitened channel G_E = W H_E, where
     cov_E becomes I + t t^H with t = W t_E, so both inverses are rank-one
     downdates of the identity (`_downdated_gram`): O(K r^2) per call on Q,
@@ -546,13 +526,12 @@ def _streams(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[np.ndarra
 def _side(u: np.ndarray, c: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
     """One side's factor det(I + [t1 t2]^H [t1 t2]) at t = U theta + c
     (`_det2`), and the weights w whose image U^H w is the factor's conjugate
-    gradient."""
+    gradient; the Gram entries |t1|^2 and t1^H t2 serve both."""
     t1, t2 = _streams(u, c, theta)
-    a11 = 1.0 + np.vdot(t1, t1).real
-    a22 = 1.0 + np.vdot(t2, t2).real
-    a12 = np.vdot(t1, t2)
-    w = np.concatenate([a22 * t1 - a12.conjugate() * t2, a11 * t2 - a12 * t1])
-    return _det2(t1, t2), w
+    n1, a12 = np.vecdot(t1, t1).real, np.vecdot(t1, t2)
+    a22 = 1.0 + np.vecdot(t2, t2).real
+    w = np.concatenate([a22 * t1 - a12.conjugate() * t2, (1.0 + n1) * t2 - a12 * t1])
+    return _det2(t1, t2, n1, a12), w
 
 
 def span_moments(s: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from irsdm.gai import (
     update_v2,
 )
 from irsdm.model import ChannelSet, SystemConfig, build_channels, build_geometry, parallel_irs_angle
-from irsdm.rates import DerivedModel, Precoders, ThetaTerms, derived_model, rate_bob, rate_eve, rate_gap
+from irsdm.rates import DerivedModel, Precoders, derived_model, rate_bob, rate_eve, rate_gap
 
 
 def _setup(cfg=None):
@@ -179,8 +179,7 @@ def test_update_v1_zero_eve_reduces_to_bob_snr_maximizer():
     prec = _random_prec(cfg, rng)
     dm = derived_model(cfg, ch, prec)
     # a zero whitener zeroes Eve's channel G_E = W H_E
-    terms = replace(dm.phases.terms, W=np.zeros_like(dm.W))
-    zeroed = DerivedModel(ThetaTerms(terms, prec.theta), prec)
+    zeroed = DerivedModel(replace(dm.terms, W=np.zeros_like(dm.W)), prec)
     v1 = update_v1(zeroed)
     (h_b1, h_b2), _ = _stream_channels(dm)
     t2 = h_b2 @ prec.v2

@@ -1,5 +1,6 @@
 """Rate evaluation checks against independently scripted oracles."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -18,7 +19,6 @@ from irsdm.nsp import run_nsp
 from irsdm.rates import (
     PhaseProblem,
     Precoders,
-    ThetaTerms,
     an_projector,
     derived_model,
     rate_bob,
@@ -715,36 +715,78 @@ def _model_terms(dm):
     return [(t.shape, t.tobytes()) for t in terms]
 
 
+def _unit(rng, shape):
+    """Random complex vectors of unit norm along the last axis."""
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _formed(dm):
+    """The theta terms a model has formed so far, by cached name."""
+    return {name: vars(dm)[name] for name in ("_channels", "Q_products") if name in vars(dm)}
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
-       k=st.integers(1, 4), betas=_BETAS, include_irs=st.booleans(),
-       moves=st.lists(st.sampled_from(["v1", "v2", "theta", "read"]), min_size=1, max_size=8))
+       k=st.integers(1, 4), betas=_BETAS, include_irs=st.booleans(), d=st.one_of(st.none(), st.integers(1, 4)),
+       moves=st.lists(st.sampled_from(["v1", "v2", "theta", "read", "rows", "where"]), min_size=1, max_size=8))
 # a model without the surface stays without it after a phase move
-@example(seed=0, n=4, m=6, k=2, betas=(0.4, 0.4), include_irs=False, moves=["theta"])
-def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, moves):
-    # every model of a run of beamformer moves and phase moves, with every
-    # term read ("read") between some of them, is the fresh model at the
-    # same precoders, to the bit; a beamformer move keeps the theta terms,
-    # a phase move forms new ones, and both keep the channel terms
+@example(seed=0, n=4, m=6, k=2, betas=(0.4, 0.4), include_irs=False, d=None, moves=["theta"])
+@example(seed=1, n=3, m=5, k=2, betas=(0.4, 0.4), include_irs=True, d=4,
+         moves=["read", "v1", "where", "rows", "theta", "rows", "where", "v2"])
+def test_reused_model_equals_a_fresh_one(seed, n, m, k, betas, include_irs, d, moves):
+    # every model of a run of beamformer moves, phase moves, row slices and
+    # row picks, with every term read ("read") between some of them, is
+    # at each of its rows (one, or d of a stack) the fresh one-row model at
+    # the row's precoders, to the bit.  A beamformer move, a slice and a
+    # pick carry the theta terms already formed (a slice slices them), a
+    # phase move starts with none, and every move keeps the channel terms
     cfg, ch, prec, rng = _random_channels(seed, n, m, k, betas)
+    if d is not None:
+        prec = Precoders(v1=_unit(rng, (d, n)), v2=_unit(rng, (d, n)),
+                         theta=np.exp(2j * math.pi * rng.random((d, m))))
     dm = derived_model(cfg, ch, prec, include_irs=include_irs)
     for move in moves:
+        rows = np.shape(dm.prec.theta)[:-1]
+        formed = _formed(dm)
         if move == "read":
-            _model_terms(dm)
+            dm.Q_products
             continue
         if move == "theta":
-            new = dm.with_theta(np.exp(2j * math.pi * rng.random(m)))
-            assert new.phases is not dm.phases
-        else:
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            new = dm.with_beamformer(move, v / np.linalg.norm(v))
-            assert new.phases is dm.phases
-        assert new.phases.terms is dm.phases.terms
-        fresh = derived_model(cfg, ch, new.prec, include_irs=include_irs)
-        assert _model_terms(new) == _model_terms(fresh)
-        assert rate_gap(new) == rate_gap(fresh)
-        if not include_irs:
-            u_b, _, u_e, _ = rates.phase_maps(new)
-            assert not u_b.any() and not u_e.any()
+            new = dm.with_theta(np.exp(2j * math.pi * rng.random(rows + (m,))))
+            assert _formed(new) == {}
+        elif move in ("v1", "v2"):
+            new = dm.with_beamformer(move, _unit(rng, rows + (n,)))
+            assert _formed(new).keys() == formed.keys()
+            assert all(_formed(new)[name] is x for name, x in formed.items())
+        elif move == "rows":
+            if d is None:
+                continue
+            keep = rng.random(rows) < 0.5
+            keep[rng.integers(rows[0])] = True
+            new = dm.rows(keep)
+            assert _formed(new).keys() == formed.keys()
+            for name, x in formed.items():
+                assert all(np.array_equal(a, b[keep]) for a, b in zip(_formed(new)[name], x))
+        else:  # "where": some rows take the other model's v1, at the same phases
+            keep = rng.random(rows) < 0.5 if rows else np.bool_(rng.random() < 0.5)
+            other = dm.with_beamformer("v1", _unit(rng, rows + (n,)))
+            new = other.where(keep, dm)
+            assert all(_formed(new)[name] is x for name, x in formed.items())
+            picked = np.where(np.asarray(keep)[..., None], other.prec.v1, dm.prec.v1)
+            assert np.array_equal(new.prec.v1, picked) and np.array_equal(new.prec.v2, dm.prec.v2)
+        assert new.terms is dm.terms
+        # read on a copy, so that the model goes on with only what it formed
+        probe = copy.copy(new)
+        probe.Q_products
+        gaps = rate_gap(probe)
+        for i in ([None] if d is None else range(np.shape(new.prec.theta)[0])):
+            one = probe if i is None else probe.rows(i)  # an integer row: a one-row model
+            fresh = derived_model(cfg, ch, one.prec, include_irs=include_irs)
+            assert _model_terms(one) == _model_terms(fresh)
+            assert rate_gap(one) == rate_gap(fresh) == (gaps if i is None else gaps[i])
+            if not include_irs:
+                u_b, _, u_e, _ = rates.phase_maps(one)
+                assert not u_b.any() and not u_e.any()
         dm = new
 
 
@@ -788,15 +830,87 @@ def test_channel_basis_spans_the_composite_rows_plus_one_direction_outside(seed,
 
 
 def test_theta_terms_reject_a_phase_vector_off_the_unit_circle_or_of_the_wrong_size():
+    # a phase move checks the new phases against the model's, and a fresh
+    # model checks their size against cfg.M
     cfg, ch, rng = _setup()
     e1 = np.eye(cfg.N, dtype=complex)[0]
     model = derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M, dtype=complex)))
     theta = np.exp(2j * math.pi * rng.random(cfg.M))
     theta[5] *= 1.01
     with pytest.raises(ValueError, match="unit modulus"):
-        ThetaTerms(model.phases.terms, theta)
-    with pytest.raises(ValueError, match=rf"theta has {cfg.M + 1} entries"):
-        ThetaTerms(model.phases.terms, np.ones(cfg.M + 1, dtype=complex))
+        model.with_theta(theta)
+    with pytest.raises(ValueError, match="unit modulus"):
+        derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=theta))
+    with pytest.raises(ValueError, match=rf"theta has shape \({cfg.M + 1},\); expected \({cfg.M},\)"):
+        model.with_theta(np.ones(cfg.M + 1, dtype=complex))
+    with pytest.raises(ValueError, match=rf"theta has shape \(2, {cfg.M}\); expected \({cfg.M},\)"):
+        model.with_theta(np.ones((2, cfg.M), dtype=complex))
+    with pytest.raises(ValueError, match=rf"theta has {cfg.M + 1} entries; expected M = {cfg.M}"):
+        derived_model(cfg, ch, Precoders(v1=e1, v2=e1, theta=np.ones(cfg.M + 1, dtype=complex)))
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts of the unit-modulus checks of phases and the unit-norm checks
+    of beamformers (`rates._check_unit_modulus`, `rates._check_beamformer`)."""
+    counts = {"_check_unit_modulus": 0, "_check_beamformer": 0}
+
+    def counter(name):
+        fn = getattr(rates, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(rates, name, counter(name))
+    return counts
+
+
+def _taken(checks):
+    """The counts so far, (theta checks, beamformer checks), reset after."""
+    seen = (checks["_check_unit_modulus"], checks["_check_beamformer"])
+    checks.update(_check_unit_modulus=0, _check_beamformer=0)
+    return seen
+
+
+def test_each_value_is_checked_once_where_it_is_made(checks, monkeypatch):
+    # precoders check their phases and both beamformers once; a fresh
+    # model checks only their sizes, a phase move only the new phases, a
+    # beamformer move only the new beamformer, and a row slice or pick
+    # nothing, on one row and on a stack alike
+    cfg, ch, rng = _setup()
+    for rows in ((), (3,)):
+        prec = Precoders(v1=_unit(rng, rows + (cfg.N,)), v2=_unit(rng, rows + (cfg.N,)),
+                         theta=np.exp(2j * math.pi * rng.random(rows + (cfg.M,))))
+        assert _taken(checks) == (1, 2)
+        dm = derived_model(cfg, ch, prec)
+        assert _taken(checks) == (0, 0)
+        dm = dm.with_theta(np.exp(2j * math.pi * rng.random(rows + (cfg.M,))))
+        assert _taken(checks) == (1, 0)
+        other = dm.with_beamformer("v1", _unit(rng, rows + (cfg.N,)))
+        assert _taken(checks) == (0, 1)
+        keep = np.array([True, False, True]) if rows else np.bool_(False)
+        other.where(keep, dm)
+        if rows:
+            dm.rows(keep)
+        assert _taken(checks) == (0, 0)
+    # a whole run: one check of theta per fresh model and per phase move,
+    # one beamformer check per beamformer move, beside its first precoders'
+    moves = {"with_theta": 0, "with_beamformer": 0}
+    for name in moves:
+        def counted(dm, *args, _move=getattr(rates.DerivedModel, name), _name=name):
+            moves[_name] += 1
+            return _move(dm, *args)
+
+        monkeypatch.setattr(rates.DerivedModel, name, counted)
+    for run in (run_gai, run_nsp):
+        moves.update(with_theta=0, with_beamformer=0)
+        assert run(cfg, ch).iterations > 1
+        assert moves["with_theta"] > 1
+        assert _taken(checks) == (1 + moves["with_theta"], 2 + moves["with_beamformer"])
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 24),
