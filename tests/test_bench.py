@@ -206,6 +206,32 @@ def test_bench_points_keep_their_rates_and_pass_counts(point):
     assert nsp.iterations == nsp_passes
 
 
+# the same pins, seed 0, on the placement line (M = 80, the surface at
+# d_AI on the line parallel to Bob-Eve) and at the headline points (d_AB =
+# 50 m at high power): SystemConfig overrides -> gai's and nsp's secrecy
+# rates and pass counts
+_LINE = {"M": 80, "theta_AI": parallel_irs_angle(SystemConfig())}
+LINE_AND_HEADLINE_SOLVES = [
+    ({**_LINE, "d_AI": 20.0}, (13.45390649983, 4, 11.54165641082386, 2)),
+    ({**_LINE, "d_AI": 50.0}, (14.999159552283412, 7, 13.483889861752356, 2)),
+    ({**_LINE, "d_AI": 100.0}, (21.73392400161569, 3, 20.265367959989213, 2)),
+    ({"d_AB": 50.0, "M": 1000, "ps_dbm": 90.0}, (70.78262410605197, 3, 70.62065192055876, 2)),
+    ({"d_AB": 50.0, "M": 4000, "ps_dbm": 90.0}, (74.78262300911379, 3, 74.62065192358594, 2)),
+    ({"d_AB": 50.0, "M": 1000, "ps_dbm": 110.0}, (84.07033647387235, 3, 83.90836429631918, 2)),
+]
+
+
+@pytest.mark.parametrize("overrides, pins", LINE_AND_HEADLINE_SOLVES, ids=[
+    " ".join(f"{k}={v:g}" for k, v in overrides.items() if k != "theta_AI") for overrides, _ in LINE_AND_HEADLINE_SOLVES])
+def test_placement_and_headline_points_keep_their_rates_and_pass_counts(overrides, pins):
+    # a change that moves one of these rates by more than 1e-9 bits says why
+    cfg = dataclasses.replace(SystemConfig(), seed=0, **overrides)
+    ch = _channels(cfg)
+    for sol, (sr, passes) in zip((run_gai(cfg, ch), run_nsp(cfg, ch)), (pins[:2], pins[2:])):
+        assert sol.sr == pytest.approx(sr, rel=0.0, abs=1e-9)
+        assert sol.iterations == passes
+
+
 # the baselines at the same points, seed 0: (secrecy rate, passes) of
 # single_cbs, no_irs and random_phase (50 draws: the mean rate and the
 # rounded mean pass count)
