@@ -21,7 +21,8 @@ run's phase steps share one basis (`SpanMemo`) while their spans lie in it,
 as on line-of-sight links, where the span depends only on the channels.
 They share the coordinates formed on it too: each (psi, chi) grid, the full
 one or a start's patch, is formed once per run, so a later step forms only
-the patches that no earlier step reached.  Each
+the patches that no earlier step reached.  The full grid is scored once per
+basis: later steps refine from the cells that scoring picked.  Each
 step keeps its incumbent unless its own objective improves.  Every block can
 only increase the rate gap, and `alternate` undoes a pass that rounding
 leaves lower, so the secrecy-rate trace is non-decreasing.  Where the
@@ -261,12 +262,15 @@ class SpanMemo:
 
     `formed` maps the exact (psi, chi) arrays of each product grid searched
     on W, the full grid or a start's patch, to the coordinates formed for
-    them, one array per grid.  W is set only with an empty memo, by the
+    them, one array per grid.  `kept` holds the grid's counts and the
+    SEARCH_STARTS cells that the last full-grid scoring on W picked, or
+    None.  W is set only with an empty memo and no kept cells, by the
     constructor or by `basis_of`, so every entry belongs to the current W.
     A run keeps one SpanMemo from one phase step to the next: on
     line-of-sight links the span of a step's parts depends only on the
-    channels, so every step can search one basis and read the patterns that
-    earlier steps formed on it.  It also holds the phase state of GAI's
+    channels, so every step can search one basis, read the patterns that
+    earlier steps formed on it and refine from the cells of the run's one
+    full-grid scoring.  It also holds the phase state of GAI's
     ascent, the step length `_ascend` tries next, which the next block's
     first step takes up: the memo is the one object that lives exactly as
     long as a run's phase blocks.
@@ -275,22 +279,23 @@ class SpanMemo:
     def __init__(self, basis: np.ndarray | None = None) -> None:
         self.basis = np.zeros((0, 0), dtype=complex) if basis is None else basis
         self.formed: dict = {}
+        self.kept: tuple | None = None  # (grid counts, the cells its last full-grid scoring picked)
         self.alpha = 1.0  # the step length `_ascend` tries next in the run
 
     def basis_of(self, *parts: np.ndarray) -> np.ndarray:
         """The kept basis if it has two columns and the non-zero parts,
         each scaled to unit Frobenius norm, lie in its span with a residual
         of at most SPAN_CUT and span it with singular values above SPAN_CUT;
-        otherwise the parts' own basis, kept from now on with an empty memo:
-        the left singular vectors, with singular values above SPAN_CUT, of
-        the scaled parts side by side."""
+        otherwise the parts' own basis, kept from now on with an empty memo
+        and no kept cells: the left singular vectors, with singular values
+        above SPAN_CUT, of the scaled parts side by side."""
         cols = unit_stack(parts)
         if self.basis.shape[1] == 2 and cols.shape[1] >= 2:
             coef = self.basis.conj().T @ cols
             if (np.linalg.norm(cols - self.basis @ coef) <= SPAN_CUT
                     and np.linalg.svd(coef, compute_uv=False)[1] > SPAN_CUT):
                 return self.basis
-        self.basis, self.formed = _column_basis(cols), {}
+        self.basis, self.formed, self.kept = _column_basis(cols), {}, None
         return self.basis
 
     def coordinates(self, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -326,9 +331,12 @@ class SpanMemo:
         the returned pattern is formed.  Each of the SEARCH_STARTS lowest
         points of the full grid starts a refinement: each round scores
         2 SEARCH_HALF_WIDTH + 1 points per axis around every start's best point
-        so far, at 1 / SEARCH_SHRINK of the previous step.  Returns the pattern
-        and the coordinates of the best point seen.  Raises ValueError unless W
-        is M x 2.
+        so far, at 1 / SEARCH_SHRINK of the previous step.  The full grid is
+        scored, and its starts kept, only when the memo keeps no cells of a
+        grid of this shape; otherwise the kept cells start with no score,
+        and the first round's patches, centred on them, score them.  Returns
+        the pattern and the coordinates of the best point seen.  Raises
+        ValueError unless W is M x 2.
         """
         if self.basis.shape[1] != 2:
             raise ValueError(f"the pattern search needs an M x 2 span basis, got {self.basis.shape}")
@@ -340,12 +348,17 @@ class SpanMemo:
         steps = np.array([0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]])
         axes = [(np.arange(counts[0]) + 0.5) * steps[0]]
         axes += [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
-        values = evaluate(*(x[None, :] for x in axes))[0]
-        top = lowest(values, SEARCH_STARTS)
-        best = values[top]
-        at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
+        if self.kept is not None and self.kept[0] == counts:
+            at = self.kept[1]
+            best = np.full(len(at), np.inf)
+        else:
+            values = evaluate(*(x[None, :] for x in axes))[0]
+            top = lowest(values, SEARCH_STARTS)
+            best = values[top]
+            at = np.column_stack([x[i] for x, i in zip(axes, np.unravel_index(top, counts))])
+            self.kept = counts, at
         offsets = np.arange(-SEARCH_HALF_WIDTH, SEARCH_HALF_WIDTH + 1)
-        rows = np.arange(top.size)
+        rows = np.arange(len(at))
         for _ in range(SEARCH_ROUNDS):
             steps = steps / SEARCH_SHRINK
             patch = at[:, :, None] + offsets * steps[:, None]
@@ -376,9 +389,9 @@ def _span_start(pp: PhaseProblem, theta0: np.ndarray, memo: SpanMemo) -> np.ndar
     degree-2 trigonometric series in e^{j phi}, and the SEARCH_ROTATIONS
     values of phi are one product of the series' real columns with a table
     of cos and sin per side (`rates.PhaseProblem.span_ratio`).  The best
-    candidate and theta0 are compared on the exact ratio.  W and the
-    coordinates already formed on it come from the run's memo, which
-    searches only on the basis it hands out (`SpanMemo.basis_of`).
+    candidate and theta0 are compared on the exact ratio.  W, the
+    coordinates formed on it and the kept grid cells come from the run's
+    memo, which searches only on the basis it hands out (`SpanMemo.basis_of`).
 
     Returns theta0 itself when no candidate beats it or the span is not two
     dimensional.  A silent surface has no span, and channels that are not
@@ -411,8 +424,8 @@ def ga_optimize_theta(
     two dimensional (a silent surface, channels that are not line of sight,
     or Bob and Eve on one line from the surface), the block is the ascent
     from theta0 alone.  memo, the run's `SpanMemo`, lends the search the
-    basis and coordinates of earlier blocks, and the ascent the step length
-    they left to try next; without it the block starts cold.
+    basis, coordinates and grid cells of earlier blocks, and the ascent the
+    step length they left to try next; without it the block starts cold.
     """
     memo = memo or SpanMemo()
     return _ascend(pp, _span_start(pp, theta0, memo), opts, epsilon, memo)

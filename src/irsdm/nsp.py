@@ -15,7 +15,8 @@ over the factors' joint span (`gai.SpanMemo.basis_of`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern; a
 run's steps share one basis and the coordinates formed on it
 (`gai.SpanMemo`), as GAI's do, so a later step forms only the patches no
-earlier step reached.  Then majorize-minimize phase rounding at the best
+earlier step reached, and refines from the cells of the run's one
+full-grid scoring.  Then majorize-minimize phase rounding at the best
 level found, each rounding at O(K M), the roundings driven by squared
 extrapolation (SQUAREM) until one more lowers the level objective by less
 than MM_TOL.
@@ -295,8 +296,8 @@ def update_theta_nsp(
     surface resolves Bob from Eve; within one beam the sign flips matter
     and the polish descends only locally.  Raises ValueError if the
     factors span more than two dimensions.  memo, the run's `gai.SpanMemo`,
-    lends the search the basis and coordinates of earlier steps; without it
-    the step searches cold.
+    lends the search the basis, coordinates and kept grid cells of earlier
+    steps; without it the step searches cold.
     """
 
     def quotient(theta: np.ndarray) -> float:

@@ -626,6 +626,22 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
         assert np.array_equal(gai._span_candidates(basis, psi, chi)[at, point], np.ones(at.size))
 
 
+def _warm_scorer(w, seen):
+    """A search score built from the weights w, recording the coordinates
+    it is handed in seen; with a rotation axis, as in GAI's step."""
+    def score(s, *phi):
+        seen.append(s.copy())
+        value = np.abs(np.tensordot(w, s, axes=1) + 0.3)
+        if phi:
+            value = np.abs(np.exp(1j * phi[0])[:, None, :] * value[..., None] + w[0])
+        return -value.reshape(s.shape[1], -1)
+    return score
+
+
+def _full_grid(s):
+    return s.shape[1:] == (1, np.prod(gai.SEARCH_GRID))
+
+
 @settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
        vanishing=st.booleans(), cell=st.integers(0, gai.SEARCH_GRID[0] - 1),
@@ -633,39 +649,88 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
 @example(seed=0, free_rows=2, zero_rows=3, vanishing=True, cell=0, rotations=())
 @example(seed=1, free_rows=5, zero_rows=1, vanishing=True, cell=3, rotations=(gai.SEARCH_ROTATIONS,))
 def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanishing, cell, rotations):
-    # earlier searches on the same basis, with other scores, fill the memo;
-    # a search that reads it sees the same coordinates and returns the same
-    # pattern as a cold search, to the bit
+    # earlier searches on the same basis, with other scores, fill the memo
+    # and keep the cells of the first one's grid; a search that reads it
+    # sees the coordinates a cold memo forms, to the bit, scores no full
+    # grid and refines from the kept cells; once the cells are dropped it
+    # searches exactly as a cold search
     basis, _, _, rng = _search_basis(seed, free_rows, zero_rows, vanishing, cell)
     weights = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-
-    def scorer(w, seen):
-        def score(s, *phi):
-            seen.append(s.copy())
-            value = np.abs(np.tensordot(w, s, axes=1) + 0.3)
-            if phi:  # a rotation axis, as in GAI's step
-                value = np.abs(np.exp(1j * phi[0])[:, None, :] * value[..., None] + w[0])
-            return -value.reshape(s.shape[1], -1)
-        return score
-
     memo = gai.SpanMemo(basis)
-    for w in weights[[1, 0, 2]]:
-        memo.search(scorer(w, []), *rotations)
-    warm_seen, cold_seen, formed = [], [], []
-    closed_form = gai._span_coordinates
+    first = []
+    memo.search(_warm_scorer(weights[1], first), *rotations)
+    assert _full_grid(first[0])
+    counts, kept = memo.kept
+    assert counts == gai.SEARCH_GRID + rotations and kept.shape == (gai.SEARCH_STARTS, len(counts))
+    memo.search(_warm_scorer(weights[2], []), *rotations)
+    assert memo.kept[1] is kept  # a tracked search keeps the grid's cells
+    warm_seen, cold_seen, formed, grids = [], [], [], []
+    closed_form, coordinates = gai._span_coordinates, gai.SpanMemo.coordinates
 
     def recording(basis_, psi, chi):
         formed.append(psi.size)
         return closed_form(basis_, psi, chi)
 
-    with mock.patch.object(gai, "_span_coordinates", recording):
-        warm = memo.search(scorer(weights[0], warm_seen), *rotations)
-    n_warm = sum(formed)
-    cold = gai.SpanMemo(basis).search(scorer(weights[0], cold_seen), *rotations)
-    assert n_warm < np.prod(gai.SEARCH_GRID)  # the grid came from the memo
+    def reading(memo_, psi, chi):
+        grids.append((psi, chi))
+        return coordinates(memo_, psi, chi)
+
+    with mock.patch.object(gai, "_span_coordinates", recording), \
+            mock.patch.object(gai.SpanMemo, "coordinates", reading):
+        memo.search(_warm_scorer(weights[0], warm_seen), *rotations)
+    assert sum(formed) < np.prod(gai.SEARCH_GRID)  # no grid formed again
+    assert len(warm_seen) == gai.SEARCH_ROUNDS and not any(map(_full_grid, warm_seen))
+    for (psi, chi), s in zip(grids, warm_seen):
+        assert np.array_equal(s, gai.SpanMemo(basis).coordinates(psi, chi))
+    # each start's first patch holds its kept cell at its centre
+    centre = gai.SEARCH_HALF_WIDTH
+    assert np.array_equal(grids[0][0][:, centre], kept[:, 0])
+    assert np.array_equal(grids[0][1][:, centre], kept[:, 1])
+
+    memo.kept = None
+    cold_seen, warm_seen = [], []
+    warm = memo.search(_warm_scorer(weights[0], warm_seen), *rotations)
+    cold = gai.SpanMemo(basis).search(_warm_scorer(weights[0], cold_seen), *rotations)
     assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
-    assert len(warm_seen) == len(cold_seen)
+    assert len(warm_seen) == len(cold_seen) == 1 + gai.SEARCH_ROUNDS
     assert all(np.array_equal(a, b) for a, b in zip(warm_seen, cold_seen))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), free_rows=st.integers(2, 40), zero_rows=st.integers(0, 3),
+       rotations=st.sampled_from([(), (gai.SEARCH_ROTATIONS,)]))
+def test_a_tracked_search_ends_no_worse_than_its_best_kept_cell(seed, free_rows, zero_rows, rotations):
+    # the kept cells come from one score and the tracked search runs
+    # another; under the second, the point it returns scores at most the
+    # lowest score of a kept cell, each scored alone (up to the 1e-12
+    # rounding of coordinates formed in other grids)
+    basis, _, _, rng = _search_basis(seed, free_rows, zero_rows, False, 0)
+    weights = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    memo = gai.SpanMemo(basis)
+    memo.search(_warm_scorer(weights[0], []), *rotations)
+    score = _warm_scorer(weights[1], [])
+    _, at = memo.search(score, *rotations)
+
+    def alone(point):
+        s = gai.SpanMemo(basis).coordinates(point[None, :1], point[None, 1:2])
+        return score(s, *(point[None, 2 + i:3 + i] for i in range(len(rotations))))[0, 0]
+
+    cells = min(alone(cell) for cell in memo.kept[1])
+    assert alone(at) <= cells + 1e-12 * max(1.0, abs(cells))
+
+
+def test_a_search_over_another_grid_shape_scores_its_full_grid():
+    # the kept cells belong to one grid shape: a search with or without
+    # GAI's rotation axis, after one of the other shape, scores its own grid
+    basis, _, _, rng = _search_basis(9, 12, 1, False, 0)
+    w = rng.normal(size=2) + 1j * rng.normal(size=2)
+    memo = gai.SpanMemo(basis)
+    rotate = (gai.SEARCH_ROTATIONS,)
+    for rotations, full in ((rotate, True), ((), True), ((), False), (rotate, True), (rotate, False)):
+        seen = []
+        memo.search(_warm_scorer(w, seen), *rotations)
+        assert _full_grid(seen[0]) == full and len(seen) == full + gai.SEARCH_ROUNDS
+        assert memo.kept[0] == gai.SEARCH_GRID + rotations
 
 
 def test_span_memo_keeps_its_basis_only_for_parts_that_span_it():
@@ -677,17 +742,19 @@ def test_span_memo_keeps_its_basis_only_for_parts_that_span_it():
 
     memo = gai.SpanMemo()
     basis = memo.basis_of(inside(3), inside(3))
-    memo.formed["grid"] = "coordinates"
-    # parts in the kept span, at any scale: the same basis and memo
-    assert memo.basis_of(inside(2), 1e6 * inside(1)) is basis and memo.formed
+    memo.formed["grid"], memo.kept = "coordinates", "cells"
+    # parts in the kept span, at any scale: the same basis and memo, kept
+    # cells included
+    assert memo.basis_of(inside(2), 1e6 * inside(1)) is basis and memo.formed and memo.kept == "cells"
     # parts along one direction of it, or a part 1e-8 outside it: the parts'
-    # own basis, as a fresh memo takes it, and an empty memo
+    # own basis, as a fresh memo takes it, and an empty memo without cells
     outside = inside(2) + 1e-8 * np.linalg.norm(inside(2)) * rng.normal(size=(12, 2))
     direction = inside(1)
     for parts in ((direction, 2.0 * direction), (inside(2), inside(2)), (inside(2), outside)):
-        memo.formed["grid"] = "coordinates"
+        memo.formed["grid"], memo.kept = "coordinates", "cells"
         found = memo.basis_of(*parts)
         assert found.shape == gai.SpanMemo().basis_of(*parts).shape and not memo.formed
+        assert memo.kept is None
     assert found is not basis and found is memo.basis
 
 
@@ -924,7 +991,7 @@ def test_the_extrapolation_examples_keep_a_step(monkeypatch):
         return out
 
     monkeypatch.setattr(gai, "_extrapolate", counted)
-    cases = {(5040, 39, 26.85611007151881, False, 1e-4): {"gai": (4, 8), "nsp": (0, 0)},
+    cases = {(5040, 39, 26.85611007151881, False, 1e-4): {"gai": (4, 7), "nsp": (0, 0)},
              (40712, 20, 14.37650231733707, True, 1e-9): {"gai": (0, 7), "nsp": (5, 7)}}
     for drop, counts in cases.items():
         cfg, ch = _climbing_drop(*drop)
