@@ -664,7 +664,7 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
     assert counts == gai.SEARCH_GRID + rotations and kept.shape == (gai.SEARCH_STARTS, len(counts))
     memo.search(_warm_scorer(weights[2], []), *rotations)
     assert memo.kept[1] is kept  # a tracked search keeps the grid's cells
-    warm_seen, cold_seen, formed, grids = [], [], [], []
+    warm_seen, formed, grids = [], [], []
     closed_form, coordinates = gai._span_coordinates, gai.SpanMemo.coordinates
 
     def recording(basis_, psi, chi):
