@@ -48,7 +48,6 @@ class ExperimentResult:
     iterations: dict[str, list[int]]
     converged: dict[str, list[bool]]
     config: SystemConfig
-    seed: int
 
 
 def run_scheme(scheme: Scheme, cfg: SystemConfig, channels: ChannelSet) -> Solution:
@@ -115,7 +114,6 @@ def _sweep(cfg, experiment, axis_name, axis_values, point_cfgs, schemes):
         iterations=iters,
         converged=converged,
         config=cfg,
-        seed=cfg.seed,
     )
 
 
@@ -178,5 +176,4 @@ def convergence_trace(
         iterations=iterations,
         converged=converged,
         config=cfg,
-        seed=cfg.seed,
     )

@@ -68,7 +68,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def parse_config(args: argparse.Namespace) -> SystemConfig:
-    """Resolve the scenario: flags override file values, file overrides defaults."""
+    """Resolve the scenario: flags override file values, file overrides defaults.
+
+    A seed given only in the file is written to args.cfg_seed, so that
+    args.cfg_seed is None exactly when no seed was given anywhere.
+    """
     values: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
@@ -80,6 +84,7 @@ def parse_config(args: argparse.Namespace) -> SystemConfig:
         flag_val = getattr(args, f"cfg_{name}", None)
         if flag_val is not None:
             values[name] = flag_val
+    args.cfg_seed = values.get("seed")
     for name in INT_FIELDS:
         # a JSON 20.0 means 20; 20.7 and true go on to SystemConfig's checks
         if isinstance(values.get(name), float) and values[name].is_integer():
@@ -88,14 +93,6 @@ def parse_config(args: argparse.Namespace) -> SystemConfig:
         return SystemConfig(**values)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"error: invalid configuration: {exc}") from exc
-
-
-def _seed_given(args: argparse.Namespace) -> bool:
-    if getattr(args, "cfg_seed", None) is not None:
-        return True
-    if args.config is not None:
-        return "seed" in json.loads(Path(args.config).read_text())
-    return False
 
 
 def parse_schemes(names: str, draws: int, active_stream: int) -> list[Scheme]:
@@ -148,7 +145,7 @@ def write_result_csv(path: Path, result: ExperimentResult) -> None:
                 _fmt(result.series[label][i]),
                 str(result.iterations[label][i]),
                 "true" if result.converged[label][i] else "false",
-                str(result.seed),
+                str(result.config.seed),
             )))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -200,7 +197,7 @@ def run_experiment(
 
 
 def _require_seed_for_random(args, schemes: list[Scheme]) -> None:
-    if any(s.kind == "random_phase" for s in schemes) and not _seed_given(args):
+    if any(s.kind == "random_phase" for s in schemes) and args.cfg_seed is None:
         raise SystemExit("error: random_phase runs need an explicit --seed (or a seed in the config file)")
 
 

@@ -1,10 +1,12 @@
 """Alternating maximization of the secrecy rate over (v1, v2, theta).
 
-Each beamformer update is a generalized Rayleigh quotient problem solved
-exactly by a Hermitian-definite eigensolver, on the pencil compressed to the
-model's channel basis Q, which holds the row space of the composite channels
-at every theta.  The phase block maximizes the determinant ratio f(theta) /
-g(theta) of `rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at
+Each beamformer update is one solve, `beam_step`: a generalized Rayleigh
+quotient problem solved exactly by a Hermitian-definite eigensolver, here on
+the pencil compressed to the model's channel basis Q, which holds the row
+space of the composite channels at every theta, and in NSP on the pencil
+compressed to the basis of the stream's null space.  The phase block
+maximizes the determinant ratio f(theta) / g(theta) of
+`rates.PhaseProblem`, whose base-2 logarithm equals R_B - R_E at
 unit-modulus points.  On line-of-sight channels
 the ratio depends on theta only through a two-dimensional span, and the block
 starts from a grid search over the phase patterns of that span; gradient
@@ -152,28 +154,24 @@ def rayleigh_ritz_max(a_num: np.ndarray, b_den: np.ndarray) -> np.ndarray:
     return unit_rows(np.matvec(s, vecs[..., -1]))
 
 
-def _best_beamformer(dm: DerivedModel, stream: int) -> np.ndarray:
-    """Best beamformer of the stream (0 or 1) with the model's other
-    beamformer and theta held fixed, or of each row of a stack, solved on
-    the pencil compressed to the model's channel basis Q (a channel term,
-    `rates.channel_basis`).  Raises ValueError unless the solve gives one
-    coefficient vector per row."""
-    w = rayleigh_ritz_max(*beam_quotient(dm, stream))
-    if np.shape(w) != np.shape(dm.prec.theta)[:-1] + dm.Q.shape[1:]:
-        raise ValueError(f"v{stream + 1} must be a vector per row, got coefficients of shape {np.shape(w)}")
-    return np.matvec(dm.Q, w)
+def beam_step(num: np.ndarray, den: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The beamformer v = basis w, w the top generalized eigenvector
+    (`rayleigh_ritz_max`) of a stream's pencil (num, den) in the coordinates
+    of basis (N, r), or of each row of a stack: every scheme's one exact
+    beamformer solve, so it takes no incumbent."""
+    return np.matvec(basis, rayleigh_ritz_max(num, den))
 
 
 def update_v1(dm: DerivedModel) -> np.ndarray:
-    """Best stream-1 beamformer with the model's (v2, theta) held fixed
-    (`_best_beamformer`)."""
-    return _best_beamformer(dm, 0)
+    """Best stream-1 beamformer with the model's (v2, theta) held fixed:
+    `beam_step` in the model's channel basis Q (`rates.channel_basis`)."""
+    return beam_step(*beam_quotient(dm, 0), dm.Q)
 
 
 def update_v2(dm: DerivedModel) -> np.ndarray:
-    """Best stream-2 beamformer with the model's (v1, theta) held fixed
-    (`_best_beamformer`)."""
-    return _best_beamformer(dm, 1)
+    """Best stream-2 beamformer with the model's (v1, theta) held fixed:
+    `beam_step` in the model's channel basis Q (`rates.channel_basis`)."""
+    return beam_step(*beam_quotient(dm, 1), dm.Q)
 
 
 def _project_phases(z: np.ndarray, fallback: np.ndarray | float) -> np.ndarray:

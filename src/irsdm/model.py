@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 C_LIGHT = 299_792_458.0  # m/s
+SPACING_OVER_LAMBDA = 0.5  # element spacing of every array: half a wavelength
 
 # Angles of the default drop, kept as exact multiples of pi.
 DEFAULT_THETA_AI = math.pi / 6
@@ -167,12 +168,13 @@ def parallel_irs_angle(cfg: SystemConfig) -> float:
     return angle if angle < math.pi else 0.0  # a tiny negative angle rounds up to pi
 
 
-def steering_vector(n: int, theta: float, spacing_over_lambda: float = 0.5) -> np.ndarray:
-    """ULA steering vector with element i carrying phase -2*pi*i*d*cos(theta)/lambda."""
+def steering_vector(n: int, theta: float) -> np.ndarray:
+    """ULA steering vector with element i carrying phase -2*pi*i*d*cos(theta)/lambda,
+    d/lambda = SPACING_OVER_LAMBDA."""
     if n < 1:
         raise ValueError(f"array size must be at least 1, got {n}")
     idx = np.arange(n)
-    return np.exp(-2j * math.pi * idx * spacing_over_lambda * math.cos(theta))
+    return np.exp(-2j * math.pi * idx * SPACING_OVER_LAMBDA * math.cos(theta))
 
 
 def path_loss(d_m: float, f_hz: float) -> float:

@@ -7,9 +7,9 @@ range(P2), the null space of the surface and Eve channels, so it rides the
 direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P): the pencil in the
 coordinates of an orthonormal basis of range(P), maximized exactly by GAI's
-eigensolver.  The phases minimize a unit-modulus quotient of two forms, each
-I/M + F F^H with F an M x K factor read from the rate model; no M x M
-matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
+beamformer solve (`gai.beam_step`).  The phases minimize a unit-modulus
+quotient of two forms, each I/M + F F^H with F an M x K factor read from
+the rate model; no M x M matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
 with its sizing and without its rotation axis, which the quotient ignores)
 over the factors' joint span (`gai.SpanMemo.basis_of`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern; a
@@ -33,8 +33,8 @@ from .gai import (
     SpanMemo,
     _project_phases,
     alternate,
+    beam_step,
     check_count,
-    rayleigh_ritz_max,
 )
 from .model import ChannelSet, SystemConfig
 from .rates import (
@@ -146,23 +146,9 @@ def range_basis(p: np.ndarray) -> np.ndarray:
     return evecs[:, evals > 0.5]
 
 
-def update_w1(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best stream-1 beamformer v = q w for the r x r pencil of
-    `stream_blocks` in the coordinates of q, the orthonormal basis of
-    range(P) (`range_basis`), and its quotient nu, taken on w.  The solve is
-    GAI's exact eigensolver, so it takes no incumbent.
-    """
-    w = rayleigh_ritz_max(num, den)
-    return q @ w, _quad(num, w) / _quad(den, w)
-
-
-def update_w2(num: np.ndarray, den: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Best stream-2 beamformer v = q w for the r x r pencil of
-    `stream_blocks` in the coordinates of q, the orthonormal basis of
-    range(P) (`range_basis`).  The solve is GAI's exact eigensolver, so it
-    takes no incumbent.
-    """
-    return q @ rayleigh_ritz_max(num, den)
+# GAI's beamformer solve on a stream_blocks pencil in range(P)'s basis q:
+# one binding per stream, since perfbench/tracing.py times each under its name
+update_w1 = update_w2 = beam_step
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -184,13 +170,6 @@ def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
     k = dm.cfg.K
     u_b, c_b, u_e, _ = phase_maps(dm)
     return whiten_rank_one(c_b[k:], u_b[:k]).conj().T, u_e[:k].conj().T
-
-
-def _shell_terms(f_b: np.ndarray, f_e: np.ndarray, theta: np.ndarray) -> tuple[float, float]:
-    """Eve's and Bob's forms at unit-modulus theta, (1 + |F_e^H theta|^2,
-    1 + |F_b^H theta|^2)."""
-    num, den = (1.0 + float(np.sum(np.abs(f.conj().T @ theta) ** 2)) for f in (f_e, f_b))
-    return num, den
 
 
 def theta_star_of_mu(
@@ -282,17 +261,16 @@ def update_theta_nsp(
     `gai.SpanMemo.basis_of(F_b, F_e)` and G = W^H F their 2 x K compressions.
     Each |G^H s|^2 is the 2 x 2 form s^H G G^H s, read from the moments of s
     (`rates.span_moments`, `rates.form_weights`), as GAI's span scorer reads
-    its Gram entries; exact quotients of a phase vector come from
-    `_shell_terms`.  At a stationary point
-    theta_i is the phase of (W a)_i for some a in C^2, up to a sign on
-    entries where (W a)_i is small next to the excess diagonal; only the
-    direction of a matters, and an entry where W a vanishes takes phase 0.
-    `gai.SpanMemo.search` scores its (psi, chi) grid of these patterns at
-    O(1) each and refines around the best points; a span of lower
-    dimension is not searched.  The better of its pattern and the
-    incumbent, compared on the exact quotient, is polished
-    with at most POLISH_LEVELS `theta_star_of_mu` levels.  It returns the
-    incumbent unless a candidate beats it.  The search is global when the
+    its Gram entries; the exact quotient of a phase vector reads F^H theta.
+    At a stationary point theta_i is the phase of (W a)_i for some a in
+    C^2, up to a sign on entries where (W a)_i is small next to the excess
+    diagonal; only the direction of a matters, and an entry where W a
+    vanishes takes phase 0.  `gai.SpanMemo.search` scores its (psi, chi)
+    grid of these patterns at O(1) each and refines around the best points;
+    a span of lower dimension is not searched.  The better of its pattern
+    and the incumbent, compared on the exact quotient, is polished with at
+    most POLISH_LEVELS `theta_star_of_mu` levels.  It returns theta_prev
+    itself unless a candidate beats it.  The search is global when the
     surface resolves Bob from Eve; within one beam the sign flips matter
     and the polish descends only locally.  Raises ValueError if the
     factors span more than two dimensions.  memo, the run's `gai.SpanMemo`,
@@ -301,7 +279,8 @@ def update_theta_nsp(
     """
 
     def quotient(theta: np.ndarray) -> float:
-        return float(np.divide(*_shell_terms(f_b, f_e, theta)))
+        num, den = (1.0 + float(np.sum(np.abs(f.conj().T @ theta) ** 2)) for f in (f_e, f_b))
+        return num / den
 
     memo = memo or SpanMemo()
     basis = memo.basis_of(f_b, f_e)
@@ -327,7 +306,7 @@ def update_theta_nsp(
         if not q_cand < best_q:
             break
         best_theta, best_q = cand, q_cand
-    return best_theta.copy()
+    return best_theta
 
 
 def run_nsp(
@@ -345,7 +324,7 @@ def run_nsp(
     dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)[0]))
+        steps.append(lambda dm: dm.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)))
     if cfg.beta2 > 0:
         steps.append(lambda dm: dm.with_beamformer("v2", update_w2(*stream_blocks(dm, q2, 1), q2)))
     if cfg.beta1 > 0:

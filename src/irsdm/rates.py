@@ -402,32 +402,31 @@ def _log2_det2(t1: np.ndarray, t2: np.ndarray) -> float | np.ndarray:
     return np.array(list(map(math.log2, dets))).reshape(np.shape(det))[()]
 
 
+def _rate(dm: DerivedModel, prec: Precoders, h: np.ndarray) -> float | np.ndarray:
+    """log2 det(I_2 + T^H T) (`_det2`) of the streams T = [c1 h v1, c2 h v2]
+    of prec's beamformers through the receiver channel h, at O(K N); prec
+    must hold the model's phases."""
+    _check_phases(dm, prec)
+    c1, c2 = dm.scales
+    return _log2_det2(c1 * np.matvec(h, prec.v1), c2 * np.matvec(h, prec.v2))
+
+
 def rate_bob(dm: DerivedModel, prec: Precoders) -> float | np.ndarray:
     """Bob's achievable sum rate over the two streams, bits/s/Hz, for prec's
     beamformers at the model's phases, which prec must hold; one per row of
-    a stack.
-
-    log2 det(I + t1 t1^H + t2 t2^H), t_i = c_i H_B v_i, is the two streams'
-    2 x 2 determinant det(I_2 + [t1 t2]^H [t1 t2]) (`_det2`), at O(K N).
+    a stack: log2 det(I + t1 t1^H + t2 t2^H), t_i = c_i H_B v_i (`_rate`).
     """
-    _check_phases(dm, prec)
-    c1, c2 = dm.scales
-    return _log2_det2(c1 * np.matvec(dm.H_B, prec.v1), c2 * np.matvec(dm.H_B, prec.v2))
+    return _rate(dm, prec, dm.H_B)
 
 
 def rate_eve(dm: DerivedModel, prec: Precoders) -> float | np.ndarray:
     """Eve's rate with the artificial noise folded into her noise covariance,
     for prec's beamformers at the model's phases, which prec must hold; one
-    per row of a stack.
-
-    log2 det(I + S B^-1) = log2 det(B + S) - log2 det B is the 2 x 2
-    determinant det(I_2 + T^H T) (`_det2`) of her streams whitened by the
-    model's W, T = [c1 G_E v1, c2 G_E v2] with G_E = W H_E, at O(K N): no
+    per row of a stack: log2 det(I + S B^-1) = log2 det(B + S) - log2 det B,
+    her streams whitened by the model's W, G_E = W H_E (`_rate`): no
     factorization per evaluation.
     """
-    _check_phases(dm, prec)
-    c1, c2 = dm.scales
-    return _log2_det2(c1 * np.matvec(dm.G_E, prec.v1), c2 * np.matvec(dm.G_E, prec.v2))
+    return _rate(dm, prec, dm.G_E)
 
 
 def rate_gap(dm: DerivedModel) -> float | np.ndarray:

@@ -101,7 +101,7 @@ def test_csv_schema_and_full_precision(tmp_path):
     assert manifest.outputs["csv"].endswith("sweep_m.csv")
     # a solve stopped at its pass cap reads false
     capped = ExperimentResult("sweep_m", "M", [4.0], {"gai": [1.0]}, {"gai": [50]},
-                              {"gai": [False]}, cfg, cfg.seed)
+                              {"gai": [False]}, cfg)
     write_result_csv(tmp_path / "capped.csv", capped)
     assert (tmp_path / "capped.csv").read_text().split("\n")[1].split(",")[4] == "false"
 
@@ -166,16 +166,17 @@ def test_sweep_error_names_the_point_and_the_scheme(tmp_path, capsys):
 
 
 def test_random_phase_requires_explicit_seed(tmp_path):
-    with pytest.raises(SystemExit, match="seed"):
-        main([
-            "sweep-m", "--n", "8", "--m-values", "4", "--schemes", "random_phase",
-            "--draws", "2", "--out-dir", str(tmp_path),
-        ])
-    rc = main([
-        "sweep-m", "--n", "8", "--m-values", "4", "--schemes", "random_phase",
-        "--draws", "2", "--seed", "3", "--out-dir", str(tmp_path),
-    ])
-    assert rc == 0
+    argv = ["sweep-m", "--n", "8", "--m-values", "4", "--schemes", "random_phase",
+            "--draws", "2", "--out-dir", str(tmp_path)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"M": 4}))
+    for extra in ([], ["--config", str(path)]):  # no seed by flag or in the file
+        with pytest.raises(SystemExit, match="seed"):
+            main(argv + extra)
+    assert main(argv + ["--seed", "3"]) == 0
+    path.write_text(json.dumps({"seed": 3}))
+    assert main(argv + ["--config", str(path)]) == 0
+    assert (tmp_path / "sweep_m.csv").read_text().split("\n")[1].split(",")[5] == "3"
 
 
 def test_unknown_scheme_is_rejected(tmp_path):

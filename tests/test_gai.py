@@ -1131,7 +1131,8 @@ def test_dead_elements_neither_stall_a_run_nor_move_its_rate(d_ab):
 @pytest.mark.parametrize("bad, message", [
     (lambda w: np.full_like(w, np.nan), r"v1 must have unit norm, got nan"),
     (lambda w: 2.0 * w, r"v1 must have unit norm, got (1\.99|2\.0)"),
-    (lambda w: np.column_stack([w, w]) / math.sqrt(2.0), r"v1 must be a vector"),
+    # rows, not columns: np.matvec rejects a solve of the wrong width itself
+    (lambda w: np.stack([w, w]) / math.sqrt(2.0), r"v1 must be a vector"),
 ], ids=["nan", "norm 2", "matrix"])
 def test_a_beamformer_step_checks_the_beamformer_it_replaced(monkeypatch, bad, message):
     # the step skips the scan of theta, which it keeps, but not the checks
