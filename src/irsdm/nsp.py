@@ -294,8 +294,8 @@ def update_theta_nsp(
                             for g in (basis.conj().T @ f_e, basis.conj().T @ f_b)]).real
 
         def score(s: np.ndarray) -> np.ndarray:
-            num, den = 1.0 + np.tensordot(weights, span_moments(s), axes=1)
-            return num / den
+            num, den = 1.0 + weights @ span_moments(s.reshape(2, -1))
+            return (num / den).reshape(s.shape[1:])
 
         found, _ = memo.search(score)
         if (q_found := quotient(found)) < best_q:

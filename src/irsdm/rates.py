@@ -542,7 +542,7 @@ def span_moments(s: np.ndarray) -> np.ndarray:
     """
     x = s[0].conj() * s[1]
     mag2 = s.real ** 2 + s.imag ** 2
-    return np.stack([mag2[0], mag2[1], x.real, x.imag])
+    return np.array([mag2[0], mag2[1], x.real, x.imag])
 
 
 def form_weights(a: np.ndarray) -> np.ndarray:
@@ -592,7 +592,9 @@ def _series_columns(al1, al2, h, ga, be1, be2, de, ep) -> np.ndarray:
     f0 = al1 * al2 + h - (ga.real ** 2 + ga.imag ** 2)
     f1 = al1 * be2 + al2 * be1 - de * ga.conj() - ga * ep
     f2 = be1 * be2 - de * ep
-    return np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+    out = np.empty(f0.shape + (5,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3], out[..., 4] = f0, f1.real, f1.imag, f2.real, f2.imag
+    return out
 
 
 def _span_columns(forms: tuple[np.ndarray, ...], s: np.ndarray) -> np.ndarray:
@@ -625,8 +627,10 @@ def rotation_table(phi: np.ndarray) -> np.ndarray:
     """(1, 2 cos phi, -2 sin phi, 2 cos 2 phi, -2 sin 2 phi) on a new
     second-to-last axis, shape (..., 5, R) for phi (..., R): the product of
     `_series_columns` with it is each side's factor at the rotations phi."""
-    return np.stack([np.ones_like(phi), 2.0 * np.cos(phi), -2.0 * np.sin(phi),
-                     2.0 * np.cos(2.0 * phi), -2.0 * np.sin(2.0 * phi)], axis=-2)
+    out = np.empty(phi.shape[:-1] + (5, phi.shape[-1]))
+    out[..., 0, :], out[..., 1, :], out[..., 2, :] = 1.0, 2.0 * np.cos(phi), -2.0 * np.sin(phi)
+    out[..., 3, :], out[..., 4, :] = 2.0 * np.cos(2.0 * phi), -2.0 * np.sin(2.0 * phi)
+    return out
 
 
 class PhaseProblem:

@@ -626,6 +626,78 @@ def test_span_coordinates_match_the_formed_patterns(seed, free_rows, zero_rows, 
         assert np.array_equal(gai._span_candidates(basis, psi, chi)[at, point], np.ones(at.size))
 
 
+def _span_coordinates_stacked(basis, psi, chi):
+    """`gai._span_coordinates` in its earlier form, the oracle of its
+    rewrite: near entries from np.nonzero of each chunk's mask, trig and s
+    from np.stack."""
+    cross = basis[:, 0].conj() * basis[:, 1]
+    table = np.column_stack([np.abs(basis) ** 2, cross.real, cross.imag])
+    floor = 1e-3 * (table[:, 0] + table[:, 1])
+    cos, sin = np.cos(psi), np.sin(psi)
+    q = sin * np.exp(1j * chi)
+    trig = np.stack([cos * cos, sin * sin, 2.0 * cos * q.real, -2.0 * cos * q.imag], axis=-1)
+    sums, near_at = np.empty(trig.shape), []
+    width = min(psi.shape[1], max(1, gai.SEARCH_CHUNK // basis.shape[0]))
+    height = max(1, gai.SEARCH_CHUNK // (width * basis.shape[0]))
+    for top in range(0, psi.shape[0], height):
+        for lo in range(0, psi.shape[1], width):
+            part = np.s_[top:top + height, lo:lo + width]
+            mag2 = trig[part] @ table.T
+            near = mag2 <= floor
+            np.copyto(mag2, np.inf, where=near)
+            np.matmul(1.0 / np.sqrt(mag2), table, out=sums[part])
+            if near.any():
+                row, col, entry = np.nonzero(near)
+                near_at.append((row + top, col + lo, entry))
+    p = sums[..., 2] + 1j * sums[..., 3]
+    s = np.stack([cos * sums[..., 0] + q * p, cos * p.conj() + q * sums[..., 1]])
+    if near_at:
+        row, col, entry = (np.concatenate(x) for x in zip(*near_at))
+        z = basis[entry, 0] * cos[row, col] + basis[entry, 1] * q[row, col]
+        np.add.at(s, (slice(None), row, col), basis[entry].conj().T * gai._project_phases(z, 1.0))
+    return s
+
+
+def _coordinates_stacked(basis, psi, chi):
+    """A cold `SpanMemo.coordinates` in its earlier form, the grids stacked
+    with np.stack, on the earlier `_span_coordinates`."""
+    keys = [(p.tobytes(), c.tobytes()) for p, c in zip(psi, chi)]
+    new = {key: i for i, key in enumerate(keys)}
+    rows = list(new.values())
+    n_psi, n_chi = psi.shape[1], chi.shape[1]
+    s = _span_coordinates_stacked(basis, np.repeat(psi[rows], n_chi, axis=1), np.tile(chi[rows], n_psi))
+    formed = {key: s[:, i].copy() for i, key in enumerate(new)}
+    return np.stack([formed[key] for key in keys], axis=1)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 240), grids=st.integers(1, 8),
+       n_psi=st.integers(1, 24), n_chi=st.integers(1, 48), repeat=st.booleans(),
+       chunk=st.sampled_from([1, 7, 300, gai.SEARCH_CHUNK]))
+@example(seed=0, m=1, grids=1, n_psi=1, n_chi=1, repeat=False, chunk=gai.SEARCH_CHUNK)
+@example(seed=1, m=200, grids=1, n_psi=24, n_chi=48, repeat=False, chunk=gai.SEARCH_CHUNK)
+@example(seed=2, m=12, grids=8, n_psi=7, n_chi=7, repeat=True, chunk=gai.SEARCH_CHUNK)
+def test_span_coordinates_match_their_stacked_form(seed, m, grids, n_psi, n_chi, repeat, chunk):
+    # a cold memo's coordinates, near entries and all, equal the earlier
+    # form's to the bit in a C-contiguous (2, S, n) array.  Rows of the
+    # basis with a zero entry, or zero, meet angles of 0 and pi / 2, where
+    # W a vanishes or nearly does
+    rng = np.random.default_rng(seed)
+    basis = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    basis[rng.random((m, 2)) < 0.1] = 0.0
+    psi = 0.5 * math.pi * rng.random((grids, n_psi))
+    psi[rng.random(psi.shape) < 0.1] = rng.choice([0.0, 0.5 * math.pi])
+    chi = 2.0 * math.pi * rng.random((grids, n_chi))
+    chi[rng.random(chi.shape) < 0.1] = 0.0
+    if repeat:  # grids met twice in one call, as starts that share a point are
+        psi[-1], chi[-1] = psi[0], chi[0]
+    with mock.patch.object(gai, "SEARCH_CHUNK", chunk):
+        got = gai.SpanMemo(basis).coordinates(psi, chi)
+        want = _coordinates_stacked(basis, psi, chi)
+    assert got.flags.c_contiguous and got.shape == want.shape == (2, grids, n_psi * n_chi)
+    assert got.tobytes() == want.tobytes()
+
+
 def _warm_scorer(w, seen):
     """A search score built from the weights w, recording the coordinates
     it is handed in seen; with a rotation axis, as in GAI's step."""
@@ -694,6 +766,28 @@ def test_a_warm_memo_searches_as_a_cold_search(seed, free_rows, zero_rows, vanis
     assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
     assert len(warm_seen) == len(cold_seen) == 1 + gai.SEARCH_ROUNDS
     assert all(np.array_equal(a, b) for a, b in zip(warm_seen, cold_seen))
+
+
+@pytest.mark.parametrize("rotations", [(), (gai.SEARCH_ROTATIONS,)])
+def test_a_search_leaves_the_kept_cells_as_the_full_grid_picked(rotations):
+    # each round moves the starts' cells in place, on a copy: the kept
+    # cells, cold and after every warm search, are still points of the
+    # full grid, unmoved, and the same array
+    basis, _, _, rng = _search_basis(3, 20, 1, True, 5)
+    weights = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    memo = gai.SpanMemo(basis)
+    memo.search(_warm_scorer(weights[0], []), *rotations)
+    counts, kept = memo.kept
+    picked = kept.copy()
+    steps = [0.5 * math.pi / counts[0]] + [2.0 * math.pi / n for n in counts[1:]]
+    on_grid = [(np.arange(counts[0]) + 0.5) * steps[0]] + [np.arange(n) * h for n, h in zip(counts[1:], steps[1:])]
+    assert all(np.isin(kept[:, d], axis).all() for d, axis in enumerate(on_grid))
+    moved = 0
+    for w in weights[1:]:
+        _, at = memo.search(_warm_scorer(w, []), *rotations)
+        moved += not any(np.array_equal(at, cell) for cell in kept)
+        assert memo.kept[1] is kept and np.array_equal(kept, picked)
+    assert moved  # the searches did move their best points off the kept cells
 
 
 @settings(max_examples=60)

@@ -1083,3 +1083,53 @@ def test_run_gai_rejects_a_phase_stack_of_another_shape():
     for shape in ((3, cfg.M - 1), (2, 3, cfg.M), (0, cfg.M), ()):
         with pytest.raises(ValueError, match=r"fixed_theta has shape .*; expected \(\d+,\) or \(D, \d+\)"):
             run_gai(cfg, ch, fixed_theta=np.ones(shape, dtype=complex))
+
+
+# The span search's kernels against their earlier forms, kept here as
+# oracles: each stacked its pieces with np.stack.  The rewrites must give
+# the same C-contiguous array, to the bit.
+
+
+def _bitwise_same(got, want):
+    return (got.flags.c_contiguous and got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def _span_moments_stacked(s):
+    x = s[0].conj() * s[1]
+    mag2 = s.real ** 2 + s.imag ** 2
+    return np.stack([mag2[0], mag2[1], x.real, x.imag])
+
+
+def _series_columns_stacked(al1, al2, h, ga, be1, be2, de, ep):
+    f0 = al1 * al2 + h - (ga.real ** 2 + ga.imag ** 2)
+    f1 = al1 * be2 + al2 * be1 - de * ga.conj() - ga * ep
+    f2 = be1 * be2 - de * ep
+    return np.stack([f0, f1.real, f1.imag, f2.real, f2.imag], axis=-1)
+
+
+def _rotation_table_stacked(phi):
+    return np.stack([np.ones_like(phi), 2.0 * np.cos(phi), -2.0 * np.sin(phi),
+                     2.0 * np.cos(2.0 * phi), -2.0 * np.sin(2.0 * phi)], axis=-2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 3), max_size=2),
+       n=st.integers(1, 1152), log_scale=st.floats(-6, 6))
+@example(seed=0, lead=[], n=1, log_scale=0.0)
+@example(seed=1, lead=[3, 2], n=1152, log_scale=5.0)
+def test_the_span_kernels_match_their_stacked_forms(seed, lead, n, log_scale):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape, real=False):
+        x = rng.normal(size=shape) if real else rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x = 10.0 ** log_scale * x
+        x.flat[rng.random(x.size) < 0.05] = 0.0  # some silent entries
+        return x
+
+    shape = (*lead, n)
+    s = draw(2, *shape)
+    assert _bitwise_same(rates.span_moments(s), _span_moments_stacked(s))
+    columns = [draw(*shape, real=True) for _ in range(3)] + [draw(*shape) for _ in range(5)]
+    assert _bitwise_same(rates._series_columns(*columns), _series_columns_stacked(*columns))
+    phi = 2.0 * math.pi * rng.random(shape)
+    assert _bitwise_same(rates.rotation_table(phi), _rotation_table_stacked(phi))
