@@ -206,8 +206,8 @@ def _span_coordinates(basis: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np
     stacked products take one BLAS call per row; so a row's s is the same to
     the bit whether it is formed alone or beside other rows.  Each chunk
     finds its near entries from one flat index of its mask (np.flatnonzero,
-    unravelled in C order): the entries, in the order, that np.nonzero of
-    the 3-D mask gives at five times the cost or more.
+    unravelled in C order): the same entries in the same order as np.nonzero
+    of the 3-D mask, which costs five times as much or more.
     """
     cross = basis[:, 0].conj() * basis[:, 1]
     table = np.column_stack([np.abs(basis) ** 2, cross.real, cross.imag])
