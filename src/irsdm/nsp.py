@@ -7,9 +7,11 @@ range(P2), the null space of the surface and Eve channels, so it rides the
 direct path and stays invisible to Eve.  Each beamformer block is GAI's
 quotient (`rates.beam_quotient`) restricted to range(P): the pencil in the
 coordinates of an orthonormal basis of range(P), maximized exactly by GAI's
-beamformer solve (`gai.beam_step`).  The phases minimize a unit-modulus
-quotient of two forms, each I/M + F F^H with F an M x K factor read from
-the rate model; no M x M matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
+beamformer solve (`gai.beam_step`).  The names kept only so perfbench's
+tracer can wrap them sit in one block after the imports, which ROADMAP
+item 1 deletes.  The phases minimize a unit-modulus quotient of two
+forms, each I/M + F F^H with F an M x K factor read from the rate model;
+no M x M matrix is formed.  The step is GAI's pattern search (`gai.SpanMemo.search`,
 with its sizing and without its rotation axis, which the quotient ignores)
 over the factors' joint span (`gai.SpanMemo.basis_of`), scored through 2 x 2
 forms of the factors' compressions onto that span at O(1) per pattern; a
@@ -49,8 +51,16 @@ from .rates import (
     span_moments,
     whiten_rank_one,
 )
-# not called here; perfbench/tracing.py wraps both names in this module
+
+# Names kept only for perfbench/tracing.py, which wraps each in this module;
+# ROADMAP item 1 deletes this block.  The rate functions are not called here.
+# A beamformer block is GAI's quotient in range(P)'s basis q and GAI's solve
+# on it, one binding per stream so each is timed under its own name.  No
+# QCQP dual is solved: the placeholder only keeps the tracer's lookup.
 from .rates import an_projector, secrecy_rate
+stream_blocks = beam_quotient
+update_w1 = update_w2 = beam_step
+dual_qcqp_solve = None
 
 
 MAX_MM_ITERS = 500       # phase roundings per mu evaluation, extrapolated or not; the
@@ -59,9 +69,6 @@ MM_TOL = 1e-12           # stop when one rounding lowers the level objective by 
                          # this (the phase step's polish needs its level minimizer to
                          # 1e-9 relative)
 POLISH_LEVELS = 2        # theta_star_of_mu levels after the search
-QCQP_RIDGE = 1e-10
-QCQP_TOL = 1e-8
-QCQP_LAMBDA_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -88,67 +95,11 @@ def ns_projectors(ch: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def stream_blocks(dm: DerivedModel, q: np.ndarray, stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """GAI's beamformer quotient of one stream (0 or 1) at the model's
-    precoders, restricted to range(P), q an orthonormal basis of it
-    (`range_basis`).
-
-    Returns `rates.beam_quotient` in the coordinates of q, the r x r pencil
-    (q^H num q, q^H den q) of its full pencil (num, den), so that at a unit
-    r-vector w the quotient is that of v = q w.
-    """
-    return beam_quotient(dm, stream, q)
-
-
-def _quad(a: np.ndarray, w: np.ndarray) -> float:
-    return float(np.real(w.conj() @ (a @ w)))
-
-
-# not called here; perfbench/tracing.py wraps the name in this module
-def dual_qcqp_solve(a_hat: np.ndarray, bvec: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Maximize 2 Re(b^H w) - w^H A w subject to w^H Q w <= 1.
-
-    A must be Hermitian PSD and Q a Hermitian projector.  The KKT system
-    gives w(lam) = (A + lam Q + ridge I)^-1 b with the multiplier found by
-    bisection on the constraint value, which decreases monotonically in lam.
-    """
-    n = bvec.shape[0]
-    eye = np.eye(n, dtype=complex)
-
-    def w_of(lam: float) -> np.ndarray:
-        return np.linalg.solve(a_hat + lam * q + QCQP_RIDGE * eye, bvec)
-
-    w = w_of(0.0)
-    if _quad(q, w) <= 1.0 + QCQP_TOL:
-        return w
-    lo, hi = 0.0, 1.0
-    while _quad(q, w_of(hi)) > 1.0:
-        hi *= 2.0
-        if hi > QCQP_LAMBDA_MAX:
-            raise RuntimeError("constraint multiplier exceeded the bracketing cap")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        w = w_of(mid)
-        c = _quad(q, w)
-        if abs(c - 1.0) < QCQP_TOL:
-            return w
-        if c > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return w_of(hi)
-
-
 def range_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(p): the eigenvectors of the projector p
     with eigenvalue above 1/2."""
     evals, evecs = np.linalg.eigh(p)
     return evecs[:, evals > 0.5]
-
-
-# GAI's beamformer solve on a stream_blocks pencil in range(P)'s basis q:
-# one binding per stream, since perfbench/tracing.py times each under its name
-update_w1 = update_w2 = beam_step
 
 
 def phase_blocks(dm: DerivedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -324,9 +275,9 @@ def run_nsp(
     dm = derived_model(cfg, channels, Precoders(v1=q1[:, 0], v2=q2[:, 0], theta=theta))
     steps = []
     if cfg.beta1 > 0:
-        steps.append(lambda dm: dm.with_beamformer("v1", update_w1(*stream_blocks(dm, q1, 0), q1)))
+        steps.append(lambda dm: dm.with_beamformer("v1", update_w1(*stream_blocks(dm, 0, q1), q1)))
     if cfg.beta2 > 0:
-        steps.append(lambda dm: dm.with_beamformer("v2", update_w2(*stream_blocks(dm, q2, 1), q2)))
+        steps.append(lambda dm: dm.with_beamformer("v2", update_w2(*stream_blocks(dm, 1, q2), q2)))
     if cfg.beta1 > 0:
         memo = SpanMemo()
         # the phase blocks depend on the beamformers only

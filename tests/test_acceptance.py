@@ -386,7 +386,7 @@ def test_criterion_06_dinkelbach_root_residual():
         # the pencil in the coordinates of range(P1)'s orthonormal basis q1,
         # where the residual at v = q1 w is that of P1 num P1 at v
         q1 = range_basis(p1)
-        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), q1, 0)
+        a_til, b_til = stream_blocks(derived_model(cfg, ch, prec), 0, q1)
         nu = scipy.linalg.eigh(a_til, b_til, eigvals_only=True)[-1]
         w = q1.conj().T @ update_w1(a_til, b_til, q1)
         resid = abs(_quad(a_til, w) - nu * _quad(b_til, w))

@@ -1,12 +1,18 @@
 """Benchmark scheme and experiment checks."""
 
+import ast
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import irsdm.gai
+import irsdm.nsp
+import irsdm.rates
 from irsdm.bench import (
     AN_SHARE_SINGLE,
     SCHEME_KINDS,
@@ -353,3 +359,56 @@ def test_sweep_errors_name_the_point_and_the_scheme():
     with pytest.raises(ValueError, match="converge at M=4, scheme nsp: P1 null space is empty") as info:
         convergence_trace(SystemConfig(N=1), [4], [Scheme("gai"), Scheme("nsp")])
     assert "P1 null space is empty" in str(info.value.__cause__)
+
+
+# Functions the bench sweeps need not enter, each with its reason
+NOT_ENTERED_BY_THE_SWEEPS = {
+    "gai.Solution.iterations_used": "an alias read by perfbench's tracer, which these sweeps do not install",
+    "rates._of_terms": "it builds DerivedModel's properties when rates is imported",
+}
+
+
+def _defs(module):
+    """{(file, first line): qualified name} of every def in a module, nested
+    ones included; the first line is the first decorator's, else the def's,
+    as the function's code object reports it."""
+    path = module.__file__
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    line = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                    found[(path, line)] = name
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(Path(path).read_text()), module.__name__.rpartition(".")[2])
+    return found
+
+
+def test_the_bench_sweeps_enter_every_optimizer_function():
+    # a def that the sweeps of both bench workloads never enter is dead code
+    # or a name kept for a caller outside the program
+    defs = {}
+    for module in (irsdm.rates, irsdm.gai, irsdm.nsp):
+        defs.update(_defs(module))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    schemes = [Scheme(kind) for kind in SCHEME_KINDS]
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for d_ab, m_values in ((50.0, [10, 50, 200]), (300.0, [10, 30, 80])):
+            sweep_sr_vs_m(dataclasses.replace(SystemConfig(), d_AB=d_ab, seed=0), m_values, schemes)
+    finally:
+        sys.setprofile(outer)
+    missed = {name for key, name in defs.items() if key not in entered}
+    assert missed <= set(NOT_ENTERED_BY_THE_SWEEPS), sorted(missed - set(NOT_ENTERED_BY_THE_SWEEPS))

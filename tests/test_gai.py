@@ -512,6 +512,17 @@ def test_phase_block_matches_multistart_ascent_on_line_of_sight_links(seed, m, k
         assert math.log2(oracle / pp.ratio(theta)) <= SPAN_TOL_BITS
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect (ROADMAP item 14): the block ends at ratio 1.8274 and the four-start oracle "
+    "reaches 2.2760, 0.317 bits short against SPAN_TOL_BITS = 0.002"))
+def test_phase_block_matches_multistart_ascent_on_the_tie_example():
+    # W's rows 1 and 3 are equal, so the span start gives both one phase and
+    # the ascent keeps them equal.  Hypothesis has not drawn this example for
+    # the test above, which runs derandomized, so it is run here on its own.
+    test_phase_block_matches_multistart_ascent_on_line_of_sight_links.hypothesis.inner_test(
+        seed=0, m=3, k=1, u=(0, 0, 1, 0, 0, 0, 0), log_g=(0, 0, 1, 0, 0))
+
+
 def test_phase_block_is_the_plain_ascent_above_a_rank_two_span():
     # random full-rank streams span min(4K, M) dimensions: no search runs
     rng = np.random.default_rng(17)

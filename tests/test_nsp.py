@@ -1,4 +1,4 @@
-"""Null-space optimizer checks: projectors, QCQP dual, block steps, full runs."""
+"""Null-space optimizer checks: projectors, block steps, full runs."""
 
 import math
 from dataclasses import replace
@@ -14,7 +14,6 @@ from irsdm import nsp
 from irsdm.bench import parallel_irs_angle
 from irsdm.model import SystemConfig, build_channels, build_geometry
 from irsdm.nsp import (
-    dual_qcqp_solve,
     ns_projectors,
     phase_blocks,
     run_nsp,
@@ -31,11 +30,6 @@ def _setup(cfg=None):
     cfg = cfg or SystemConfig()
     ch = build_channels(cfg, build_geometry(cfg))
     return cfg, ch
-
-
-def _unit(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
 
 
 def _shell_point(rng, p):
@@ -90,59 +84,6 @@ def test_projectors_reject_when_constraints_fill_the_array():
         ns_projectors(ch)
 
 
-# ---------------------------------------------------------------- QCQP dual
-
-
-def test_dual_qcqp_identity_interior_and_boundary():
-    n = 5
-    eye = np.eye(n, dtype=complex)
-    rng = np.random.default_rng(0)
-    small = 0.3 * _unit(rng, n)
-    w = dual_qcqp_solve(eye, small, eye)
-    assert np.linalg.norm(w - small) < 1e-6
-    big = 4.0 * _unit(rng, n)
-    w = dual_qcqp_solve(eye, big, eye)
-    assert np.linalg.norm(w - big / np.linalg.norm(big)) < 1e-6
-
-
-def test_dual_qcqp_kkt_and_sampling_oracle():
-    rng = np.random.default_rng(1)
-    n = 6
-    for trial in range(10):
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = g @ g.conj().T + 0.5 * np.eye(n)
-        u, _ = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
-        q = u @ u.conj().T
-        b = 2.0 * _unit(rng, n)
-        w = dual_qcqp_solve(a, b, q)
-
-        def obj(x):
-            return 2 * np.real(b.conj() @ x) - _quad(a, x)
-
-        assert _quad(q, w) <= 1.0 + 1e-6
-        # stationarity: b - A w must be a nonnegative multiple of Q w
-        resid = b - a @ w
-        qw = q @ w
-        if np.linalg.norm(qw) > 1e-9:
-            lam = (qw.conj() @ resid) / (qw.conj() @ qw)
-            assert lam.real > -1e-6
-            assert abs(lam.imag) < 1e-6 * (1 + abs(lam))
-            assert np.linalg.norm(resid - lam.real * qw) < 1e-5
-        for _ in range(200):
-            x = rng.normal(size=n) + 1j * rng.normal(size=n)
-            c = _quad(q, x)
-            if c > 1.0:
-                x = x / math.sqrt(c)
-            assert obj(w) >= obj(x) - 1e-6
-
-
-def test_dual_qcqp_rejects_runaway_multiplier():
-    # a huge drive needs a multiplier beyond the bracketing cap
-    b = np.array([1e13, 0.0], dtype=complex)
-    with pytest.raises(RuntimeError, match="bracketing cap"):
-        dual_qcqp_solve(np.eye(2, dtype=complex), b, np.eye(2, dtype=complex))
-
-
 # ---------------------------------------------------------------- stream blocks
 
 
@@ -174,8 +115,8 @@ def test_stream_blocks_match_effective_channels():
     # x = q^H w gives q x = P w
     q1, q2 = _range_basis(p1), _range_basis(p2)
     x1, x2 = q1.conj().T @ w1, q2.conj().T @ w2
-    num1, den1 = stream_blocks(dm, q1, 0)
-    num2, den2 = stream_blocks(dm, q2, 1)
+    num1, den1 = stream_blocks(dm, 0, q1)
+    num2, den2 = stream_blocks(dm, 1, q2)
     assert _quad(num1, x1) == pytest.approx(snr(t1, np.eye(cfg.K) + np.outer(t2, t2.conj())), rel=1e-9)
     assert _quad(den1, x1) == pytest.approx(snr(t3, _eve_noise(dm)), rel=1e-9)
     assert _quad(num2, x2) == pytest.approx(snr(t2, np.eye(cfg.K) + np.outer(t1, t1.conj())), rel=1e-9)
@@ -195,7 +136,7 @@ def _default_blocks(seed=3):
         """stream_blocks at v1 = p1 w1, v2 = p2 w2 and the fixed phases, in
         the coordinates of range(P)'s orthonormal basis."""
         prec = Precoders(v1=p1 @ w1, v2=p2 @ w2, theta=theta)
-        return stream_blocks(derived_model(cfg, ch, prec), _range_basis((p1, p2)[stream]), stream)
+        return stream_blocks(derived_model(cfg, ch, prec), stream, _range_basis((p1, p2)[stream]))
 
     return rng, p1, p2, blocks
 
@@ -293,7 +234,7 @@ def test_w_blocks_reach_the_top_eigenvalue_on_range_p(seed, los, m, k, spare, d_
     dm = derived_model(cfg, ch, prec)
     for stream, p in ((0, p1), (1, p2)):
         basis = _range_basis(p)
-        num, den = stream_blocks(dm, basis, stream)
+        num, den = stream_blocks(dm, stream, basis)
         # the full N x N pencil compressed to range(P)'s coordinates
         for block, full in zip((num, den), beam_quotient(dm, stream, np.eye(n))):
             assert np.linalg.norm(block - basis.conj().T @ full @ basis) <= 1e-12 * np.linalg.norm(full)

@@ -1023,7 +1023,7 @@ def test_beam_quotient_tracks_rate_gap(seed, n, m, k, betas, stream, null_space)
 
         dm, prec = _random_channel_model(seed, n, m, k, betas, nsp_precoders)
         q = nsp.range_basis(projectors[stream])
-        cases = [(q, nsp.stream_blocks(dm, q, stream))]
+        cases = [(q, nsp.stream_blocks(dm, stream, q))]
     else:
         # the full pencil, and the one compressed to the model's channel basis;
         # by default, from the model's cached products with Q, the same to the bit

@@ -31,8 +31,8 @@ def _bench(workload, trace):
 
 
 # Per-layer metrics that may read 0 on working code: the cap hits count
-# faults, and nothing in the program calls `nsp.dual_qcqp_solve` (its FOUND
-# line in CHANGES.md), so `nsp.qcqp_solves` always reads 0.
+# faults, and `nsp.dual_qcqp_solve` is a placeholder that nothing calls, kept
+# only so the tracer's lookup resolves, so `nsp.qcqp_solves` always reads 0.
 MAY_READ_ZERO = {"gai.phase_cap_hits", "gai.outer_cap_hits", "nsp.outer_cap_hits", "nsp.qcqp_solves"}
 
 
